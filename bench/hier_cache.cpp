@@ -85,7 +85,7 @@ int main() {
       flatShapes.push_back(std::move(s));
     }
     const auto t0 = std::chrono::steady_clock::now();
-    const BatchResult flat = fractureLayoutParallel(flatShapes, config);
+    const BatchResult flat = fractureLayout(flatShapes, config);
     const double flatSec = seconds(t0);
 
     const std::string cacheDir =

@@ -3,6 +3,7 @@
 // journal's durability argument only holds if kNone is effectively free
 // (one buffered write() per shape) — this table is the receipt. Also
 // times the recovery path: full-journal replay vs recomputing the batch.
+// The layout runs as a flat plan (one cell, so one record, per shape).
 #include <chrono>
 #include <cstdio>
 #include <iostream>
@@ -11,6 +12,7 @@
 #include "benchgen/ilt_synth.h"
 #include "io/table.h"
 #include "mdp/checkpoint.h"
+#include "mdp/hierarchy.h"
 #include "mdp/layout.h"
 
 int main() {
@@ -29,6 +31,7 @@ int main() {
     shapes.push_back(std::move(s));
   }
   const std::string journalPath = "bench_journal_overhead.tmp";
+  const HierPlan plan = planFlatLayout(shapes, BatchConfig{});
 
   Table table({"threads", "plain s", "journal s", "overhead",
                "fsync-each s", "overhead", "replay s"});
@@ -37,7 +40,7 @@ int main() {
     config.threads = threads;
 
     const auto t0 = std::chrono::steady_clock::now();
-    const BatchResult plain = fractureLayoutParallel(shapes, config);
+    const BatchResult plain = fractureLayout(shapes, config);
     const double plainSec =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -46,36 +49,35 @@ int main() {
     const JournalFsync policies[2] = {JournalFsync::kNone,
                                       JournalFsync::kEachRecord};
     for (int p = 0; p < 2; ++p) {
-      JournaledRunOptions options;
+      HierOptions options;
       options.journalPath = journalPath;
       options.fsync = policies[p];
-      BatchResult result;
+      HierarchicalResult result;
       const auto t1 = std::chrono::steady_clock::now();
-      const Status st =
-          fractureLayoutJournaled(shapes, config, options, result);
+      const Status st = fracturePlan(plan, config, options, result);
       journalSec[p] =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t1)
               .count();
-      if (!st.ok() || result.totalShots != plain.totalShots) {
+      if (!st.ok() || result.batch.totalShots != plain.totalShots) {
         std::cerr << "journaled run diverged: " << st.str() << "\n";
         return 1;
       }
     }
 
     // Recovery: replay the (complete) journal instead of recomputing.
-    JournaledRunOptions replayOptions;
+    HierOptions replayOptions;
     replayOptions.journalPath = journalPath;
     replayOptions.resume = true;
-    BatchResult replayed;
+    HierarchicalResult replayed;
     RunCounters counters;
     const auto t2 = std::chrono::steady_clock::now();
-    const Status st = fractureLayoutJournaled(shapes, config, replayOptions,
-                                              replayed, &counters);
+    const Status st =
+        fracturePlan(plan, config, replayOptions, replayed, &counters);
     const double replaySec =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t2)
             .count();
     if (!st.ok() || counters.freshShapes != 0 ||
-        replayed.totalShots != plain.totalShots) {
+        replayed.batch.totalShots != plain.totalShots) {
       std::cerr << "replay diverged: " << st.str() << "\n";
       return 1;
     }
@@ -88,6 +90,7 @@ int main() {
                   Table::fmt(replaySec, 3)});
   }
   table.print(std::cout);
-  std::remove("bench_journal_overhead.tmp");
+  std::remove(journalPath.c_str());
+  std::remove((journalPath + ".sha256").c_str());
   return 0;
 }

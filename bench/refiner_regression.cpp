@@ -253,7 +253,7 @@ SuiteResult runSuite(const std::string& name,
     BatchConfig config;
     config.threads = threads;
     config.params.numThreads = threads;
-    const BatchResult result = fractureLayoutParallel(shapes, config);
+    const BatchResult result = fractureLayout(shapes, config);
 
     SweepPoint point;
     point.threads = threads;

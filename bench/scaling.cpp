@@ -52,7 +52,7 @@ int runThreadSweep() {
     BatchConfig config;
     config.threads = threads;
     config.params.numThreads = threads;
-    const BatchResult result = fractureLayoutParallel(shapes, config);
+    const BatchResult result = fractureLayout(shapes, config);
     const bool identical = threads == 1 || sameShots(result, serial);
     if (threads == 1) {
       serial = result;

@@ -195,7 +195,8 @@ DenseViolations denseViolations(const Problem& problem,
     std::fill(row.begin(), row.end(), 0.0);
     for (const ShotProfile& p : profiles) {
       const Rect& w = p.window;
-      if (y < w.y0 || y >= w.y1) continue;
+      // An empty window (possible in x alone) has no profiles to read.
+      if (w.empty() || y < w.y0 || y >= w.y1) continue;
       const double b = p.by[static_cast<std::size_t>(y - w.y0)];
       for (int x = w.x0; x < w.x1; ++x) {
         row[static_cast<std::size_t>(x)] +=
@@ -246,7 +247,7 @@ AuditReport auditShotSections(const std::vector<LayoutShape>& shapes,
                               const FractureParams& params,
                               std::span<const ShotSection> sections,
                               std::span<const ShapeExpectation> expectations,
-                              int threads, int shapeIndexBase) {
+                              int threads) {
   AuditReport report;
   if (sections.size() != shapes.size()) {
     report.findings.push_back(
@@ -281,12 +282,10 @@ AuditReport auditShotSections(const std::vector<LayoutShape>& shapes,
     std::vector<std::string>& out = findings[i];
     const ShotSection& section = sections[i];
     const ShapeExpectation& expect = expectations[i];
-    const int wantIndex = shapeIndexBase + idx;
-
-    if (section.index != wantIndex) {
+    if (section.index != idx) {
       out.push_back("section header says shape " +
                     std::to_string(section.index) + ", expected " +
-                    std::to_string(wantIndex));
+                    std::to_string(idx));
     }
     if (section.claimedShots !=
         static_cast<int>(section.shots.size())) {
@@ -374,8 +373,7 @@ AuditReport auditShotSections(const std::vector<LayoutShape>& shapes,
 
   for (std::size_t i = 0; i < n; ++i) {
     for (std::string& what : findings[i]) {
-      report.findings.push_back(
-          {shapeIndexBase + static_cast<int>(i), std::move(what)});
+      report.findings.push_back({static_cast<int>(i), std::move(what)});
     }
   }
   return report;

@@ -105,14 +105,14 @@ struct AuditReport {
 
 /// Audits the parsed sections of one .shots artifact against the input
 /// layout and the per-shape claims. `shapes[i]` pairs with
-/// `sections[i]` and `expectations[i]`; `shapeIndexBase` is the
-/// original-layout index of i == 0 (0 for full runs). Shapes are
-/// audited concurrently (`threads` as in BatchConfig::threads); findings
-/// are merged in shape order, so the report is deterministic.
+/// `sections[i]` and `expectations[i]`, and findings for it name shape
+/// i. Shapes are audited concurrently (`threads` as in
+/// BatchConfig::threads); findings are merged in shape order, so the
+/// report is deterministic.
 AuditReport auditShotSections(const std::vector<LayoutShape>& shapes,
                               const FractureParams& params,
                               std::span<const ShotSection> sections,
                               std::span<const ShapeExpectation> expectations,
-                              int threads, int shapeIndexBase = 0);
+                              int threads);
 
 }  // namespace mbf

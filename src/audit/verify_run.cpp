@@ -8,8 +8,6 @@
 #include <utility>
 
 #include "io/atomic_file.h"
-#include "io/gdsii.h"
-#include "io/poly_io.h"
 #include "mdp/checkpoint.h"
 #include "mdp/hierarchy.h"
 #include "support/telemetry.h"
@@ -107,47 +105,6 @@ std::string stringOr(const JsonValue* v, const std::string& fallback) {
 bool boolOr(const JsonValue* v, bool fallback) {
   return v != nullptr && v->kind == JsonValue::Kind::kBool ? v->boolean
                                                            : fallback;
-}
-
-Status loadLayout(const std::string& path, bool hier,
-                  const std::string& topCell,
-                  std::vector<LayoutShape>& out) {
-  std::vector<Polygon> rings;
-  if (path.size() > 4 && path.substr(path.size() - 4) == ".gds") {
-    GdsLibrary lib;
-    Status st = parseGdsFile(path, lib);
-    if (!st.ok()) return st;
-    if (hier) {
-      // A --hier run's layout is the instance expansion, not the flat
-      // ring soup: re-derive it the same way the run did so the audit
-      // compares section-for-shape against the same shape list.
-      st = hierarchicalInstanceShapes(lib, topCell, out);
-      if (st.ok() && out.empty()) {
-        return Status(StatusCode::kInvalidArgument,
-                      "no instantiated shapes in input '" + path + "'");
-      }
-      return st;
-    }
-    std::vector<GdsPolygon> flat;
-    st = flattenGdsChecked(lib, topCell, flat);
-    if (!st.ok()) return st;
-    for (GdsPolygon& gp : flat) {
-      rings.push_back(std::move(gp.polygon));
-    }
-  } else {
-    std::vector<Polygon> parsed;
-    const Status st = parsePolygonsFile(path, parsed, nullptr);
-    // Line-tolerant, like the run itself: whatever polygons survived are
-    // the layout the run fractured.
-    if (!st.ok() && parsed.empty()) return st;
-    rings = std::move(parsed);
-  }
-  if (rings.empty()) {
-    return Status(StatusCode::kInvalidArgument,
-                  "no polygons in input '" + path + "'");
-  }
-  out = groupRings(std::move(rings));
-  return Status();
 }
 
 }  // namespace
@@ -249,8 +206,6 @@ Status verifyRun(const VerifyOptions& options, VerifyReport& out) {
                              "' is not a known method");
   }
   batch.allowDegradation = !boolOr(config->find("strict"), false);
-  batch.shapeIndexBase =
-      static_cast<int>(numberOr(config->find("shape_index_base"), 0));
   const bool ordered = boolOr(config->find("ordered"), false);
   const bool hier = boolOr(config->find("hier"), false);
   const std::string topCell = stringOr(config->find("top_cell"), "");
@@ -260,26 +215,25 @@ Status verifyRun(const VerifyOptions& options, VerifyReport& out) {
   const std::string inputPath = resolveArtifactPath(
       manifestDir, stringOr(input != nullptr ? input->find("path") : nullptr,
                             ""));
+  // The run's layout is its plan's instance expansion: planned the way
+  // the run planned it, so the audit compares section-for-shape against
+  // the same shape list (for a --hier run, not the flat ring soup).
   std::vector<LayoutShape> shapes;
   {
-    const Status st = loadLayout(inputPath, hier, topCell, shapes);
+    HierPlan plan;
+    const Status st = planLayoutFile(inputPath, batch, hier, topCell, plan);
     if (!st.ok()) return st;
+    shapes = planInstanceShapes(plan);
+  }
+  if (shapes.empty()) {
+    return Status(StatusCode::kInvalidArgument,
+                  "no instantiated shapes in input '" + inputPath + "'");
   }
   const double claimedShapesRaw =
       numberOr(input != nullptr ? input->find("shapes") : nullptr, -1.0);
   const std::size_t claimedShapes =
       claimedShapesRaw < 0.0 ? shapes.size()
                              : static_cast<std::size_t>(claimedShapesRaw);
-  // Workers fracture a sub-range of the layout; the manifest's shape
-  // count is authoritative for which slice the artifact covers.
-  const int base = batch.shapeIndexBase;
-  if (base > 0 || claimedShapes < shapes.size()) {
-    const std::size_t b =
-        std::min(shapes.size(), static_cast<std::size_t>(std::max(base, 0)));
-    const std::size_t end = std::min(shapes.size(), b + claimedShapes);
-    shapes = std::vector<LayoutShape>(shapes.begin() + static_cast<long>(b),
-                                      shapes.begin() + static_cast<long>(end));
-  }
   if (claimedShapes != shapes.size()) {
     out.fileIssues.push_back(
         "manifest says the run covered " + std::to_string(claimedShapes) +
@@ -354,7 +308,7 @@ Status verifyRun(const VerifyOptions& options, VerifyReport& out) {
   }
 
   out.audit = auditShotSections(shapes, p, sections, expectations,
-                                options.threads, base);
+                                options.threads);
 
   std::int64_t sectionShots = 0;
   for (const ShotSection& s : sections) {

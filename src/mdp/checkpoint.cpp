@@ -1,16 +1,6 @@
 #include "mdp/checkpoint.h"
 
-#include <unistd.h>
-
-#include <atomic>
-#include <chrono>
 #include <cstring>
-#include <mutex>
-
-#include "io/atomic_file.h"
-#include "parallel/parallel_for.h"
-#include "parallel/thread_pool.h"
-#include "support/sysio.h"
 
 namespace mbf {
 namespace {
@@ -303,8 +293,8 @@ std::string journalMetaFor(const std::vector<LayoutShape>& shapes,
     }
   }
   // Every parameter that changes the computed result belongs in the
-  // fingerprint; execution knobs (threads, budgets, fsync) do not —
-  // resuming with a different thread count is explicitly supported.
+  // fingerprint; execution knobs (threads, budgets, fsync) do not — a
+  // run verifies the same at any thread count.
   const FractureParams& p = config.params;
   h = fnv1aF64(h, p.gamma);
   h = fnv1aF64(h, p.sigma);
@@ -328,142 +318,8 @@ std::string journalMetaFor(const std::vector<LayoutShape>& shapes,
   h = fnv1a(h, &flags, 1);
   const std::int32_t method = static_cast<std::int32_t>(config.method);
   h = fnv1a(h, &method, 4);
-  return "mbf-shape-journal v1 shapes=" + std::to_string(shapes.size()) +
-         " base=" + std::to_string(config.shapeIndexBase) + " fp=" + hex(h);
-}
-
-Status fractureLayoutJournaled(const std::vector<LayoutShape>& shapes,
-                               const BatchConfig& config,
-                               const JournaledRunOptions& options,
-                               BatchResult& out, RunCounters* countersOut) {
-  const auto start = std::chrono::steady_clock::now();
-  const std::string meta = journalMetaFor(shapes, config);
-  const int base = config.shapeIndexBase;
-  const std::size_t n = shapes.size();
-
-  RunCounters counters;
-  JournalWriter journal;
-  std::vector<std::string> replayed;
-  Status st;
-  if (options.resume) {
-    JournalRecoveryStats rstats;
-    st = journal.openForAppend(options.journalPath, meta, options.fsync,
-                               replayed, &rstats);
-    counters.tornTail = rstats.tornTail;
-  } else {
-    st = journal.create(options.journalPath, meta, options.fsync);
-  }
-  if (!st.ok()) return st;
-
-  out = {};
-  out.solutions.resize(n);
-  out.reports.resize(n);
-  std::vector<RefinerStats> shapeStats(n);
-  std::vector<char> done(n, 0);
-
-  // Replay. Records address shapes by original index; duplicates (a
-  // record journaled twice across interrupted attempts) keep the first
-  // copy — both are results of the same deterministic computation.
-  for (const std::string& bytes : replayed) {
-    ShapeRecord record;
-    Status dec = decodeShapeRecord(bytes, record);
-    if (!dec.ok()) return dec;  // CRC passed but bytes are not ours
-    const int local = record.shapeIndex - base;
-    if (local < 0 || static_cast<std::size_t>(local) >= n) {
-      return Status(StatusCode::kInvalidArgument,
-                    "journal record for shape " +
-                        std::to_string(record.shapeIndex) +
-                        " is outside this run's range");
-    }
-    const auto s = static_cast<std::size_t>(local);
-    if (done[s] != 0) continue;
-    out.solutions[s] = std::move(record.solution);
-    out.reports[s] = std::move(record.report);
-    done[s] = 1;
-    ++counters.resumedShapes;
-  }
-
-  std::vector<int> pending;
-  pending.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (done[i] == 0) pending.push_back(static_cast<int>(i));
-  }
-  counters.freshShapes = static_cast<int>(pending.size());
-
-  // Fracture the missing shapes exactly as fractureLayoutParallel would
-  // (same guarded path, same original indices), appending each record as
-  // its shape completes. Append order is completion order — irrelevant,
-  // since replay installs by index and the merge below is input-ordered.
-  std::mutex appendErrorMutex;
-  Status appendError;
-  std::atomic<bool> journalBroken{false};
-  const int threads = ThreadPool::resolveThreads(config.threads);
-  parallelFor(0, static_cast<int>(pending.size()), threads, 1, [&](int k) {
-    const auto s = static_cast<std::size_t>(pending[static_cast<std::size_t>(k)]);
-    ShapeOutcome outcome = fractureShapeGuarded(
-        shapes[s], config.params, config.method, base + static_cast<int>(s),
-        config.allowDegradation, &shapeStats[s], config.fallbackOnly);
-    out.solutions[s] = std::move(outcome.solution);
-    out.reports[s] = {std::move(outcome.status), outcome.degraded,
-                      outcome.interrupted};
-    // An interrupted shape was never attempted: journaling it would make
-    // a later --resume replay the empty solution as finished work.
-    if (outcome.interrupted) return;
-    // Degrade, don't die: the first append failure downgrades the run to
-    // unjournaled completion. Remaining shapes still fracture — their
-    // results live in `out` and ship with the batch — we just stop
-    // issuing appends that a full filer would fail one by one.
-    if (journalBroken.load(std::memory_order_relaxed)) return;
-    ShapeRecord record{base + static_cast<int>(s), out.solutions[s],
-                       out.reports[s]};
-    const Status appended = journal.append(encodeShapeRecord(record));
-    if (!appended.ok()) {
-      journalBroken.store(true, std::memory_order_relaxed);
-      std::lock_guard<std::mutex> lock(appendErrorMutex);
-      if (appendError.ok()) appendError = appended;
-    }
-  });
-
-  // Surface a close-time error (satellite of DESIGN.md section 18): under
-  // kEachRecord a failed ::close() can mean the last records never became
-  // durable, which must hold back the seal exactly like an append error.
-  Status closed = journal.closeChecked();
-  if (!closed.ok() && appendError.ok()) {
-    journalBroken.store(true, std::memory_order_relaxed);
-    appendError = closed;
-  }
-
-  mergeBatchAggregates(out, shapeStats);
-  out.wallSeconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  counters.journalDowngraded = !appendError.ok();
-  if (countersOut != nullptr) *countersOut = counters;
-
-  // Seal a fully-journaled run with its digest so downstream consumers
-  // (the supervisor before merging a worker range, mbf_cli --verify) can
-  // prove the journal bytes are the ones this process wrote. A drained
-  // (interrupted) run holds back the seal — the journal is consistent
-  // but incomplete, and the resumed run that finishes it re-seals.
-  if (appendError.ok()) {
-    if (out.interruptedShapes == 0) {
-      std::string hex;
-      Status sealed = sha256File(options.journalPath, hex);
-      if (sealed.ok()) sealed = writeHashSidecar(options.journalPath, hex);
-      if (!sealed.ok()) return sealed;
-    } else {
-      sysio::unlink(sidecarPathFor(options.journalPath).c_str());
-    }
-  } else {
-    // The journal stopped short of the batch: drop any stale seal from a
-    // previous attempt so --resume/--verify never trust it as complete.
-    sysio::unlink(sidecarPathFor(options.journalPath).c_str());
-  }
-
-  // An append failure does not invalidate the in-memory batch, but the
-  // journal is no longer a faithful checkpoint — surface it. Callers
-  // read countersOut->journalDowngraded to keep the completed work.
-  return appendError;
+  return "mbf-layout v1 shapes=" + std::to_string(shapes.size()) +
+         " fp=" + hex(h);
 }
 
 }  // namespace mbf

@@ -1,11 +1,14 @@
-// Journaled batch fracturing (DESIGN.md section 14). A journaled run
-// appends one serialized ShapeRecord — shots, quality stats, the causal
-// Status — to a support/journal file the moment each shape completes;
-// `--resume` replays every intact record, fractures only the missing
-// shapes, and merges both populations in input order, so an
-// interrupted-then-resumed run produces byte-identical final output to
-// an uninterrupted one (tested at 1/4/8 threads and against SIGKILL at
-// randomized points in tests/crash_drill_test.cpp).
+// Journal records and run fingerprints (DESIGN.md sections 14 and 19).
+// A journaled run (mdp/hierarchy's executor and supervised driver)
+// appends one serialized CellRecord — every shape's shots, quality
+// stats and causal Status — to a support/journal file the moment a plan
+// cell completes; `--resume` replays every intact record, fractures
+// only the missing cells, and instantiates both populations in plan
+// order, so an interrupted-then-resumed run produces byte-identical
+// final output to an uninterrupted one (tested at 1/4/8 threads and
+// against SIGKILL at randomized points in tests/crash_drill_test.cpp).
+// Flat layouts journal the same frames: their plan has one cell per
+// shape.
 #pragma once
 
 #include <string>
@@ -18,9 +21,9 @@
 
 namespace mbf {
 
-/// One journaled unit of work: a shape's solution and report, addressed
-/// by its index in the ORIGINAL layout (shard-invariant, so per-worker
-/// journals merge without translation).
+/// One shape's solution and report: the codec nested inside every
+/// CellRecord frame (with the cell-local index) and every cell-cache
+/// entry.
 struct ShapeRecord {
   int shapeIndex = -1;
   Solution solution;
@@ -35,20 +38,20 @@ struct ShapeRecord {
 std::string encodeShapeRecord(const ShapeRecord& record);
 Status decodeShapeRecord(std::string_view bytes, ShapeRecord& out);
 
-/// Fingerprint of a run, stored as the journal's header meta: shape
-/// count, index base, and an FNV-1a hash over every ring vertex and the
-/// result-relevant FractureParams. Resume refuses a journal whose
-/// fingerprint differs — replaying records of a different layout or
-/// parameter set would silently corrupt the output.
+/// The run manifest's config fingerprint (config.fingerprint), which
+/// `mbf_cli --verify` recomputes over the re-derived layout: shape count
+/// and an FNV-1a hash over every ring vertex and the result-relevant
+/// FractureParams. A mismatch means the input or the parameters changed
+/// since the run, so the audit would check against the wrong oracle.
 std::string journalMetaFor(const std::vector<LayoutShape>& shapes,
                            const BatchConfig& config);
 
-/// One journaled unit of hierarchical work: a unique cell's complete
-/// fracture result, addressed by its index in the hierarchy plan (the
-/// first-visit order of unique cells under the top structure) and
+/// One journaled unit of work: a plan cell's complete fracture result,
+/// addressed by its index in the plan (GDS: the first-visit order of
+/// unique cells under the top structure; flat: the shape index) and
 /// stamped with the cell-cache content key so replay can prove the
-/// record still describes the cell it claims to. Reports carry
-/// cell-local shape indices; instantiation re-stamps them.
+/// record still describes the cell it claims to. Shots are cell-local;
+/// instantiation translates them and re-stamps failing statuses.
 struct CellRecord {
   int cellIndex = -1;
   std::string key;  ///< cellFractureKey of the cell's shapes + config
@@ -58,36 +61,39 @@ struct CellRecord {
 
 /// Binary serialization of a CellRecord. The frame starts with version
 /// byte 2 where ShapeRecord frames start with 1, so the two record
-/// kinds are self-discriminating inside one journal stream: decoding a
-/// frame with the wrong decoder fails cleanly instead of misreading.
+/// kinds are self-discriminating: decoding a frame with the wrong
+/// decoder fails cleanly instead of misreading.
 std::string encodeCellRecord(const CellRecord& record);
 Status decodeCellRecord(std::string_view bytes, CellRecord& out);
 
-/// Header meta for a cell-level journal: cell count, the [begin, end)
-/// cell range this journal covers (workers journal a shard; the parent
+/// Header meta for a cell journal: cell count, the [begin, end) cell
+/// range this journal covers (workers journal a shard; the parent
 /// journal covers 0:n), the top structure, and an FNV-1a hash over the
 /// top name and every cell's content key in plan order. The keys
 /// already commit to the cell geometry and the result-relevant
 /// FractureParams, so a parameter or layout change reshapes the
-/// fingerprint exactly like journalMetaFor does for flat runs.
+/// fingerprint, and resume refuses the journal: replaying records of a
+/// different layout or parameter set would silently corrupt the output.
+/// A journal of another format (such as the per-shape journals older
+/// flat runs wrote) differs in its meta and is refused the same way.
 std::string cellJournalMetaFor(const std::string& topStruct,
                                const std::vector<std::string>& cellKeys,
                                int cellBegin, int cellEnd);
 
 /// Crash-recovery bookkeeping surfaced in the mbf_cli degradation
-/// report. The journal layer fills the first three; the supervisor
-/// (mdp/supervisor) fills the rest.
+/// report. The plan drivers fill the journal and cell counts; the
+/// supervisor (mdp/supervisor) fills the worker counts.
 struct RunCounters {
   int resumedShapes = 0;   ///< replayed from the journal, not recomputed
-  int freshShapes = 0;     ///< fractured by this process
-  int resumedCells = 0;    ///< hier: unique cells replayed from the journal
-  int freshCells = 0;      ///< hier: unique cells fractured this run
+  int freshShapes = 0;     ///< fractured by this run
+  int resumedCells = 0;    ///< plan cells replayed from the journal
+  int freshCells = 0;      ///< plan cells fractured this run
   bool tornTail = false;   ///< recovery truncated a partial record
   int retriedRanges = 0;   ///< worker ranges relaunched after a failure
   int bisectedRanges = 0;  ///< failing ranges split to localize a culprit
   int crashedWorkers = 0;  ///< abnormal worker exits (signal / bad code)
   int hungWorkers = 0;     ///< workers SIGKILLed by the watchdog
-  int crashedShapes = 0;   ///< culprit shapes isolated by bisection
+  int crashedShapes = 0;   ///< culprit plan cells isolated by bisection
   /// Worker journals rejected (and re-run) because their bytes failed
   /// the SHA-256 seal the worker wrote at clean completion.
   int corruptJournals = 0;
@@ -100,27 +106,5 @@ struct RunCounters {
   /// its seal was dropped. A later --resume recomputes what is missing.
   bool journalDowngraded = false;
 };
-
-struct JournaledRunOptions {
-  std::string journalPath;
-  /// Replay an existing journal before fracturing (a missing journal
-  /// file is not an error — the run is simply fresh).
-  bool resume = false;
-  JournalFsync fsync = JournalFsync::kNone;
-};
-
-/// fractureLayoutParallel with a write-ahead result journal: identical
-/// merge semantics (the two share mergeBatchAggregates), plus one
-/// journal append per completed shape from the worker threads. Errors
-/// (unopenable journal, fingerprint mismatch, append failure) are
-/// returned as a Status; `out` still holds whatever completed.
-/// Journal-replayed shapes carry no RefinerStats (the journal stores
-/// results, not profiling), so a resumed run's perf aggregates cover
-/// only the freshly fractured shapes.
-Status fractureLayoutJournaled(const std::vector<LayoutShape>& shapes,
-                               const BatchConfig& config,
-                               const JournaledRunOptions& options,
-                               BatchResult& out,
-                               RunCounters* countersOut = nullptr);
 
 }  // namespace mbf

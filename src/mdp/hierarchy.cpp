@@ -1,7 +1,9 @@
 #include "mdp/hierarchy.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <limits>
 #include <mutex>
 #include <unordered_map>
@@ -9,6 +11,7 @@
 #include <utility>
 
 #include "io/atomic_file.h"
+#include "io/poly_io.h"
 #include "mdp/cell_cache.h"
 #include "parallel/parallel_for.h"
 #include "parallel/thread_pool.h"
@@ -233,33 +236,145 @@ Status validateCellRecord(const HierPlan& plan, const BatchConfig& config,
   return {};
 }
 
-/// Expands the plan: translates each instance's cell-local shapes and
-/// solutions into top coordinates in DFS order — the order a flat run
-/// sees — re-stamping non-ok statuses with the global instance index,
-/// then recomputes the batch aggregates. (mergeBatchAggregates resets
-/// refinerStats; callers restore the stats of what THEY fractured.)
+/// Per-cell progress of one run over a plan.
+struct PlanProgress {
+  std::vector<CellFracture> fractures;  ///< cell-local results
+  std::vector<char> done;
+  std::vector<std::string> fallbackKeys;  ///< see fallbackKeyFor
+
+  explicit PlanProgress(const HierPlan& plan)
+      : fractures(plan.cells.size()), done(plan.cells.size(), 0) {}
+
+  void install(CellRecord& record) {
+    const auto c = static_cast<std::size_t>(record.cellIndex);
+    fractures[c].solutions = std::move(record.solutions);
+    fractures[c].reports = std::move(record.reports);
+    done[c] = 1;
+  }
+};
+
+/// The cell journal of one run: the single open -> replay -> append
+/// (downgrade on failure) -> seal sequence both drivers share. With an
+/// empty path every call is a no-op.
+class PlanJournal {
+ public:
+  /// Creates the journal covering plan cells [begin, end) or, resuming,
+  /// opens it and installs every replayed record into `progress`.
+  /// Records address cells by plan index; duplicates keep the first copy
+  /// — both are results of the same deterministic computation. CRC
+  /// framing already passed; a record that then fails decoding or plan
+  /// validation is not ours and fails the resume.
+  Status open(const HierPlan& plan, const BatchConfig& config,
+              const HierOptions& options, int begin, int end,
+              PlanProgress& progress, RunCounters& counters) {
+    path_ = options.journalPath;
+    if (path_.empty()) return {};
+    std::vector<std::string> keys;
+    keys.reserve(plan.cells.size());
+    for (const HierPlan::Cell& cell : plan.cells) keys.push_back(cell.key);
+    const std::string meta =
+        cellJournalMetaFor(plan.topStruct, keys, begin, end);
+    std::vector<std::string> replayed;
+    Status status;
+    if (options.resume) {
+      JournalRecoveryStats rstats;
+      status = writer_.openForAppend(path_, meta, options.fsync, replayed,
+                                     &rstats);
+      counters.tornTail = rstats.tornTail;
+    } else {
+      status = writer_.create(path_, meta, options.fsync);
+    }
+    if (!status.ok()) return status;
+    for (const std::string& bytes : replayed) {
+      CellRecord record;
+      Status dec = decodeCellRecord(bytes, record);
+      if (!dec.ok()) return dec;
+      Status valid =
+          validateCellRecord(plan, config, record, progress.fallbackKeys);
+      if (!valid.ok()) return valid;
+      const auto c = static_cast<std::size_t>(record.cellIndex);
+      if (progress.done[c] != 0) continue;
+      progress.install(record);
+      ++counters.resumedCells;
+      counters.resumedShapes += static_cast<int>(plan.cells[c].shapes.size());
+    }
+    return {};
+  }
+
+  /// Appends one finished cell; thread-safe. The first failure
+  /// downgrades the run to unjournaled completion: the results still
+  /// ship, later appends are skipped and the seal is withheld.
+  void append(int cellIndex, const std::string& key,
+              const CellFracture& fracture) {
+    if (path_.empty() || broken_.load(std::memory_order_relaxed)) return;
+    const Status appended = writer_.append(encodeCellRecord(
+        {cellIndex, key, fracture.solutions, fracture.reports}));
+    if (!appended.ok()) fail(appended);
+  }
+
+  /// Closes the journal. A complete, fully appended journal is sealed
+  /// with its SHA-256 sidecar so the supervisor (before merging a worker
+  /// range) and --verify can prove the bytes are the ones written; an
+  /// incomplete (drained) or downgraded one drops any stale seal so
+  /// nothing trusts it as a finished run. A failed ::close() under
+  /// kEachRecord can mean the last records never became durable, so it
+  /// downgrades like an append error. Returns the downgrade cause (with
+  /// counters.journalDowngraded set) or a sealing failure.
+  Status seal(bool complete, RunCounters& counters) {
+    if (path_.empty()) return {};
+    const Status closed = writer_.closeChecked();
+    if (!closed.ok()) fail(closed);
+    counters.journalDowngraded = !appendError_.ok();
+    if (appendError_.ok() && complete) {
+      std::string hexDigest;
+      Status sealed = sha256File(path_, hexDigest);
+      if (sealed.ok()) sealed = writeHashSidecar(path_, hexDigest);
+      return sealed;
+    }
+    sysio::unlink(sidecarPathFor(path_).c_str());
+    return appendError_;
+  }
+
+ private:
+  void fail(const Status& error) {
+    broken_.store(true, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(errorMutex_);
+    if (appendError_.ok()) appendError_ = error;
+  }
+
+  std::string path_;
+  JournalWriter writer_;
+  std::atomic<bool> broken_{false};
+  std::mutex errorMutex_;
+  Status appendError_;
+};
+
+void startResult(const HierPlan& plan, HierarchicalResult& out) {
+  out = HierarchicalResult{};
+  out.topStruct = plan.topStruct;
+  out.reachableCells = plan.reachableCells;
+  out.instancesExpanded = plan.instancesExpanded;
+}
+
+/// Expands the plan: translates each instance's cell-local solutions
+/// into top coordinates in DFS order — the order a flat run sees —
+/// re-stamping non-ok statuses with the global instance shape index,
+/// then recomputes the batch aggregates. shapeSecondsSum and
+/// refinerStats are the caller's: they describe what THIS run
+/// fractured, not how often it is instantiated.
 void instantiatePlan(const HierPlan& plan,
                      const std::vector<CellFracture>& fractures,
-                     const BatchConfig& config, HierarchicalResult& out) {
+                     HierarchicalResult& out) {
+  out.instanceShapes = planInstanceShapes(plan);
   for (const HierPlan::Instance& inst : plan.instances) {
-    const HierPlan::Cell& cell =
-        plan.cells[static_cast<std::size_t>(inst.cell)];
     const CellFracture& fracture =
         fractures[static_cast<std::size_t>(inst.cell)];
-    for (std::size_t i = 0; i < cell.shapes.size(); ++i) {
-      out.instanceShapes.push_back(translatedShape(cell.shapes[i],
-                                                   inst.offset));
-      Solution sol =
-          fracture.solutions.size() > i ? fracture.solutions[i] : Solution{};
+    for (std::size_t i = 0; i < fracture.solutions.size(); ++i) {
+      Solution sol = fracture.solutions[i];
       for (Rect& shot : sol.shots) shot = shot.translated(inst.offset);
-      ShapeReport report =
-          fracture.reports.size() > i ? fracture.reports[i] : ShapeReport{};
+      ShapeReport report = fracture.reports[i];
       if (!report.status.ok()) {
-        // Cell-local batch indices mean nothing in the expanded layout;
-        // re-stamp with the instance shape's global index.
-        report.status.withShape(
-            static_cast<int>(out.batch.solutions.size()) +
-            config.shapeIndexBase);
+        report.status.withShape(static_cast<int>(out.batch.solutions.size()));
       }
       out.batch.solutions.push_back(std::move(sol));
       out.batch.reports.push_back(std::move(report));
@@ -268,35 +383,32 @@ void instantiatePlan(const HierPlan& plan,
   mergeBatchAggregates(out.batch, {});
 }
 
+double secondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
 }  // namespace
 
-Status hierarchicalInstanceShapes(const GdsLibrary& lib,
-                                  const std::string& topStruct,
-                                  std::vector<LayoutShape>& out,
-                                  std::string* resolvedTop) {
-  out.clear();
-  Expansion expansion;
-  Status status = expandGds(lib, topStruct, expansion);
-  if (!status.ok()) return status;
-  if (resolvedTop != nullptr) *resolvedTop = expansion.top;
-
-  // Group each distinct cell once; instances reuse the grouping.
-  std::unordered_map<const GdsStructure*, std::vector<LayoutShape>> byCell;
-  for (const CellInstance& inst : expansion.instances) {
-    auto it = byCell.find(inst.cell);
-    if (it == byCell.end()) {
-      std::vector<Polygon> rings;
-      rings.reserve(inst.cell->polygons.size());
-      for (const GdsPolygon& gp : inst.cell->polygons) {
-        rings.push_back(gp.polygon);
-      }
-      it = byCell.emplace(inst.cell, groupRings(std::move(rings))).first;
-    }
-    for (const LayoutShape& shape : it->second) {
-      out.push_back(translatedShape(shape, inst.offset));
-    }
+HierPlan planFlatLayout(std::vector<LayoutShape> shapes,
+                        const BatchConfig& config) {
+  HierPlan plan;
+  const int n = static_cast<int>(shapes.size());
+  plan.reachableCells = n;
+  plan.instancesExpanded = n;
+  plan.cells.resize(shapes.size());
+  plan.instances.resize(shapes.size());
+  for (int i = 0; i < n; ++i) {
+    // The cell keeps layout coordinates (instance offset 0): fracturing
+    // is not exactly translation-invariant for every shape (DESIGN.md
+    // section 17), so moving a shape could change its shots.
+    HierPlan::Cell& cell = plan.cells[static_cast<std::size_t>(i)];
+    cell.shapes.push_back(std::move(shapes[static_cast<std::size_t>(i)]));
+    cell.key = cellFractureKey(cell.shapes, config);
+    plan.instances[static_cast<std::size_t>(i)] = {i, {0, 0}};
   }
-  return {};
+  return plan;
 }
 
 Status planGdsHierarchy(const GdsLibrary& lib, const BatchConfig& config,
@@ -341,102 +453,79 @@ Status planGdsHierarchy(const GdsLibrary& lib, const BatchConfig& config,
   return {};
 }
 
-Status fractureGdsHierarchical(const GdsLibrary& lib,
-                               const BatchConfig& config,
-                               const HierOptions& options,
-                               HierarchicalResult& out,
-                               RunCounters* countersOut) {
-  const auto start = std::chrono::steady_clock::now();
-  out = HierarchicalResult{};
-  RunCounters counters;
+Status planLayoutFile(const std::string& path, const BatchConfig& config,
+                      bool hier, const std::string& topCell, HierPlan& out,
+                      std::string* warning) {
+  out = HierPlan{};
+  std::vector<Polygon> rings;
+  if (path.size() > 4 && path.substr(path.size() - 4) == ".gds") {
+    GdsLibrary lib;
+    Status st = parseGdsFile(path, lib);
+    if (!st.ok()) return st;
+    if (hier) return planGdsHierarchy(lib, config, topCell, out);
+    // Checked flatten: a cycle, depth overflow or out-of-range placement
+    // is a hard input error, never silently fewer shots.
+    std::vector<GdsPolygon> flat;
+    st = flattenGdsChecked(lib, topCell, flat);
+    if (!st.ok()) return st;
+    rings.reserve(flat.size());
+    for (GdsPolygon& gp : flat) rings.push_back(std::move(gp.polygon));
+  } else {
+    PolyReadStats stats;
+    const Status st = parsePolygonsFile(path, rings, &stats);
+    if (!st.ok()) {
+      if (rings.empty()) return st;
+      if (warning != nullptr) {
+        *warning = st.str() + " (" + std::to_string(stats.badLines) +
+                   " bad line(s), " + std::to_string(stats.skippedRings) +
+                   " skipped ring(s))";
+      }
+    }
+  }
+  if (rings.empty()) {
+    return Status(StatusCode::kInvalidArgument,
+                  "no polygons in input '" + path + "'");
+  }
+  out = planFlatLayout(groupRings(std::move(rings)), config);
+  out.topStruct = topCell;
+  return {};
+}
 
-  HierPlan plan;
-  Status status = planGdsHierarchy(lib, config, options.topStruct, plan);
-  if (!status.ok()) return status;
-  out.topStruct = plan.topStruct;
-  out.reachableCells = plan.reachableCells;
-  out.instancesExpanded = plan.instancesExpanded;
+std::vector<LayoutShape> planInstanceShapes(const HierPlan& plan) {
+  std::vector<LayoutShape> shapes;
+  for (const HierPlan::Instance& inst : plan.instances) {
+    for (const LayoutShape& shape :
+         plan.cells[static_cast<std::size_t>(inst.cell)].shapes) {
+      shapes.push_back(translatedShape(shape, inst.offset));
+    }
+  }
+  return shapes;
+}
+
+Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
+                    const HierOptions& options, HierarchicalResult& out,
+                    RunCounters* countersOut) {
+  const auto start = std::chrono::steady_clock::now();
+  startResult(plan, out);
+  RunCounters counters;
 
   const int numCells = static_cast<int>(plan.cells.size());
   const bool workerShard = options.cellBegin >= 0;
   const int shardBegin = workerShard ? options.cellBegin : 0;
   const int shardEnd = workerShard ? options.cellEnd : numCells;
-  if (workerShard &&
-      (shardBegin > shardEnd || shardEnd > numCells)) {
+  if (workerShard && (shardBegin > shardEnd || shardEnd > numCells)) {
     return Status(StatusCode::kInvalidArgument,
                   "cell range " + std::to_string(shardBegin) + ":" +
                       std::to_string(shardEnd) + " is outside the plan's " +
                       std::to_string(numCells) + " unique cells");
   }
 
-  std::vector<CellFracture> fractures(static_cast<std::size_t>(numCells));
-  std::vector<char> done(static_cast<std::size_t>(numCells), 0);
-  std::vector<std::string> fallbackKeys;
-
-  // Cell-level journal: open/replay before any fracturing, so a resumed
-  // run knows which cells are already finished work.
-  const bool journaled = !options.journalPath.empty();
-  JournalWriter journal;
-  if (journaled) {
-    std::vector<std::string> keys;
-    keys.reserve(plan.cells.size());
-    for (const HierPlan::Cell& cell : plan.cells) keys.push_back(cell.key);
-    const std::string meta =
-        cellJournalMetaFor(plan.topStruct, keys, shardBegin, shardEnd);
-    std::vector<std::string> replayed;
-    if (options.resume) {
-      JournalRecoveryStats rstats;
-      status = journal.openForAppend(options.journalPath, meta,
-                                     options.fsync, replayed, &rstats);
-      counters.tornTail = rstats.tornTail;
-    } else {
-      status = journal.create(options.journalPath, meta, options.fsync);
-    }
-    if (!status.ok()) return status;
-
-    // Replay. Records address cells by plan index; duplicates keep the
-    // first copy — both are results of the same deterministic
-    // computation. CRC framing already passed; a record that then fails
-    // decoding or plan validation is not ours and fails the resume.
-    for (const std::string& bytes : replayed) {
-      CellRecord record;
-      Status dec = decodeCellRecord(bytes, record);
-      if (!dec.ok()) return dec;
-      Status valid = validateCellRecord(plan, config, record, fallbackKeys);
-      if (!valid.ok()) return valid;
-      const auto c = static_cast<std::size_t>(record.cellIndex);
-      if (done[c] != 0) continue;
-      fractures[c].solutions = std::move(record.solutions);
-      fractures[c].reports = std::move(record.reports);
-      done[c] = 1;
-      ++counters.resumedCells;
-      counters.resumedShapes += static_cast<int>(plan.cells[c].shapes.size());
-    }
-  }
-
-  // Journal appends come from the coordinating thread (cache hits) AND
-  // from pool threads (the last shape of a fracturing cell); append()
-  // itself is thread-safe, the degrade ladder mirrors
-  // fractureLayoutJournaled: the first failed append downgrades the run
-  // to unjournaled completion.
-  std::mutex appendErrorMutex;
-  Status appendError;
-  std::atomic<bool> journalBroken{false};
-  auto appendCellRecord = [&](int cellIdx) {
-    if (!journaled || journalBroken.load(std::memory_order_relaxed)) return;
-    const auto c = static_cast<std::size_t>(cellIdx);
-    CellRecord record;
-    record.cellIndex = cellIdx;
-    record.key = plan.cells[c].key;
-    record.solutions = fractures[c].solutions;
-    record.reports = fractures[c].reports;
-    const Status appended = journal.append(encodeCellRecord(record));
-    if (!appended.ok()) {
-      journalBroken.store(true, std::memory_order_relaxed);
-      std::lock_guard<std::mutex> lock(appendErrorMutex);
-      if (appendError.ok()) appendError = appended;
-    }
-  };
+  // Journal first, so a resumed run knows which cells are finished work.
+  PlanProgress progress(plan);
+  PlanJournal journal;
+  Status status = journal.open(plan, config, options, shardBegin, shardEnd,
+                               progress, counters);
+  if (!status.ok()) return status;
 
   // Persistent-cache lookups (hits fill their cell directly). A
   // journaled cache hit is appended like a fractured cell: the journal
@@ -455,126 +544,83 @@ Status fractureGdsHierarchical(const GdsLibrary& lib,
   std::vector<int> missCells;
   for (int i = shardBegin; i < shardEnd; ++i) {
     const auto c = static_cast<std::size_t>(i);
-    if (done[c] != 0) continue;
-    if (useCache &&
-        cache.load(plan.cells[c].key, fractures[c]) ==
-            CellFractureCache::Lookup::kHit) {
-      done[c] = 1;
-      appendCellRecord(i);
+    if (progress.done[c] != 0) continue;
+    if (useCache && cache.load(plan.cells[c].key, progress.fractures[c]) ==
+                        CellFractureCache::Lookup::kHit) {
+      progress.done[c] = 1;
+      journal.append(i, plan.cells[c].key, progress.fractures[c]);
       continue;
     }
     missCells.push_back(i);
   }
 
   // Fracture every missing cell's shapes as ONE batch on the
-  // work-stealing pool, mirroring fractureLayoutParallel exactly (same
-  // guarded path, same shapeIndexBase + position indices — which is
-  // what keeps hierarchical output byte-identical to the unjournaled
-  // driver). A cell's CellRecord is appended the moment its LAST shape
-  // completes; interrupted cells are never journaled — a later resume
-  // re-fractures them instead of replaying unfinished work.
-  std::vector<LayoutShape> missShapes;
-  std::vector<std::pair<int, int>> missSlot;  // (cell, cell-local shape)
+  // work-stealing pool. Each shape runs under its plan-shape ordinal,
+  // so statuses and injected faults address the same shape in every
+  // process whatever the cache or resume state. Jobs write only their
+  // own slot, so any thread count computes identical results. A cell's
+  // CellRecord is appended the moment its LAST shape completes;
+  // interrupted cells are never journaled — a later resume re-fractures
+  // them instead of replaying unfinished work.
+  std::vector<int> firstOrdinal(plan.cells.size(), 0);
+  for (std::size_t c = 1; c < plan.cells.size(); ++c) {
+    firstOrdinal[c] = firstOrdinal[c - 1] +
+                      static_cast<int>(plan.cells[c - 1].shapes.size());
+  }
+  std::vector<std::pair<int, int>> todo;  // (cell, cell-local shape)
+  std::vector<std::atomic<int>> cellRemaining(plan.cells.size());
+  std::vector<std::atomic<bool>> cellInterrupted(plan.cells.size());
   for (const int cellIdx : missCells) {
     const auto c = static_cast<std::size_t>(cellIdx);
     const std::size_t n = plan.cells[c].shapes.size();
-    fractures[c].solutions.resize(n);
-    fractures[c].reports.resize(n);
+    progress.fractures[c].solutions.resize(n);
+    progress.fractures[c].reports.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-      missShapes.push_back(plan.cells[c].shapes[i]);
-      missSlot.emplace_back(cellIdx, static_cast<int>(i));
+      todo.emplace_back(cellIdx, static_cast<int>(i));
     }
-  }
-  std::vector<RefinerStats> shapeStats(missShapes.size());
-  std::vector<std::atomic<int>> cellRemaining(
-      static_cast<std::size_t>(numCells));
-  std::vector<std::atomic<bool>> cellInterrupted(
-      static_cast<std::size_t>(numCells));
-  for (const int cellIdx : missCells) {
-    const auto c = static_cast<std::size_t>(cellIdx);
-    cellRemaining[c].store(static_cast<int>(plan.cells[c].shapes.size()),
-                           std::memory_order_relaxed);
+    cellRemaining[c].store(static_cast<int>(n), std::memory_order_relaxed);
     cellInterrupted[c].store(false, std::memory_order_relaxed);
   }
-  if (!missShapes.empty()) {
-    const int threads = ThreadPool::resolveThreads(config.threads);
-    parallelFor(0, static_cast<int>(missShapes.size()), threads, 1,
-                [&](int k) {
-      const auto s = static_cast<std::size_t>(k);
-      ShapeOutcome outcome = fractureShapeGuarded(
-          missShapes[s], config.params, config.method,
-          config.shapeIndexBase + k, config.allowDegradation,
-          &shapeStats[s], config.fallbackOnly);
-      const int cellIdx = missSlot[s].first;
-      const auto c = static_cast<std::size_t>(cellIdx);
-      const auto local = static_cast<std::size_t>(missSlot[s].second);
-      if (outcome.interrupted) {
-        cellInterrupted[c].store(true, std::memory_order_relaxed);
-      }
-      fractures[c].solutions[local] = std::move(outcome.solution);
-      fractures[c].reports[local] = {std::move(outcome.status),
-                                     outcome.degraded, outcome.interrupted};
-      // acq_rel: the thread finishing the cell's last shape observes
-      // every sibling slot written before their decrements.
-      if (cellRemaining[c].fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-          !cellInterrupted[c].load(std::memory_order_relaxed)) {
-        appendCellRecord(cellIdx);
-      }
-    });
-    for (const int cellIdx : missCells) {
-      done[static_cast<std::size_t>(cellIdx)] = 1;
+  std::vector<RefinerStats> shapeStats(todo.size());
+  parallelFor(0, static_cast<int>(todo.size()),
+              ThreadPool::resolveThreads(config.threads), 1, [&](int k) {
+    const auto [cell, shape] = todo[static_cast<std::size_t>(k)];
+    const auto c = static_cast<std::size_t>(cell);
+    const auto local = static_cast<std::size_t>(shape);
+    ShapeOutcome outcome = fractureShapeGuarded(
+        plan.cells[c].shapes[local], config.params, config.method,
+        firstOrdinal[c] + static_cast<int>(local), config.allowDegradation,
+        &shapeStats[static_cast<std::size_t>(k)], config.fallbackOnly);
+    if (outcome.interrupted) {
+      cellInterrupted[c].store(true, std::memory_order_relaxed);
     }
-  }
-
+    CellFracture& fracture = progress.fractures[c];
+    fracture.solutions[local] = std::move(outcome.solution);
+    fracture.reports[local] = {std::move(outcome.status), outcome.degraded,
+                               outcome.interrupted};
+    // acq_rel: the thread finishing the cell's last shape observes
+    // every sibling slot written before their decrements.
+    if (cellRemaining[c].fetch_sub(1, std::memory_order_acq_rel) == 1 &&
+        !cellInterrupted[c].load(std::memory_order_relaxed)) {
+      journal.append(static_cast<int>(c), plan.cells[c].key, fracture);
+    }
+  });
   bool anyInterrupted = false;
   for (const int cellIdx : missCells) {
-    if (cellInterrupted[static_cast<std::size_t>(cellIdx)].load(
-            std::memory_order_relaxed)) {
+    const auto c = static_cast<std::size_t>(cellIdx);
+    progress.done[c] = 1;
+    if (cellInterrupted[c].load(std::memory_order_relaxed)) {
       anyInterrupted = true;
     }
   }
 
-  if (journaled) {
-    // A failed ::close() under kEachRecord can mean the last records
-    // never became durable — it holds back the seal like an append
-    // error (same contract as fractureLayoutJournaled).
-    Status closed = journal.closeChecked();
-    if (!closed.ok() && appendError.ok()) {
-      journalBroken.store(true, std::memory_order_relaxed);
-      appendError = closed;
-    }
-    counters.journalDowngraded = !appendError.ok();
-    if (appendError.ok() && !anyInterrupted) {
-      std::string hexDigest;
-      Status sealed = sha256File(options.journalPath, hexDigest);
-      if (sealed.ok()) {
-        sealed = writeHashSidecar(options.journalPath, hexDigest);
-      }
-      if (!sealed.ok()) return sealed;
-    } else {
-      // Incomplete or downgraded: drop any stale seal so nothing ever
-      // trusts this journal as a finished run.
-      sysio::unlink(sidecarPathFor(options.journalPath).c_str());
-    }
-  }
+  status = journal.seal(!anyInterrupted, counters);
+  if (!status.ok() && !counters.journalDowngraded) return status;
 
   out.uniqueCellsFractured = static_cast<int>(missCells.size());
-  out.uniqueShapesFractured = static_cast<int>(missShapes.size());
+  out.uniqueShapesFractured = static_cast<int>(todo.size());
   counters.freshCells = static_cast<int>(missCells.size());
-  counters.freshShapes = static_cast<int>(missShapes.size());
-  if (useCache) {
-    out.cellCacheHits = cache.stats().hits;
-    out.cellCacheMisses = cache.stats().misses;
-    out.cellCacheRejected = cache.stats().rejected;
-  } else {
-    out.cellCacheMisses = static_cast<int>(missCells.size());
-  }
-  for (int i = shardBegin; i < shardEnd; ++i) {
-    for (const Solution& sol :
-         fractures[static_cast<std::size_t>(i)].solutions) {
-      out.uniqueFailingPixels += sol.failingPixels();
-    }
-  }
+  counters.freshShapes = static_cast<int>(todo.size());
 
   // Store freshly fractured cells — but only CLEAN ones. A degraded or
   // interrupted result is wall-clock dependent (time budgets) or
@@ -585,7 +631,7 @@ Status fractureGdsHierarchical(const GdsLibrary& lib,
   if (useCache) {
     for (const int cellIdx : missCells) {
       const CellFracture& fracture =
-          fractures[static_cast<std::size_t>(cellIdx)];
+          progress.fractures[static_cast<std::size_t>(cellIdx)];
       bool clean = true;
       for (const ShapeReport& report : fracture.reports) {
         if (!report.status.ok() || report.degraded || report.interrupted) {
@@ -598,8 +644,9 @@ Status fractureGdsHierarchical(const GdsLibrary& lib,
                         fracture);
       if (cache.disabled()) break;  // further stores are no-ops anyway
     }
-  }
-  if (useCache) {
+    out.cellCacheHits = cache.stats().hits;
+    out.cellCacheMisses = cache.stats().misses;
+    out.cellCacheRejected = cache.stats().rejected;
     out.cellCacheIoErrors = cache.stats().ioErrors;
     out.cellCacheEvicted = cache.stats().evicted;
     out.cellCacheEvictionsSkippedLive = cache.stats().evictionsSkippedLive;
@@ -607,6 +654,20 @@ Status fractureGdsHierarchical(const GdsLibrary& lib,
     if (cache.disabled()) {
       out.cellCacheDisableCause = cache.disableCause().str();
     }
+  } else {
+    out.cellCacheMisses = static_cast<int>(missCells.size());
+  }
+
+  // What THIS process fractured, each shape once: instances, replayed
+  // and cached cells add nothing.
+  double freshSeconds = 0.0;
+  RefinerStats freshStats;
+  for (std::size_t k = 0; k < todo.size(); ++k) {
+    const auto [cell, shape] = todo[k];
+    freshSeconds += progress.fractures[static_cast<std::size_t>(cell)]
+                        .solutions[static_cast<std::size_t>(shape)]
+                        .runtimeSeconds;
+    freshStats += shapeStats[k];
   }
 
   if (workerShard) {
@@ -615,124 +676,77 @@ Status fractureGdsHierarchical(const GdsLibrary& lib,
     // output; the supervisor harvests the journal, not the .shots).
     for (int i = shardBegin; i < shardEnd; ++i) {
       const auto c = static_cast<std::size_t>(i);
-      const HierPlan::Cell& cell = plan.cells[c];
-      for (std::size_t j = 0; j < cell.shapes.size(); ++j) {
-        out.instanceShapes.push_back(cell.shapes[j]);
-        out.batch.solutions.push_back(fractures[c].solutions.size() > j
-                                          ? fractures[c].solutions[j]
-                                          : Solution{});
-        out.batch.reports.push_back(fractures[c].reports.size() > j
-                                        ? fractures[c].reports[j]
-                                        : ShapeReport{});
+      CellFracture& fracture = progress.fractures[c];
+      for (std::size_t j = 0; j < fracture.solutions.size(); ++j) {
+        out.instanceShapes.push_back(plan.cells[c].shapes[j]);
+        out.batch.solutions.push_back(std::move(fracture.solutions[j]));
+        out.batch.reports.push_back(std::move(fracture.reports[j]));
       }
     }
     mergeBatchAggregates(out.batch, {});
   } else {
-    instantiatePlan(plan, fractures, config, out);
+    instantiatePlan(plan, progress.fractures, out);
   }
-  // mergeBatchAggregates resets refinerStats (per-instance stats don't
-  // exist); the run's true profiling is what THIS process fractured.
-  RefinerStats fresh{};
-  for (const RefinerStats& st : shapeStats) fresh += st;
-  out.batch.refinerStats = fresh;
-  out.wallSeconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  out.batch.shapeSecondsSum = freshSeconds;
+  out.batch.refinerStats = freshStats;
+  out.wallSeconds = secondsSince(start);
   out.batch.wallSeconds = out.wallSeconds;
   if (countersOut != nullptr) *countersOut = counters;
-
-  // An append failure does not invalidate the in-memory batch, but the
-  // journal is no longer a faithful checkpoint — surface it exactly
-  // like fractureLayoutJournaled does.
-  return appendError;
+  return status;
 }
 
-Status fractureGdsHierarchicalSupervised(
-    const GdsLibrary& lib, const BatchConfig& config,
-    const HierOptions& options, SupervisorConfig supervisor,
-    HierarchicalResult& out, RunCounters& counters, bool& interrupted,
-    std::string& abortCause, std::vector<int>& isolatedCells) {
+Status fracturePlanSupervised(const HierPlan& plan, const BatchConfig& config,
+                              const HierOptions& options,
+                              SupervisorConfig supervisor,
+                              HierarchicalResult& out,
+                              RunCounters* countersOut) {
   const auto start = std::chrono::steady_clock::now();
-  out = HierarchicalResult{};
-  counters = RunCounters{};
-  interrupted = false;
-  abortCause.clear();
-  isolatedCells.clear();
-
-  HierPlan plan;
-  Status status = planGdsHierarchy(lib, config, options.topStruct, plan);
-  if (!status.ok()) return status;
-  out.topStruct = plan.topStruct;
-  out.reachableCells = plan.reachableCells;
-  out.instancesExpanded = plan.instancesExpanded;
-
-  const int numCells = static_cast<int>(plan.cells.size());
-  std::vector<CellFracture> fractures(static_cast<std::size_t>(numCells));
-  std::vector<char> done(static_cast<std::size_t>(numCells), 0);
-  std::vector<std::string> fallbackKeys;
+  startResult(plan, out);
+  RunCounters counters;
 
   // Parent journal: replayed before sharding so the supervisor is
   // handed only the MISSING cell ranges.
-  const bool journaled = !options.journalPath.empty();
-  JournalWriter journal;
-  if (journaled) {
-    std::vector<std::string> keys;
-    keys.reserve(plan.cells.size());
-    for (const HierPlan::Cell& cell : plan.cells) keys.push_back(cell.key);
-    const std::string meta =
-        cellJournalMetaFor(plan.topStruct, keys, 0, numCells);
-    std::vector<std::string> replayed;
-    if (options.resume) {
-      JournalRecoveryStats rstats;
-      status = journal.openForAppend(options.journalPath, meta,
-                                     options.fsync, replayed, &rstats);
-      counters.tornTail = rstats.tornTail;
-    } else {
-      status = journal.create(options.journalPath, meta, options.fsync);
-    }
-    if (!status.ok()) return status;
-    for (const std::string& bytes : replayed) {
-      CellRecord record;
-      Status dec = decodeCellRecord(bytes, record);
-      if (!dec.ok()) return dec;
-      Status valid = validateCellRecord(plan, config, record, fallbackKeys);
-      if (!valid.ok()) return valid;
-      const auto c = static_cast<std::size_t>(record.cellIndex);
-      if (done[c] != 0) continue;
-      fractures[c].solutions = std::move(record.solutions);
-      fractures[c].reports = std::move(record.reports);
-      done[c] = 1;
-      ++counters.resumedCells;
-      counters.resumedShapes += static_cast<int>(plan.cells[c].shapes.size());
-    }
-  }
+  const int numCells = static_cast<int>(plan.cells.size());
+  PlanProgress progress(plan);
+  PlanJournal journal;
+  Status status =
+      journal.open(plan, config, options, 0, numCells, progress, counters);
+  if (!status.ok()) return status;
 
   // Contiguous runs of missing plan cells become the supervised ranges.
   std::vector<std::pair<int, int>> missingRanges;
-  int missingCells = 0;
   for (int i = 0; i < numCells;) {
-    if (done[static_cast<std::size_t>(i)] != 0) {
+    if (progress.done[static_cast<std::size_t>(i)] != 0) {
       ++i;
       continue;
     }
     int j = i;
-    while (j < numCells && done[static_cast<std::size_t>(j)] == 0) ++j;
+    while (j < numCells && progress.done[static_cast<std::size_t>(j)] == 0) {
+      ++j;
+    }
     missingRanges.emplace_back(i, j);
-    missingCells += j - i;
     i = j;
   }
 
-  bool journalDowngraded = false;
-  if (missingCells > 0) {
+  bool interrupted = false;
+  double freshSeconds = 0.0;
+  if (!missingRanges.empty()) {
+    // Worker journals of an earlier run describe that run, not this
+    // one: a fresh run starts from an empty work directory (a resumed
+    // one reuses them to skip work a killed worker already journaled).
+    if (!options.resume) {
+      std::error_code ignored;
+      std::filesystem::remove_all(supervisor.workDir, ignored);
+    }
     supervisor.numShapes = numCells;
-    supervisor.hierCells = true;
     supervisor.initialRanges = missingRanges;
-    // Workers replan the identical hierarchy (the resolved top rides
-    // along so auto-detection cannot diverge) and own ALL cell-cache
-    // I/O — the parent never opens the cache, so its cache stats stay
-    // zero by design.
-    supervisor.workerArgs.push_back("--hier");
-    supervisor.workerArgs.push_back("--top-cell=" + plan.topStruct);
+    // Workers replan the identical input (the resolved top rides along
+    // so auto-detection cannot diverge) and own ALL cell-cache I/O —
+    // the parent never opens the cache, so its cache stats stay zero by
+    // design.
+    if (!plan.topStruct.empty()) {
+      supervisor.workerArgs.push_back("--top-cell=" + plan.topStruct);
+    }
     if (!options.cellCacheDir.empty()) {
       supervisor.workerArgs.push_back("--cell-cache=" +
                                       options.cellCacheDir);
@@ -742,7 +756,7 @@ Status fractureGdsHierarchicalSupervised(
             std::to_string(options.cellCacheQuotaBytes / (1024 * 1024)));
       }
     }
-    SupervisorResult sres = superviseFracture(supervisor);
+    SupervisorResult sres = superviseCells(supervisor);
     if (!sres.status.ok()) return sres.status;
     counters.retriedRanges = sres.counters.retriedRanges;
     counters.bisectedRanges = sres.counters.bisectedRanges;
@@ -752,8 +766,8 @@ Status fractureGdsHierarchicalSupervised(
     counters.corruptJournals = sres.counters.corruptJournals;
     counters.staleTempsRemoved = sres.counters.staleTempsRemoved;
     interrupted = sres.interrupted;
-    abortCause = sres.abortCause;
-    isolatedCells = sres.isolatedShapes;  // plan cell indices in hier mode
+    out.abortCause = std::move(sres.abortCause);
+    out.isolatedCells = std::move(sres.isolatedShapes);
     out.workerSpans = std::move(sres.workerSpans);
 
     // Install every harvested record that provably matches the plan
@@ -761,66 +775,50 @@ Status fractureGdsHierarchicalSupervised(
     // is dropped and its cell hole-filled below. Fresh records are
     // appended to the parent journal in plan order so a later resume
     // needs only this one file.
-    for (auto& kv : sres.cellRecords) {
-      const auto c = static_cast<std::size_t>(kv.first);
-      if (kv.first < 0 || kv.first >= numCells || done[c] != 0) continue;
-      if (!validateCellRecord(plan, config, kv.second, fallbackKeys).ok()) {
+    for (auto& [index, record] : sres.cellRecords) {
+      if (progress.done[static_cast<std::size_t>(index)] != 0 ||
+          !validateCellRecord(plan, config, record, progress.fallbackKeys)
+               .ok()) {
         continue;
       }
-      if (journaled && !journalDowngraded) {
-        const Status appended = journal.append(encodeCellRecord(kv.second));
-        if (!appended.ok()) journalDowngraded = true;
+      journal.append(index, record.key,
+                     {record.solutions, record.reports});
+      for (const Solution& sol : record.solutions) {
+        freshSeconds += sol.runtimeSeconds;
       }
-      fractures[c].solutions = std::move(kv.second.solutions);
-      fractures[c].reports = std::move(kv.second.reports);
-      done[c] = 1;
       ++counters.freshCells;
-      counters.freshShapes += static_cast<int>(plan.cells[c].shapes.size());
+      counters.freshShapes += static_cast<int>(record.solutions.size());
+      progress.install(record);
     }
   }
 
-  bool allDone = true;
-  for (int i = 0; i < numCells; ++i) {
-    if (done[static_cast<std::size_t>(i)] == 0) allDone = false;
-  }
+  const bool allDone =
+      std::find(progress.done.begin(), progress.done.end(), 0) ==
+      progress.done.end();
+  status = journal.seal(allDone && !interrupted && out.abortCause.empty(),
+                        counters);
+  if (!status.ok() && !counters.journalDowngraded) return status;
 
-  if (journaled) {
-    Status closed = journal.closeChecked();
-    if (!closed.ok()) journalDowngraded = true;
-    counters.journalDowngraded = journalDowngraded;
-    if (!journalDowngraded && !interrupted && abortCause.empty() &&
-        allDone) {
-      std::string hexDigest;
-      Status sealed = sha256File(options.journalPath, hexDigest);
-      if (sealed.ok()) {
-        sealed = writeHashSidecar(options.journalPath, hexDigest);
-      }
-      if (!sealed.ok()) return sealed;
-    } else {
-      sysio::unlink(sidecarPathFor(options.journalPath).c_str());
-    }
-  }
-
-  // Hole-fill missing cells so every INSTANCE still gets a record,
-  // classified exactly like the flat supervisor classifies unjournaled
-  // shapes: abort cause, graceful drain, or supervisor bug.
+  // Hole-fill cells no worker delivered so every INSTANCE still gets a
+  // record: the abort cause, a graceful drain, or a supervisor bug.
   for (int i = 0; i < numCells; ++i) {
     const auto c = static_cast<std::size_t>(i);
-    if (done[c] != 0) continue;
+    if (progress.done[c] != 0) continue;
     const std::size_t n = plan.cells[c].shapes.size();
-    fractures[c].solutions.assign(n, Solution{});
-    fractures[c].reports.assign(n, ShapeReport{});
+    CellFracture& fracture = progress.fractures[c];
+    fracture.solutions.assign(n, Solution{});
+    fracture.reports.assign(n, ShapeReport{});
     for (std::size_t j = 0; j < n; ++j) {
-      Solution& sol = fractures[c].solutions[j];
-      ShapeReport& report = fractures[c].reports[j];
+      Solution& sol = fracture.solutions[j];
+      ShapeReport& report = fracture.reports[j];
       sol.method = "empty";
-      if (!abortCause.empty()) {
+      if (!out.abortCause.empty()) {
         sol.degraded = true;
         report.degraded = true;
         report.status = Status(
             StatusCode::kResourceExhausted,
             "run aborted before any worker fractured this cell (" +
-                abortCause + ")");
+                out.abortCause + ")");
       } else if (interrupted) {
         report.interrupted = true;
         report.status = Status(
@@ -837,21 +835,29 @@ Status fractureGdsHierarchicalSupervised(
   }
 
   out.uniqueCellsFractured = counters.freshCells;
-  int freshShapeCount = counters.freshShapes;
-  out.uniqueShapesFractured = freshShapeCount;
-  for (int i = 0; i < numCells; ++i) {
-    for (const Solution& sol :
-         fractures[static_cast<std::size_t>(i)].solutions) {
-      out.uniqueFailingPixels += sol.failingPixels();
-    }
-  }
-
-  instantiatePlan(plan, fractures, config, out);
-  out.wallSeconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  out.uniqueShapesFractured = counters.freshShapes;
+  instantiatePlan(plan, progress.fractures, out);
+  out.batch.shapeSecondsSum = freshSeconds;
+  out.batch.refinerStats = {};  // workers keep their profiling
+  out.wallSeconds = secondsSince(start);
   out.batch.wallSeconds = out.wallSeconds;
-  return {};
+  if (countersOut != nullptr) *countersOut = counters;
+  return status;
+}
+
+Status fractureGdsHierarchical(const GdsLibrary& lib,
+                               const BatchConfig& config,
+                               const HierOptions& options,
+                               HierarchicalResult& out,
+                               RunCounters* countersOut) {
+  HierPlan plan;
+  const Status status =
+      planGdsHierarchy(lib, config, options.topStruct, plan);
+  if (!status.ok()) {
+    out = HierarchicalResult{};
+    return status;
+  }
+  return fracturePlan(plan, config, options, out, countersOut);
 }
 
 }  // namespace mbf

@@ -1,15 +1,22 @@
-// Hierarchical mask fracturing: a GDSII cell referenced N times is
-// fractured ONCE and its shot list instantiated at every reference
-// offset. This is the leverage that keeps full-mask MDP tractable
-// ("a mask contains billions of polygons", paper section 2 -- but only
-// thousands of unique cells), and with the persistent cell-fracture
-// cache (mdp/cell_cache) it extends across runs: a warm re-run
-// fractures only the cells whose geometry or parameters changed.
+// The fracture driver: plan -> execute -> instantiate. A GDSII cell
+// referenced N times is fractured ONCE and its shot list instantiated
+// at every reference offset. This is the leverage that keeps full-mask
+// MDP tractable ("a mask contains billions of polygons", paper section
+// 2 -- but only thousands of unique cells), and with the persistent
+// cell-fracture cache (mdp/cell_cache) it extends across runs: a warm
+// re-run fractures only the cells whose geometry or parameters changed.
+// A flat layout is the degenerate plan — one single-instance cell per
+// shape — so every run, flat or hierarchical, in-process or supervised,
+// goes through the same executor, journal format and cache.
 //
 // Correctness contract: fracturing is invariant under whole-pixel
 // (integer-nm) translation — pinned by the audit layer's metamorphic
 // test — so a cell's cell-local solution translated to an instance
 // offset is bitwise the solution a flat run would have produced there.
+// The contract has a known exception (DESIGN.md section 17: corner
+// extraction rounds in layout coordinates, which can change a
+// curvilinear shape's corners), which is why flat plans keep their
+// shapes in layout coordinates.
 // The instance expansion mirrors flattenGdsChecked's traversal order
 // (own polygons, then SREFs, then AREFs, row-major), so the hierarchical
 // shape list lines up one-to-one with the flattened one whenever
@@ -28,13 +35,22 @@
 
 namespace mbf {
 
-/// The deterministic skeleton of a hierarchical run: unique cells in
-/// first-visit (DFS) order — the PLAN CELL INDEX every journal record,
-/// worker shard and supervisor range refers to — plus every instance
-/// placement. Two processes planning the same GDS under the same config
-/// produce identical plans, which is what lets a worker shard cells by
-/// index and a resumed run trust journaled indices.
+/// The deterministic skeleton of a run: unique cells — the PLAN CELL
+/// INDEX every journal record, worker shard and supervisor range refers
+/// to — plus every instance placement. Two processes planning the same
+/// input under the same config produce identical plans, which is what
+/// lets a worker shard cells by index and a resumed run trust journaled
+/// indices. A flat layout is the degenerate case (planFlatLayout): one
+/// single-instance cell per shape.
+///
+/// The PLAN-SHAPE ORDINAL of a cell shape counts shapes over the cells
+/// in plan order, then within the cell; it is the index fracturing
+/// stamps on a shape's Status and hands the fault injector, so it is
+/// the same in every process and under any cache or resume state. For
+/// a flat plan it equals the shape's index in the layout.
 struct HierPlan {
+  /// Top structure the plan was expanded (or flattened) from; empty for
+  /// .poly input and auto-detected flat .gds roots.
   std::string topStruct;
   int reachableCells = 0;
   std::int64_t instancesExpanded = 0;
@@ -43,7 +59,8 @@ struct HierPlan {
     std::vector<LayoutShape> shapes;  ///< cell-local, groupRings order
     std::string key;                  ///< cellFractureKey under the config
   };
-  /// One entry per CONTENT key, in first-visit order.
+  /// GDS plans: one entry per CONTENT key, in first-visit (DFS) order.
+  /// Flat plans: one entry per shape, in layout order.
   std::vector<Cell> cells;
 
   struct Instance {
@@ -54,27 +71,50 @@ struct HierPlan {
   std::vector<Instance> instances;
 };
 
+/// Plans a flat layout as a degenerate hierarchy: cell i is shape i in
+/// layout coordinates, keyed by cellFractureKey, with one instance at
+/// offset 0. Takes the shapes by value so a caller done with them can
+/// move the geometry in.
+HierPlan planFlatLayout(std::vector<LayoutShape> shapes,
+                        const BatchConfig& config);
+
 /// Expands and dedupes the hierarchy without fracturing anything.
-/// Errors match fractureGdsHierarchical (unresolvable top, cycles,
-/// depth, out-of-range placements, AREF caps).
+/// Errors: unresolvable top, cycles, depth, out-of-range placements,
+/// AREF caps — each naming the cell chain.
 Status planGdsHierarchy(const GdsLibrary& lib, const BatchConfig& config,
                         const std::string& topStruct, HierPlan& out);
 
+/// Reads a layout file and plans it: a `.gds` with `hier` through
+/// planGdsHierarchy; otherwise the `.poly` rings, or the `.gds`
+/// flattened from `topCell` (empty = auto-detect), through groupRings
+/// and planFlatLayout. A `.poly` parse is line-tolerant: when some
+/// polygons survive a bad line, `warning` (if non-null) receives the
+/// parse error and the plan is still built. A flat input without
+/// polygons is an error.
+Status planLayoutFile(const std::string& path, const BatchConfig& config,
+                      bool hier, const std::string& topCell, HierPlan& out,
+                      std::string* warning = nullptr);
+
+/// Every instance's shapes in top coordinates, in instance order — the
+/// layout a flat run over the same input sees, and the shape list
+/// --verify audits a run's sections against.
+std::vector<LayoutShape> planInstanceShapes(const HierPlan& plan);
+
 struct HierOptions {
-  /// Top structure; empty auto-detects via findGdsTopStructure.
+  /// Top structure for fractureGdsHierarchical; empty auto-detects via
+  /// findGdsTopStructure.
   std::string topStruct;
-  /// Persistent cell-fracture cache directory; empty = in-memory
-  /// dedupe only (each unique cell still fractures once per run).
+  /// Persistent cell-fracture cache directory; empty = no cache.
   std::string cellCacheDir;
   /// Best-effort byte cap on the cache directory (0 = unlimited): after
   /// each store, least-recently-modified entries NOT touched by this
   /// run are evicted until under the cap (--cell-cache-quota-mb).
   std::int64_t cellCacheQuotaBytes = 0;
   /// Cell-level result journal (DESIGN.md section 19): every completed
-  /// unique cell appends one CellRecord the moment its last shape
-  /// finishes; `resume` replays intact records and fractures only the
-  /// missing cells, converging byte-identically to an uninterrupted
-  /// run. Empty = unjournaled.
+  /// cell appends one CellRecord the moment its last shape finishes;
+  /// `resume` replays intact records and fractures only the missing
+  /// cells, converging byte-identically to an uninterrupted run. Empty
+  /// = unjournaled.
   std::string journalPath;
   bool resume = false;
   JournalFsync fsync = JournalFsync::kNone;
@@ -91,8 +131,8 @@ struct HierarchicalResult {
   /// fractures, which is what lets --verify re-derive the layout.
   std::vector<LayoutShape> instanceShapes;
   /// Parallel to instanceShapes: per-instance solutions (shots in top
-  /// coordinates) and reports, merged aggregates, and the refiner stats
-  /// of the cells actually fractured this run.
+  /// coordinates) and reports, merged aggregates; shapeSecondsSum and
+  /// refinerStats cover only the shapes fractured this run.
   BatchResult batch;
 
   /// The resolved top structure name.
@@ -100,14 +140,11 @@ struct HierarchicalResult {
 
   /// Cells reachable from the top (including polygon-less wrappers).
   int reachableCells = 0;
-  /// Distinct content keys that had to be fractured this run (cache
-  /// misses + rejected entries; 0 on a fully warm run).
+  /// Plan cells that had to be fractured this run (cache misses +
+  /// rejected entries; 0 on a fully warm run).
   int uniqueCellsFractured = 0;
-  /// Shapes fractured this run (summed over fractured unique cells).
+  /// Shapes fractured this run (summed over fractured cells).
   int uniqueShapesFractured = 0;
-  /// Failing pixels summed over unique fractures (each instance prints
-  /// identically, so per-instance violations scale by instance count).
-  std::int64_t uniqueFailingPixels = 0;
   /// Persistent-cache outcome counts (all zero when no cache dir, and
   /// zero in the supervised parent — workers own all cache I/O there).
   int cellCacheHits = 0;
@@ -130,6 +167,10 @@ struct HierarchicalResult {
   /// Supervised runs only: trace spans harvested from worker span files
   /// (SupervisorConfig::collectTraceSpans), merged into --trace-json.
   std::vector<TraceSpan> workerSpans;
+  /// Supervised runs only: plan cells crash-isolated by bisection, and
+  /// the cause when the run was aborted (SupervisorResult::abortCause).
+  std::vector<int> isolatedCells;
+  std::string abortCause;
 
   std::int64_t instantiatedShapes() const {
     return static_cast<std::int64_t>(instanceShapes.size());
@@ -148,51 +189,44 @@ struct HierarchicalResult {
   }
 };
 
-/// Reconstructs the instantiated shape list (top coordinates, expansion
-/// order) without fracturing anything — the layout a flat run over the
-/// same GDS would see. Used by the --verify gate to re-derive a
-/// hierarchical run's input. `resolvedTop`, when non-null, receives the
-/// top structure name actually used. Errors match fractureGdsHierarchical
-/// (unresolvable top, cycles, depth, out-of-range placements).
-Status hierarchicalInstanceShapes(const GdsLibrary& lib,
-                                  const std::string& topStruct,
-                                  std::vector<LayoutShape>& out,
-                                  std::string* resolvedTop = nullptr);
+/// The in-process executor: replays the journal when resuming, serves
+/// cells from the persistent cache when options.cellCacheDir is set,
+/// fractures every remaining cell's shapes in one batch over the
+/// work-stealing pool (per-shape budgets and the degradation ladder
+/// apply; each shape runs under its plan-shape ordinal), journals each
+/// cell as it completes, and instantiates the plan. With a worker shard
+/// (options.cellBegin >= 0) only that range is fractured and nothing is
+/// instantiated. Cache I/O failures never fail the run: the cache is
+/// disabled with a counted warning (degrade, don't die — section 18).
+/// A journal append failure downgrades the run to unjournaled
+/// completion: `out` is complete, countersOut->journalDowngraded is set
+/// and the append error is returned.
+Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
+                    const HierOptions& options, HierarchicalResult& out,
+                    RunCounters* countersOut = nullptr);
 
-/// Fractures `lib` hierarchically from the resolved top: groups each
-/// REACHABLE cell's polygons into shapes, dedupes cells by content key,
-/// consults the persistent cache when options.cellCacheDir is set,
-/// fractures all missing cells in one batch over the work-stealing pool
-/// (per-shape budgets and degradation ladder apply per cell shape), and
-/// expands instances by translating the cell-local solutions. Traversal
-/// errors (no unique top, reference cycle, depth overflow, placement
-/// outside int32) return a Status naming the cell chain; `out` then
-/// holds whatever was computed and must not be shipped. Cache I/O
-/// failures (prepare, load, store) never fail the run: the cache is
-/// disabled for the remainder with a counted warning surfaced via the
-/// cellCache* result fields (degrade, don't die — section 18).
+/// The supervised driver (mbf_cli --isolate): replays the parent journal
+/// when resuming, empties the supervisor's work directory unless
+/// resuming, shards the MISSING plan cells across worker processes via
+/// mdp/supervisor (workers replan the input and run fracturePlan with
+/// --cell-range under the watchdog/retry/bisect/ENOSPC-abort ladder),
+/// validates every harvested CellRecord against the plan keys, appends
+/// it to the parent journal, hole-fills cells no worker delivered and
+/// instantiates. out.isolatedCells and out.abortCause report the
+/// supervisor's verdicts. The returned Status is non-ok for
+/// supervisor-fatal conditions and, as for fracturePlan, a downgraded
+/// journal; per-cell failures degrade records instead.
+Status fracturePlanSupervised(const HierPlan& plan, const BatchConfig& config,
+                              const HierOptions& options,
+                              SupervisorConfig supervisor,
+                              HierarchicalResult& out,
+                              RunCounters* countersOut = nullptr);
+
+/// planGdsHierarchy from options.topStruct, then fracturePlan.
 Status fractureGdsHierarchical(const GdsLibrary& lib,
                                const BatchConfig& config,
                                const HierOptions& options,
                                HierarchicalResult& out,
                                RunCounters* countersOut = nullptr);
-
-/// Supervised hierarchical fracturing (mbf_cli --hier --isolate): plans
-/// the hierarchy, replays the parent cell journal when resuming, shards
-/// the MISSING unique cells across --isolate worker processes via
-/// mdp/supervisor (workers run the journaled hierarchical driver above
-/// with --cell-range, sharing the watchdog/retry/bisect/ENOSPC-abort
-/// ladder), validates every harvested CellRecord against the plan keys,
-/// appends fresh records to the parent journal, then performs
-/// instantiation and hole-filling in the parent. `interrupted`,
-/// `abortCause` and `isolatedCells` (PLAN CELL indices, not shape
-/// indices) mirror the flat supervised run's reporting. The returned
-/// Status is only non-ok for supervisor-fatal conditions; per-cell
-/// failures degrade records instead.
-Status fractureGdsHierarchicalSupervised(
-    const GdsLibrary& lib, const BatchConfig& config,
-    const HierOptions& options, SupervisorConfig supervisor,
-    HierarchicalResult& out, RunCounters& counters, bool& interrupted,
-    std::string& abortCause, std::vector<int>& isolatedCells);
 
 }  // namespace mbf

@@ -12,7 +12,7 @@
 #include "baselines/matching_pursuit.h"
 #include "fracture/fallback.h"
 #include "fracture/model_based_fracturer.h"
-#include "parallel/parallel_for.h"
+#include "mdp/hierarchy.h"
 #include "support/fault_injector.h"
 #include "support/interrupt.h"
 #include "support/telemetry.h"
@@ -357,8 +357,8 @@ void mergeBatchAggregates(BatchResult& result,
   result.degradedShapes = 0;
   result.interruptedShapes = 0;
   result.refinerStats = {};
-  // Deterministic merge in input order, identical across the plain,
-  // journaled and supervised drivers (and any thread count).
+  // Deterministic merge in input order, identical for every driver and
+  // thread count.
   for (std::size_t i = 0; i < result.solutions.size(); ++i) {
     const Solution& sol = result.solutions[i];
     result.totalShots += sol.shotCount();
@@ -374,43 +374,12 @@ void mergeBatchAggregates(BatchResult& result,
   }
 }
 
-BatchResult fractureLayoutParallel(const std::vector<LayoutShape>& shapes,
-                                   const BatchConfig& config) {
-  const auto start = std::chrono::steady_clock::now();
-  BatchResult result;
-  result.solutions.resize(shapes.size());
-  result.reports.resize(shapes.size());
-  std::vector<RefinerStats> shapeStats(shapes.size());
-
-  // One job per shape on the work-stealing pool. Jobs write only their
-  // own output slot; the scheduler decides where a job runs, never what
-  // it computes, so any thread count produces identical solutions. The
-  // guarded path converts every per-shape failure into a degraded (or,
-  // in strict mode, empty-with-status) slot, so one bad shape never
-  // aborts the batch and parallelFor never sees an exception from here.
-  const int threads = ThreadPool::resolveThreads(config.threads);
-  parallelFor(0, static_cast<int>(shapes.size()), threads, 1, [&](int i) {
-    const std::size_t s = static_cast<std::size_t>(i);
-    // Reports carry the ORIGINAL layout index: tile-local i offset by
-    // the shard base (0 for a full run).
-    ShapeOutcome outcome = fractureShapeGuarded(
-        shapes[s], config.params, config.method, config.shapeIndexBase + i,
-        config.allowDegradation, &shapeStats[s], config.fallbackOnly);
-    result.solutions[s] = std::move(outcome.solution);
-    result.reports[s] = {std::move(outcome.status), outcome.degraded,
-                         outcome.interrupted};
-  });
-
-  mergeBatchAggregates(result, shapeStats);
-  result.wallSeconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return result;
-}
-
 BatchResult fractureLayout(const std::vector<LayoutShape>& shapes,
                            const BatchConfig& config) {
-  return fractureLayoutParallel(shapes, config);
+  HierarchicalResult run;
+  (void)fracturePlan(planFlatLayout(shapes, config), config, HierOptions{},
+                     run);
+  return std::move(run.batch);
 }
 
 }  // namespace mbf

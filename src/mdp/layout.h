@@ -70,9 +70,10 @@ struct ShapeOutcome {
 /// failure (budget exhausted, solver failure, any exception) into a
 /// rect-partition fallback solution tagged `degraded` instead of
 /// throwing. Never throws except on allocation failure of its own
-/// bookkeeping. `shapeIndex` is the shape's index in the ORIGINAL
-/// layout (not in whatever tile/shard the caller is iterating); it is
-/// stamped on every Status so reports stay addressable after sharding.
+/// bookkeeping. `shapeIndex` is the shape's plan-shape ordinal (see
+/// mdp/hierarchy's HierPlan; a flat layout's shape index), the same in
+/// every process whatever shard it runs in; it is stamped on every
+/// Status and selects the fault injector's armed faults.
 /// `fallbackOnly` skips the primary method (and fault injection)
 /// entirely and goes straight to the fallback ladder — the supervisor
 /// uses it to re-fracture a crash-isolated culprit shape without
@@ -104,11 +105,14 @@ struct BatchResult {
   /// with interrupted == true); > 0 marks the batch as partial.
   int interruptedShapes = 0;
   double wallSeconds = 0.0;
-  /// Sum of the per-shape fracture runtimes (== wallSeconds on one
-  /// thread; the ratio is the end-to-end parallel speedup otherwise).
+  /// Sum of the fracture runtimes of the shapes this run fractured, each
+  /// once (~= wallSeconds on one thread; the ratio is the end-to-end
+  /// parallel speedup otherwise). Instances, journal replays and cache
+  /// hits add nothing.
   double shapeSecondsSum = 0.0;
-  /// Refinement counters and per-stage timers aggregated over all shapes
-  /// in input order (method kOurs only; zero otherwise).
+  /// Refinement counters and per-stage timers aggregated over the shapes
+  /// this run fractured, in plan order (method kOurs only; zero
+  /// otherwise).
   RefinerStats refinerStats;
 };
 
@@ -124,11 +128,6 @@ struct BatchConfig {
   /// when false (--strict), such a shape keeps an empty solution and its
   /// error status, and the batch still completes.
   bool allowDegradation = true;
-  /// Original-layout index of shapes[0]. A full run leaves this 0; a
-  /// tiled/sharded run (supervisor worker ranges, journaled sub-batches)
-  /// sets it so every ShapeReport Status carries the index the shape has
-  /// in the complete layout, never a tile-local one.
-  int shapeIndexBase = 0;
   /// Skip the primary method and fracture every shape with the fallback
   /// ladder directly (supervisor crash-isolation; see
   /// fractureShapeGuarded).
@@ -138,24 +137,21 @@ struct BatchConfig {
 /// Recomputes BatchResult's aggregate fields (totalShots,
 /// totalFailingPixels, shapeSecondsSum, degradedShapes, refinerStats)
 /// from its solutions/reports in input order. `shapeStats` pairs with
-/// solutions; pass an empty vector when no per-shape stats exist (e.g.
-/// journal-replayed shapes). Shared by the plain, journaled and
-/// supervised drivers so every path merges identically — the resume
-/// byte-identity contract depends on it.
+/// solutions; pass an empty vector when no per-shape stats exist.
+/// Instantiation merges through it, so every run merges identically —
+/// the resume byte-identity contract depends on it.
 void mergeBatchAggregates(BatchResult& result,
                           const std::vector<RefinerStats>& shapeStats);
 
-/// Parallel layout fracturing on the work-stealing pool: every shape is
-/// one job with private Problem/Verifier state. A shape's grid covers its
-/// polygon inflated by the gamma + 3*sigma halo, so jobs touch disjoint
-/// state and run concurrently without synchronisation; shot lists and
-/// aggregate statistics are merged in input order after the join, making
-/// the result byte-identical for any thread count (verified in tests).
-BatchResult fractureLayoutParallel(const std::vector<LayoutShape>& shapes,
-                                   const BatchConfig& config);
-
-/// Convenience alias of fractureLayoutParallel (the historical entry
-/// point; the serial path is config.threads == 1).
+/// Parallel layout fracturing: runs `shapes` as a flat plan through the
+/// in-process plan executor (mdp/hierarchy: planFlatLayout +
+/// fracturePlan), unjournaled and uncached. Every shape is one job on
+/// the work-stealing pool with private Problem/Verifier state; a
+/// shape's grid covers its polygon inflated by the gamma + 3*sigma halo,
+/// so jobs touch disjoint state and run concurrently without
+/// synchronisation, and results are merged in input order after the
+/// join, making the result byte-identical for any thread count
+/// (verified in tests).
 BatchResult fractureLayout(const std::vector<LayoutShape>& shapes,
                            const BatchConfig& config);
 

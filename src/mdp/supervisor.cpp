@@ -87,15 +87,12 @@ pid_t spawnWorker(const SupervisorConfig& config, const RangeTask& task,
   args.push_back(config.inputPath);
   args.push_back(config.workDir + "/w_" + rangeTag(task) + ".shots");
   args.push_back("--worker");
-  // Hierarchical workers shard plan cells; flat workers shard shapes.
-  args.push_back(std::string(config.hierCells ? "--cell-range="
-                                              : "--shape-range=") +
-                 std::to_string(task.begin) + ":" +
+  args.push_back("--cell-range=" + std::to_string(task.begin) + ":" +
                  std::to_string(task.end));
   args.push_back("--journal=" + journalPath);
   // Always resume: a retried range skips its already-journaled prefix.
   args.push_back("--resume");
-  // Worker parallelism is process-level; inside one worker the shape
+  // Worker parallelism is process-level; inside one worker the cell
   // order must be completion order so a crash leaves a contiguous
   // journaled prefix (the requeue logic depends on it).
   args.push_back("--threads=1");
@@ -141,7 +138,7 @@ std::string selfExePath(const char* argv0) {
   return argv0 != nullptr ? argv0 : "";
 }
 
-SupervisorResult superviseFracture(const SupervisorConfig& config) {
+SupervisorResult superviseCells(const SupervisorConfig& config) {
   SupervisorResult result;
   const int n = config.numShapes;
   if (n <= 0) {
@@ -185,35 +182,23 @@ SupervisorResult superviseFracture(const SupervisorConfig& config) {
   };
 
   // Harvest every intact record of a (possibly dead) worker's journal.
-  // Hierarchical workers journal CellRecord frames; key validation
-  // against the plan is the caller's (it owns the plan), bounds are ours.
+  // Key validation against the plan is the caller's (it owns the plan),
+  // bounds are ours.
   auto harvest = [&](const std::string& journalPath) {
     std::string meta;
     std::vector<std::string> payloads;
     if (!recoverJournal(journalPath, meta, payloads).ok()) return;
     for (const std::string& bytes : payloads) {
-      if (config.hierCells) {
-        CellRecord record;
-        if (!decodeCellRecord(bytes, record).ok()) continue;
-        if (record.cellIndex < 0 || record.cellIndex >= n) continue;
-        result.cellRecords.emplace(record.cellIndex, std::move(record));
-      } else {
-        ShapeRecord record;
-        if (!decodeShapeRecord(bytes, record).ok()) continue;
-        if (record.shapeIndex < 0 || record.shapeIndex >= n) continue;
-        result.records.emplace(record.shapeIndex, std::move(record));
-      }
+      CellRecord record;
+      if (!decodeCellRecord(bytes, record).ok()) continue;
+      if (record.cellIndex < 0 || record.cellIndex >= n) continue;
+      result.cellRecords.emplace(record.cellIndex, std::move(record));
     }
   };
 
-  auto haveRecord = [&](int i) {
-    return config.hierCells
-               ? result.cellRecords.find(i) != result.cellRecords.end()
-               : result.records.find(i) != result.records.end();
-  };
   auto firstMissing = [&](int begin, int end) {
     for (int i = begin; i < end; ++i) {
-      if (!haveRecord(i)) return i;
+      if (result.cellRecords.find(i) == result.cellRecords.end()) return i;
     }
     return end;
   };
@@ -272,7 +257,7 @@ SupervisorResult superviseFracture(const SupervisorConfig& config) {
                                std::chrono::duration<double, std::milli>(
                                    config.workerTimeoutMs));
       }
-      log("launched pid " + std::to_string(w.pid) + " for shapes [" +
+      log("launched pid " + std::to_string(w.pid) + " for cells [" +
           std::to_string(w.task.begin) + ", " + std::to_string(w.task.end) +
           ")" + (w.task.degradeOnly ? " fallback-only" : ""));
       running.push_back(std::move(w));
@@ -321,10 +306,10 @@ SupervisorResult superviseFracture(const SupervisorConfig& config) {
           exited && (exitCode == 0 || exitCode == 1 || exitCode == 4);
 
       // A cleanly-exited worker sealed its journal with a SHA-256
-      // sidecar (fractureLayoutJournaled writes it after the last
-      // append). Refuse to merge a range whose on-disk bytes do not
-      // match the seal — bit rot or a concurrent writer, either way not
-      // the worker's output — and re-run it from scratch instead.
+      // sidecar (the plan executor writes it after the last append).
+      // Refuse to merge a range whose on-disk bytes do not match the
+      // seal — bit rot or a concurrent writer, either way not the
+      // worker's output — and re-run it from scratch instead.
       bool journalTrusted = true;
       if (cleanExit && !draining) {
         const Status sealed = verifyHashSidecar(worker.journalPath);
@@ -361,7 +346,7 @@ SupervisorResult superviseFracture(const SupervisorConfig& config) {
         // above; the rest of its range stays unfinished by design.
         log("pid " + std::to_string(worker.pid) + " drained [" +
             std::to_string(task.begin) + ", " + std::to_string(task.end) +
-            ") up to shape " + std::to_string(missing));
+            ") up to cell " + std::to_string(missing));
         continue;
       }
 
@@ -382,7 +367,7 @@ SupervisorResult superviseFracture(const SupervisorConfig& config) {
              tail.find("Disk quota exceeded") != std::string::npos);
         if (enospc) {
           result.abortCause =
-              "worker for shapes [" + std::to_string(task.begin) + ", " +
+              "worker for cells [" + std::to_string(task.begin) + ", " +
               std::to_string(task.end) +
               ") hit ENOSPC; aborting instead of retrying: " + tail;
           log("ENOSPC abort: " + result.abortCause);
@@ -398,7 +383,7 @@ SupervisorResult superviseFracture(const SupervisorConfig& config) {
           continue;
         }
         fatal = Status(StatusCode::kInternal,
-                       "worker for shapes [" + std::to_string(task.begin) +
+                       "worker for cells [" + std::to_string(task.begin) +
                            ", " + std::to_string(task.end) + ") exited " +
                            std::to_string(exitCode) +
                            " (bad arguments / unrunnable): " + tail);
@@ -421,30 +406,12 @@ SupervisorResult superviseFracture(const SupervisorConfig& config) {
                                 std::to_string(WTERMSIG(wstatus));
 
       if (task.degradeOnly) {
-        // Even the fallback-only worker died. Synthesize an empty
-        // degraded record so the batch still accounts for the shape.
+        // Even the fallback-only worker died. After the last retry the
+        // cell stays unharvested: the caller hole-fills every instance
+        // of it (it owns the plan; we cannot count instances).
         if (task.attempts >= config.maxRetries) {
-          if (config.hierCells) {
-            // The caller owns hierarchical hole-filling (one degraded
-            // record per INSTANCE of the cell, which it can count and
-            // we cannot); leaving the index unharvested is the signal.
-            log("fallback-only worker for cell " +
-                std::to_string(task.begin) + " " + why +
-                "; leaving the hole for the caller to fill");
-            continue;
-          }
-          log("fallback-only worker for shape " + std::to_string(task.begin) +
-              " " + why + "; recording an empty degraded result");
-          ShapeRecord record;
-          record.shapeIndex = task.begin;
-          record.solution.method = "empty";
-          record.solution.degraded = true;
-          record.report.degraded = true;
-          record.report.status =
-              Status(StatusCode::kExecFault,
-                     "worker crashed even in fallback-only mode (" + why + ")")
-                  .withShape(task.begin);
-          result.records.emplace(task.begin, std::move(record));
+          log("fallback-only worker for cell " + std::to_string(task.begin) +
+              " " + why + "; leaving the hole for the caller to fill");
           continue;
         }
         RangeTask retry = task;
@@ -458,7 +425,7 @@ SupervisorResult superviseFracture(const SupervisorConfig& config) {
       }
 
       if (missing == task.end) {
-        // Every shape journaled despite the abnormal exit (e.g. crash
+        // Every cell journaled despite the abnormal exit (e.g. crash
         // after the last append): the work is intact, move on.
         log("pid " + std::to_string(worker.pid) + " " + why +
             " after journaling its whole range; keeping the records");
@@ -468,7 +435,7 @@ SupervisorResult superviseFracture(const SupervisorConfig& config) {
       if (missing > task.begin) {
         // Progress was made; only the remainder goes back. Attempts
         // reset — this is a different (smaller) range now.
-        log("pid " + std::to_string(worker.pid) + " " + why + " at shape " +
+        log("pid " + std::to_string(worker.pid) + " " + why + " at cell " +
             std::to_string(missing) + "; requeueing [" +
             std::to_string(missing) + ", " + std::to_string(task.end) + ")");
         ++result.counters.retriedRanges;
@@ -495,8 +462,8 @@ SupervisorResult superviseFracture(const SupervisorConfig& config) {
       }
 
       if (task.end - task.begin > 1) {
-        // Retries exhausted on a multi-shape range: bisect toward the
-        // culprit instead of abandoning every shape in it.
+        // Retries exhausted on a multi-cell range: bisect toward the
+        // culprit instead of abandoning every cell in it.
         const int mid = task.begin + (task.end - task.begin) / 2;
         log("bisecting [" + std::to_string(task.begin) + ", " +
             std::to_string(task.end) + ") -> [" + std::to_string(task.begin) +
@@ -511,9 +478,9 @@ SupervisorResult superviseFracture(const SupervisorConfig& config) {
         continue;
       }
 
-      // Single-shape culprit: degrade it via the fallback ladder in a
+      // Single-cell culprit: degrade it via the fallback ladder in a
       // fresh worker instead of poisoning the batch.
-      log("isolated culprit shape " + std::to_string(task.begin) + " (" +
+      log("isolated culprit cell " + std::to_string(task.begin) + " (" +
           why + "); degrading via fallback-only worker");
       ++result.counters.crashedShapes;
       result.isolatedShapes.push_back(task.begin);
@@ -543,47 +510,6 @@ SupervisorResult superviseFracture(const SupervisorConfig& config) {
   if (fatal.ok()) {
     std::sort(result.isolatedShapes.begin(), result.isolatedShapes.end());
   }
-  if (fatal.ok() && !config.hierCells) {
-    // From the batch's viewpoint every shape was produced this run (the
-    // resume machinery workers use internally only avoids re-work
-    // across retries of one range).
-    result.counters.freshShapes = n;
-    // Fill the holes: after a drain they are the shapes the interrupt
-    // legitimately left unfinished; otherwise a hole is a supervisor bug,
-    // but the batch must still account for every shape. (Hierarchical
-    // holes are the caller's: it fills per-INSTANCE records during
-    // instantiation.)
-    for (int i = 0; i < n; ++i) {
-      if (result.records.find(i) != result.records.end()) continue;
-      ShapeRecord record;
-      record.shapeIndex = i;
-      record.solution.method = "empty";
-      if (!result.abortCause.empty()) {
-        record.solution.degraded = true;
-        record.report.degraded = true;
-        record.report.status =
-            Status(StatusCode::kResourceExhausted,
-                   "run aborted before any worker fractured this shape (" +
-                       result.abortCause + ")")
-                .withShape(i);
-      } else if (result.interrupted) {
-        record.report.interrupted = true;
-        record.report.status =
-            Status(StatusCode::kBudgetExceeded,
-                   "interrupted before any worker fractured this shape "
-                   "(graceful drain); resume the run to finish it")
-                .withShape(i);
-      } else {
-        record.solution.degraded = true;
-        record.report.degraded = true;
-        record.report.status =
-            Status(StatusCode::kInternal,
-                   "shape was never journaled by any worker")
-                .withShape(i);
-      }
-      result.records.emplace(i, std::move(record));
-    }
-  }
   if (config.collectTraceSpans) {
     // Best effort: a worker that crashed before flushing its span file
     // contributes nothing; retries reuse one file, last writer wins.
@@ -592,6 +518,16 @@ SupervisorResult superviseFracture(const SupervisorConfig& config) {
     }
   }
   result.status = fatal;
+  return result;
+}
+
+SupervisorResult superviseFracture(const SupervisorConfig& config) {
+  SupervisorResult result = superviseCells(config);
+  for (const auto& [index, cell] : result.cellRecords) {
+    if (cell.solutions.size() != 1) continue;
+    result.records[index] = {index, cell.solutions.front(),
+                             cell.reports.front()};
+  }
   return result;
 }
 

@@ -1,9 +1,10 @@
 // Supervised multi-process fracturing (mbf_cli --isolate). The
-// supervisor shards the layout's shape ranges across worker
-// subprocesses — each worker is mbf_cli re-exec'd in a hidden worker
-// mode, journaling every completed shape to a per-range journal — and
-// survives what no in-process ladder can: segfaults, OOM-kills and hard
-// hangs of the fracture engine itself.
+// supervisor shards a plan's cell ranges (mdp/hierarchy; a flat
+// layout's cells are its shapes) across worker subprocesses — each
+// worker is mbf_cli re-exec'd in a hidden worker mode, journaling every
+// completed cell to a per-range journal — and survives what no
+// in-process ladder can: segfaults, OOM-kills and hard hangs of the
+// fracture engine itself.
 //
 // State machine per range task:
 //
@@ -15,19 +16,21 @@
 //                     -> retried            (no progress; relaunch after
 //                                            capped exponential backoff)
 //                     -> bisected           (retries exhausted on a
-//                                            multi-shape range: split in
+//                                            multi-cell range: split in
 //                                            half, recurse)
 //                     -> isolated           (retries exhausted on a
-//                                            single shape: the culprit is
+//                                            single cell: the culprit is
 //                                            re-fractured fallback-only,
-//                                            degrading one shape instead
+//                                            degrading one cell instead
 //                                            of poisoning the batch)
 //
 // A wall-clock watchdog SIGKILLs workers that exceed workerTimeoutMs
 // (hard hangs never reach a cooperative checkpoint). Because workers
 // journal as they go, every retry resumes instead of recomputing, and
-// the per-shape records the supervisor harvests are bitwise identical
-// to what a single-process run would have produced.
+// the cell records the supervisor harvests are bitwise identical to
+// what a single-process run would have produced. Validating them
+// against the plan, hole-filling and instantiation belong to the
+// supervised driver (mdp/hierarchy: fracturePlanSupervised).
 #pragma once
 
 #include <map>
@@ -44,7 +47,7 @@ namespace mbf {
 struct SupervisorConfig {
   /// The mbf_cli binary to re-exec as workers (see selfExePath()).
   std::string cliPath;
-  /// Input layout file; workers re-read and re-group it, so shape
+  /// Input layout file; workers re-read and re-plan it, so plan cell
   /// indices agree across every process by construction.
   std::string inputPath;
   /// Scratch directory for per-range journals, worker outputs and logs;
@@ -54,9 +57,10 @@ struct SupervisorConfig {
   /// and friends). The supervisor adds the worker-mode plumbing itself.
   std::vector<std::string> workerArgs;
 
+  /// Plan cells to supervise (a flat layout's shape count).
   int numShapes = 0;
   int jobs = 2;            ///< concurrent worker processes
-  int chunkShapes = 0;     ///< shapes per initial range; 0 = derive
+  int chunkShapes = 0;     ///< cells per initial range; 0 = derive
   double workerTimeoutMs = 0.0;  ///< watchdog; 0 = no timeout
   int maxRetries = 2;      ///< relaunches of one range before bisection
   double backoffBaseMs = 50.0;
@@ -68,39 +72,31 @@ struct SupervisorConfig {
   /// worker processes. Lifecycle events (spawn/retry/bisect/isolate/
   /// watchdog kills) are recorded by the supervisor itself.
   bool collectTraceSpans = false;
-  /// Hierarchical mode: the supervised units are UNIQUE CELLS, not flat
-  /// shapes. numShapes counts plan cells, workers get `--cell-range`
-  /// instead of `--shape-range`, harvested frames decode as CellRecords
-  /// into SupervisorResult::cellRecords, and the caller — who knows the
-  /// hierarchy — performs instantiation and hole-filling itself (the
-  /// supervisor synthesizes nothing).
-  bool hierCells = false;
-  /// Restrict the supervised work to these [begin, end) unit ranges
+  /// Restrict the supervised work to these [begin, end) cell ranges
   /// (still chunked across workers). Empty = the whole [0, numShapes).
-  /// A resumed hierarchical run passes only the cell ranges its parent
-  /// journal is missing.
+  /// A resumed run passes only the cell ranges its parent journal is
+  /// missing.
   std::vector<std::pair<int, int>> initialRanges;
 };
 
 struct SupervisorResult {
   /// Supervisor-level fatal error (worker binary unrunnable, worker
-  /// rejected its arguments, scratch dir unwritable). Per-shape
+  /// rejected its arguments, scratch dir unwritable). Per-cell
   /// failures never land here — they become degraded records.
   Status status;
-  /// Harvested per-shape records, keyed by original shape index. On a
-  /// clean flat supervisor run every index in [0, numShapes) is present
-  /// (culprits included, as fallback-only or synthesized records).
-  std::map<int, ShapeRecord> records;
-  /// Hierarchical mode only: harvested per-cell records keyed by plan
-  /// cell index. Holes (crashed-even-in-fallback cells, drained or
-  /// aborted ranges) are the CALLER's to fill — it owns instantiation.
+  /// Harvested cell records (cell-local shots) keyed by plan cell index.
+  /// Holes (crashed-even-in-fallback cells, drained or aborted ranges)
+  /// are the caller's to fill — it owns the plan and instantiation.
   std::map<int, CellRecord> cellRecords;
+  /// superviseFracture only: the one-shape view of `cellRecords` for a
+  /// flat input, whose plan cell i is shape i in layout coordinates.
+  std::map<int, ShapeRecord> records;
   RunCounters counters;
-  /// Original indices of crash-isolated culprit shapes.
+  /// Plan indices of crash-isolated culprit cells.
   std::vector<int> isolatedShapes;
   /// A SIGTERM/SIGINT graceful drain cut the run short: queued ranges
-  /// were dropped, live workers were asked to drain, and every shape no
-  /// worker journaled carries an interrupted (not degraded) record.
+  /// were dropped, live workers were asked to drain, and the caller
+  /// reports every cell no worker journaled as interrupted.
   bool interrupted = false;
   /// Spans harvested from worker span files (collectTraceSpans only).
   /// Each keeps its recording worker's pid; a worker that died before
@@ -109,14 +105,22 @@ struct SupervisorResult {
   /// Non-empty when the run was ABORTED rather than retried to
   /// completion: a worker hit a condition every future worker would hit
   /// identically (today: ENOSPC on the shared filer). No new workers
-  /// were spawned, running ones were terminated, and every unjournaled
-  /// shape carries a degraded record naming this cause. The caller
+  /// were spawned, running ones were terminated, and the caller gives
+  /// every unjournaled cell a degraded record naming this cause. It
   /// reports the partial result (exit 5) with this string in the
   /// manifest instead of burning the retry/bisect ladder against a full
   /// disk.
   std::string abortCause;
 };
 
+/// Supervises the plan cell ranges and harvests the workers' CellRecords.
+SupervisorResult superviseCells(const SupervisorConfig& config);
+
+/// superviseCells plus SupervisorResult::records, for a flat input. It
+/// stays for callers that supervise a flat layout directly and merge
+/// shapes themselves, such as bench/e2e's traced run; the supervised
+/// driver (fracturePlanSupervised) owns its plan, instantiates it and
+/// calls superviseCells.
 SupervisorResult superviseFracture(const SupervisorConfig& config);
 
 /// Absolute path of the running executable (/proc/self/exe), falling

@@ -47,7 +47,12 @@ ThreadPool::ThreadPool(int workers) {
 }
 
 ThreadPool::~ThreadPool() {
-  stop_.store(true, std::memory_order_release);
+  {
+    // Under sleepMutex_: a worker between its wait-predicate check and
+    // its sleep would otherwise miss this wakeup and never join.
+    std::lock_guard<std::mutex> lock(sleepMutex_);
+    stop_.store(true, std::memory_order_release);
+  }
   wake_.notify_all();
   for (std::thread& t : workers_) t.join();
 }
@@ -66,7 +71,12 @@ void ThreadPool::submit(Task task) {
     std::lock_guard<std::mutex> lock(queues_[target]->mutex);
     queues_[target]->tasks.push_back(std::move(task));
   }
-  pending_.fetch_add(1, std::memory_order_release);
+  {
+    // Same lost-wakeup guard as the destructor: a sleeping worker must
+    // observe the new pending count either before or after its sleep.
+    std::lock_guard<std::mutex> lock(sleepMutex_);
+    pending_.fetch_add(1, std::memory_order_release);
+  }
   wake_.notify_one();
 }
 
@@ -135,7 +145,8 @@ ThreadPool& ThreadPool::global() {
 }
 
 int ThreadPool::resolveThreads(int requested) {
-  if (requested <= 0) {
+  if (requested < 0) return 1;
+  if (requested == 0) {
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<int>(hw);
   }

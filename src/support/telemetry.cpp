@@ -674,7 +674,6 @@ std::string buildRunManifest(const RunManifestInfo& info,
   w.key("threads").value(config.threads);
   w.key("budget_ms").value(p.shapeTimeBudgetMs);
   w.key("strict").value(!config.allowDegradation);
-  w.key("shape_index_base").value(config.shapeIndexBase);
   w.key("ordered").value(info.ordered);
   w.key("hier").value(info.hier.enabled);
   w.key("top_cell").value(info.hier.topCell);
@@ -813,7 +812,7 @@ std::string buildRunManifest(const RunManifestInfo& info,
   for (std::size_t i = 0; i < result.solutions.size(); ++i) {
     const Solution& sol = result.solutions[i];
     w.beginObject();
-    w.key("index").value(config.shapeIndexBase + static_cast<int>(i));
+    w.key("index").value(static_cast<int>(i));
     w.key("method").value(sol.method);
     w.key("shots").value(sol.shotCount());
     w.key("fail_on").value(sol.failOn);
@@ -821,10 +820,9 @@ std::string buildRunManifest(const RunManifestInfo& info,
     w.key("cost").value(sol.cost);
     w.key("runtime_seconds").value(sol.runtimeSeconds);
     w.key("degraded").value(sol.degraded);
-    const int original = config.shapeIndexBase + static_cast<int>(i);
     w.key("repaired").value(
         std::find(info.repairedShapes.begin(), info.repairedShapes.end(),
-                  original) != info.repairedShapes.end());
+                  static_cast<int>(i)) != info.repairedShapes.end());
     if (i < result.reports.size()) {
       const ShapeReport& rep = result.reports[i];
       w.key("status").beginObject();

@@ -271,13 +271,15 @@ struct ArtifactEntry {
 struct RunManifestInfo {
   std::string inputPath;
   std::string outputPath;
-  /// journalMetaFor() of the run: shape count, index base and the FNV-1a
-  /// fingerprint over geometry + result-relevant parameters.
+  /// journalMetaFor() of the run's instantiated shapes: shape count and
+  /// the FNV-1a fingerprint over geometry + result-relevant parameters,
+  /// which --verify recomputes.
   std::string fingerprint;
-  /// True when the run went through the journaled or supervised driver
-  /// and `counters` is meaningful.
+  /// True when the run was journaled or supervised and `counters` is
+  /// meaningful.
   bool haveRecovery = false;
-  /// Original indices of crash-isolated shapes (supervised runs).
+  /// Plan indices of crash-isolated cells (supervised runs; a flat
+  /// layout's cells are its shapes).
   std::vector<int> isolatedShapes;
   /// Checksummed artifacts for `mbf_cli --verify` (DESIGN.md sec. 16).
   std::vector<ArtifactEntry> artifacts;
@@ -290,8 +292,8 @@ struct RunManifestInfo {
   /// only when set, so a clean run's manifest is byte-identical to one
   /// built before this field existed.
   std::string abortCause;
-  /// Original indices of shapes re-fractured by the --selfcheck repair
-  /// ladder after failing the inline audit.
+  /// Indices of shapes re-fractured by the --selfcheck repair ladder
+  /// after failing the inline audit.
   std::vector<int> repairedShapes;
   /// --order was active: shot order in the artifact is post-processed,
   /// so audited costs are not bitwise comparable to the claims.

@@ -262,6 +262,44 @@ TEST(DenseOracleTest, DetectsTamperedShot) {
   EXPECT_TRUE(detected);
 }
 
+TEST(DenseOracleTest, ShotOffTheGridInXOnlyIsIgnored) {
+  // The shot `1 2 3 4` appended to a run whose last shape lies far to
+  // the right: its influence window misses the grid in x but overlaps it
+  // in y. Such a window has no profiles; the gather must skip it (it
+  // once read an empty y profile there and crashed).
+  LayoutShape shape;
+  shape.rings.push_back(
+      Polygon({{1000, 0}, {1060, 0}, {1060, 60}, {1000, 60}}));
+  FractureParams params;
+  params.nmax = 300;
+  const Solution sol = fractureShape(shape, params, Method::kOurs);
+  ASSERT_FALSE(sol.shots.empty());
+  Problem problem(shape.rings, params);
+  std::vector<Rect> tampered = sol.shots;
+  tampered.push_back(Rect(1, 2, 3, 4));
+  const DenseViolations before = denseViolations(problem, sol.shots);
+  const DenseViolations after = denseViolations(problem, tampered);
+  EXPECT_EQ(after.failOn, before.failOn);
+  EXPECT_EQ(after.failOff, before.failOff);
+  EXPECT_EQ(after.cost, before.cost);
+
+  // Through the section audit, the extra shot is a finding on that
+  // shape: its section now holds more shots than its header claims.
+  std::vector<Solution> sols = {sol};
+  std::ostringstream os;
+  writeBatchShots(os, sols);
+  os << "1 2 3 4\n";
+  std::vector<ShotSection> sections;
+  ASSERT_TRUE(parseShotSections(os.str(), sections).ok());
+  const std::vector<ShapeExpectation> expectations = {
+      {sol.method, sol.failOn, sol.failOff, sol.cost, sol.degraded, true,
+       true}};
+  const AuditReport report = auditShotSections(
+      {shape}, params, sections, expectations, /*threads=*/1);
+  ASSERT_FALSE(report.clean());
+  EXPECT_EQ(report.findings.front().shapeIndex, 0);
+}
+
 // --- Metamorphic: whole-pixel translation -----------------------------
 
 TEST(MetamorphicTest, WholePixelTranslationTranslatesShots) {

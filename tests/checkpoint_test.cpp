@@ -1,8 +1,9 @@
-// Tests for the journaled batch layer (mdp/checkpoint, DESIGN.md section
-// 14): ShapeRecord serialization round trips bitwise, a journaled run
-// matches a plain run exactly, and resuming from a partial journal at
-// any thread count reproduces the uninterrupted output byte for byte.
-// The process-level half of the contract (SIGKILL mid-run, supervisor
+// Tests for the journal layer (mdp/checkpoint, DESIGN.md section 14):
+// ShapeRecord and CellRecord serialization round trips bitwise, and a
+// flat layout journaled as a flat plan (mdp/hierarchy) matches a plain
+// run exactly, while resuming from a partial journal at any thread
+// count reproduces the uninterrupted output byte for byte. The
+// process-level half of the contract (SIGKILL mid-run, supervisor
 // isolation) lives in tests/crash_drill_test.cpp.
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "benchgen/ilt_synth.h"
 #include "io/poly_io.h"
 #include "mdp/checkpoint.h"
+#include "mdp/hierarchy.h"
 #include "mdp/layout.h"
 #include "support/fault_injector.h"
 #include "support/journal.h"
@@ -78,6 +80,32 @@ void expectSameSolution(const Solution& a, const Solution& b,
   EXPECT_EQ(a.cost, b.cost) << "shape " << i;  // bitwise, no tolerance
   EXPECT_EQ(a.method, b.method) << "shape " << i;
   EXPECT_EQ(a.degraded, b.degraded) << "shape " << i;
+}
+
+/// The layout run as a flat plan through the journaled executor.
+Status journaledRun(const std::vector<LayoutShape>& shapes,
+                    const BatchConfig& config, const std::string& journal,
+                    bool resume, BatchResult& out,
+                    RunCounters* counters = nullptr) {
+  HierOptions options;
+  options.journalPath = journal;
+  options.resume = resume;
+  HierarchicalResult run;
+  const Status st = fracturePlan(planFlatLayout(shapes, config), config,
+                                 options, run, counters);
+  out = std::move(run.batch);
+  return st;
+}
+
+/// The journal meta a flat plan of `shapes` is journaled under.
+std::string flatJournalMeta(const std::vector<LayoutShape>& shapes,
+                            const BatchConfig& config) {
+  std::vector<std::string> keys;
+  for (const HierPlan::Cell& cell : planFlatLayout(shapes, config).cells) {
+    keys.push_back(cell.key);
+  }
+  const int n = static_cast<int>(keys.size());
+  return cellJournalMetaFor("", keys, 0, n);
 }
 
 void expectSameBatch(const BatchResult& a, const BatchResult& b) {
@@ -283,21 +311,19 @@ TEST(JournalMetaTest, FingerprintSeparatesRunsButNotThreadCounts) {
   EXPECT_NE(journalMetaFor(otherShapes, config), base);
 }
 
-// --- Journaled runs ------------------------------------------------------
+// --- Journaled flat runs -------------------------------------------------
 
 TEST(JournaledRunTest, MatchesPlainRunExactly) {
   const std::vector<LayoutShape> shapes = testLayout(6);
   BatchConfig config;
   config.threads = 2;
-  const BatchResult plain = fractureLayoutParallel(shapes, config);
+  const BatchResult plain = fractureLayout(shapes, config);
 
   TempFile journal("plain_match");
-  JournaledRunOptions options;
-  options.journalPath = journal.path();
   BatchResult journaled;
   RunCounters counters;
   ASSERT_TRUE(
-      fractureLayoutJournaled(shapes, config, options, journaled, &counters)
+      journaledRun(shapes, config, journal.path(), false, journaled, &counters)
           .ok());
   expectSameBatch(plain, journaled);
   EXPECT_EQ(counters.resumedShapes, 0);
@@ -307,16 +333,15 @@ TEST(JournaledRunTest, MatchesPlainRunExactly) {
 TEST(JournaledRunTest, ResumeFromPartialJournalIsByteIdentical) {
   const std::vector<LayoutShape> shapes = testLayout(8);
   BatchConfig config;
-  const BatchResult plain = fractureLayoutParallel(shapes, config);
+  const BatchResult plain = fractureLayout(shapes, config);
 
   // A full journal to harvest records from.
   TempFile fullJournal("resume_full");
   {
-    JournaledRunOptions options;
-    options.journalPath = fullJournal.path();
     BatchResult ignored;
     ASSERT_TRUE(
-        fractureLayoutJournaled(shapes, config, options, ignored).ok());
+        journaledRun(shapes, config, fullJournal.path(), false, ignored)
+            .ok());
   }
   std::string meta;
   std::vector<std::string> records;
@@ -339,13 +364,10 @@ TEST(JournaledRunTest, ResumeFromPartialJournalIsByteIdentical) {
       }
       BatchConfig resumedConfig = config;
       resumedConfig.threads = threads;
-      JournaledRunOptions options;
-      options.journalPath = partial.path();
-      options.resume = true;
       BatchResult resumed;
       RunCounters counters;
-      ASSERT_TRUE(fractureLayoutJournaled(shapes, resumedConfig, options,
-                                          resumed, &counters)
+      ASSERT_TRUE(journaledRun(shapes, resumedConfig, partial.path(), true,
+                               resumed, &counters)
                       .ok())
           << "threads=" << threads << " keep=" << keep;
       expectSameBatch(plain, resumed);
@@ -355,8 +377,8 @@ TEST(JournaledRunTest, ResumeFromPartialJournalIsByteIdentical) {
       // The journal is now complete: a second resume replays everything.
       BatchResult replayed;
       RunCounters replayCounters;
-      ASSERT_TRUE(fractureLayoutJournaled(shapes, resumedConfig, options,
-                                          replayed, &replayCounters)
+      ASSERT_TRUE(journaledRun(shapes, resumedConfig, partial.path(), true,
+                               replayed, &replayCounters)
                       .ok());
       expectSameBatch(plain, replayed);
       EXPECT_EQ(replayCounters.freshShapes, 0);
@@ -370,15 +392,12 @@ TEST(JournaledRunTest, ResumePreservesDegradedReports) {
   injector.armShape(2, FaultKind::kThrow);
   BatchConfig config;
   config.params.faultInjector = &injector;
-  const BatchResult plain = fractureLayoutParallel(shapes, config);
+  const BatchResult plain = fractureLayout(shapes, config);
   ASSERT_TRUE(plain.reports[2].degraded);
 
   TempFile journal("degraded");
-  JournaledRunOptions options;
-  options.journalPath = journal.path();
-  options.resume = true;
   BatchResult first;
-  ASSERT_TRUE(fractureLayoutJournaled(shapes, config, options, first).ok());
+  ASSERT_TRUE(journaledRun(shapes, config, journal.path(), true, first).ok());
   expectSameBatch(plain, first);
 
   // Replay: the degraded report (status code, message, shape index) must
@@ -386,7 +405,7 @@ TEST(JournaledRunTest, ResumePreservesDegradedReports) {
   BatchResult second;
   RunCounters counters;
   ASSERT_TRUE(
-      fractureLayoutJournaled(shapes, config, options, second, &counters)
+      journaledRun(shapes, config, journal.path(), true, second, &counters)
           .ok());
   EXPECT_EQ(counters.freshShapes, 0);
   expectSameBatch(plain, second);
@@ -398,16 +417,14 @@ TEST(JournaledRunTest, RefusesJournalOfDifferentRun) {
   const std::vector<LayoutShape> shapes = testLayout(3);
   BatchConfig config;
   TempFile journal("mismatch");
-  JournaledRunOptions options;
-  options.journalPath = journal.path();
-  options.resume = true;
   BatchResult out;
-  ASSERT_TRUE(fractureLayoutJournaled(shapes, config, options, out).ok());
+  ASSERT_TRUE(journaledRun(shapes, config, journal.path(), true, out).ok());
 
   BatchConfig other = config;
   other.method = Method::kGsc;
   BatchResult ignored;
-  const Status st = fractureLayoutJournaled(shapes, other, options, ignored);
+  const Status st =
+      journaledRun(shapes, other, journal.path(), true, ignored);
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
 }
 
@@ -415,52 +432,45 @@ TEST(JournaledRunTest, RejectsOutOfRangeRecord) {
   const std::vector<LayoutShape> shapes = testLayout(3);
   BatchConfig config;
   TempFile journal("out_of_range");
-  ShapeRecord rogue;
-  rogue.shapeIndex = 99;
+  CellRecord rogue;
+  rogue.cellIndex = 99;
   {
     JournalWriter writer;
     ASSERT_TRUE(writer
-                    .create(journal.path(), journalMetaFor(shapes, config),
+                    .create(journal.path(), flatJournalMeta(shapes, config),
                             JournalFsync::kNone)
                     .ok());
-    ASSERT_TRUE(writer.append(encodeShapeRecord(rogue)).ok());
+    ASSERT_TRUE(writer.append(encodeCellRecord(rogue)).ok());
   }
-  JournaledRunOptions options;
-  options.journalPath = journal.path();
-  options.resume = true;
   BatchResult out;
-  EXPECT_FALSE(fractureLayoutJournaled(shapes, config, options, out).ok());
+  EXPECT_FALSE(journaledRun(shapes, config, journal.path(), true, out).ok());
 }
 
 TEST(JournaledRunTest, FirstDuplicateRecordWins) {
   const std::vector<LayoutShape> shapes = testLayout(2);
   BatchConfig config;
-  const BatchResult plain = fractureLayoutParallel(shapes, config);
+  const BatchResult plain = fractureLayout(shapes, config);
 
   // Journal shape 0 twice: once genuine, once tampered. Replay must keep
   // the first (a retried worker re-journals work an earlier attempt
   // already completed; the earlier record is the canonical one).
   TempFile full("dup_src");
-  JournaledRunOptions srcOptions;
-  srcOptions.journalPath = full.path();
   BatchResult ignored;
-  ASSERT_TRUE(fractureLayoutJournaled(shapes, config, srcOptions, ignored)
-                  .ok());
+  ASSERT_TRUE(journaledRun(shapes, config, full.path(), false, ignored).ok());
   std::string meta;
   std::vector<std::string> records;
   ASSERT_TRUE(recoverJournal(full.path(), meta, records).ok());
 
-  std::vector<std::string> ordered(records);
   // recoverJournal returns records in completion order; index them.
   std::vector<std::string> byIndex(shapes.size());
   for (const std::string& r : records) {
-    ShapeRecord rec;
-    ASSERT_TRUE(decodeShapeRecord(r, rec).ok());
-    byIndex[static_cast<std::size_t>(rec.shapeIndex)] = r;
+    CellRecord rec;
+    ASSERT_TRUE(decodeCellRecord(r, rec).ok());
+    byIndex[static_cast<std::size_t>(rec.cellIndex)] = r;
   }
-  ShapeRecord tampered;
-  ASSERT_TRUE(decodeShapeRecord(byIndex[0], tampered).ok());
-  tampered.solution.shots.clear();
+  CellRecord tampered;
+  ASSERT_TRUE(decodeCellRecord(byIndex[0], tampered).ok());
+  tampered.solutions[0].shots.clear();
 
   TempFile dup("dup");
   {
@@ -468,15 +478,12 @@ TEST(JournaledRunTest, FirstDuplicateRecordWins) {
     ASSERT_TRUE(writer.create(dup.path(), meta, JournalFsync::kNone).ok());
     ASSERT_TRUE(writer.append(byIndex[0]).ok());
     ASSERT_TRUE(writer.append(byIndex[1]).ok());
-    ASSERT_TRUE(writer.append(encodeShapeRecord(tampered)).ok());
+    ASSERT_TRUE(writer.append(encodeCellRecord(tampered)).ok());
   }
-  JournaledRunOptions options;
-  options.journalPath = dup.path();
-  options.resume = true;
   BatchResult out;
   RunCounters counters;
   ASSERT_TRUE(
-      fractureLayoutJournaled(shapes, config, options, out, &counters).ok());
+      journaledRun(shapes, config, dup.path(), true, out, &counters).ok());
   expectSameBatch(plain, out);
   EXPECT_EQ(counters.freshShapes, 0);
 }
@@ -484,35 +491,36 @@ TEST(JournaledRunTest, FirstDuplicateRecordWins) {
 // --- Sharded indexing (the tile-local index regression) ------------------
 
 // Fracturing a layout in shards must report every failure against the
-// shape's index in the ORIGINAL layout. Before shapeIndexBase, a shard
-// starting at shape 4 reported its faults as shapes 0..3 — the operator
-// then re-ran (or excluded) the wrong shapes.
+// shape's index in the whole layout. A shard starting at shape 4 once
+// reported its faults as shapes 0..3 — the operator then re-ran (or
+// excluded) the wrong shapes. Worker shards are plan cell ranges, and
+// every shape runs under its plan-shape ordinal (a flat layout's shape
+// index), both when consulting the injector and when stamping reports.
 TEST(ShardedBatchTest, ReportsCarryOriginalLayoutIndices) {
   const std::vector<LayoutShape> shapes = testLayout(6);
   FaultInjector injector;
   injector.armShape(4, FaultKind::kThrow);  // inside the second shard
 
-  BatchConfig whole;
-  whole.params.faultInjector = &injector;
-  const BatchResult plain = fractureLayoutParallel(shapes, whole);
+  BatchConfig config;
+  config.params.faultInjector = &injector;
+  const BatchResult plain = fractureLayout(shapes, config);
   ASSERT_TRUE(plain.reports[4].degraded);
   ASSERT_EQ(plain.reports[4].status.shapeIndex(), 4);
 
-  // Two shards of three shapes, like a supervisor worker range or a tile.
-  // The injector (like everything in FractureParams) addresses shapes by
-  // original index, so the shard must translate via shapeIndexBase both
-  // when consulting it and when stamping reports.
+  // Two shards of three cells, like two supervisor worker ranges.
+  const HierPlan plan = planFlatLayout(shapes, config);
   BatchResult merged;
-  for (int base = 0; base < 6; base += 3) {
-    std::vector<LayoutShape> shard(shapes.begin() + base,
-                                   shapes.begin() + base + 3);
-    BatchConfig config = whole;
-    config.shapeIndexBase = base;
-    const BatchResult part = fractureLayoutParallel(shard, config);
-    merged.solutions.insert(merged.solutions.end(), part.solutions.begin(),
-                            part.solutions.end());
-    merged.reports.insert(merged.reports.end(), part.reports.begin(),
-                          part.reports.end());
+  for (int begin = 0; begin < 6; begin += 3) {
+    HierOptions shard;
+    shard.cellBegin = begin;
+    shard.cellEnd = begin + 3;
+    HierarchicalResult part;
+    ASSERT_TRUE(fracturePlan(plan, config, shard, part).ok());
+    merged.solutions.insert(merged.solutions.end(),
+                            part.batch.solutions.begin(),
+                            part.batch.solutions.end());
+    merged.reports.insert(merged.reports.end(), part.batch.reports.begin(),
+                          part.batch.reports.end());
   }
   mergeBatchAggregates(merged, {});
 

@@ -13,6 +13,15 @@
 //      of the same shape), and exits with the partial-success code 5.
 //   3. Watchdog: `--isolate` with an injected kHang is SIGKILLed by the
 //      wall-clock watchdog and converges exactly like the crash case.
+//   4. Supervised journal: `--isolate --journal=P` writes and seals P,
+//      passes --verify, and a --resume from a prefix of P supervises
+//      only the rest, byte-identically.
+//   5. Old journals: --resume over a per-shape journal of the format
+//      flat runs wrote before they ran as plans exits 3 with the
+//      journal's meta-mismatch diagnostic.
+//   6. Fresh supervised runs: a second --isolate run with different
+//      flags into the same output path ignores the first run's worker
+//      journals and matches a run in a fresh directory byte for byte.
 //
 // Standalone driver (no gtest) because it exercises the CLI process
 // boundary — fork/exec, signals, exit codes — not library internals.
@@ -30,7 +39,10 @@
 #include <vector>
 
 #include "benchgen/ilt_synth.h"
+#include "io/atomic_file.h"
 #include "io/poly_io.h"
+#include "mdp/checkpoint.h"
+#include "support/journal.h"
 
 namespace {
 
@@ -48,10 +60,12 @@ std::string readBytes(const std::string& path) {
 }
 
 /// Runs mbf_cli to completion; returns the exit code, -2 on signal death.
-int runCli(const std::string& cli, const std::vector<std::string>& args) {
+/// `logPath` (optional) receives the combined stdout+stderr.
+int runCli(const std::string& cli, const std::vector<std::string>& args,
+           const std::string& logPath = "/dev/null") {
   std::string cmd = "'" + cli + "'";
   for (const std::string& a : args) cmd += " '" + a + "'";
-  cmd += " > /dev/null 2>&1";
+  cmd += " > '" + logPath + "' 2>&1";
   const int raw = std::system(cmd.c_str());
   if (raw == -1) return -1;
   if (!WIFEXITED(raw)) return -2;
@@ -236,6 +250,102 @@ int main(int argc, char** argv) {
   }
   check(readBytes(hangShots) == readBytes(hangRefShots),
         "hang-isolated output == in-process degradation");
+
+  // --- Drill 4: the supervised parent journals, seals and resumes -------
+  {
+    const std::string journal = dir + "/iso.jrnl";
+    const std::string shots = dir + "/iso_j.shots";
+    const std::string json = dir + "/iso_j.json";
+    std::vector<std::string> args = {input, shots, "--isolate", "--jobs=3",
+                                     "--journal=" + journal,
+                                     "--metrics-json=" + json};
+    args.insert(args.end(), baseFlags.begin(), baseFlags.end());
+    check(runCli(cli, args) == 0, "journaled isolate run exits 0");
+    check(readBytes(shots) == refBytes,
+          "journaled isolate output == plain output");
+    check(mbf::verifyHashSidecar(journal).ok(),
+          "journaled isolate run sealed its journal");
+    check(runCli(cli, {"--verify", json}) == 0,
+          "journaled isolate run passes --verify");
+
+    std::string meta;
+    std::vector<std::string> records;
+    check(mbf::recoverJournal(journal, meta, records).ok() &&
+              records.size() == static_cast<std::size_t>(numShapes),
+          "isolate journal holds one frame per shape");
+    const std::string partial = dir + "/iso_partial.jrnl";
+    {
+      mbf::JournalWriter w;
+      check(w.create(partial, meta, mbf::JournalFsync::kNone).ok(),
+            "prefix journal written");
+      for (std::size_t i = 0; i < 5 && i < records.size(); ++i) {
+        (void)w.append(records[i]);
+      }
+      w.close();
+    }
+    const std::string resumedShots = dir + "/iso_r.shots";
+    const std::string resumedJson = dir + "/iso_r.json";
+    args = {input, resumedShots, "--isolate", "--jobs=3",
+            "--journal=" + partial, "--resume",
+            "--metrics-json=" + resumedJson};
+    args.insert(args.end(), baseFlags.begin(), baseFlags.end());
+    check(runCli(cli, args) == 0, "isolate --resume from 5 frames exits 0");
+    check(readBytes(resumedShots) == refBytes,
+          "isolate --resume output byte-identical");
+    check(readBytes(resumedJson).find("\"resumed_shapes\": 5") !=
+              std::string::npos,
+          "isolate --resume replayed the 5 journaled shapes");
+    check(runCli(cli, {"--verify", resumedJson}) == 0,
+          "isolate --resume run passes --verify");
+  }
+
+  // --- Drill 5: a journal of the old per-shape format is refused --------
+  {
+    // The header meta a flat journaled run of this layout wrote before
+    // flat runs became plans: the layout fingerprint's hash under the
+    // old per-shape journal tag.
+    mbf::BatchConfig config;
+    config.params.nmax = 3000;
+    const std::string fingerprint =
+        mbf::journalMetaFor(mbf::groupRings(rings), config);
+    const std::string oldMeta =
+        "mbf-shape-journal v1 shapes=" + std::to_string(numShapes) +
+        " base=0 " + fingerprint.substr(fingerprint.find("fp="));
+    const std::string journal = dir + "/old_format.jrnl";
+    {
+      mbf::JournalWriter w;
+      check(w.create(journal, oldMeta, mbf::JournalFsync::kNone).ok(),
+            "old-format journal written");
+      mbf::ShapeRecord record;
+      record.shapeIndex = 0;
+      (void)w.append(mbf::encodeShapeRecord(record));
+      w.close();
+    }
+    std::vector<std::string> args = {input, dir + "/old_format.shots",
+                                     "--journal=" + journal, "--resume"};
+    args.insert(args.end(), baseFlags.begin(), baseFlags.end());
+    const std::string log = dir + "/old_format.log";
+    check(runCli(cli, args, log) == 3 &&
+              readBytes(log).find("belongs to a different run") !=
+                  std::string::npos,
+          "old-format journal: --resume exits 3, meta mismatch");
+  }
+
+  // --- Drill 6: a fresh supervised run ignores old worker journals ------
+  {
+    // cleanShots' work directory still holds the clean run's worker
+    // journals, which describe other parameters.
+    std::vector<std::string> args = {input, cleanShots, "--isolate",
+                                     "--jobs=3", "--gamma=1.5"};
+    args.insert(args.end(), baseFlags.begin(), baseFlags.end());
+    check(runCli(cli, args) == 0,
+          "second isolate run (--gamma=1.5) into the same path exits 0");
+    const std::string freshShots = dir + "/gamma_fresh.shots";
+    args[1] = freshShots;
+    check(runCli(cli, args) == 0, "fresh-directory --gamma=1.5 run exits 0");
+    check(readBytes(cleanShots) == readBytes(freshShots),
+          "reused work dir output == fresh-directory output");
+  }
 
   if (g_failures > 0) {
     std::fprintf(stderr, "%d crash drill check(s) failed\n", g_failures);

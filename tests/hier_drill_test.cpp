@@ -33,6 +33,13 @@
 //      byte-identical output.
 //  10. Clean --hier --isolate --jobs=4 output is byte-identical to
 //      serial --hier and passes --verify.
+//  11. totals.shape_seconds_sum counts each fractured shape once: at
+//      most threads x wall on the cold run, 0 on the warm one.
+//  12. Flat --cell-cache: a warm flat run over the same .gds fractures
+//      no cell and writes the flat run's bytes.
+//  13. --hier --isolate --inject=crash@i crash-isolates exactly the plan
+//      cell holding plan-shape ordinal i, and its output matches the
+//      in-process --hier --inject=throw@i degradation.
 //
 // Standalone driver (no gtest), same pattern as mbf_verify_drill: it
 // exercises the CLI process boundary, not library internals.
@@ -42,6 +49,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -55,6 +63,7 @@
 #include "io/gdsii.h"
 #include "io/poly_io.h"
 #include "support/journal.h"
+#include "support/telemetry.h"
 
 namespace {
 
@@ -108,6 +117,18 @@ std::vector<std::tuple<int, int, int, int>> shotMultiset(
   }
   std::sort(out.begin(), out.end());
   return out;
+}
+
+/// manifest[section][key] as a number; NaN when absent or unparseable.
+double manifestNumber(const std::string& path, const std::string& section,
+                      const std::string& key) {
+  mbf::JsonValue doc;
+  if (!mbf::parseJson(readBytes(path), doc).ok()) return std::nan("");
+  const mbf::JsonValue* block = doc.find(section);
+  const mbf::JsonValue* value = block != nullptr ? block->find(key) : nullptr;
+  return value != nullptr && value->kind == mbf::JsonValue::Kind::kNumber
+             ? value->number
+             : std::nan("");
 }
 
 bool writeGdsFile(const std::string& path, const mbf::GdsLibrary& lib) {
@@ -543,6 +564,68 @@ int main(int argc, char** argv) {
           "isolate output byte-identical to serial hier");
     check(runCli(cli, {"--verify", json}) == 0,
           "isolate run passes --verify");
+  }
+
+  // --- Drill 11: shape_seconds_sum counts fractured shapes once --------
+  {
+    // The cold run fractured 5 cells on one thread for 51 instances;
+    // charging every instance its cell's runtime would exceed the wall.
+    const double coldSum = manifestNumber(coldJson, "totals",
+                                          "shape_seconds_sum");
+    const double coldWall = manifestNumber(coldJson, "totals",
+                                           "wall_seconds");
+    check(coldSum > 0.0 && coldSum <= 1.0 * coldWall,
+          "cold: shape_seconds_sum <= threads x wall");
+    check(manifestNumber(warmJson, "totals", "shape_seconds_sum") == 0.0,
+          "warm: shape_seconds_sum == 0 (nothing fractured)");
+  }
+
+  // --- Drill 12: flat runs use the cell cache too -----------------------
+  {
+    const std::string flatCache = dir + "/flat_cache";
+    const std::string coldFlat = dir + "/flat_cold.shots";
+    const std::string warmFlat = dir + "/flat_warm.shots";
+    const std::string warmFlatJson = dir + "/flat_warm.json";
+    check(runCli(cli, {input, coldFlat, "--top-cell=TOP",
+                       "--cell-cache=" + flatCache}) == 0,
+          "cold flat --cell-cache run exits 0");
+    check(runCli(cli, {input, warmFlat, "--top-cell=TOP",
+                       "--cell-cache=" + flatCache,
+                       "--metrics-json=" + warmFlatJson}) == 0,
+          "warm flat --cell-cache run exits 0");
+    check(manifestNumber(warmFlatJson, "hier", "unique_cells_fractured") ==
+                  0.0 &&
+              manifestNumber(warmFlatJson, "hier", "cache_hits") == 51.0,
+          "warm flat run: 51 cache hits, 0 cells fractured");
+    check(readBytes(coldFlat) == readBytes(flatShots) &&
+              readBytes(warmFlat) == readBytes(flatShots),
+          "flat --cell-cache output byte-identical to the flat run");
+    check(runCli(cli, {"--verify", warmFlatJson}) == 0,
+          "warm flat run passes --verify");
+  }
+
+  // --- Drill 13: injected faults address plan-shape ordinals ------------
+  {
+    // Every drill cell holds one shape, so ordinal 2 is plan cell 2.
+    const std::string throwShots = dir + "/throw2.shots";
+    check(runCli(cli, {input, throwShots, "--hier", "--top-cell=TOP",
+                       "--inject=throw@2"}) == 1,
+          "--hier --inject=throw@2 degrades and exits 1");
+    const std::string crashShots = dir + "/crash2.shots";
+    const std::string crashJson = dir + "/crash2.json";
+    std::string log;
+    check(runCli(cli,
+                 {input, crashShots, "--hier", "--top-cell=TOP",
+                  "--isolate", "--jobs=4", "--inject=crash@2",
+                  "--metrics-json=" + crashJson},
+                 &log) == 5,
+          "--hier --isolate --inject=crash@2 exits 5");
+    check(log.find("crash-isolated plan cell(s): 2\n") != std::string::npos &&
+              manifestNumber(crashJson, "recovery", "crashed_shapes") == 1.0,
+          "exactly plan cell 2 is crash-isolated");
+    check(!readBytes(throwShots).empty() &&
+              readBytes(crashShots) == readBytes(throwShots),
+          "crash-isolated output == in-process throw@2 output");
   }
 
   if (g_failures > 0) {

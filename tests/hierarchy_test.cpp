@@ -45,6 +45,14 @@ GdsLibrary arrayLib(int instances) {
   return lib;
 }
 
+/// The instantiated shape list of the library's plan, unfractured.
+Status instanceShapes(const GdsLibrary& lib, std::vector<LayoutShape>& out) {
+  HierPlan plan;
+  const Status st = planGdsHierarchy(lib, BatchConfig{}, "", plan);
+  out = planInstanceShapes(plan);
+  return st;
+}
+
 HierarchicalResult mustFracture(const GdsLibrary& lib,
                                 const BatchConfig& config = {},
                                 const HierOptions& options = {}) {
@@ -187,7 +195,7 @@ TEST(HierarchyTest, DeepChainIsComplete) {
     lib.structures.push_back(std::move(s));
   }
   std::vector<LayoutShape> shapes;
-  const Status st = hierarchicalInstanceShapes(lib, "", shapes);
+  const Status st = instanceShapes(lib, shapes);
   ASSERT_TRUE(st.ok()) << st.str();
   ASSERT_EQ(shapes.size(), 1u);
   // The leaf's L, translated by 11 hops of 10 nm.
@@ -210,7 +218,7 @@ TEST(HierarchyTest, OverDeepChainIsAnError) {
     lib.structures.push_back(std::move(s));
   }
   std::vector<LayoutShape> shapes;
-  const Status st = hierarchicalInstanceShapes(lib, "", shapes);
+  const Status st = instanceShapes(lib, shapes);
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("deeper than"), std::string::npos)
       << st.message();
@@ -245,7 +253,7 @@ TEST(HierarchyTest, ArefPlacementUsesInt64Arithmetic) {
   GdsStructure top{"TOP", {}, {}, {aref}};
   lib.structures = {top, cell};
   std::vector<LayoutShape> shapes;
-  const Status st = hierarchicalInstanceShapes(lib, "", shapes);
+  const Status st = instanceShapes(lib, shapes);
   ASSERT_TRUE(st.ok()) << st.str();
   ASSERT_EQ(shapes.size(), 3u);
   EXPECT_EQ(shapes[0].rings.front().bbox().x0, -2000000000);
@@ -259,7 +267,7 @@ TEST(HierarchyTest, OutOfRangePlacementIsRejected) {
   GdsStructure top{"TOP", {}, {{"CELL", {2147483600, 0}}}, {}};
   lib.structures = {top, cell};
   std::vector<LayoutShape> shapes;
-  const Status st = hierarchicalInstanceShapes(lib, "", shapes);
+  const Status st = instanceShapes(lib, shapes);
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("32-bit"), std::string::npos) << st.message();
 }
@@ -319,10 +327,6 @@ TEST(CellCacheTest, KeyInvalidatesOnEveryResultRelevantField) {
   threaded.threads = 8;
   threaded.params.numThreads = 8;
   EXPECT_EQ(cellFractureKey(shapes, threaded), baseKey);
-  // shapeIndexBase is reporting plumbing, not a result knob.
-  BatchConfig based = base;
-  based.shapeIndexBase = 17;
-  EXPECT_EQ(cellFractureKey(shapes, based), baseKey);
 
   // Geometry participates.
   std::vector<LayoutShape> moved = shapes;

@@ -255,14 +255,14 @@ TEST(ParallelLayoutTest, FractureLayoutParallelIsByteIdentical) {
   BatchConfig serialConfig;
   serialConfig.threads = 1;
   serialConfig.params.numThreads = 1;
-  const BatchResult serial = fractureLayoutParallel(shapes, serialConfig);
+  const BatchResult serial = fractureLayout(shapes, serialConfig);
   ASSERT_EQ(serial.solutions.size(), shapes.size());
 
   for (const int threads : {2, 8}) {
     BatchConfig config;
     config.threads = threads;
     config.params.numThreads = threads;
-    const BatchResult result = fractureLayoutParallel(shapes, config);
+    const BatchResult result = fractureLayout(shapes, config);
     ASSERT_EQ(result.solutions.size(), shapes.size());
     EXPECT_EQ(result.totalShots, serial.totalShots);
     EXPECT_EQ(result.totalFailingPixels, serial.totalFailingPixels);

@@ -439,7 +439,7 @@ TEST(FaultInjectionTest, ThreeOfTwentyDegradeRestByteIdentical) {
 
   BatchConfig base;
   base.threads = 1;
-  const BatchResult clean = fractureLayoutParallel(shapes, base);
+  const BatchResult clean = fractureLayout(shapes, base);
   ASSERT_EQ(clean.solutions.size(), 20u);
   EXPECT_EQ(clean.degradedShapes, 0);
   for (const ShapeReport& rep : clean.reports) {
@@ -455,7 +455,7 @@ TEST(FaultInjectionTest, ThreeOfTwentyDegradeRestByteIdentical) {
     BatchConfig cfg;
     cfg.threads = threads;
     cfg.params.faultInjector = &injector;
-    const BatchResult faulted = fractureLayoutParallel(shapes, cfg);
+    const BatchResult faulted = fractureLayout(shapes, cfg);
     ASSERT_EQ(faulted.solutions.size(), 20u);
     EXPECT_EQ(faulted.degradedShapes, 3) << threads;
 
@@ -499,7 +499,7 @@ TEST(FaultInjectionTest, StrictBatchKeepsErrorsWithoutDegrading) {
   cfg.threads = 1;
   cfg.allowDegradation = false;
   cfg.params.faultInjector = &injector;
-  const BatchResult result = fractureLayoutParallel(shapes, cfg);
+  const BatchResult result = fractureLayout(shapes, cfg);
   EXPECT_EQ(result.degradedShapes, 0);
   EXPECT_FALSE(result.reports[2].status.ok());
   EXPECT_TRUE(result.solutions[2].shots.empty());

@@ -13,7 +13,8 @@
 //      unchecked run.
 //   3. Corruption drill: a byte flip or truncation in every artifact
 //      kind (.shots, manifest, journal) makes `--verify` exit 6 with a
-//      diagnostic naming the artifact.
+//      diagnostic naming the artifact; so does a shot line appended
+//      after the last section, which also names the shape it lands in.
 //   4. Graceful drain: SIGTERM mid-run exits 5 with the manifest stamped
 //      "interrupted"; a --resume completes the run and then passes
 //      --verify.
@@ -234,6 +235,22 @@ int main(int argc, char** argv) {
     check(runCli(cli, {"--verify", serialJson}, &log) == 6,
           "header lie: --verify exits 6");
     check(writeBytes(serialShots, backup), "header lie: restored");
+  }
+
+  // An extra shot appended after the last section: its influence window
+  // misses the last shape's grid in x only. --verify must report it
+  // against that shape, not crash.
+  {
+    const std::string backup = readBytes(serialShots);
+    check(writeBytes(serialShots, backup + "1 2 3 4\n"),
+          "appended shot: applied");
+    std::string log;
+    check(runCli(cli, {"--verify", serialJson}, &log) == 6,
+          "appended shot: --verify exits 6");
+    check(log.find("shape " + std::to_string(numShapes - 1) + ":") !=
+              std::string::npos,
+          "appended shot: the finding names the last shape");
+    check(writeBytes(serialShots, backup), "appended shot: restored");
   }
 
   // --- Drill 4: graceful drain + resume + verify ------------------------

@@ -32,19 +32,23 @@
 //                                timeline; under --isolate the worker
 //                                subprocesses' spans are merged in
 //
-// Crash recovery (DESIGN.md section 14):
-//   --journal=<path>             append each completed shape to a
-//                                CRC32-framed result journal
+// Every run plans its input (a flat layout is a plan with one
+// single-instance cell per shape; --hier plans the GDS hierarchy),
+// executes the plan in process or supervised, and instantiates it.
+//
+// Crash recovery (DESIGN.md sections 14 and 19):
+//   --journal=<path>             append each completed plan cell to a
+//                                CRC32-framed CellRecord journal
 //   --resume                     replay the journal first; fracture only
-//                                the missing shapes (byte-identical
+//                                the missing cells (byte-identical
 //                                output to an uninterrupted run)
 //   --fsync=none|each            journal durability (default none:
 //                                survives process death; each: survives
 //                                power loss)
-//   --isolate                    supervised multi-process mode: shapes
-//                                are sharded across mbf_cli worker
+//   --isolate                    supervised multi-process mode: plan
+//                                cells are sharded across mbf_cli worker
 //                                subprocesses; crashes/hangs cost one
-//                                degraded shape, never the run
+//                                degraded cell, never the run
 //   --jobs=<n>                   worker processes for --isolate
 //   --worker-timeout-ms=<ms>     watchdog: SIGKILL workers that exceed
 //                                this wall clock (0 = none)
@@ -55,8 +59,10 @@
 //
 // Fault injection (deterministic, for the crash drills):
 //   --inject=<kind>@<i>[,...]    arm <kind> (throw|oom|timeout|crash|
-//                                hang) on shape index i
-//   --inject-every=<kind>@<n>    arm <kind> on every nth shape
+//                                hang) on plan-shape ordinal i (cells in
+//                                plan order, shapes in cell order; a
+//                                flat layout's shape index)
+//   --inject-every=<kind>@<n>    arm <kind> on every nth ordinal
 //   --inject-seed=<s>            seed for the injector
 //
 // Hierarchical production path (DESIGN.md sections 17 and 19):
@@ -65,17 +71,13 @@
 //                                shot list instantiated at every
 //                                SREF/AREF placement (requires a .gds
 //                                input). Composes with --journal/
-//                                --resume (cell-level CellRecord frames:
-//                                a resumed run replays completed cells
-//                                and fractures only the missing ones)
-//                                and with --isolate (unique cells are
-//                                sharded across worker processes; the
-//                                parent instantiates)
+//                                --resume and --isolate like a flat run
 //   --cell-cache=<dir>           persistent content-addressed cell
 //                                cache: cells keyed by SHA-256 over
 //                                geometry + fracture parameters are
 //                                reused across runs; a warm run
-//                                fractures only misses
+//                                fractures only misses (flat runs too:
+//                                each shape is a cell)
 //   --cell-cache-quota-mb=<n>    soft size cap on the cell cache:
 //                                after each store, least-recently-
 //                                modified entries are evicted until
@@ -107,13 +109,11 @@
 // the run exits 5.
 //
 // Hidden worker plumbing (spawned by --isolate, not for direct use):
-//   --worker --shape-range=a:b   fracture only shapes [a, b), reporting
-//                                original layout indices
-//   --cell-range=a:b             hierarchical worker: fracture only plan
-//                                cells [a, b) and journal CellRecords;
-//                                requires --worker --hier --journal
+//   --worker --cell-range=a:b    fracture only plan cells [a, b) and
+//                                journal their CellRecords; requires
+//                                --journal
 //   --degrade-only               fallback-only re-fracture of a
-//                                crash-isolated culprit shape
+//                                crash-isolated culprit cell
 //   --trace-raw=<path>           record trace spans and dump them as a
 //                                raw span file for the supervisor to
 //                                merge (instead of chrome JSON)
@@ -133,8 +133,8 @@
 //      or a fatal journal/supervisor error
 //   4  completed without degradation but with failing pixels — or, with
 //      --strict, any per-shape failure
-//   5  partial success: completed, but one or more shapes crashed their
-//      worker and were crash-isolated (bisected to the culprit and
+//   5  partial success: completed, but one or more plan cells crashed
+//      their worker and were crash-isolated (bisected to the culprit and
 //      degraded via the fallback ladder) — or the run was interrupted
 //      (SIGTERM/SIGINT) and drained gracefully — or a supervised run
 //      aborted early (a worker hit ENOSPC every future worker would hit
@@ -306,8 +306,6 @@ int main(int argc, char** argv) {
   JournalFsync fsyncPolicy = JournalFsync::kNone;
   bool isolate = false;
   bool workerMode = false;
-  int rangeBegin = -1;
-  int rangeEnd = -1;
   int cellRangeBegin = -1;
   int cellRangeEnd = -1;
   int jobs = 2;
@@ -320,8 +318,8 @@ int main(int argc, char** argv) {
   bool injectorArmed = false;
 
   // Flags a supervisor forwards verbatim to its workers: everything
-  // that changes the computed result (plus injection, so an injected
-  // crash actually fires inside the worker process).
+  // that changes the plan or the computed result (plus injection, so an
+  // injected crash actually fires inside the worker process).
   std::vector<std::string> forwardArgs;
 
   for (int i = 3; i < argc; ++i) {
@@ -389,6 +387,7 @@ int main(int argc, char** argv) {
       selfcheck = true;
     } else if (key == "--hier") {
       hier = true;
+      forward = true;
     } else if (key == "--cell-cache") {
       cellCacheDir = value;
       if (cellCacheDir.empty()) error = "must be a directory path";
@@ -457,14 +456,6 @@ int main(int argc, char** argv) {
       }
     } else if (key == "--worker") {
       workerMode = true;
-    } else if (key == "--shape-range") {
-      const std::size_t colon = value.find(':');
-      if (colon == std::string::npos ||
-          !parseInt(value.substr(0, colon), rangeBegin) ||
-          !parseInt(value.substr(colon + 1), rangeEnd) || rangeBegin < 0 ||
-          rangeEnd < rangeBegin) {
-        error = "must be begin:end with 0 <= begin <= end";
-      }
     } else if (key == "--cell-range") {
       const std::size_t colon = value.find(':');
       if (colon == std::string::npos ||
@@ -532,10 +523,15 @@ int main(int argc, char** argv) {
     std::cerr << "--isolate and --worker are mutually exclusive\n";
     return usage();
   }
-  if ((rangeBegin >= 0 || cellRangeBegin >= 0 || config.fallbackOnly) &&
-      !workerMode) {
-    std::cerr << "--shape-range/--cell-range/--degrade-only are worker-mode "
-                 "plumbing (spawned by --isolate)\n";
+  if ((cellRangeBegin >= 0 || config.fallbackOnly) && !workerMode) {
+    std::cerr << "--cell-range/--degrade-only are worker-mode plumbing "
+                 "(spawned by --isolate)\n";
+    return usage();
+  }
+  // A worker's journal IS the product its supervisor harvests.
+  if (workerMode && (cellRangeBegin < 0 || journalPath.empty())) {
+    std::cerr << "a worker needs --cell-range=a:b and --journal=<path> "
+                 "(spawned by --isolate)\n";
     return usage();
   }
   const bool gdsInput = inputPath.size() > 4 &&
@@ -545,35 +541,12 @@ int main(int argc, char** argv) {
                  "GDS structure tree)\n";
     return usage();
   }
-  if (!hier && !cellCacheDir.empty()) {
-    std::cerr << "--cell-cache requires --hier\n";
-    return usage();
-  }
   if (cellCacheQuotaMb > 0 && cellCacheDir.empty()) {
     std::cerr << "--cell-cache-quota-mb requires --cell-cache=<dir>\n";
     return usage();
   }
   if (!gdsInput && !topCell.empty()) {
     std::cerr << "--top-cell requires a .gds input\n";
-    return usage();
-  }
-  // Hierarchical crash-safety plumbing (DESIGN.md section 19): the unit
-  // of sharding and journaling under --hier is the PLAN CELL, so the
-  // flat --shape-range never composes with it, and a hierarchical
-  // worker's journal IS the product its supervisor harvests.
-  if (hier && rangeBegin >= 0) {
-    std::cerr << "--shape-range does not compose with --hier (workers "
-                 "shard plan cells via --cell-range)\n";
-    return usage();
-  }
-  if (cellRangeBegin >= 0 && !hier) {
-    std::cerr << "--cell-range requires --hier\n";
-    return usage();
-  }
-  if (workerMode && hier &&
-      (cellRangeBegin < 0 || journalPath.empty())) {
-    std::cerr << "a hierarchical worker needs --cell-range=a:b and "
-                 "--journal=<path> (spawned by --hier --isolate)\n";
     return usage();
   }
   if (injectorArmed) config.params.faultInjector = &injector;
@@ -624,260 +597,125 @@ int main(int argc, char** argv) {
     TraceRecorder::instance().enable();
   }
 
-  std::vector<Polygon> rings;
-  GdsLibrary gdsLib;
-  if (gdsInput) {
-    const Status st = parseGdsFile(inputPath, gdsLib);
+  // 1. Plan: a flat layout is a plan with one single-instance cell per
+  // shape; --hier plans the GDS structure tree.
+  HierPlan plan;
+  {
+    std::string warning;
+    const Status st =
+        planLayoutFile(inputPath, config, hier, topCell, plan, &warning);
     if (!st.ok()) {
-      std::cerr << "cannot parse GDSII " << inputPath << ": " << st.str()
-                << "\n";
+      std::cerr << "cannot read " << inputPath << ": " << st.str() << "\n";
       return 3;
     }
-    if (!hier) {
-      // Checked flatten: a cycle, depth overflow or out-of-range
-      // placement is a hard input error, never silently fewer shots.
-      std::vector<GdsPolygon> flat;
-      const Status fs = flattenGdsChecked(gdsLib, topCell, flat);
-      if (!fs.ok()) {
-        std::cerr << "cannot flatten GDSII " << inputPath << ": " << fs.str()
-                  << "\n";
-        return 3;
-      }
-      for (GdsPolygon& gp : flat) {
-        rings.push_back(std::move(gp.polygon));
-      }
+    if (!warning.empty()) {
+      std::cerr << "warning: " << inputPath << ": " << warning << "\n";
     }
-  } else {
-    PolyReadStats stats;
-    const Status st = parsePolygonsFile(inputPath, rings, &stats);
-    if (!st.ok()) {
-      if (rings.empty()) {
-        std::cerr << "cannot parse " << inputPath << ": " << st.str() << "\n";
-        return 3;
-      }
-      // Line-tolerant parse: some polygons survived, report and go on.
-      std::cerr << "warning: " << inputPath << ": " << st.str() << " ("
-                << stats.badLines << " bad line(s), " << stats.skippedRings
-                << " skipped ring(s))\n";
-    }
-  }
-  if (!hier && rings.empty()) {
-    std::cerr << "no polygons in " << inputPath << "\n";
-    return 3;
-  }
-  std::vector<LayoutShape> shapes = groupRings(std::move(rings));
-
-  // Worker mode: fracture only [rangeBegin, rangeEnd), reporting
-  // original layout indices; the journal is the product the supervisor
-  // harvests (the .shots scratch file exists only for uniformity).
-  if (workerMode && rangeBegin >= 0) {
-    if (rangeEnd > static_cast<int>(shapes.size())) {
-      std::cerr << "--shape-range end " << rangeEnd << " exceeds the "
-                << shapes.size() << " shapes in " << inputPath << "\n";
-      return 2;
-    }
-    config.shapeIndexBase = rangeBegin;
-    shapes = std::vector<LayoutShape>(
-        shapes.begin() + rangeBegin, shapes.begin() + rangeEnd);
   }
   if (!hier) {
-    std::cerr << "fracturing " << shapes.size() << " shape(s) with method '"
-              << toString(config.method) << "'...\n";
+    std::cerr << "fracturing " << plan.cells.size()
+              << " shape(s) with method '" << toString(config.method)
+              << "'...\n";
   }
 
-  BatchResult result;
+  // 2. Execute: in process (a worker runs its --cell-range shard), or
+  // supervised across worker processes; either way journaled, cached and
+  // instantiated by the same plan drivers.
+  HierOptions options;
+  options.cellCacheDir = cellCacheDir;
+  options.cellCacheQuotaBytes =
+      static_cast<std::int64_t>(cellCacheQuotaMb) * 1024 * 1024;
+  options.journalPath = journalPath;
+  options.resume = resume;
+  options.fsync = fsyncPolicy;
+  options.cellBegin = cellRangeBegin;
+  options.cellEnd = cellRangeEnd;
+  HierarchicalResult run;
   RunCounters counters;
-  bool haveCounters = false;
-  std::vector<int> isolatedShapes;
-  std::string abortCause;
-  RunManifestInfo::HierInfo hierInfo;
-  // Record the flatten/expansion root even for flat .gds runs, so
-  // --verify re-derives the layout from the same structure (an explicit
-  // --top-cell may disambiguate roots the auto-detection would refuse).
-  hierInfo.topCell = topCell;
-
-  if (hier) {
-    HierOptions hierOptions;
-    hierOptions.topStruct = topCell;
-    hierOptions.cellCacheDir = cellCacheDir;
-    hierOptions.cellCacheQuotaBytes =
-        static_cast<std::int64_t>(cellCacheQuotaMb) * 1024 * 1024;
-    hierOptions.journalPath = journalPath;
-    hierOptions.resume = resume;
-    hierOptions.fsync = fsyncPolicy;
-    HierarchicalResult hierResult;
-    std::vector<int> isolatedCells;
-    if (workerMode) {
-      // Hierarchical worker: fracture only plan cells [a, b), journaling
-      // one CellRecord per finished cell. The journal IS the product the
-      // supervisor harvests, so any journal failure is fatal here —
-      // workers never downgrade.
-      hierOptions.cellBegin = cellRangeBegin;
-      hierOptions.cellEnd = cellRangeEnd;
-      const Status st = fractureGdsHierarchical(gdsLib, config, hierOptions,
-                                                hierResult, &counters);
-      if (!st.ok()) {
-        std::cerr << "hier worker: " << st.str() << "\n";
-        return 3;
-      }
-      haveCounters = true;
-    } else if (isolate) {
-      // Supervised hierarchical mode: unique cells are sharded across
-      // worker processes; this parent plans, replays its own journal,
-      // harvests worker CellRecords, instantiates and hole-fills.
-      SupervisorConfig sup;
-      sup.cliPath = selfExePath(argv[0]);
-      sup.inputPath = inputPath;
-      sup.workDir = outputPath + ".workers";
-      sup.workerArgs = forwardArgs;
-      sup.jobs = jobs;
-      sup.workerTimeoutMs = workerTimeoutMs;
-      sup.maxRetries = retries;
-      sup.backoffBaseMs = backoffMs;
-      sup.verbose = report;
-      sup.collectTraceSpans = !traceJsonPath.empty();
-      bool hierInterrupted = false;
-      const Status st = fractureGdsHierarchicalSupervised(
-          gdsLib, config, hierOptions, sup, hierResult, counters,
-          hierInterrupted, abortCause, isolatedCells);
-      if (!st.ok()) {
-        std::cerr << "hier supervisor: " << st.str() << "\n";
-        return 3;
-      }
-      haveCounters = true;
-      if (!abortCause.empty()) {
-        std::cerr << "supervisor: run aborted: " << abortCause << "\n";
-      }
-      if (counters.journalDowngraded) {
-        std::cerr << "journal: append failed mid-run; completing "
-                     "unjournaled (the harvested results are intact)\n";
-      }
-      if (!isolatedCells.empty()) {
-        std::cerr << "hier: crash-isolated plan cell(s):";
-        for (const int c : isolatedCells) std::cerr << " " << c;
-        std::cerr << "\n";
-      }
-      for (TraceSpan& span : hierResult.workerSpans) {
-        TraceRecorder::instance().addForeign(std::move(span));
-      }
-    } else {
-      const Status st = fractureGdsHierarchical(gdsLib, config, hierOptions,
-                                                hierResult, &counters);
-      if (!st.ok()) {
-        if (!journalPath.empty() && counters.journalDowngraded) {
-          // Degrade-don't-die: the run completed in memory; ship the
-          // shots, drop the (unsealed) journal artifact, exit 2 via the
-          // ladder below — same contract as the flat journaled driver.
-          std::cerr << "journal: append failed mid-run; completing "
-                       "unjournaled: " << st.str() << "\n";
-        } else {
-          std::cerr << "hier: " << st.str() << "\n";
-          return 3;
-        }
-      }
-      if (!journalPath.empty()) haveCounters = true;
-    }
-    shapes = std::move(hierResult.instanceShapes);
-    result = std::move(hierResult.batch);
-    if (haveCounters) counters.staleTempsRemoved += sweptTemps;
-    hierInfo.enabled = true;
-    hierInfo.topCell = hierResult.topStruct;
-    hierInfo.cacheDir = cellCacheDir;
-    hierInfo.reachableCells = hierResult.reachableCells;
-    hierInfo.uniqueCellsFractured = hierResult.uniqueCellsFractured;
-    hierInfo.uniqueShapesFractured = hierResult.uniqueShapesFractured;
-    hierInfo.cacheHits = hierResult.cellCacheHits;
-    hierInfo.cacheMisses = hierResult.cellCacheMisses;
-    hierInfo.cacheRejected = hierResult.cellCacheRejected;
-    hierInfo.instancesExpanded = hierResult.instancesExpanded;
-    hierInfo.cacheIoErrors = hierResult.cellCacheIoErrors;
-    hierInfo.cacheEvicted = hierResult.cellCacheEvicted;
-    hierInfo.cacheEvictionsSkippedLive =
-        hierResult.cellCacheEvictionsSkippedLive;
-    hierInfo.cacheDisabled = hierResult.cellCacheDisabled;
-    if (hierResult.cellCacheDisabled) {
-      // Degrade-don't-die: the cache is an accelerator, never a
-      // correctness dependency; a sick cache filesystem costs speed on
-      // the NEXT run, not this run's shots.
-      std::cerr << "cell-cache: disabled for the rest of the run after "
-                << hierResult.cellCacheIoErrors << " I/O error(s): "
-                << hierResult.cellCacheDisableCause << "\n";
-    }
-    std::cerr << "hier: top '" << hierResult.topStruct << "', "
-              << hierResult.reachableCells << " reachable cell(s), "
-              << hierResult.cellCacheHits << " cache hit(s), "
-              << hierResult.uniqueCellsFractured << " fractured, "
-              << hierResult.instancesExpanded << " instance(s), "
-              << shapes.size() << " instantiated shape(s)\n";
-  } else if (isolate) {
-    // Supervised multi-process mode: this process never fractures; it
-    // shards, watches, retries, bisects, and merges worker journals.
+  Status runStatus;
+  if (isolate) {
+    // This process never fractures; it shards, watches, retries,
+    // bisects, and merges worker journals.
     SupervisorConfig sup;
     sup.cliPath = selfExePath(argv[0]);
     sup.inputPath = inputPath;
     sup.workDir = outputPath + ".workers";
     sup.workerArgs = forwardArgs;
-    sup.numShapes = static_cast<int>(shapes.size());
     sup.jobs = jobs;
     sup.workerTimeoutMs = workerTimeoutMs;
     sup.maxRetries = retries;
     sup.backoffBaseMs = backoffMs;
     sup.verbose = report;
     sup.collectTraceSpans = !traceJsonPath.empty();
-    SupervisorResult supResult = superviseFracture(sup);
-    if (!supResult.status.ok()) {
-      std::cerr << "supervisor: " << supResult.status.str() << "\n";
+    runStatus = fracturePlanSupervised(plan, config, options, sup, run,
+                                       &counters);
+  } else {
+    runStatus = fracturePlan(plan, config, options, run, &counters);
+  }
+  if (!runStatus.ok()) {
+    // Degrade-don't-die: a downgraded journal leaves the run complete in
+    // memory; ship the shots, drop the (unsealed) journal artifact, exit
+    // 2 via the ladder below. Workers stay strict: their journal IS the
+    // product the supervisor harvests.
+    if (!counters.journalDowngraded || workerMode) {
+      std::cerr << "fracture: " << runStatus.str() << "\n";
       return 3;
     }
-    if (!supResult.abortCause.empty()) {
-      // ENOSPC-style abort: every unjournaled shape carries a degraded
-      // record naming the cause; the harvested prefix still ships, the
-      // run exits 5 and the manifest is stamped "aborted".
-      std::cerr << "supervisor: run aborted: " << supResult.abortCause
-                << "\n";
-      abortCause = supResult.abortCause;
-    }
-    for (TraceSpan& span : supResult.workerSpans) {
-      TraceRecorder::instance().addForeign(std::move(span));
-    }
-    result.solutions.resize(shapes.size());
-    result.reports.resize(shapes.size());
-    for (auto& [index, record] : supResult.records) {
-      result.solutions[static_cast<std::size_t>(index)] =
-          std::move(record.solution);
-      result.reports[static_cast<std::size_t>(index)] =
-          std::move(record.report);
-    }
-    mergeBatchAggregates(result, {});
-    counters = supResult.counters;
-    haveCounters = true;
-    isolatedShapes = supResult.isolatedShapes;
-  } else if (!journalPath.empty()) {
-    JournaledRunOptions options;
-    options.journalPath = journalPath;
-    options.resume = resume;
-    options.fsync = fsyncPolicy;
-    const Status st =
-        fractureLayoutJournaled(shapes, config, options, result, &counters);
-    counters.staleTempsRemoved += sweptTemps;
-    if (!st.ok()) {
-      if (counters.journalDowngraded && !workerMode) {
-        // Degrade-don't-die: the batch completed in memory; ship the
-        // shots and drop the (unsealed) journal artifact. The exit
-        // ladder reports 2 — an artifact the run was asked for is
-        // missing — not 3. Workers stay strict: their journal IS the
-        // product the supervisor harvests.
-        std::cerr << "journal: append failed mid-batch; completing "
-                     "unjournaled: " << st.str() << "\n";
-      } else {
-        std::cerr << "journal: " << st.str() << "\n";
-        return 3;
-      }
-    }
-    haveCounters = true;
-  } else {
-    result = fractureLayout(shapes, config);
+    std::cerr << "journal: append failed mid-run; completing unjournaled: "
+              << runStatus.str() << "\n";
   }
+  const bool haveCounters = !journalPath.empty() || isolate;
+  counters.staleTempsRemoved += sweptTemps;
+  if (!run.abortCause.empty()) {
+    // ENOSPC-style abort: every unjournaled cell carries a degraded
+    // record naming the cause; the harvested part still ships, the run
+    // exits 5 and the manifest is stamped "aborted".
+    std::cerr << "supervisor: run aborted: " << run.abortCause << "\n";
+  }
+  if (!run.isolatedCells.empty()) {
+    std::cerr << "supervisor: crash-isolated plan cell(s):";
+    for (const int c : run.isolatedCells) std::cerr << " " << c;
+    std::cerr << "\n";
+  }
+  for (TraceSpan& span : run.workerSpans) {
+    TraceRecorder::instance().addForeign(std::move(span));
+  }
+  if (run.cellCacheDisabled) {
+    // Degrade-don't-die: the cache is an accelerator, never a
+    // correctness dependency; a sick cache filesystem costs speed on the
+    // NEXT run, not this run's shots.
+    std::cerr << "cell-cache: disabled for the rest of the run after "
+              << run.cellCacheIoErrors << " I/O error(s): "
+              << run.cellCacheDisableCause << "\n";
+  }
+  if (hier) {
+    std::cerr << "hier: top '" << run.topStruct << "', "
+              << run.reachableCells << " reachable cell(s), "
+              << run.cellCacheHits << " cache hit(s), "
+              << run.uniqueCellsFractured << " fractured, "
+              << run.instancesExpanded << " instance(s), "
+              << run.instanceShapes.size() << " instantiated shape(s)\n";
+  }
+  std::vector<LayoutShape> shapes = std::move(run.instanceShapes);
+  BatchResult result = std::move(run.batch);
+  RunManifestInfo::HierInfo hierInfo;
+  hierInfo.enabled = hier;
+  // The flatten/expansion root, recorded even for flat .gds runs, so
+  // --verify re-derives the layout from the same structure (an explicit
+  // --top-cell may disambiguate roots the auto-detection would refuse).
+  hierInfo.topCell = run.topStruct;
+  hierInfo.cacheDir = cellCacheDir;
+  hierInfo.reachableCells = run.reachableCells;
+  hierInfo.uniqueCellsFractured = run.uniqueCellsFractured;
+  hierInfo.uniqueShapesFractured = run.uniqueShapesFractured;
+  hierInfo.cacheHits = run.cellCacheHits;
+  hierInfo.cacheMisses = run.cellCacheMisses;
+  hierInfo.cacheRejected = run.cellCacheRejected;
+  hierInfo.instancesExpanded = run.instancesExpanded;
+  hierInfo.cacheIoErrors = run.cellCacheIoErrors;
+  hierInfo.cacheEvicted = run.cellCacheEvicted;
+  hierInfo.cacheEvictionsSkippedLive = run.cellCacheEvictionsSkippedLive;
+  hierInfo.cacheDisabled = run.cellCacheDisabled;
 
   if (orderForWriter) {
     for (Solution& sol : result.solutions) {
@@ -937,7 +775,7 @@ int main(int argc, char** argv) {
                            !orderForWriter};
       }
       return auditShotSections(shapes, config.params, sections, expectations,
-                               config.threads, config.shapeIndexBase);
+                               config.threads);
     };
 
     AuditReport audit = auditOnce();
@@ -953,27 +791,25 @@ int main(int argc, char** argv) {
       // still failing after that is an integrity failure (exit 6).
       std::vector<int> failing;
       for (const AuditFinding& f : audit.findings) {
-        const int local = f.shapeIndex - config.shapeIndexBase;
-        if (f.shapeIndex < 0 || local < 0 ||
-            static_cast<std::size_t>(local) >= shapes.size()) {
+        if (f.shapeIndex < 0 ||
+            static_cast<std::size_t>(f.shapeIndex) >= shapes.size()) {
           selfcheckFailed = true;  // file-level finding: nothing to repair
           continue;
         }
-        if (std::find(failing.begin(), failing.end(), local) ==
+        if (std::find(failing.begin(), failing.end(), f.shapeIndex) ==
             failing.end()) {
-          failing.push_back(local);
+          failing.push_back(f.shapeIndex);
         }
       }
-      for (const int local : failing) {
-        const auto s = static_cast<std::size_t>(local);
+      for (const int index : failing) {
+        const auto s = static_cast<std::size_t>(index);
         ShapeOutcome outcome = fractureShapeGuarded(
-            shapes[s], config.params, config.method,
-            config.shapeIndexBase + local, /*allowDegradation=*/true,
-            nullptr, /*fallbackOnly=*/true);
+            shapes[s], config.params, config.method, index,
+            /*allowDegradation=*/true, nullptr, /*fallbackOnly=*/true);
         result.solutions[s] = std::move(outcome.solution);
         result.reports[s] = {std::move(outcome.status), outcome.degraded,
                              outcome.interrupted};
-        repairedShapes.push_back(config.shapeIndexBase + local);
+        repairedShapes.push_back(index);
       }
       if (!failing.empty()) {
         // Totals follow the repaired solutions; the refiner stage
@@ -1004,8 +840,7 @@ int main(int argc, char** argv) {
       if (!rep.status.ok()) {
         status += " (" + std::string(toString(rep.status.code())) + ")";
       }
-      table.addRow({std::to_string(config.shapeIndexBase +
-                                   static_cast<int>(i)),
+      table.addRow({std::to_string(i),
                     Table::fmt(std::int64_t(shapes[i].rings.size())),
                     Table::fmt(sol.shotCount()),
                     Table::fmt(sol.failingPixels()),
@@ -1017,17 +852,10 @@ int main(int argc, char** argv) {
       std::cout << "degraded shapes (" << result.degradedShapes << "):\n";
       for (std::size_t i = 0; i < result.reports.size(); ++i) {
         if (result.reports[i].degraded) {
-          std::cout << "  shape "
-                    << (config.shapeIndexBase + static_cast<int>(i)) << ": "
+          std::cout << "  shape " << i << ": "
                     << result.reports[i].status.str() << "\n";
         }
       }
-    }
-    if (!isolatedShapes.empty()) {
-      std::cout << "crash-isolated shapes (" << isolatedShapes.size()
-                << "):";
-      for (const int s : isolatedShapes) std::cout << " " << s;
-      std::cout << "\n";
     }
   }
 
@@ -1140,10 +968,10 @@ int main(int argc, char** argv) {
     info.outputPath = outputPath;
     info.fingerprint = journalMetaFor(shapes, config);
     info.haveRecovery = haveCounters;
-    info.isolatedShapes = isolatedShapes;
+    info.isolatedShapes = run.isolatedCells;
     info.artifacts = artifacts;
     info.interrupted = interrupted;
-    info.abortCause = abortCause;
+    info.abortCause = run.abortCause;
     info.repairedShapes = repairedShapes;
     info.ordered = orderForWriter;
     info.hier = hierInfo;
@@ -1208,7 +1036,7 @@ int main(int argc, char** argv) {
   if (interrupted) return 5;
   // Supervised abort (e.g. ENOSPC): partial by design, like an
   // interrupt, with the cause named in the manifest.
-  if (!abortCause.empty()) return 5;
+  if (!run.abortCause.empty()) return 5;
 
   if (!config.allowDegradation) {
     // Strict mode: a shape that would have degraded is a failure.
