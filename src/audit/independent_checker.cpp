@@ -1,6 +1,8 @@
 #include "audit/independent_checker.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 #include <utility>
@@ -93,6 +95,47 @@ std::vector<Polygon> sanitizedRings(const LayoutShape& shape) {
   return rings;
 }
 
+/// The auditor's own half-integer edge-profile table, derived from the
+/// run's sigma / eta / sigma_back alone: T(k) = F(k - 1/2) with
+/// F(t) = (1 - eta) Phi(t / sigma) + eta Phi(t / sigma_back), evaluated
+/// while |t| < 4 * max sigma and saturated to 0 / 1 beyond — the profile
+/// the model defines (DESIGN.md section 13). Built here rather than read
+/// from ProximityModel, so a defect in the model's table cannot hide
+/// from the audit.
+class AuditProfileTable {
+ public:
+  explicit AuditProfileTable(const FractureParams& params) {
+    const double sigma = params.sigma;
+    const double eta = params.backscatterEta;
+    const double sigmaBack =
+        params.backscatterSigma > 0.0 ? params.backscatterSigma : sigma;
+    const double reach = 4.0 * (eta > 0.0 ? std::max(sigma, sigmaBack) : sigma);
+    half_ = static_cast<std::int64_t>(std::ceil(reach)) + 1;
+    values_.reserve(static_cast<std::size_t>(2 * half_ + 1));
+    for (std::int64_t k = -half_; k <= half_; ++k) {
+      const double t = static_cast<double>(k) - 0.5;
+      double f = t <= -reach ? 0.0 : 1.0;
+      if (-reach < t && t < reach) {
+        f = 0.5 * (1.0 + std::erf(t / sigma));
+        if (eta > 0.0) {
+          f = (1.0 - eta) * f + eta * (0.5 * (1.0 + std::erf(t / sigmaBack)));
+        }
+      }
+      values_.push_back(f);
+    }
+  }
+
+  double operator()(std::int64_t k) const {
+    if (k < -half_) return 0.0;
+    if (k > half_) return 1.0;
+    return values_[static_cast<std::size_t>(k + half_)];
+  }
+
+ private:
+  std::int64_t half_ = 0;  ///< the table covers k in [-half_, half_]
+  std::vector<double> values_;
+};
+
 std::string fmtDouble(double v) {
   std::ostringstream os;
   os.precision(17);
@@ -147,10 +190,11 @@ DenseViolations denseViolations(const Problem& problem,
   const int height = problem.gridHeight();
   const int radius = model.influenceRadiusPx();
   const double rho = model.rho();
+  const AuditProfileTable profile(problem.params());
 
   // Per-shot influence window and separable 1D edge profiles: the same
   // truncation and the same scalar arithmetic the emission pipeline
-  // applies, re-derived here from the model alone.
+  // applies, re-derived here from the model parameters alone.
   struct ShotProfile {
     Rect window;
     std::vector<double> ax;
@@ -172,15 +216,17 @@ DenseViolations denseViolations(const Problem& problem,
     if (w.empty()) continue;
     p.ax.resize(static_cast<std::size_t>(w.width()));
     p.by.resize(static_cast<std::size_t>(w.height()));
+    // Pixel x's centre is origin.x + x + 1/2, so an edge at e sits at
+    // t = e - origin.x - x - 1/2: table entry k = e - origin.x - x.
     for (int x = w.x0; x < w.x1; ++x) {
-      const double px = origin.x + x + 0.5;
+      const std::int64_t c = std::int64_t{origin.x} + x;
       p.ax[static_cast<std::size_t>(x - w.x0)] =
-          model.edgeProfile(shot.x1 - px) - model.edgeProfile(shot.x0 - px);
+          profile(shot.x1 - c) - profile(shot.x0 - c);
     }
     for (int y = w.y0; y < w.y1; ++y) {
-      const double py = origin.y + y + 0.5;
+      const std::int64_t c = std::int64_t{origin.y} + y;
       p.by[static_cast<std::size_t>(y - w.y0)] =
-          model.edgeProfile(shot.y1 - py) - model.edgeProfile(shot.y0 - py);
+          profile(shot.y1 - c) - profile(shot.y0 - c);
     }
   }
 

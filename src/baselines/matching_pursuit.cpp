@@ -1,5 +1,6 @@
 #include "baselines/matching_pursuit.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <vector>
@@ -53,6 +54,7 @@ Solution MatchingPursuit::fracture(const Problem& problem) const {
 
   std::vector<CandidateState> cands(pool.size());
   std::vector<double> prefix(static_cast<std::size_t>(w) + 1);
+  std::vector<double> profile(static_cast<std::size_t>(std::max(w, h)));
   for (std::size_t i = 0; i < pool.size(); ++i) {
     CandidateState& c = cands[i];
     c.shot = pool[i];
@@ -60,17 +62,15 @@ Solution MatchingPursuit::fracture(const Problem& problem) const {
     c.by.resize(static_cast<std::size_t>(h));
     double sumA2 = 0.0;
     double sumB2 = 0.0;
+    model.pixelProfile(c.shot.x0, c.shot.x1, origin.x, w, 1.0, profile.data());
     for (int x = 0; x < w; ++x) {
-      const double px = origin.x + x + 0.5;
-      const double a = model.edgeProfile(c.shot.x1 - px) -
-                       model.edgeProfile(c.shot.x0 - px);
+      const double a = profile[static_cast<std::size_t>(x)];
       c.ax[static_cast<std::size_t>(x)] = static_cast<float>(a);
       sumA2 += a * a;
     }
+    model.pixelProfile(c.shot.y0, c.shot.y1, origin.y, h, 1.0, profile.data());
     for (int y = 0; y < h; ++y) {
-      const double py = origin.y + y + 0.5;
-      const double b = model.edgeProfile(c.shot.y1 - py) -
-                       model.edgeProfile(c.shot.y0 - py);
+      const double b = profile[static_cast<std::size_t>(y)];
       c.by[static_cast<std::size_t>(y)] = static_cast<float>(b);
       sumB2 += b * b;
     }

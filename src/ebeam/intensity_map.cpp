@@ -18,17 +18,10 @@ void computeProfiles(const ProximityModel& model, Point origin,
                      std::vector<double>& ax, std::vector<double>& by) {
   ax.resize(static_cast<std::size_t>(w.width()));
   by.resize(static_cast<std::size_t>(w.height()));
-  for (int x = w.x0; x < w.x1; ++x) {
-    const double px = origin.x + x + 0.5;
-    ax[static_cast<std::size_t>(x - w.x0)] =
-        sign *
-        (model.edgeProfile(shot.x1 - px) - model.edgeProfile(shot.x0 - px));
-  }
-  for (int y = w.y0; y < w.y1; ++y) {
-    const double py = origin.y + y + 0.5;
-    by[static_cast<std::size_t>(y - w.y0)] =
-        model.edgeProfile(shot.y1 - py) - model.edgeProfile(shot.y0 - py);
-  }
+  model.pixelProfile(shot.x0, shot.x1, std::int64_t{origin.x} + w.x0,
+                     w.width(), sign, ax.data());
+  model.pixelProfile(shot.y0, shot.y1, std::int64_t{origin.y} + w.y0,
+                     w.height(), 1.0, by.data());
 }
 
 }  // namespace
@@ -62,7 +55,7 @@ void IntensityMap::applyShot(const Rect& shot, double sign) {
     const PerfTimer timer(perf_, &PerfCounters::profileNanos);
     computeProfiles(*model_, origin_, shot, w, sign, ax, by);
     if (perf_ != nullptr) {
-      // 2 scalar edgeProfile evaluations per profile entry.
+      // 2 table reads per profile entry.
       perf_->profileEvals +=
           2 * static_cast<std::uint64_t>(w.width() + w.height());
     }

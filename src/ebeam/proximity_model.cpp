@@ -17,29 +17,25 @@ ProximityModel::ProximityModel(double sigma, double rho, double backscatterEta,
   assert(eta_ >= 0.0 && eta_ < 1.0);
   maxSigma_ = eta_ > 0.0 ? std::max(sigma_, sigmaBack_) : sigma_;
   influencePx_ = static_cast<int>(std::ceil(3.0 * maxSigma_)) + 1;
-  lutRange_ = 4.0 * maxSigma_;
-  lutStep_ = 1.0 / 16.0;
-  const int n = static_cast<int>(std::ceil(2.0 * lutRange_ / lutStep_)) + 2;
-  lut_.resize(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    const double t = -lutRange_ + i * lutStep_;
-    lut_[static_cast<std::size_t>(i)] = edgeProfileExact(t);
+  // T[k] = F(k - 1/2), exact while |k - 1/2| < 4 maxSigma (F is within
+  // 1e-8 of its limits there) and saturated beyond. The first slot
+  // (t <= -range) holds 0 and the last (t >= range) holds 1, so clamping
+  // an index onto the table serves every k.
+  const double range = 4.0 * maxSigma_;
+  tableBase_ = static_cast<std::int64_t>(std::floor(0.5 - range));
+  const std::int64_t top = static_cast<std::int64_t>(std::ceil(range + 0.5));
+  table_.resize(static_cast<std::size_t>(top - tableBase_ + 1));
+  for (std::int64_t k = tableBase_; k <= top; ++k) {
+    const double t = static_cast<double>(k) - 0.5;
+    table_[static_cast<std::size_t>(k - tableBase_)] =
+        t <= -range ? 0.0 : t >= range ? 1.0 : edgeProfileExact(t);
   }
-  // Max of edgeProfile(t + 1) - edgeProfile(t). The interpolated profile
-  // is piecewise linear with knot spacing 1/16 nm, so t and t + 1 always
-  // sit at the same fraction of their pieces (16 pieces apart), g(t) =
-  // E(t+1) - E(t) is piecewise linear too, and its maximum is attained at
-  // a knot. The clamp boundaries (E = 0 below the range, 1 above) only
-  // shrink the step, but the pairs straddling them are included anyway.
-  const int stride = static_cast<int>(std::lround(1.0 / lutStep_));
+  // Max of T[k + 1] - T[k]; steps outside the table are 0. The profile's
+  // slope peaks at t = 0, so the maximum sits at k = 0 (t = -1/2 to +1/2).
   double m = 0.0;
-  for (std::size_t i = 0; i + static_cast<std::size_t>(stride) < lut_.size();
-       ++i) {
-    m = std::max(m, lut_[i + static_cast<std::size_t>(stride)] - lut_[i]);
+  for (std::size_t i = 0; i + 1 < table_.size(); ++i) {
+    m = std::max(m, table_[i + 1] - table_[i]);
   }
-  m = std::max(m, lut_[static_cast<std::size_t>(std::min(stride, n - 1))]);
-  m = std::max(m, 1.0 - lut_[static_cast<std::size_t>(
-                      std::max(0, n - 1 - stride))]);
   maxUnitStep_ = m;
 }
 
@@ -50,23 +46,22 @@ double ProximityModel::edgeProfileExact(double t) const {
   return (1.0 - eta_) * forward + eta_ * back;
 }
 
-double ProximityModel::lutLookup(double t) const {
-  const double u = (t + lutRange_) / lutStep_;
-  const int i = static_cast<int>(u);
-  const double frac = u - i;
-  return lut_[static_cast<std::size_t>(i)] * (1.0 - frac) +
-         lut_[static_cast<std::size_t>(i + 1)] * frac;
-}
-
-double ProximityModel::edgeProfile(double t) const {
-  if (t <= -lutRange_) return 0.0;
-  if (t >= lutRange_ - lutStep_) return 1.0;
-  return lutLookup(t);
+void ProximityModel::pixelProfile(std::int64_t s0, std::int64_t s1,
+                                  std::int64_t p, int n, double scale,
+                                  double* out) const {
+  // F(s - (p + i + 1/2)) = T[s - p - i]: both indices fall by one per
+  // pixel.
+  const double* table = table_.data();
+  const std::int64_t hi = s1 - p;
+  const std::int64_t lo = s0 - p;
+  for (int i = 0; i < n; ++i) {
+    out[i] = scale * (table[tableIndex(hi - i)] - table[tableIndex(lo - i)]);
+  }
 }
 
 double ProximityModel::shotIntensity(const Rect& s, double x, double y) const {
-  const double a = edgeProfile(s.x1 - x) - edgeProfile(s.x0 - x);
-  const double b = edgeProfile(s.y1 - y) - edgeProfile(s.y0 - y);
+  const double a = edgeProfileExact(s.x1 - x) - edgeProfileExact(s.x0 - x);
+  const double b = edgeProfileExact(s.y1 - y) - edgeProfileExact(s.y0 - y);
   return a * b;
 }
 

@@ -26,9 +26,15 @@
 // (monotone edge profiles, 0.5-at-edge for eta-balanced profiles,
 // locality) and is how production PEC models tabulate kernels anyway.
 //
-// F is tabulated once per model ("lookup table based method", paper 4.1).
+// F is tabulated once per model ("lookup table based method", paper 4.1)
+// at half-integer arguments only: shot edges sit on integer coordinates
+// and pixel centres at integer + 1/2, so every profile the pipeline
+// samples on the grid is F(k - 1/2) for an integer k, and the table holds
+// those values exactly (no interpolation).
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "geometry/rect.h"
@@ -59,18 +65,33 @@ class ProximityModel {
   /// F(t) = (1-eta) Phi(t/sigma) + eta Phi(t/sigmaBack),
   /// Phi(u) = 0.5 (1 + erf(u)).
   double edgeProfileExact(double t) const;
-  /// LUT + linear interpolation version (max error < 1e-6).
-  double edgeProfile(double t) const;
 
-  /// Tight upper bound of edgeProfile(t + 1) - edgeProfile(t) over all t,
-  /// for the LUT-interpolated profile actually used by the hot paths.
-  /// This bounds how far a +-1 nm single-edge shot move can change the
-  /// intensity of any pixel (the unmoved-axis factor is <= 1), which is
-  /// what lets the candidate evaluator skip pixels whose intensity is
-  /// farther than this from rho (see Verifier's interesting-band masks).
+  /// The tabulated profile at a half-integer argument, T[k] = F(k - 1/2):
+  /// edgeProfileExact(k - 1/2) where |k - 1/2| < 4 * maxSigma, exactly 0
+  /// below and exactly 1 above that range.
+  double halfIntegerProfile(std::int64_t k) const {
+    return table_[tableIndex(k)];
+  }
+
+  /// 1D pixel profile of the shot extent [s0, s1] along one axis at the
+  /// `n` pixels whose centres sit at p + i + 1/2:
+  ///   out[i] = scale * (T[s1 - p - i] - T[s0 - p - i]).
+  /// The one profile routine of every grid-sampled path (intensity map,
+  /// verifiers, matching pursuit). Index arithmetic is int64, so the
+  /// result depends only on s0 - p and s1 - p: geometry near +-2^31 gets
+  /// exactly the profile it would get at the origin.
+  void pixelProfile(std::int64_t s0, std::int64_t s1, std::int64_t p, int n,
+                    double scale, double* out) const;
+
+  /// Tight upper bound of T[k + 1] - T[k] over all k. This bounds how
+  /// far a +-1 nm single-edge shot move can change the intensity of any
+  /// pixel (the unmoved-axis factor is <= 1), which is what lets the
+  /// candidate evaluator skip pixels whose intensity is farther than this
+  /// from rho (see Verifier's interesting-band masks).
   double maxUnitStep() const { return maxUnitStep_; }
 
-  /// Intensity of shot `s` (geometric rect, nm) at point (x, y).
+  /// Intensity of shot `s` (geometric rect, nm) at an arbitrary point
+  /// (x, y), from the exact profile (off-grid callers: EPE, PEC).
   double shotIntensity(const Rect& s, double x, double y) const;
 
   /// Longest 45-degree boundary segment a single shot corner can print
@@ -96,7 +117,12 @@ class ProximityModel {
   std::vector<Vec2> cornerContour(double extent, double step = 0.05) const;
 
  private:
-  double lutLookup(double t) const;
+  /// Table slot of T[k]; out-of-range k clamps onto the saturated end
+  /// entries (0 below, 1 above).
+  std::size_t tableIndex(std::int64_t k) const {
+    return static_cast<std::size_t>(std::clamp<std::int64_t>(
+        k - tableBase_, 0, static_cast<std::int64_t>(table_.size()) - 1));
+  }
 
   double sigma_;
   double rho_;
@@ -105,10 +131,9 @@ class ProximityModel {
   double maxSigma_;
   int influencePx_;
 
-  // LUT over t in [-range, range], step 1/16 nm.
-  double lutRange_;
-  double lutStep_;
-  std::vector<double> lut_;
+  // table_[i] = T[tableBase_ + i]; the first entry is 0, the last is 1.
+  std::int64_t tableBase_ = 0;
+  std::vector<double> table_;
   double maxUnitStep_ = 0.0;
 };
 

@@ -128,29 +128,18 @@ double DoseVerifier::costDeltaForReplace(std::size_t index,
 
   const ProximityModel& model = problem_->model();
   const double rho = model.rho();
-  const Point origin = problem_->origin();
+  const std::int64_t px = std::int64_t{problem_->origin().x} + w.x0;
+  const std::int64_t py = std::int64_t{problem_->origin().y} + w.y0;
 
   const std::size_t nw = static_cast<std::size_t>(w.width());
   const std::size_t nh = static_cast<std::size_t>(w.height());
   std::vector<double> axOld(nw), axNew(nw), byOld(nh), byNew(nh);
-  for (int x = w.x0; x < w.x1; ++x) {
-    const double px = origin.x + x + 0.5;
-    axOld[static_cast<std::size_t>(x - w.x0)] =
-        model.edgeProfile(oldShot.rect.x1 - px) -
-        model.edgeProfile(oldShot.rect.x0 - px);
-    axNew[static_cast<std::size_t>(x - w.x0)] =
-        model.edgeProfile(replacement.rect.x1 - px) -
-        model.edgeProfile(replacement.rect.x0 - px);
-  }
-  for (int y = w.y0; y < w.y1; ++y) {
-    const double py = origin.y + y + 0.5;
-    byOld[static_cast<std::size_t>(y - w.y0)] =
-        model.edgeProfile(oldShot.rect.y1 - py) -
-        model.edgeProfile(oldShot.rect.y0 - py);
-    byNew[static_cast<std::size_t>(y - w.y0)] =
-        model.edgeProfile(replacement.rect.y1 - py) -
-        model.edgeProfile(replacement.rect.y0 - py);
-  }
+  const Rect& a = oldShot.rect;
+  const Rect& b = replacement.rect;
+  model.pixelProfile(a.x0, a.x1, px, w.width(), 1.0, axOld.data());
+  model.pixelProfile(b.x0, b.x1, px, w.width(), 1.0, axNew.data());
+  model.pixelProfile(a.y0, a.y1, py, w.height(), 1.0, byOld.data());
+  model.pixelProfile(b.y0, b.y1, py, w.height(), 1.0, byNew.data());
 
   double delta = 0.0;
   const auto& classes = problem_->classGrid();

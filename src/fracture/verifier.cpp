@@ -6,10 +6,100 @@
 #include <cmath>
 #include <vector>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "parallel/parallel_for.h"
 #include "support/telemetry.h"
 
 namespace mbf {
+namespace {
+
+constexpr std::uint8_t kOnClass = static_cast<std::uint8_t>(PixelClass::kOn);
+constexpr std::uint8_t kOffClass = static_cast<std::uint8_t>(PixelClass::kOff);
+
+// One cell's ledger term and band bit: on-cells fail below rho and are
+// interesting below bandHi, off-cells fail at or above rho and are
+// interesting at or above bandLo, don't-care cells are neither.
+inline void classifyCell(std::uint8_t c, double i, int x,
+                         const RowThresholds& t, Violations& v,
+                         std::uint64_t* mask) {
+  bool interesting = false;
+  if (c == kOnClass) {
+    if (i < t.rho) {
+      ++v.failOn;
+      v.cost += t.rho - i;
+    }
+    interesting = i < t.bandHi;
+  } else if (c == kOffClass) {
+    if (i >= t.rho) {
+      ++v.failOff;
+      v.cost += i - t.rho;
+    }
+    interesting = i >= t.bandLo;
+  }
+  mask[x >> 6] |= static_cast<std::uint64_t>(interesting) << (x & 63);
+}
+
+}  // namespace
+
+Violations classifyRowScalar(const std::uint8_t* cls, const double* inten,
+                             int width, const RowThresholds& t,
+                             std::uint64_t* mask) {
+  std::fill(mask, mask + (width + 63) / 64, 0);
+  Violations v;
+  for (int x = 0; x < width; ++x) classifyCell(cls[x], inten[x], x, t, v, mask);
+  return v;
+}
+
+Violations classifyRow(const std::uint8_t* cls, const double* inten,
+                       int width, const RowThresholds& t,
+                       std::uint64_t* mask) {
+#if defined(__SSE2__)
+  assert(t.bandLo <= t.rho && t.rho <= t.bandHi);
+  std::fill(mask, mask + (width + 63) / 64, 0);
+  Violations v;
+  const __m128d lo = _mm_set1_pd(t.bandLo);
+  const __m128d hi = _mm_set1_pd(t.bandHi);
+  const __m128i onClass = _mm_set1_epi8(static_cast<char>(kOnClass));
+  const __m128i offClass = _mm_set1_epi8(static_cast<char>(kOffClass));
+  int x = 0;
+  // 16 cells per step: one byte compare per class and two band compares
+  // per cell pair, each folded to bits with movemask; only the cells in
+  // the band (few: those near rho) take the scalar step.
+  for (; x + 16 <= width; x += 16) {
+    const __m128i c =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(cls + x));
+    const unsigned on = static_cast<unsigned>(
+        _mm_movemask_epi8(_mm_cmpeq_epi8(c, onClass)));
+    const unsigned off = static_cast<unsigned>(
+        _mm_movemask_epi8(_mm_cmpeq_epi8(c, offClass)));
+    unsigned belowHi = 0;
+    unsigned aboveLo = 0;
+    for (int k = 0; k < 16; k += 2) {
+      const __m128d i = _mm_loadu_pd(inten + x + k);
+      belowHi |= static_cast<unsigned>(_mm_movemask_pd(_mm_cmplt_pd(i, hi)))
+                 << k;
+      aboveLo |= static_cast<unsigned>(_mm_movemask_pd(_mm_cmpge_pd(i, lo)))
+                 << k;
+    }
+    // Every failing cell lies in the band (bandLo <= rho <= bandHi), so
+    // the scalar step run on just the band cells, in x order, sets their
+    // bits and adds the failing terms in the scalar loop's exact
+    // sequence: the partial is bitwise equal to it.
+    for (unsigned band = (on & belowHi) | (off & aboveLo); band != 0;
+         band &= band - 1) {
+      const int xb = x + std::countr_zero(band);
+      classifyCell(cls[xb], inten[xb], xb, t, v, mask);
+    }
+  }
+  for (; x < width; ++x) classifyCell(cls[x], inten[x], x, t, v, mask);
+  return v;
+#else
+  return classifyRowScalar(cls, inten, width, t, mask);
+#endif
+}
 
 Verifier::Verifier(const Problem& problem)
     : problem_(&problem),
@@ -18,8 +108,6 @@ Verifier::Verifier(const Problem& problem)
       rowViol_(static_cast<std::size_t>(problem.gridHeight())),
       dirtyLo_(0),
       dirtyHi_(problem.gridHeight()),
-      maskDirtyLo_(0),
-      maskDirtyHi_(problem.gridHeight()),
       maskStride_((problem.gridWidth() + 63) / 64) {
   map_.setPerfSink(&perf_);
   rowMask_.assign(static_cast<std::size_t>(problem.gridHeight()) *
@@ -29,9 +117,10 @@ Verifier::Verifier(const Problem& problem)
   // profile step times an unmoved-axis factor <= 1; the margin dwarfs
   // every rounding error in the iNew expression while excluding almost
   // nothing extra from the band.
-  stepBound_ = problem.model().maxUnitStep() * (1.0 + 1e-9) + 1e-9;
-  bandHi_ = problem.model().rho() + stepBound_;
-  bandLo_ = problem.model().rho() - stepBound_;
+  const double stepBound = problem.model().maxUnitStep() * (1.0 + 1e-9) + 1e-9;
+  thresholds_.rho = problem.model().rho();
+  thresholds_.bandLo = thresholds_.rho - stepBound;
+  thresholds_.bandHi = thresholds_.rho + stepBound;
 }
 
 void Verifier::setShots(std::span<const Rect> shots) {
@@ -41,8 +130,6 @@ void Verifier::setShots(std::span<const Rect> shots) {
   ++generation_;
   dirtyLo_ = 0;
   dirtyHi_ = problem_->gridHeight();
-  maskDirtyLo_ = 0;
-  maskDirtyHi_ = problem_->gridHeight();
   totalValid_ = false;
 }
 
@@ -78,8 +165,6 @@ void Verifier::markDirtyFor(const Rect& shot) {
   if (w.empty()) return;
   dirtyLo_ = std::min(dirtyLo_, w.y0);
   dirtyHi_ = std::max(dirtyHi_, w.y1);
-  maskDirtyLo_ = std::min(maskDirtyLo_, w.y0);
-  maskDirtyHi_ = std::max(maskDirtyHi_, w.y1);
   totalValid_ = false;
 }
 
@@ -88,34 +173,6 @@ void Verifier::ensureLedgerFresh() const {
   refreshLedgerRows(dirtyLo_, dirtyHi_);
   dirtyLo_ = problem_->gridHeight();
   dirtyHi_ = 0;
-}
-
-void Verifier::ensureMasksFresh() const {
-  if (maskDirtyLo_ >= maskDirtyHi_) return;
-  const PerfTimer timer(&perf_, &PerfCounters::ledgerNanos);
-  const int width = problem_->gridWidth();
-  const auto& classes = problem_->classGrid();
-  const std::uint8_t on = static_cast<std::uint8_t>(PixelClass::kOn);
-  const std::uint8_t off = static_cast<std::uint8_t>(PixelClass::kOff);
-  for (int y = maskDirtyLo_; y < maskDirtyHi_; ++y) {
-    // Rebuild the row's interesting-band mask from the current
-    // intensity: on-cells close enough to rho to dip below it after a
-    // +-1 nm move, off-cells close enough to rise above it.
-    std::uint64_t* mask = rowMask_.data() +
-                          static_cast<std::size_t>(y) *
-                              static_cast<std::size_t>(maskStride_);
-    std::fill(mask, mask + maskStride_, 0);
-    const std::uint8_t* cls = classes.row(y);
-    const double* inten = map_.grid().row(y);
-    for (int x = 0; x < width; ++x) {
-      const bool interesting = cls[x] == on    ? inten[x] < bandHi_
-                               : cls[x] == off ? inten[x] >= bandLo_
-                                               : false;
-      mask[x >> 6] |= static_cast<std::uint64_t>(interesting) << (x & 63);
-    }
-  }
-  maskDirtyLo_ = problem_->gridHeight();
-  maskDirtyHi_ = 0;
 }
 
 void Verifier::refreshLedgerRows(int y0, int y1) const {
@@ -127,17 +184,19 @@ void Verifier::refreshLedgerRows(int y0, int y1) const {
   const int rows = y1 - y0;
   const int threads = ThreadPool::resolveThreads(problem_->params().numThreads);
   const std::int64_t cells = static_cast<std::int64_t>(rows) * width;
-  // Each row partial is computed by the identical full-row scan a fresh
-  // violation scan performs, and rows are independent, so the parallel
-  // refresh is bitwise-deterministic for any thread count.
+  // One pass per row yields both its partial (bitwise equal to the row
+  // scan a fresh violation scan performs) and its band bits. Rows are
+  // independent, so the parallel refresh is bitwise-deterministic for
+  // any thread count.
+  const auto refreshRow = [&](int y) {
+    rowViol_[static_cast<std::size_t>(y)] = classifyRow(
+        problem_->classGrid().row(y), map_.grid().row(y), width, thresholds_,
+        maskRow(y));
+  };
   if (threads <= 1 || rows < 2 || cells < 4096) {
-    for (int y = y0; y < y1; ++y) {
-      rowViol_[static_cast<std::size_t>(y)] = violationsRow(y, 0, width);
-    }
+    for (int y = y0; y < y1; ++y) refreshRow(y);
   } else {
-    parallelFor(y0, y1, threads, 16, [&](int y) {
-      rowViol_[static_cast<std::size_t>(y)] = violationsRow(y, 0, width);
-    });
+    parallelFor(y0, y1, threads, 16, refreshRow);
   }
   perf_.ledgerRowUpdates += static_cast<std::uint64_t>(rows);
   totalValid_ = false;
@@ -166,7 +225,16 @@ Violations Verifier::scanViolations() const {
 }
 
 bool Verifier::ledgerMatchesScan() const {
-  return violations() == scanViolations();
+  if (!(violations() == scanViolations())) return false;
+  // The maintained band bits must equal a fresh (scalar) classification.
+  const int width = problem_->gridWidth();
+  std::vector<std::uint64_t> fresh(static_cast<std::size_t>(maskStride_));
+  for (int y = 0; y < problem_->gridHeight(); ++y) {
+    classifyRowScalar(problem_->classGrid().row(y), map_.grid().row(y), width,
+                      thresholds_, fresh.data());
+    if (!std::equal(fresh.begin(), fresh.end(), maskRow(y))) return false;
+  }
+  return true;
 }
 
 Violations Verifier::violationsRow(int y, int x0, int x1) const {
@@ -248,24 +316,16 @@ Rect Verifier::changedRect(const Rect& oldShot, const Rect& replacement) {
 }
 
 void Verifier::xProfile(const Rect& shot, int x0, int x1, double* out) const {
-  const ProximityModel& model = problem_->model();
-  const Point origin = problem_->origin();
-  for (int x = x0; x < x1; ++x) {
-    const double px = origin.x + x + 0.5;
-    out[x - x0] =
-        model.edgeProfile(shot.x1 - px) - model.edgeProfile(shot.x0 - px);
-  }
+  problem_->model().pixelProfile(shot.x0, shot.x1,
+                                 std::int64_t{problem_->origin().x} + x0,
+                                 x1 - x0, 1.0, out);
   perf_.profileEvals += 2 * static_cast<std::uint64_t>(x1 - x0);
 }
 
 void Verifier::yProfile(const Rect& shot, int y0, int y1, double* out) const {
-  const ProximityModel& model = problem_->model();
-  const Point origin = problem_->origin();
-  for (int y = y0; y < y1; ++y) {
-    const double py = origin.y + y + 0.5;
-    out[y - y0] =
-        model.edgeProfile(shot.y1 - py) - model.edgeProfile(shot.y0 - py);
-  }
+  problem_->model().pixelProfile(shot.y0, shot.y1,
+                                 std::int64_t{problem_->origin().y} + y0,
+                                 y1 - y0, 1.0, out);
   perf_.profileEvals += 2 * static_cast<std::uint64_t>(y1 - y0);
 }
 
@@ -332,9 +392,7 @@ double Verifier::deltaOverWindowMasked(const Rect& w, const double* axOld,
   const std::uint64_t tailMask =
       (w.x1 & 63) != 0 ? ~0ULL >> (64 - (w.x1 & 63)) : ~0ULL;
   for (int y = w.y0; y < w.y1; ++y) {
-    const std::uint64_t* mask = rowMask_.data() +
-                                static_cast<std::size_t>(y) *
-                                    static_cast<std::size_t>(maskStride_);
+    const std::uint64_t* mask = maskRow(y);
     const std::uint8_t* cls = classes.row(y);
     const double* inten = map_.grid().row(y);
     const double bo = byOld[y - w.y0];
@@ -392,7 +450,7 @@ double Verifier::costDeltaForReplace(std::size_t index, const Rect& replacement,
   if (w.empty()) return 0.0;
   // The interesting-band masks must reflect the current intensity map
   // before they can prune the walk (no-op when nothing is dirty).
-  ensureMasksFresh();
+  ensureLedgerFresh();
 
   if (cache.primed_ && cache.generation_ == generation_ &&
       cache.shotIndex_ == index) {

@@ -21,7 +21,9 @@
 // cost delta of a +-1 single-edge shot move (the profile is monotone
 // and the unmoved-axis factor is <= 1), so the cached candidate
 // evaluator walks only masked cells — bit-identical to the full window
-// walk because skipped cells never touch the accumulator at all.
+// walk because skipped cells never touch the accumulator at all. A
+// dirty row is visited once for both: classifyRow produces its partial
+// and its band bits in one pass, 16 cells at a time on x86-64.
 #pragma once
 
 #include <cstdint>
@@ -59,6 +61,32 @@ struct Violations {
            a.cost == b.cost;
   }
 };
+
+/// Thresholds of the one-pass row classification: rho for the ledger
+/// partial, bandLo / bandHi for the interesting-band bits. The band
+/// contains rho: bandLo <= rho <= bandHi.
+struct RowThresholds {
+  double rho = 0.5;
+  double bandLo = 0.5;  ///< off-cells at or above are interesting
+  double bandHi = 0.5;  ///< on-cells below are interesting
+};
+
+/// One grid row's ledger partial and interesting-band bits in a single
+/// pass over cells [0, width): overwrites the (width + 63) / 64 words of
+/// `mask` (bit x set when cell x is interesting) and returns the row's
+/// Violations, whose cost adds the failing cells' terms in x order — so
+/// it is bitwise equal to a plain left-to-right row scan. Classifies 16
+/// cells per step with SSE2 compares where available (part of the
+/// x86-64 baseline) and runs the scalar step only on the band cells,
+/// which include every failing cell; elsewhere it is classifyRowScalar.
+Violations classifyRow(const std::uint8_t* cls, const double* inten,
+                       int width, const RowThresholds& t,
+                       std::uint64_t* mask);
+/// The portable cell-at-a-time classifier: classifyRow's fallback and
+/// its test oracle (same partial and same bits, bit for bit).
+Violations classifyRowScalar(const std::uint8_t* cls, const double* inten,
+                             int width, const RowThresholds& t,
+                             std::uint64_t* mask);
 
 /// Per-shot scratch for the refiner's candidate evaluations. The greedy
 /// edge adjustment asks costDeltaForReplace about up to eight +-1 nm
@@ -126,8 +154,9 @@ class Verifier {
   /// oracle and the bench baseline; not for the hot path.
   Violations scanViolations() const;
 
-  /// True when the ledger total equals a fresh scan bit for bit (debug
-  /// consistency check; always true unless there is a bug).
+  /// True when the ledger total equals a fresh scan bit for bit and the
+  /// maintained band bits equal a fresh classification of every row
+  /// (debug consistency check; always true unless there is a bug).
   bool ledgerMatchesScan() const;
 
   /// Violation scan restricted to a grid-local window (cells
@@ -167,17 +196,19 @@ class Verifier {
   Violations violationsRow(int y, int x0, int x1) const;
 
   /// Recomputes the ledger partials and interesting-band masks of rows
-  /// [y0, y1) from the intensity map (each row by the same full-row scan
-  /// a fresh scan performs) and marks the cached total stale.
+  /// [y0, y1) from the intensity map (one classifyRow pass per row) and
+  /// marks the cached total stale.
   void refreshLedgerRows(int y0, int y1) const;
   /// Marks the grid rows influenced by a world-space shot dirty.
   void markDirtyFor(const Rect& shot);
-  /// Refreshes any dirty ledger row partials (violations() path).
+  /// Refreshes the dirty row band: ledger partials and band bits
+  /// (violations() and the cached candidate evaluation both start here).
   void ensureLedgerFresh() const;
-  /// Refreshes any dirty interesting-band mask rows (cached candidate
-  /// evaluation path; kept separate so plain violation queries never pay
-  /// for mask rebuilds).
-  void ensureMasksFresh() const;
+  /// Row y's interesting-band mask words.
+  std::uint64_t* maskRow(int y) const {
+    return rowMask_.data() +
+           static_cast<std::size_t>(y) * static_cast<std::size_t>(maskStride_);
+  }
 
   /// Old/new-shot 1D profiles; shared by every cost-delta path so cached
   /// and uncached evaluations round identically.
@@ -210,19 +241,16 @@ class Verifier {
   mutable bool totalValid_ = false;
   mutable int dirtyLo_ = 0;  ///< dirty row band [dirtyLo_, dirtyHi_)
   mutable int dirtyHi_ = 0;
-  mutable int maskDirtyLo_ = 0;  ///< dirty mask row band (tracked apart)
-  mutable int maskDirtyHi_ = 0;
   std::uint64_t generation_ = 0;  ///< bumped by every mutation
 
   // --- interesting-band masks (maintained by the same refresh pass) ---
   // One bit per cell, row-major in 64-bit words: set when the cell's
-  // on/off class and current intensity leave it within `stepBound_` of
-  // rho — the only cells a +-1 nm single-edge move can possibly affect.
+  // on/off class and current intensity leave it within the model's
+  // maxUnitStep (plus a safety margin) of rho — the only cells a +-1 nm
+  // single-edge move can possibly affect.
   mutable std::vector<std::uint64_t> rowMask_;
-  int maskStride_ = 0;   ///< words per row
-  double stepBound_ = 0;  ///< model maxUnitStep with safety margin
-  double bandHi_ = 0;     ///< rho + stepBound_ (on-cells below are masked)
-  double bandLo_ = 0;     ///< rho - stepBound_ (off-cells above are masked)
+  int maskStride_ = 0;  ///< words per row
+  RowThresholds thresholds_;
 
   mutable PerfCounters perf_;
 };

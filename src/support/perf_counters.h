@@ -20,8 +20,9 @@ namespace mbf {
 
 struct PerfCounters {
   // --- counts ---
-  /// Scalar 1D edge-profile evaluations (one lut lookup each); the unit
-  /// of work the candidate-evaluation cache exists to avoid.
+  /// 1D edge-profile evaluations, two per profile entry (one read of the
+  /// model's half-integer table each); the unit of work the
+  /// candidate-evaluation cache exists to avoid.
   std::uint64_t profileEvals = 0;
   /// Violation-ledger row partials recomputed (one per dirty grid row).
   std::uint64_t ledgerRowUpdates = 0;

@@ -39,10 +39,13 @@ TEST(BackscatterTest, InfluenceRadiusGrowsWithBackscatter) {
 }
 
 TEST(BackscatterTest, LutStillAccurate) {
+  // The table spans 4 sigma of the wider (backscatter) Gaussian.
   const ProximityModel mix(6.25, 0.5, 0.15, 20.0);
-  for (double t = -70.0; t <= 70.0; t += 3.1) {
-    EXPECT_NEAR(mix.edgeProfile(t), mix.edgeProfileExact(t), 1e-5) << t;
+  for (int k = -79; k <= 80; ++k) {
+    EXPECT_EQ(mix.halfIntegerProfile(k), mix.edgeProfileExact(k - 0.5)) << k;
   }
+  EXPECT_EQ(mix.halfIntegerProfile(-80), 0.0);
+  EXPECT_EQ(mix.halfIntegerProfile(81), 1.0);
 }
 
 TEST(BackscatterTest, MidEdgeStillPrintsAtHalf) {

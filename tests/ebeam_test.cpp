@@ -24,12 +24,13 @@ TEST(ProximityModelTest, EdgeProfileLimitsAndMidpoint) {
 }
 
 TEST(ProximityModelTest, LutMatchesExact) {
+  // The half-integer table holds the exact profile, not an approximation.
   const ProximityModel m(kSigma);
-  for (double t = -30.0; t <= 30.0; t += 0.173) {
-    EXPECT_NEAR(m.edgeProfile(t), m.edgeProfileExact(t), 1e-5) << t;
+  for (int k = -24; k <= 25; ++k) {
+    EXPECT_EQ(m.halfIntegerProfile(k), m.edgeProfileExact(k - 0.5)) << k;
   }
-  EXPECT_DOUBLE_EQ(m.edgeProfile(-100.0), 0.0);
-  EXPECT_DOUBLE_EQ(m.edgeProfile(100.0), 1.0);
+  EXPECT_EQ(m.halfIntegerProfile(-100), 0.0);
+  EXPECT_EQ(m.halfIntegerProfile(100), 1.0);
 }
 
 TEST(ProximityModelTest, ShotIntensityEdgePrintsAtRho) {

@@ -226,6 +226,9 @@ TEST(ParallelVerifierTest, LedgerEqualsFreshScanOverRandomMutationCycles) {
             << "step " << step << ", threads=" << threadCounts[k];
         EXPECT_EQ(verifiers[k]->violations(), reference)
             << "step " << step << ", threads=" << threadCounts[k];
+        // Also the interesting-band bits against a fresh classification.
+        EXPECT_TRUE(verifiers[k]->ledgerMatchesScan())
+            << "step " << step << ", threads=" << threadCounts[k];
       }
     }
   }

@@ -2,6 +2,8 @@
 // of shapes, seeds and parameters.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "benchgen/ilt_synth.h"
 #include "benchgen/known_opt_gen.h"
 #include "fracture/model_based_fracturer.h"
@@ -43,6 +45,14 @@ struct KnownOptCase {
   int k;
   bool abutting;
 };
+
+// gtest's default printer dumps a struct's raw bytes, padding included,
+// and ctest names parameterized tests by the printed value — so without
+// this printer the names changed from one test discovery to the next.
+void PrintTo(const KnownOptCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << "_k" << c.k
+      << (c.abutting ? "_abutting" : "_separated");
+}
 
 class KnownOptFeasibility : public ::testing::TestWithParam<KnownOptCase> {};
 

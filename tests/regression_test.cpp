@@ -3,12 +3,19 @@
 // stage show up as test failures rather than silently skewed tables.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "baselines/eda_proxy.h"
 #include "baselines/greedy_set_cover.h"
 #include "benchgen/ilt_synth.h"
 #include "benchgen/known_opt_gen.h"
+#include "benchgen/opc_synth.h"
 #include "fracture/model_based_fracturer.h"
 #include "fracture/verifier.h"
+#include "io/atomic_file.h"
+#include "io/poly_io.h"
+#include "mdp/layout.h"
 
 namespace mbf {
 namespace {
@@ -86,6 +93,45 @@ TEST(RegressionTest, GeneratorReferencesRemainFeasible) {
         makeIltShapeWithArms(iltSuiteConfigs()[static_cast<std::size_t>(idx)]);
     const Problem p(shape.target, FractureParams{});
     EXPECT_EQ(evaluateShots(p, shape.generatorArms).total(), 0);
+  }
+}
+
+// SHA-256 of one shape's serialized .shots section at default parameters.
+std::string shotsDigest(const Polygon& ring) {
+  LayoutShape shape;
+  shape.rings.push_back(ring);
+  const Solution sol = fractureShape(shape, FractureParams{}, Method::kOurs);
+  std::ostringstream os;
+  writeBatchShots(os, std::span<const Solution>(&sol, 1));
+  return sha256Hex(os.str());
+}
+
+TEST(PinnedOutputTest, ShotsDigestsMatchPinnedValues) {
+  // Byte-exact outputs pinned when the kernels were last changed on
+  // purpose: a change that moves a single rounding anywhere in the
+  // pipeline (profiles, accumulation, ledger, masks) changes a digest.
+  // Re-pin only for a deliberate output change, and say so.
+  const char* const kIlt[] = {
+      "b89004c1a3367b079fffda2c17fd469892303c8e5e2b72bbe3c8ddd92e501f75",
+      "895cac3a4b9386f4817fa0cbf4d75907c2e6fd912cc8b8884fb09d009646d1ea",
+      "f03111f6c08ef6fd2ad1ae6df946b327858c57c86adab823cf8b088862e17915",
+      "909747ef5970054ba89a2dacd69cffee289a8b337828fa9b6f44d75301c533d7"};
+  for (std::size_t n = 0; n < 4; ++n) {
+    const int idx = kClipSubset[n];
+    const IltSynthConfig cfg = iltSuiteConfigs()[static_cast<std::size_t>(idx)];
+    EXPECT_EQ(shotsDigest(makeIltShape(cfg)), kIlt[n]) << cfg.name();
+  }
+  const struct {
+    int index;
+    const char* sha;
+  } kOpc[] = {
+      {2, "fd9030db0974891fccf5e3796deec764bf734194fafd113a0997ad92cb335903"},
+      {6, "fd4fcc2db5fa4ff812452e7da8e0f2e624d35ac98618979d0cc22f3ca4d5c448"}};
+  for (const auto& pin : kOpc) {
+    EXPECT_EQ(shotsDigest(makeOpcShape(
+                  opcSuiteConfigs()[static_cast<std::size_t>(pin.index)])),
+              pin.sha)
+        << "opc clip " << pin.index;
   }
 }
 
