@@ -15,7 +15,9 @@
 namespace mbf {
 namespace {
 
-constexpr char kMagic[] = "mbf-cell-cache v1";
+// Key tag and entry header tag: bumping it re-addresses every entry, so
+// entries of an older format are never read.
+constexpr char kMagic[] = "mbf-cell-cache v2";
 
 void putBytes(Sha256& h, const void* data, std::size_t size) {
   h.update(data, size);
@@ -26,25 +28,11 @@ void putI64(Sha256& h, std::int64_t v) { putBytes(h, &v, sizeof v); }
 void putF64(Sha256& h, double v) { putBytes(h, &v, sizeof v); }
 void putU8(Sha256& h, std::uint8_t v) { putBytes(h, &v, sizeof v); }
 
-void putU32le(std::string& buf, std::uint32_t v) {
-  buf.push_back(static_cast<char>(v & 0xFF));
-  buf.push_back(static_cast<char>((v >> 8) & 0xFF));
-  buf.push_back(static_cast<char>((v >> 16) & 0xFF));
-  buf.push_back(static_cast<char>((v >> 24) & 0xFF));
+/// The entry's first line: the tag and the payload digest.
+std::string entryHeader(std::string_view payload) {
+  return std::string(kMagic) + " " + sha256Hex(payload) + "\n";
 }
-
-bool getU32le(std::string_view bytes, std::size_t& at, std::uint32_t& out) {
-  if (bytes.size() - at < 4) return false;
-  out = static_cast<std::uint8_t>(bytes[at]) |
-        (static_cast<std::uint32_t>(static_cast<std::uint8_t>(bytes[at + 1]))
-         << 8) |
-        (static_cast<std::uint32_t>(static_cast<std::uint8_t>(bytes[at + 2]))
-         << 16) |
-        (static_cast<std::uint32_t>(static_cast<std::uint8_t>(bytes[at + 3]))
-         << 24);
-  at += 4;
-  return true;
-}
+constexpr std::size_t kHeaderBytes = sizeof kMagic + 65;  // ' ', hex, '\n'
 
 /// mkdir -p: creates every missing component of `dir`.
 Status makeDirs(const std::string& dir) {
@@ -75,9 +63,11 @@ std::string cellFractureKey(const std::vector<LayoutShape>& shapes,
   // Result-relevant configuration. Thread counts are excluded on
   // purpose: results are byte-identical at any thread count (a tested
   // engine contract), so a cache populated at --threads=8 serves a
-  // --threads=1 run. Everything else — model, refiner knobs, budgets,
-  // toggles, method, strictness — participates, so changing any of them
-  // addresses a different entry.
+  // --threads=1 run. So is fallbackOnly: such a run never reads or
+  // writes the cache, and its journal records must carry the key the
+  // supervising parent planned. Everything else — model, refiner knobs,
+  // budgets, toggles, method, strictness — participates, so changing any
+  // of them addresses a different entry.
   const FractureParams& p = config.params;
   putF64(h, p.gamma);
   putF64(h, p.sigma);
@@ -101,7 +91,6 @@ std::string cellFractureKey(const std::vector<LayoutShape>& shapes,
   putU8(h, p.faultInjector != nullptr ? 1 : 0);
   putI32(h, static_cast<std::int32_t>(config.method));
   putU8(h, config.allowDegradation ? 1 : 0);
-  putU8(h, config.fallbackOnly ? 1 : 0);
 
   // Cell-local geometry: counts delimit, raw int32 coordinates carry
   // the content.
@@ -143,151 +132,70 @@ void CellFractureCache::disable(Status cause) {
   disableCause_ = std::move(cause);
 }
 
-CellFractureCache::Lookup CellFractureCache::load(const std::string& key,
-                                                  CellFracture& out) {
-  out = CellFracture{};
+CellFractureCache::Lookup CellFractureCache::load(CellRecord& record) {
   if (disabled_) {
     ++stats_.misses;
     return Lookup::kMiss;
   }
-  const std::string path = pathFor(key);
-  struct stat st{};
-  if (stat(path.c_str(), &st) != 0) {
+  std::string bytes;
+  const Status rd = readFileToString(pathFor(record.key), bytes);
+  if (rd.code() == StatusCode::kNotFound) {
     ++stats_.misses;
     return Lookup::kMiss;
   }
+  if (!rd.ok()) {
+    // A real read fault (EIO, not tamper): the filesystem under the
+    // cache is sick. Stop talking to it — every cell still fractures
+    // from scratch.
+    ++stats_.ioErrors;
+    disable(rd);
+    ++stats_.rejected;
+    return Lookup::kRejected;
+  }
 
-  // Never trust a cache entry on file-name match alone: the sidecar
+  // Never trust a cache entry on file-name match alone: the payload
   // digest must verify and the embedded key must equal the requested
-  // one before a single record is decoded.
-  {
-    Status side = verifyHashSidecar(path);
-    if (!side.ok()) {
-      // A `.cell` without its sidecar is an UNPUBLISHED entry, not a
-      // corrupt one: publication is two-phase (.cell, then .sha256) and
-      // we raced a concurrent writer between the renames — or a writer
-      // died there. Report a miss; the caller re-fractures and its
-      // store() completes the publication with identical bytes.
-      if (side.code() == StatusCode::kNotFound) {
-        ++stats_.misses;
-        return Lookup::kMiss;
-      }
-      if (side.code() == StatusCode::kIoError) {
-        ++stats_.ioErrors;
-        disable(side);
-      }
-      ++stats_.rejected;
-      return Lookup::kRejected;
-    }
-  }
-  std::string bytes;
-  {
-    Status rd = readFileToString(path, bytes);
-    if (!rd.ok()) {
-      // A real read fault (EIO, not tamper) on a file stat() just saw:
-      // the filesystem under the cache is sick. Stop talking to it —
-      // every cell still fractures from scratch.
-      if (rd.code() == StatusCode::kIoError) {
-        ++stats_.ioErrors;
-        disable(rd);
-      }
-      ++stats_.rejected;
-      return Lookup::kRejected;
-    }
-  }
-
-  const std::string header = std::string(kMagic) + "\n" + key + "\n";
-  if (bytes.size() < header.size() ||
-      bytes.compare(0, header.size(), header) != 0) {
+  // one before a single solution is used.
+  const std::string_view payload =
+      std::string_view(bytes).substr(std::min(kHeaderBytes, bytes.size()));
+  CellRecord cached;
+  if (bytes.compare(0, kHeaderBytes, entryHeader(payload)) != 0 ||
+      !decodeCellRecord(payload, cached).ok() || cached.key != record.key) {
     ++stats_.rejected;
     return Lookup::kRejected;
   }
-  std::size_t at = header.size();
-  std::uint32_t shapeCount = 0;
-  if (!getU32le(bytes, at, shapeCount) || shapeCount > (1u << 24)) {
-    ++stats_.rejected;
-    return Lookup::kRejected;
-  }
-  CellFracture cell;
-  cell.solutions.reserve(shapeCount);
-  cell.reports.reserve(shapeCount);
-  for (std::uint32_t i = 0; i < shapeCount; ++i) {
-    std::uint32_t recordLen = 0;
-    if (!getU32le(bytes, at, recordLen) || bytes.size() - at < recordLen) {
-      ++stats_.rejected;
-      return Lookup::kRejected;
-    }
-    ShapeRecord record;
-    if (!decodeShapeRecord(std::string_view(bytes).substr(at, recordLen),
-                           record)
-             .ok()) {
-      ++stats_.rejected;
-      return Lookup::kRejected;
-    }
-    at += recordLen;
-    cell.solutions.push_back(std::move(record.solution));
-    cell.reports.push_back(std::move(record.report));
-  }
-  if (at != bytes.size()) {  // trailing garbage: not an artifact we wrote
-    ++stats_.rejected;
-    return Lookup::kRejected;
-  }
-  out = std::move(cell);
+  record.solutions = std::move(cached.solutions);
+  record.reports = std::move(cached.reports);
   ++stats_.hits;
-  touchedKeys_.push_back(key);  // a hit must survive the quota sweep
-  liveLock_.note(key);  // ...including sweeps run by OTHER processes
+  touchedKeys_.push_back(record.key);  // a hit must survive the quota sweep
+  liveLock_.note(record.key);  // ...including sweeps run by OTHER processes
   return Lookup::kHit;
 }
 
-Status CellFractureCache::store(const std::string& key,
-                                const CellFracture& cell) {
-  if (cell.solutions.size() != cell.reports.size()) {
-    return Status(StatusCode::kInternal,
-                  "cell fracture has " +
-                      std::to_string(cell.solutions.size()) +
-                      " solutions but " + std::to_string(cell.reports.size()) +
-                      " reports");
-  }
-  std::string bytes = std::string(kMagic) + "\n" + key + "\n";
-  putU32le(bytes, static_cast<std::uint32_t>(cell.solutions.size()));
-  for (std::size_t i = 0; i < cell.solutions.size(); ++i) {
-    ShapeRecord record;
-    record.shapeIndex = static_cast<int>(i);  // cell-local index
-    record.solution = cell.solutions[i];
-    // Canonical bytes: runtimeSeconds is the one wall-clock field in a
-    // Solution, so with it zeroed the entry's bytes are a pure function
-    // of the key. That is what makes concurrent publication races
-    // benign — two processes fracturing the same cell rename
-    // BIT-IDENTICAL payloads, so any interleaving of their `.cell` and
-    // `.sha256` renames leaves a self-consistent pair. With the wall
-    // clock left in, an interleaving can pair one writer's sidecar with
-    // the other's payload and the entry verifies as corrupt forever.
-    record.solution.runtimeSeconds = 0.0;
-    record.report = cell.reports[i];
-    const std::string encoded = encodeShapeRecord(record);
-    putU32le(bytes, static_cast<std::uint32_t>(encoded.size()));
-    bytes += encoded;
-  }
-  const std::string path = pathFor(key);
+Status CellFractureCache::store(const CellRecord& record) {
   if (disabled_) return {};  // degraded: results still ship, just uncached
-  std::string hex;
-  Status status = atomicWriteFile(path, bytes, &hex);
-  if (status.ok()) status = writeHashSidecar(path, hex);
+  // Canonical bytes: the plan index and runtimeSeconds (the one
+  // wall-clock field in a Solution) are not properties of the content,
+  // so with them fixed an entry's bytes are a pure function of its key
+  // and concurrent writers of one key publish bit-identical files.
+  CellRecord canonical{-1, record.key, record.solutions, record.reports};
+  for (Solution& sol : canonical.solutions) sol.runtimeSeconds = 0.0;
+  const std::string payload = encodeCellRecord(canonical);
+  const Status status =
+      atomicWriteFile(pathFor(record.key), entryHeader(payload) + payload);
   if (!status.ok()) {
     // Degrade, don't die: one failed store (full filer, dead disk)
     // disables the cache for the rest of the run. The fracture result
     // being stored is already in memory and ships with the batch; only
-    // the cross-run reuse is lost. Remove the halves that did land so a
-    // later run never sees an entry without its sidecar.
-    sysio::unlink(path.c_str());
-    sysio::unlink(sidecarPathFor(path).c_str());
+    // the cross-run reuse is lost. One rename publishes the entry, so
+    // whatever the failed write left on disk is a whole entry or none.
     ++stats_.ioErrors;
     disable(status);
     return status;
   }
   ++stats_.stored;
-  touchedKeys_.push_back(key);  // this run's own entries are never evicted
-  liveLock_.note(key);          // ...nor evicted by a concurrent run
+  touchedKeys_.push_back(record.key);  // this run's entries are never evicted
+  liveLock_.note(record.key);          // ...nor evicted by a concurrent run
   if (quotaBytes_ > 0) enforceQuota();
   return {};
 }
@@ -295,7 +203,7 @@ Status CellFractureCache::store(const std::string& key,
 void CellFractureCache::enforceQuota() {
   struct Entry {
     std::string key;
-    std::int64_t bytes = 0;   // .cell + .sha256
+    std::int64_t bytes = 0;
     std::int64_t mtime = 0;
   };
   DIR* d = ::opendir(dir_.c_str());
@@ -310,15 +218,10 @@ void CellFractureCache::enforceQuota() {
     }
     Entry e;
     e.key = name.substr(0, name.size() - 5);
-    const std::string cellPath = dir_ + "/" + name;
     struct stat st{};
-    if (stat(cellPath.c_str(), &st) != 0) continue;
+    if (stat(pathFor(e.key).c_str(), &st) != 0) continue;
     e.bytes = static_cast<std::int64_t>(st.st_size);
     e.mtime = static_cast<std::int64_t>(st.st_mtime);
-    struct stat sideSt{};
-    if (stat(sidecarPathFor(cellPath).c_str(), &sideSt) == 0) {
-      e.bytes += static_cast<std::int64_t>(sideSt.st_size);
-    }
     total += e.bytes;
     entries.push_back(std::move(e));
   }
@@ -347,9 +250,7 @@ void CellFractureCache::enforceQuota() {
       ++stats_.evictionsSkippedLive;
       continue;
     }
-    const std::string cellPath = dir_ + "/" + e.key + ".cell";
-    if (sysio::unlink(cellPath.c_str()) != 0) continue;
-    sysio::unlink(sidecarPathFor(cellPath).c_str());
+    if (sysio::unlink(pathFor(e.key).c_str()) != 0) continue;
     total -= e.bytes;
     ++stats_.evicted;
   }

@@ -1,14 +1,16 @@
-// Journal records and run fingerprints (DESIGN.md sections 14 and 19).
-// A journaled run (mdp/hierarchy's executor and supervised driver)
-// appends one serialized CellRecord — every shape's shots, quality
-// stats and causal Status — to a support/journal file the moment a plan
-// cell completes; `--resume` replays every intact record, fractures
-// only the missing cells, and instantiates both populations in plan
-// order, so an interrupted-then-resumed run produces byte-identical
-// final output to an uninterrupted one (tested at 1/4/8 threads and
-// against SIGKILL at randomized points in tests/crash_drill_test.cpp).
-// Flat layouts journal the same frames: their plan has one cell per
-// shape.
+// Cell records and run fingerprints (DESIGN.md sections 14, 17 and 19).
+// A CellRecord — every shape's shots, quality stats and causal Status
+// for one plan cell — is the only form a cell's result takes outside a
+// running fracture. A journaled run (mdp/hierarchy's executor and
+// supervised driver) appends one encoded CellRecord to a support/journal
+// file the moment a plan cell completes; `--resume` replays every intact
+// record, fractures only the missing cells, and instantiates both
+// populations in plan order, so an interrupted-then-resumed run produces
+// byte-identical final output to an uninterrupted one (tested at 1/4/8
+// threads and against SIGKILL at randomized points in
+// tests/crash_drill_test.cpp). Flat layouts journal the same frames:
+// their plan has one cell per shape. A cell-cache entry (mdp/cell_cache)
+// is the same frame behind a digest line.
 #pragma once
 
 #include <string>
@@ -22,8 +24,7 @@
 namespace mbf {
 
 /// One shape's solution and report: the codec nested inside every
-/// CellRecord frame (with the cell-local index) and every cell-cache
-/// entry.
+/// CellRecord frame (with the cell-local index).
 struct ShapeRecord {
   int shapeIndex = -1;
   Solution solution;
@@ -46,10 +47,11 @@ Status decodeShapeRecord(std::string_view bytes, ShapeRecord& out);
 std::string journalMetaFor(const std::vector<LayoutShape>& shapes,
                            const BatchConfig& config);
 
-/// One journaled unit of work: a plan cell's complete fracture result,
-/// addressed by its index in the plan (GDS: the first-visit order of
-/// unique cells under the top structure; flat: the shape index) and
-/// stamped with the cell-cache content key so replay can prove the
+/// A plan cell's complete fracture result: one solution and one report
+/// per shape of the cell, in groupRings order. It is addressed by its
+/// index in the plan (GDS: the first-visit order of unique cells under
+/// the top structure; flat: the shape index; -1 in a cell-cache entry)
+/// and stamped with the cell-cache content key so replay can prove the
 /// record still describes the cell it claims to. Shots are cell-local;
 /// instantiation translates them and re-stamps failing statuses.
 struct CellRecord {

@@ -181,31 +181,10 @@ LayoutShape translatedShape(const LayoutShape& shape, Point offset) {
   return t;
 }
 
-/// Fallback-config content key of plan cell `i`, computed lazily and
-/// cached (only replays of a --degrade-only worker's records need one:
-/// such workers journal under a fallbackOnly=true key, which the parent
-/// — planning with fallbackOnly=false — must still accept as this
-/// cell's result).
-const std::string& fallbackKeyFor(const HierPlan& plan,
-                                  const BatchConfig& config, int i,
-                                  std::vector<std::string>& cache) {
-  if (cache.empty()) cache.resize(plan.cells.size());
-  std::string& slot = cache[static_cast<std::size_t>(i)];
-  if (slot.empty()) {
-    BatchConfig fallback = config;
-    fallback.fallbackOnly = true;
-    slot = cellFractureKey(plan.cells[static_cast<std::size_t>(i)].shapes,
-                           fallback);
-  }
-  return slot;
-}
-
 /// A journaled CellRecord is only installed if it provably describes
-/// the plan cell it claims: in-range index, the cell's content key
-/// (primary or fallback-only), and one solution per cell shape.
-Status validateCellRecord(const HierPlan& plan, const BatchConfig& config,
-                          const CellRecord& record,
-                          std::vector<std::string>& fallbackKeys) {
+/// the plan cell it claims: in-range index, the cell's content key, and
+/// one solution per cell shape.
+Status validateCellRecord(const HierPlan& plan, const CellRecord& record) {
   if (record.cellIndex < 0 ||
       record.cellIndex >= static_cast<int>(plan.cells.size())) {
     return Status(StatusCode::kInvalidArgument,
@@ -216,9 +195,7 @@ Status validateCellRecord(const HierPlan& plan, const BatchConfig& config,
   }
   const HierPlan::Cell& cell =
       plan.cells[static_cast<std::size_t>(record.cellIndex)];
-  if (record.key != cell.key &&
-      record.key != fallbackKeyFor(plan, config, record.cellIndex,
-                                   fallbackKeys)) {
+  if (record.key != cell.key) {
     return Status(StatusCode::kInvalidArgument,
                   "journal cell record for cell " +
                       std::to_string(record.cellIndex) +
@@ -236,19 +213,25 @@ Status validateCellRecord(const HierPlan& plan, const BatchConfig& config,
   return {};
 }
 
-/// Per-cell progress of one run over a plan.
+/// Per-cell progress of one run over a plan: one CellRecord per plan
+/// cell, its index and key filled from the plan, its cell-local results
+/// filled by the journal, the cache, a fracture or a worker.
 struct PlanProgress {
-  std::vector<CellFracture> fractures;  ///< cell-local results
+  std::vector<CellRecord> records;
   std::vector<char> done;
-  std::vector<std::string> fallbackKeys;  ///< see fallbackKeyFor
 
   explicit PlanProgress(const HierPlan& plan)
-      : fractures(plan.cells.size()), done(plan.cells.size(), 0) {}
+      : records(plan.cells.size()), done(plan.cells.size(), 0) {
+    for (std::size_t c = 0; c < plan.cells.size(); ++c) {
+      records[c].cellIndex = static_cast<int>(c);
+      records[c].key = plan.cells[c].key;
+    }
+  }
 
-  void install(CellRecord& record) {
+  /// Installs a validated record (its index and key are the plan's).
+  void install(CellRecord&& record) {
     const auto c = static_cast<std::size_t>(record.cellIndex);
-    fractures[c].solutions = std::move(record.solutions);
-    fractures[c].reports = std::move(record.reports);
+    records[c] = std::move(record);
     done[c] = 1;
   }
 };
@@ -264,9 +247,8 @@ class PlanJournal {
   /// — both are results of the same deterministic computation. CRC
   /// framing already passed; a record that then fails decoding or plan
   /// validation is not ours and fails the resume.
-  Status open(const HierPlan& plan, const BatchConfig& config,
-              const HierOptions& options, int begin, int end,
-              PlanProgress& progress, RunCounters& counters) {
+  Status open(const HierPlan& plan, const HierOptions& options, int begin,
+              int end, PlanProgress& progress, RunCounters& counters) {
     path_ = options.journalPath;
     if (path_.empty()) return {};
     std::vector<std::string> keys;
@@ -289,12 +271,11 @@ class PlanJournal {
       CellRecord record;
       Status dec = decodeCellRecord(bytes, record);
       if (!dec.ok()) return dec;
-      Status valid =
-          validateCellRecord(plan, config, record, progress.fallbackKeys);
+      Status valid = validateCellRecord(plan, record);
       if (!valid.ok()) return valid;
       const auto c = static_cast<std::size_t>(record.cellIndex);
       if (progress.done[c] != 0) continue;
-      progress.install(record);
+      progress.install(std::move(record));
       ++counters.resumedCells;
       counters.resumedShapes += static_cast<int>(plan.cells[c].shapes.size());
     }
@@ -304,11 +285,9 @@ class PlanJournal {
   /// Appends one finished cell; thread-safe. The first failure
   /// downgrades the run to unjournaled completion: the results still
   /// ship, later appends are skipped and the seal is withheld.
-  void append(int cellIndex, const std::string& key,
-              const CellFracture& fracture) {
+  void append(const CellRecord& record) {
     if (path_.empty() || broken_.load(std::memory_order_relaxed)) return;
-    const Status appended = writer_.append(encodeCellRecord(
-        {cellIndex, key, fracture.solutions, fracture.reports}));
+    const Status appended = writer_.append(encodeCellRecord(record));
     if (!appended.ok()) fail(appended);
   }
 
@@ -363,16 +342,15 @@ void startResult(const HierPlan& plan, HierarchicalResult& out) {
 /// refinerStats are the caller's: they describe what THIS run
 /// fractured, not how often it is instantiated.
 void instantiatePlan(const HierPlan& plan,
-                     const std::vector<CellFracture>& fractures,
+                     const std::vector<CellRecord>& records,
                      HierarchicalResult& out) {
   out.instanceShapes = planInstanceShapes(plan);
   for (const HierPlan::Instance& inst : plan.instances) {
-    const CellFracture& fracture =
-        fractures[static_cast<std::size_t>(inst.cell)];
-    for (std::size_t i = 0; i < fracture.solutions.size(); ++i) {
-      Solution sol = fracture.solutions[i];
+    const CellRecord& record = records[static_cast<std::size_t>(inst.cell)];
+    for (std::size_t i = 0; i < record.solutions.size(); ++i) {
+      Solution sol = record.solutions[i];
       for (Rect& shot : sol.shots) shot = shot.translated(inst.offset);
-      ShapeReport report = fracture.reports[i];
+      ShapeReport report = record.reports[i];
       if (!report.status.ok()) {
         report.status.withShape(static_cast<int>(out.batch.solutions.size()));
       }
@@ -523,16 +501,19 @@ Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
   // Journal first, so a resumed run knows which cells are finished work.
   PlanProgress progress(plan);
   PlanJournal journal;
-  Status status = journal.open(plan, config, options, shardBegin, shardEnd,
-                               progress, counters);
+  Status status = journal.open(plan, options, shardBegin, shardEnd, progress,
+                               counters);
   if (!status.ok()) return status;
 
   // Persistent-cache lookups (hits fill their cell directly). A
   // journaled cache hit is appended like a fractured cell: the journal
   // must be self-contained — a resume (or the supervisor harvesting a
-  // worker journal) replays it without consulting the cache.
+  // worker journal) replays it without consulting the cache. A
+  // fallback-only run skips the cache: its cells are always degraded,
+  // so it would never store one, and the cache holds primary results
+  // such a run must not return.
   CellFractureCache cache(options.cellCacheDir);
-  const bool useCache = !options.cellCacheDir.empty();
+  const bool useCache = !options.cellCacheDir.empty() && !config.fallbackOnly;
   if (useCache) {
     // Degrade, don't die: an uncreatable cache directory (read-only
     // filer, quota) costs cross-run reuse, never the run itself. Every
@@ -545,10 +526,10 @@ Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
   for (int i = shardBegin; i < shardEnd; ++i) {
     const auto c = static_cast<std::size_t>(i);
     if (progress.done[c] != 0) continue;
-    if (useCache && cache.load(plan.cells[c].key, progress.fractures[c]) ==
-                        CellFractureCache::Lookup::kHit) {
+    if (useCache &&
+        cache.load(progress.records[c]) == CellFractureCache::Lookup::kHit) {
       progress.done[c] = 1;
-      journal.append(i, plan.cells[c].key, progress.fractures[c]);
+      journal.append(progress.records[c]);
       continue;
     }
     missCells.push_back(i);
@@ -573,8 +554,8 @@ Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
   for (const int cellIdx : missCells) {
     const auto c = static_cast<std::size_t>(cellIdx);
     const std::size_t n = plan.cells[c].shapes.size();
-    progress.fractures[c].solutions.resize(n);
-    progress.fractures[c].reports.resize(n);
+    progress.records[c].solutions.resize(n);
+    progress.records[c].reports.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
       todo.emplace_back(cellIdx, static_cast<int>(i));
     }
@@ -594,15 +575,15 @@ Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
     if (outcome.interrupted) {
       cellInterrupted[c].store(true, std::memory_order_relaxed);
     }
-    CellFracture& fracture = progress.fractures[c];
-    fracture.solutions[local] = std::move(outcome.solution);
-    fracture.reports[local] = {std::move(outcome.status), outcome.degraded,
-                               outcome.interrupted};
+    CellRecord& record = progress.records[c];
+    record.solutions[local] = std::move(outcome.solution);
+    record.reports[local] = {std::move(outcome.status), outcome.degraded,
+                             outcome.interrupted};
     // acq_rel: the thread finishing the cell's last shape observes
     // every sibling slot written before their decrements.
     if (cellRemaining[c].fetch_sub(1, std::memory_order_acq_rel) == 1 &&
         !cellInterrupted[c].load(std::memory_order_relaxed)) {
-      journal.append(static_cast<int>(c), plan.cells[c].key, fracture);
+      journal.append(record);
     }
   });
   bool anyInterrupted = false;
@@ -630,18 +611,17 @@ Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
   // results being stored are already in memory and ship below.
   if (useCache) {
     for (const int cellIdx : missCells) {
-      const CellFracture& fracture =
-          progress.fractures[static_cast<std::size_t>(cellIdx)];
+      const CellRecord& record =
+          progress.records[static_cast<std::size_t>(cellIdx)];
       bool clean = true;
-      for (const ShapeReport& report : fracture.reports) {
+      for (const ShapeReport& report : record.reports) {
         if (!report.status.ok() || report.degraded || report.interrupted) {
           clean = false;
           break;
         }
       }
       if (!clean) continue;
-      (void)cache.store(plan.cells[static_cast<std::size_t>(cellIdx)].key,
-                        fracture);
+      (void)cache.store(record);
       if (cache.disabled()) break;  // further stores are no-ops anyway
     }
     out.cellCacheHits = cache.stats().hits;
@@ -664,7 +644,7 @@ Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
   RefinerStats freshStats;
   for (std::size_t k = 0; k < todo.size(); ++k) {
     const auto [cell, shape] = todo[k];
-    freshSeconds += progress.fractures[static_cast<std::size_t>(cell)]
+    freshSeconds += progress.records[static_cast<std::size_t>(cell)]
                         .solutions[static_cast<std::size_t>(shape)]
                         .runtimeSeconds;
     freshStats += shapeStats[k];
@@ -676,16 +656,16 @@ Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
     // output; the supervisor harvests the journal, not the .shots).
     for (int i = shardBegin; i < shardEnd; ++i) {
       const auto c = static_cast<std::size_t>(i);
-      CellFracture& fracture = progress.fractures[c];
-      for (std::size_t j = 0; j < fracture.solutions.size(); ++j) {
+      CellRecord& record = progress.records[c];
+      for (std::size_t j = 0; j < record.solutions.size(); ++j) {
         out.instanceShapes.push_back(plan.cells[c].shapes[j]);
-        out.batch.solutions.push_back(std::move(fracture.solutions[j]));
-        out.batch.reports.push_back(std::move(fracture.reports[j]));
+        out.batch.solutions.push_back(std::move(record.solutions[j]));
+        out.batch.reports.push_back(std::move(record.reports[j]));
       }
     }
     mergeBatchAggregates(out.batch, {});
   } else {
-    instantiatePlan(plan, progress.fractures, out);
+    instantiatePlan(plan, progress.records, out);
   }
   out.batch.shapeSecondsSum = freshSeconds;
   out.batch.refinerStats = freshStats;
@@ -695,8 +675,7 @@ Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
   return status;
 }
 
-Status fracturePlanSupervised(const HierPlan& plan, const BatchConfig& config,
-                              const HierOptions& options,
+Status fracturePlanSupervised(const HierPlan& plan, const HierOptions& options,
                               SupervisorConfig supervisor,
                               HierarchicalResult& out,
                               RunCounters* countersOut) {
@@ -709,8 +688,7 @@ Status fracturePlanSupervised(const HierPlan& plan, const BatchConfig& config,
   const int numCells = static_cast<int>(plan.cells.size());
   PlanProgress progress(plan);
   PlanJournal journal;
-  Status status =
-      journal.open(plan, config, options, 0, numCells, progress, counters);
+  Status status = journal.open(plan, options, 0, numCells, progress, counters);
   if (!status.ok()) return status;
 
   // Contiguous runs of missing plan cells become the supervised ranges.
@@ -771,24 +749,22 @@ Status fracturePlanSupervised(const HierPlan& plan, const BatchConfig& config,
     out.workerSpans = std::move(sres.workerSpans);
 
     // Install every harvested record that provably matches the plan
-    // (primary or fallback-only key, right shape count); an invalid one
-    // is dropped and its cell hole-filled below. Fresh records are
-    // appended to the parent journal in plan order so a later resume
-    // needs only this one file.
+    // (its key, right shape count) as it is; an invalid one is dropped
+    // and its cell hole-filled below. Fresh records are appended to the
+    // parent journal in plan order so a later resume needs only this one
+    // file.
     for (auto& [index, record] : sres.cellRecords) {
       if (progress.done[static_cast<std::size_t>(index)] != 0 ||
-          !validateCellRecord(plan, config, record, progress.fallbackKeys)
-               .ok()) {
+          !validateCellRecord(plan, record).ok()) {
         continue;
       }
-      journal.append(index, record.key,
-                     {record.solutions, record.reports});
+      journal.append(record);
       for (const Solution& sol : record.solutions) {
         freshSeconds += sol.runtimeSeconds;
       }
       ++counters.freshCells;
       counters.freshShapes += static_cast<int>(record.solutions.size());
-      progress.install(record);
+      progress.install(std::move(record));
     }
   }
 
@@ -805,12 +781,12 @@ Status fracturePlanSupervised(const HierPlan& plan, const BatchConfig& config,
     const auto c = static_cast<std::size_t>(i);
     if (progress.done[c] != 0) continue;
     const std::size_t n = plan.cells[c].shapes.size();
-    CellFracture& fracture = progress.fractures[c];
-    fracture.solutions.assign(n, Solution{});
-    fracture.reports.assign(n, ShapeReport{});
+    CellRecord& record = progress.records[c];
+    record.solutions.assign(n, Solution{});
+    record.reports.assign(n, ShapeReport{});
     for (std::size_t j = 0; j < n; ++j) {
-      Solution& sol = fracture.solutions[j];
-      ShapeReport& report = fracture.reports[j];
+      Solution& sol = record.solutions[j];
+      ShapeReport& report = record.reports[j];
       sol.method = "empty";
       if (!out.abortCause.empty()) {
         sol.degraded = true;
@@ -836,7 +812,7 @@ Status fracturePlanSupervised(const HierPlan& plan, const BatchConfig& config,
 
   out.uniqueCellsFractured = counters.freshCells;
   out.uniqueShapesFractured = counters.freshShapes;
-  instantiatePlan(plan, progress.fractures, out);
+  instantiatePlan(plan, progress.records, out);
   out.batch.shapeSecondsSum = freshSeconds;
   out.batch.refinerStats = {};  // workers keep their profiling
   out.wallSeconds = secondsSince(start);

@@ -104,7 +104,8 @@ struct HierOptions {
   /// Top structure for fractureGdsHierarchical; empty auto-detects via
   /// findGdsTopStructure.
   std::string topStruct;
-  /// Persistent cell-fracture cache directory; empty = no cache.
+  /// Persistent cell-fracture cache directory; empty = no cache. A
+  /// fallback-only config (BatchConfig::fallbackOnly) never uses it.
   std::string cellCacheDir;
   /// Best-effort byte cap on the cache directory (0 = unlimited): after
   /// each store, least-recently-modified entries NOT touched by this
@@ -215,9 +216,10 @@ Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
 /// instantiates. out.isolatedCells and out.abortCause report the
 /// supervisor's verdicts. The returned Status is non-ok for
 /// supervisor-fatal conditions and, as for fracturePlan, a downgraded
-/// journal; per-cell failures degrade records instead.
-Status fracturePlanSupervised(const HierPlan& plan, const BatchConfig& config,
-                              const HierOptions& options,
+/// journal; per-cell failures degrade records instead. The parent
+/// fractures nothing itself (workers take the configuration from their
+/// command line), so it needs no BatchConfig.
+Status fracturePlanSupervised(const HierPlan& plan, const HierOptions& options,
                               SupervisorConfig supervisor,
                               HierarchicalResult& out,
                               RunCounters* countersOut = nullptr);

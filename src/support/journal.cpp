@@ -52,20 +52,6 @@ Status ioError(const std::string& what, const std::string& path) {
                 what + " '" + path + "': " + std::strerror(errno));
 }
 
-/// write() in full, retrying short writes and EINTR.
-bool writeAll(int fd, const char* data, std::size_t size) {
-  while (size > 0) {
-    const ssize_t n = sysio::write(fd, data, size);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += n;
-    size -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 }  // namespace
 
 std::uint32_t crc32(std::string_view bytes) {
@@ -174,10 +160,11 @@ Status JournalWriter::create(const std::string& path, std::string_view meta,
   putU32(header, kVersion);
   putU32(header, static_cast<std::uint32_t>(meta.size()));
   header.append(meta);
-  if (!writeAll(fd_, header.data(), header.size())) {
-    const Status st = ioError("cannot write journal header to", path);
+  const Status written = writeAllBytes(fd_, header.data(), header.size());
+  if (!written.ok()) {
     close();
-    return st;
+    return Status(StatusCode::kIoError, "cannot write journal header to '" +
+                                            path + "': " + written.message());
   }
   Status synced = sync();
   if (!synced.ok()) return synced;
@@ -267,10 +254,10 @@ Status JournalWriter::append(std::string_view payload) {
   if (fd_ < 0) {
     return Status(StatusCode::kInternal, "append on a closed journal");
   }
-  if (!writeAll(fd_, frame.data(), frame.size())) {
+  const Status written = writeAllBytes(fd_, frame.data(), frame.size());
+  if (!written.ok()) {
     return Status(StatusCode::kIoError,
-                  std::string("journal append failed: ") +
-                      std::strerror(errno));
+                  "journal append failed: " + written.message());
   }
   if (fsync_ == JournalFsync::kEachRecord && sysio::fsync(fd_) != 0) {
     return Status(StatusCode::kIoError,

@@ -7,11 +7,12 @@
 // Phases:
 //   1. Cold stampede: six processes start together on an empty shared
 //      cache, so every process misses every cell, fractures it, and
-//      races the others' two-phase publication renames. Every process
-//      must exit 0 with zero rejected entries (a half-published entry
-//      is a miss, never an integrity rejection), every .shots must be
+//      races the others' publication renames. Every process must exit
+//      0 with zero rejected entries (an entry is published by one
+//      rename, so no reader ever sees half of one), every .shots must be
 //      byte-identical to a cache-less reference run, and every manifest
-//      must pass `mbf_cli --verify`.
+//      must pass `mbf_cli --verify`. The cache must then hold one
+//      `.cell` per unique cell and no `.sha256` file.
 //   2. Warm stampede: six more simultaneous processes on the now-full
 //      cache — all hits, still zero rejections, still byte-identical.
 //   3. Quota stampede: six simultaneous processes under
@@ -260,8 +261,8 @@ int main(int argc, char** argv) {
   stampede(cli, dir, input, cache, refShots, "cold", 6, {});
   check(countWithSuffix(cache, ".cell") == 12,
         "cold: cache holds one .cell per unique cell");
-  check(countWithSuffix(cache, ".sha256") == 12,
-        "cold: every entry fully published with its sidecar");
+  check(countWithSuffix(cache, ".sha256") == 0,
+        "cold: every entry is one self-verifying file, no sidecar");
 
   // --- Phase 2: warm stampede -------------------------------------------
   stampede(cli, dir, input, cache, refShots, "warm", 6, {});

@@ -1,10 +1,7 @@
-// Unit tests for the grid substrate: dense grids, prefix sums, Gaussian
-// blur and connected components.
+// Unit tests for the grid substrate: dense grids, prefix sums and
+// connected components.
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "grid/blur.h"
 #include "grid/connected_components.h"
 #include "grid/grid.h"
 #include "grid/prefix_sum.h"
@@ -79,37 +76,6 @@ TEST(PrefixSumTest, MatchesBruteForceOnRandomMask) {
       }
     }
   }
-}
-
-TEST(BlurTest, PreservesMassAwayFromBorders) {
-  FloatGrid g(61, 61, 0.0f);
-  g.at(30, 30) = 1.0f;
-  gaussianBlur(g, 3.0);
-  double mass = 0.0;
-  for (const float v : g.data()) mass += v;
-  EXPECT_NEAR(mass, 1.0, 1e-3);
-}
-
-TEST(BlurTest, CenterIsPeak) {
-  FloatGrid g(41, 41, 0.0f);
-  g.at(20, 20) = 1.0f;
-  gaussianBlur(g, 2.0);
-  const float peak = g.at(20, 20);
-  for (int y = 0; y < g.height(); ++y) {
-    for (int x = 0; x < g.width(); ++x) {
-      EXPECT_LE(g.at(x, y), peak + 1e-7f);
-    }
-  }
-  // Symmetric.
-  EXPECT_FLOAT_EQ(g.at(18, 20), g.at(22, 20));
-  EXPECT_FLOAT_EQ(g.at(20, 17), g.at(20, 23));
-}
-
-TEST(BlurTest, NoOpForZeroSigma) {
-  FloatGrid g(5, 5, 0.0f);
-  g.at(2, 2) = 1.0f;
-  gaussianBlur(g, 0.0);
-  EXPECT_FLOAT_EQ(g.at(2, 2), 1.0f);
 }
 
 TEST(ConnectedComponentsTest, TwoBlobs) {

@@ -2,7 +2,7 @@
 // unique REACHABLE cell, instantiation by translation, top-structure
 // auto-detection, cycle/depth/overflow diagnostics, and the persistent
 // content-addressed cell-fracture cache (warm-run bitwise identity,
-// key invalidation, tamper rejection).
+// key invalidation, entry format, tamper rejection).
 #include <fcntl.h>
 #include <sys/file.h>
 #include <sys/stat.h>
@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <tuple>
@@ -315,7 +316,6 @@ TEST(CellCacheTest, KeyInvalidatesOnEveryResultRelevantField) {
   add("grid_bytes", [](BatchConfig& c) { c.params.maxGridBytes = 1 << 20; });
   add("method", [](BatchConfig& c) { c.method = Method::kGsc; });
   add("strict", [](BatchConfig& c) { c.allowDegradation = false; });
-  add("fallback_only", [](BatchConfig& c) { c.fallbackOnly = true; });
 
   for (const auto& [name, config] : variants) {
     EXPECT_NE(cellFractureKey(shapes, config), baseKey)
@@ -327,6 +327,12 @@ TEST(CellCacheTest, KeyInvalidatesOnEveryResultRelevantField) {
   threaded.threads = 8;
   threaded.params.numThreads = 8;
   EXPECT_EQ(cellFractureKey(shapes, threaded), baseKey);
+
+  // A fallback-only run never touches the cache, and its journal
+  // records must carry the key the supervising parent planned.
+  BatchConfig fallbackOnly = base;
+  fallbackOnly.fallbackOnly = true;
+  EXPECT_EQ(cellFractureKey(shapes, fallbackOnly), baseKey);
 
   // Geometry participates.
   std::vector<LayoutShape> moved = shapes;
@@ -343,37 +349,84 @@ struct TempCacheDir {
   ~TempCacheDir() { std::system(("rm -rf '" + path + "'").c_str()); }
 };
 
+/// The cell's fracture under `config` as a plan would hold it: plan
+/// index 0, the content key, one solution and report per shape.
+CellRecord fracturedCell(const std::vector<LayoutShape>& shapes,
+                         const BatchConfig& config) {
+  const BatchResult batch = fractureLayout(shapes, config);
+  return CellRecord{0, cellFractureKey(shapes, config), batch.solutions,
+                    batch.reports};
+}
+
+/// `cell` as the cache stores it: no plan index, no wall clock.
+CellRecord canonical(CellRecord cell) {
+  cell.cellIndex = -1;
+  for (Solution& s : cell.solutions) s.runtimeSeconds = 0.0;
+  return cell;
+}
+
+/// A record asking the cache for `key`.
+CellRecord lookupFor(const std::string& key) {
+  CellRecord record;
+  record.cellIndex = 3;
+  record.key = key;
+  return record;
+}
+
+void writeBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
 TEST(CellCacheTest, StoreLoadRoundTripIsBitExact) {
   TempCacheDir dir("roundtrip");
   CellFractureCache cache(dir.path + "/nested/deeper");
   ASSERT_TRUE(cache.prepare().ok());
 
-  const std::vector<LayoutShape> shapes = cellShapes();
-  const BatchConfig config;
-  const BatchResult batch = fractureLayout(shapes, config);
-  CellFracture cell;
-  cell.solutions = batch.solutions;
-  cell.reports = batch.reports;
+  const CellRecord cell = fracturedCell(cellShapes(), BatchConfig{});
+  ASSERT_TRUE(cache.store(cell).ok());
 
-  const std::string key = cellFractureKey(shapes, config);
-  ASSERT_TRUE(cache.store(key, cell).ok());
-
-  CellFracture back;
-  ASSERT_EQ(cache.load(key, back), CellFractureCache::Lookup::kHit);
-  // Bitwise equality of everything except runtimeSeconds, the one
-  // wall-clock field: the cache stores it canonicalized to zero so
-  // entry bytes are a pure function of the key (concurrent writers
-  // publish bit-identical payloads).
-  std::vector<Solution> expected = cell.solutions;
-  for (Solution& s : expected) s.runtimeSeconds = 0.0;
-  EXPECT_EQ(back.solutions, expected);
+  CellRecord back = lookupFor(cell.key);
+  ASSERT_EQ(cache.load(back), CellFractureCache::Lookup::kHit);
+  // The caller's plan index and key stay; the results are bitwise equal
+  // except runtimeSeconds, the one wall-clock field: the cache stores
+  // it canonicalized to zero so entry bytes are a pure function of the
+  // key (concurrent writers publish bit-identical payloads).
+  EXPECT_EQ(back.cellIndex, 3);
+  EXPECT_EQ(back.key, cell.key);
+  EXPECT_EQ(back.solutions, canonical(cell).solutions);
   ASSERT_EQ(back.reports.size(), cell.reports.size());
   EXPECT_EQ(cache.stats().hits, 1);
   EXPECT_EQ(cache.stats().stored, 1);
 
-  CellFracture missOut;
-  EXPECT_EQ(cache.load(std::string(64, 'a'), missOut),
-            CellFractureCache::Lookup::kMiss);
+  CellRecord missOut = lookupFor(std::string(64, 'a'));
+  EXPECT_EQ(cache.load(missOut), CellFractureCache::Lookup::kMiss);
+  EXPECT_TRUE(missOut.solutions.empty());
+}
+
+TEST(CellCacheTest, EntryIsDigestLinePlusCanonicalCellRecord) {
+  TempCacheDir dir("format");
+  CellFractureCache cache(dir.path);
+  ASSERT_TRUE(cache.prepare().ok());
+
+  CellRecord cell = fracturedCell(cellShapes(), BatchConfig{});
+  cell.cellIndex = 7;
+  for (Solution& s : cell.solutions) s.runtimeSeconds = 0.125;
+  ASSERT_TRUE(cache.store(cell).ok());
+
+  std::string bytes;
+  ASSERT_TRUE(readFileToString(cache.pathFor(cell.key), bytes).ok());
+  const std::string payload = encodeCellRecord(canonical(cell));
+  EXPECT_EQ(bytes, "mbf-cell-cache v2 " + sha256Hex(payload) + "\n" + payload);
+
+  // One file per entry: besides this process's liveness lock, the
+  // directory holds the entry alone.
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind(".mbf-live.", 0) != 0) names.push_back(name);
+  }
+  EXPECT_EQ(names, std::vector<std::string>{cell.key + ".cell"});
 }
 
 TEST(CellCacheTest, TamperedEntryIsRejectedNeverReused) {
@@ -381,76 +434,52 @@ TEST(CellCacheTest, TamperedEntryIsRejectedNeverReused) {
   CellFractureCache cache(dir.path);
   ASSERT_TRUE(cache.prepare().ok());
 
-  const std::vector<LayoutShape> shapes = cellShapes();
-  const BatchConfig config;
-  const BatchResult batch = fractureLayout(shapes, config);
-  CellFracture cell{batch.solutions, batch.reports};
-  const std::string key = cellFractureKey(shapes, config);
-  ASSERT_TRUE(cache.store(key, cell).ok());
-  const std::string path = cache.pathFor(key);
+  const CellRecord cell = fracturedCell(cellShapes(), BatchConfig{});
+  ASSERT_TRUE(cache.store(cell).ok());
+  const std::string path = cache.pathFor(cell.key);
+  std::string intact;
+  ASSERT_TRUE(readFileToString(path, intact).ok());
+  const std::size_t headerEnd = intact.find('\n') + 1;
+  ASSERT_LT(headerEnd, intact.size());
 
-  // Flip one byte deep in the payload (past the header).
-  std::string bytes;
-  ASSERT_TRUE(readFileToString(path, bytes).ok());
-  bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x01);
-  {
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  std::vector<std::pair<std::string, std::string>> damaged;
+  auto flipped = [&](std::size_t at) {
+    std::string bytes = intact;
+    bytes[at] = static_cast<char>(bytes[at] ^ 0x01);
+    return bytes;
+  };
+  damaged.emplace_back("header digest", flipped(headerEnd - 10));
+  damaged.emplace_back("payload",
+                       flipped(headerEnd + (intact.size() - headerEnd) / 2));
+  damaged.emplace_back("truncated payload",
+                       intact.substr(0, intact.size() - 1));
+  damaged.emplace_back("truncated header", intact.substr(0, headerEnd / 2));
+  for (const auto& [what, bytes] : damaged) {
+    writeBytes(path, bytes);
+    CellRecord out = lookupFor(cell.key);
+    EXPECT_EQ(cache.load(out), CellFractureCache::Lookup::kRejected) << what;
+    EXPECT_TRUE(out.solutions.empty()) << what;
   }
-  CellFracture out;
-  EXPECT_EQ(cache.load(key, out), CellFractureCache::Lookup::kRejected);
+  EXPECT_EQ(cache.stats().rejected, static_cast<int>(damaged.size()));
+  EXPECT_EQ(cache.stats().hits, 0);
 
-  // A matching sidecar does not save a lying header: rewrite the entry
-  // under the WRONG key with a fresh (valid) sidecar.
-  CellFractureCache other(dir.path);
-  const std::string wrongKey = std::string(64, 'b');
-  ASSERT_TRUE(other.store(wrongKey, cell).ok());
-  CellFracture aliased;
-  EXPECT_EQ(other.load(key, aliased), CellFractureCache::Lookup::kRejected);
+  // An intact entry copied to another key's path verifies its digest
+  // but names the wrong key: rejected too.
+  const std::string wrongKey(64, 'b');
+  writeBytes(cache.pathFor(wrongKey), intact);
+  CellRecord aliased = lookupFor(wrongKey);
+  EXPECT_EQ(cache.load(aliased), CellFractureCache::Lookup::kRejected);
 
-  // A missing sidecar is NOT tampering: it is the two-phase publication
-  // window (`.cell` renamed, `.sha256` not yet) a concurrent writer is
-  // legitimately inside, so the entry reads as an ordinary miss
-  // (DESIGN.md section 19). A PRESENT-but-mismatching sidecar still
-  // rejects, as above.
-  std::remove(sidecarPathFor(other.pathFor(wrongKey)).c_str());
-  EXPECT_EQ(other.load(wrongKey, aliased),
-            CellFractureCache::Lookup::kMiss);
-}
-
-TEST(CellCacheTest, MissingSidecarIsPublicationWindowMiss) {
-  TempCacheDir dir("pubwindow");
-  CellFractureCache cache(dir.path);
-  ASSERT_TRUE(cache.prepare().ok());
-  const std::vector<LayoutShape> shapes = cellShapes();
-  const BatchConfig config;
-  const BatchResult batch = fractureLayout(shapes, config);
-  CellFracture cell{batch.solutions, batch.reports};
-  const std::string key = cellFractureKey(shapes, config);
-  ASSERT_TRUE(cache.store(key, cell).ok());
-
-  // Simulate a concurrent writer caught between its two publication
-  // renames: `.cell` landed, `.sha256` not yet.
-  ASSERT_EQ(std::remove(sidecarPathFor(cache.pathFor(key)).c_str()), 0);
-  CellFracture out;
-  EXPECT_EQ(cache.load(key, out), CellFractureCache::Lookup::kMiss)
-      << "half-published entry must read as a miss, not an integrity hit";
-  EXPECT_EQ(cache.stats().rejected, 0);
-  EXPECT_EQ(cache.stats().misses, 1);
-
-  // The caller's response to a miss — re-fracture and store — completes
-  // publication and the entry becomes loadable.
-  ASSERT_TRUE(cache.store(key, cell).ok());
-  EXPECT_EQ(cache.load(key, out), CellFractureCache::Lookup::kHit);
+  // The caller's response to a rejection — re-fracture and store —
+  // repairs the entry.
+  ASSERT_TRUE(cache.store(cell).ok());
+  CellRecord repaired = lookupFor(cell.key);
+  EXPECT_EQ(cache.load(repaired), CellFractureCache::Lookup::kHit);
 }
 
 TEST(CellCacheTest, StoreOverExistingEntryIsBenignLastWriterWins) {
   TempCacheDir dir("lastwriter");
-  const std::vector<LayoutShape> shapes = cellShapes();
-  const BatchConfig config;
-  const BatchResult batch = fractureLayout(shapes, config);
-  CellFracture cell{batch.solutions, batch.reports};
-  const std::string key = cellFractureKey(shapes, config);
+  const CellRecord cell = fracturedCell(cellShapes(), BatchConfig{});
 
   // Two cache objects on one directory stand in for two processes that
   // both missed and both fractured the same cell: the key addresses the
@@ -458,46 +487,48 @@ TEST(CellCacheTest, StoreOverExistingEntryIsBenignLastWriterWins) {
   // of the race replaces a file with itself.
   CellFractureCache first(dir.path);
   ASSERT_TRUE(first.prepare().ok());
-  ASSERT_TRUE(first.store(key, cell).ok());
+  ASSERT_TRUE(first.store(cell).ok());
   std::string bytesAfterFirst;
-  ASSERT_TRUE(readFileToString(first.pathFor(key), bytesAfterFirst).ok());
+  ASSERT_TRUE(readFileToString(first.pathFor(cell.key), bytesAfterFirst).ok());
 
   // The second "process" fractured the same cell at a different wall
-  // clock — the one field two independent fractures legitimately differ
-  // in. Canonicalization must erase it from the stored bytes.
-  CellFracture later = cell;
+  // clock and plan index — what two independent fractures legitimately
+  // differ in. Canonicalization must erase both from the stored bytes.
+  CellRecord later = cell;
+  later.cellIndex = 5;
   for (Solution& s : later.solutions) s.runtimeSeconds += 17.25;
   CellFractureCache second(dir.path);
   ASSERT_TRUE(second.prepare().ok());
-  ASSERT_TRUE(second.store(key, later).ok());
+  ASSERT_TRUE(second.store(later).ok());
   std::string bytesAfterSecond;
-  ASSERT_TRUE(readFileToString(second.pathFor(key), bytesAfterSecond).ok());
+  ASSERT_TRUE(
+      readFileToString(second.pathFor(cell.key), bytesAfterSecond).ok());
   EXPECT_EQ(bytesAfterSecond, bytesAfterFirst);
 
-  CellFracture back;
-  ASSERT_EQ(first.load(key, back), CellFractureCache::Lookup::kHit);
-  std::vector<Solution> expected = cell.solutions;
-  for (Solution& s : expected) s.runtimeSeconds = 0.0;
-  EXPECT_EQ(back.solutions, expected);
+  CellRecord back = lookupFor(cell.key);
+  ASSERT_EQ(first.load(back), CellFractureCache::Lookup::kHit);
+  EXPECT_EQ(back.solutions, canonical(cell).solutions);
 }
 
 TEST(CellCacheTest, QuotaEvictionSkipsKeysNotedByLiveProcess) {
   TempCacheDir dir("quotalive");
-  const std::vector<LayoutShape> shapes = cellShapes();
-  const BatchConfig config;
-  const BatchResult batch = fractureLayout(shapes, config);
-  CellFracture cell{batch.solutions, batch.reports};
-  const std::string k1(64, '1');
-  const std::string k2(64, '2');
-  const std::string k3(64, '3');
+  const CellRecord cell = fracturedCell(cellShapes(), BatchConfig{});
+  auto keyed = [&](char digit) {
+    CellRecord r = cell;
+    r.key = std::string(64, digit);
+    return r;
+  };
+  const CellRecord k1 = keyed('1');
+  const CellRecord k2 = keyed('2');
+  const CellRecord k3 = keyed('3');
 
   // Run A stores k1 and exits (its liveness lock is released).
   std::string k1Path;
   {
     CellFractureCache a(dir.path);
     ASSERT_TRUE(a.prepare().ok());
-    ASSERT_TRUE(a.store(k1, cell).ok());
-    k1Path = a.pathFor(k1);
+    ASSERT_TRUE(a.store(k1).ok());
+    k1Path = a.pathFor(k1.key);
   }
 
   // A concurrent run under a fake pid holds its liveness lock and has
@@ -508,7 +539,7 @@ TEST(CellCacheTest, QuotaEvictionSkipsKeysNotedByLiveProcess) {
   const int ghostFd = ::open(ghostLock.c_str(), O_WRONLY | O_CREAT, 0644);
   ASSERT_GE(ghostFd, 0);
   ASSERT_EQ(::flock(ghostFd, LOCK_EX | LOCK_NB), 0);
-  const std::string line = k1 + "\n";
+  const std::string line = k1.key + "\n";
   ASSERT_EQ(::write(ghostFd, line.data(), line.size()),
             static_cast<ssize_t>(line.size()));
 
@@ -517,7 +548,7 @@ TEST(CellCacheTest, QuotaEvictionSkipsKeysNotedByLiveProcess) {
   CellFractureCache b(dir.path);
   ASSERT_TRUE(b.prepare().ok());
   b.setQuotaBytes(1);
-  ASSERT_TRUE(b.store(k2, cell).ok());
+  ASSERT_TRUE(b.store(k2).ok());
   struct stat st{};
   EXPECT_EQ(::stat(k1Path.c_str(), &st), 0) << "live-noted entry evicted";
   EXPECT_GE(b.stats().evictionsSkippedLive, 1);
@@ -525,10 +556,57 @@ TEST(CellCacheTest, QuotaEvictionSkipsKeysNotedByLiveProcess) {
 
   // The ghost process dies (lock released): the next sweep evicts k1.
   ASSERT_EQ(::close(ghostFd), 0);
-  ASSERT_TRUE(b.store(k3, cell).ok());
+  ASSERT_TRUE(b.store(k3).ok());
   EXPECT_NE(::stat(k1Path.c_str(), &st), 0)
       << "entry of a dead process must become evictable";
   EXPECT_GE(b.stats().evicted, 1);
+}
+
+/// Every file in `dir` with its bytes, sorted by name.
+std::vector<std::pair<std::string, std::string>> dirSnapshot(
+    const std::string& dir) {
+  std::vector<std::pair<std::string, std::string>> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::string bytes;
+    (void)readFileToString(entry.path().string(), bytes);
+    files.emplace_back(entry.path().filename().string(), std::move(bytes));
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+TEST(CellCacheTest, FallbackOnlyPlanNeitherLoadsNorStores) {
+  TempCacheDir dir("fallbackonly");
+  const GdsLibrary lib = arrayLib(3);
+  HierOptions options;
+  options.topStruct = "TOP";
+  options.cellCacheDir = dir.path;
+
+  // A normal run stores the cell's primary result under the key a
+  // fallback-only run of the same cell plans.
+  HierarchicalResult cold;
+  ASSERT_TRUE(fractureGdsHierarchical(lib, BatchConfig{}, options, cold).ok());
+  ASSERT_EQ(cold.cellCacheMisses, 1);
+  const auto before = dirSnapshot(dir.path);
+  ASSERT_EQ(before.size(), 1u);
+
+  BatchConfig fallback;
+  fallback.fallbackOnly = true;
+  HierarchicalResult degraded;
+  ASSERT_TRUE(
+      fractureGdsHierarchical(lib, fallback, options, degraded).ok());
+  EXPECT_EQ(degraded.cellCacheHits, 0);
+  EXPECT_EQ(degraded.cellCacheRejected, 0);
+  EXPECT_EQ(degraded.uniqueCellsFractured, 1);
+  EXPECT_EQ(degraded.batch.degradedShapes, 3);  // not the cached result
+  EXPECT_EQ(dirSnapshot(dir.path), before);
+
+  // On an absent cache directory nothing is created, let alone stored.
+  TempCacheDir absent("fallbackonly_absent");
+  options.cellCacheDir = absent.path;
+  ASSERT_TRUE(
+      fractureGdsHierarchical(lib, fallback, options, degraded).ok());
+  EXPECT_FALSE(std::filesystem::exists(absent.path));
 }
 
 TEST(CellCacheTest, WarmHierRunIsBitIdenticalWithZeroFractures) {

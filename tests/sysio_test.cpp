@@ -412,8 +412,9 @@ TEST_F(SysioTest, CloseCheckedSwallowsEioUnderNonePolicy) {
   sysio::disarm();
 }
 
-CellFracture trivialCell() {
-  CellFracture cell;
+CellRecord trivialCell(const std::string& key) {
+  CellRecord cell;
+  cell.key = key;
   Solution sol;
   sol.shots = {Rect{0, 0, 10, 10}};
   cell.solutions.push_back(sol);
@@ -429,7 +430,7 @@ TEST_F(SysioTest, CellCacheDisablesItselfAfterStoreFailure) {
   sysio::FaultSpec spec;
   ASSERT_TRUE(sysio::parseFaultSpec("write@1:enospc!", spec));
   sysio::arm(spec);
-  const Status st = cache.store("deadbeef", trivialCell());
+  const Status st = cache.store(trivialCell("deadbeef"));
   sysio::disarm();
 
   EXPECT_EQ(st.code(), StatusCode::kIoError);  // returned once, for the log
@@ -440,10 +441,10 @@ TEST_F(SysioTest, CellCacheDisablesItselfAfterStoreFailure) {
   EXPECT_EQ(countTempFiles(dir), 0);
 
   // Disabled cache: stores are silent no-ops, loads are plain misses.
-  EXPECT_TRUE(cache.store("cafef00d", trivialCell()).ok());
+  EXPECT_TRUE(cache.store(trivialCell("cafef00d")).ok());
   EXPECT_EQ(cache.stats().stored, 0);
-  CellFracture out;
-  EXPECT_EQ(cache.load("deadbeef", out), CellFractureCache::Lookup::kMiss);
+  CellRecord out = trivialCell("deadbeef");
+  EXPECT_EQ(cache.load(out), CellFractureCache::Lookup::kMiss);
   EXPECT_EQ(cache.stats().ioErrors, 1);  // counted once, not per op
 }
 
@@ -453,28 +454,27 @@ TEST_F(SysioTest, CellCacheQuotaEvictsOnlyUntouchedEntries) {
   {
     CellFractureCache warmup(dir);
     ASSERT_TRUE(warmup.prepare().ok());
-    ASSERT_TRUE(warmup.store("oldkey1", trivialCell()).ok());
-    ASSERT_TRUE(warmup.store("oldkey2", trivialCell()).ok());
+    ASSERT_TRUE(warmup.store(trivialCell("oldkey1")).ok());
+    ASSERT_TRUE(warmup.store(trivialCell("oldkey2")).ok());
   }
   // This run stores one entry under an absurdly small quota: both cold
   // entries are evictable, the entry this run touched is not.
   CellFractureCache cache(dir);
   ASSERT_TRUE(cache.prepare().ok());
   cache.setQuotaBytes(1);
-  ASSERT_TRUE(cache.store("newkey", trivialCell()).ok());
+  ASSERT_TRUE(cache.store(trivialCell("newkey")).ok());
 
   EXPECT_EQ(cache.stats().evicted, 2);
   EXPECT_FALSE(exists(cache.pathFor("oldkey1")));
   EXPECT_FALSE(exists(cache.pathFor("oldkey2")));
-  EXPECT_FALSE(exists(sidecarPathFor(cache.pathFor("oldkey1"))));
   EXPECT_TRUE(exists(cache.pathFor("newkey")));  // touched: never evicted
-  EXPECT_TRUE(exists(sidecarPathFor(cache.pathFor("newkey"))));
 
   // The surviving entry is still a verified hit for a fresh cache.
   CellFractureCache reread(dir);
   ASSERT_TRUE(reread.prepare().ok());
-  CellFracture out;
-  EXPECT_EQ(reread.load("newkey", out), CellFractureCache::Lookup::kHit);
+  CellRecord out;
+  out.key = "newkey";
+  EXPECT_EQ(reread.load(out), CellFractureCache::Lookup::kHit);
 }
 
 }  // namespace

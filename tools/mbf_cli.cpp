@@ -113,7 +113,8 @@
 //                                journal their CellRecords; requires
 //                                --journal
 //   --degrade-only               fallback-only re-fracture of a
-//                                crash-isolated culprit cell
+//                                crash-isolated culprit cell; skips
+//                                the cell cache
 //   --trace-raw=<path>           record trace spans and dump them as a
 //                                raw span file for the supervisor to
 //                                merge (instead of chrome JSON)
@@ -647,8 +648,7 @@ int main(int argc, char** argv) {
     sup.backoffBaseMs = backoffMs;
     sup.verbose = report;
     sup.collectTraceSpans = !traceJsonPath.empty();
-    runStatus = fracturePlanSupervised(plan, config, options, sup, run,
-                                       &counters);
+    runStatus = fracturePlanSupervised(plan, options, sup, run, &counters);
   } else {
     runStatus = fracturePlan(plan, config, options, run, &counters);
   }
