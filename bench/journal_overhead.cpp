@@ -31,7 +31,12 @@ int main() {
     shapes.push_back(std::move(s));
   }
   const std::string journalPath = "bench_journal_overhead.tmp";
-  const HierPlan plan = planFlatLayout(shapes, BatchConfig{});
+  HierPlan plan;
+  const Status planned = planFlatLayout(shapes, BatchConfig{}, plan);
+  if (!planned.ok()) {
+    std::cerr << "planFlatLayout: " << planned.str() << "\n";
+    return 1;
+  }
 
   Table table({"threads", "plain s", "journal s", "overhead",
                "fsync-each s", "overhead", "replay s"});

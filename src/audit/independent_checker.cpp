@@ -1,10 +1,15 @@
 #include "audit/independent_checker.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
+#include <optional>
 #include <sstream>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "parallel/parallel_for.h"
@@ -15,14 +20,26 @@ namespace {
 
 // --- .shots section parser --------------------------------------------
 
-bool parseIntToken(const char*& p, long long& out) {
+/// Reads one decimal integer. Fails when there is none, and — setting
+/// `outOfRange` — when it lies outside [lo, hi] (strtoll's own overflow,
+/// reported through ERANGE, included).
+bool parseIntToken(const char*& p, long long lo, long long hi, long long& out,
+                   bool& outOfRange) {
   char* end = nullptr;
+  errno = 0;
   const long long v = std::strtoll(p, &end, 10);
   if (end == p) return false;
+  if (errno == ERANGE || v < lo || v > hi) {
+    outOfRange = true;
+    return false;
+  }
   p = end;
   out = v;
   return true;
 }
+
+constexpr long long kInt32Min = std::numeric_limits<std::int32_t>::min();
+constexpr long long kInt32Max = std::numeric_limits<std::int32_t>::max();
 
 bool consume(const char*& p, const char* literal) {
   const char* q = p;
@@ -35,18 +52,28 @@ bool consume(const char*& p, const char* literal) {
   return true;
 }
 
-/// "# shape <i>: <n> shots, <m> failing px[, degraded]"
-bool parseSectionHeader(const std::string& line, ShotSection& out) {
+/// "# shape <i>: <n> shots, <m> failing px[, degraded]"; <i> and <n>
+/// must fit int32, <m> int64.
+bool parseSectionHeader(const std::string& line, ShotSection& out,
+                        bool& outOfRange) {
   const char* p = line.c_str();
   long long index = 0;
   long long shots = 0;
   long long failing = 0;
   if (!consume(p, "# shape ")) return false;
-  if (!parseIntToken(p, index)) return false;
+  if (!parseIntToken(p, kInt32Min, kInt32Max, index, outOfRange)) {
+    return false;
+  }
   if (!consume(p, ": ")) return false;
-  if (!parseIntToken(p, shots)) return false;
+  if (!parseIntToken(p, kInt32Min, kInt32Max, shots, outOfRange)) {
+    return false;
+  }
   if (!consume(p, " shots, ")) return false;
-  if (!parseIntToken(p, failing)) return false;
+  if (!parseIntToken(p, std::numeric_limits<long long>::min(),
+                     std::numeric_limits<long long>::max(), failing,
+                     outOfRange)) {
+    return false;
+  }
   if (!consume(p, " failing px")) return false;
   bool degraded = false;
   if (*p != '\0') {
@@ -61,13 +88,15 @@ bool parseSectionHeader(const std::string& line, ShotSection& out) {
   return true;
 }
 
-/// "x0 y0 x1 y1" with nothing but whitespace around the four ints.
-bool parseShotLine(const std::string& line, Rect& out) {
+/// "x0 y0 x1 y1": four int32s with nothing but whitespace around them.
+bool parseShotLine(const std::string& line, Rect& out, bool& outOfRange) {
   const char* p = line.c_str();
   long long v[4];
   for (int i = 0; i < 4; ++i) {
     while (*p == ' ' || *p == '\t') ++p;
-    if (!parseIntToken(p, v[i])) return false;
+    if (!parseIntToken(p, kInt32Min, kInt32Max, v[i], outOfRange)) {
+      return false;
+    }
   }
   while (*p == ' ' || *p == '\t') ++p;
   if (*p != '\0') return false;
@@ -136,6 +165,40 @@ class AuditProfileTable {
   std::vector<double> values_;
 };
 
+/// The audit's sameness key of one shape: its sanitized rings (counts,
+/// then vertices) and its section's shots in order, every coordinate
+/// minus the rings' bbox min corner, as raw int64 bytes. Two shapes with
+/// equal keys are one (target, shots) pair translated by an integer
+/// vector, which Problem's grid-local construction and the dense
+/// evaluator's int64 table offsets score identically (DESIGN.md section
+/// 16). Exact bytes, not a digest, and derived from what is audited
+/// rather than from the run's cell keys.
+std::string auditKey(const std::vector<Polygon>& rings,
+                     std::span<const Rect> shots) {
+  Rect box = rings.front().bbox();
+  for (const Polygon& ring : rings) box = box.unionWith(ring.bbox());
+  std::string key;
+  const auto put = [&key](std::int64_t v) {
+    key.append(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  put(static_cast<std::int64_t>(rings.size()));
+  for (const Polygon& ring : rings) {
+    put(static_cast<std::int64_t>(ring.size()));
+    for (const Point& p : ring.vertices()) {
+      put(std::int64_t{p.x} - box.x0);
+      put(std::int64_t{p.y} - box.y0);
+    }
+  }
+  put(static_cast<std::int64_t>(shots.size()));
+  for (const Rect& shot : shots) {
+    put(std::int64_t{shot.x0} - box.x0);
+    put(std::int64_t{shot.y0} - box.y0);
+    put(std::int64_t{shot.x1} - box.x0);
+    put(std::int64_t{shot.y1} - box.y0);
+  }
+  return key;
+}
+
 std::string fmtDouble(double v) {
   std::ostringstream os;
   os.precision(17);
@@ -156,27 +219,28 @@ Status parseShotSections(const std::string& content,
     if (!line.empty() && line.back() == '\r') line.pop_back();
     std::size_t first = line.find_first_not_of(" \t");
     if (first == std::string::npos) continue;  // blank line
+    const auto error = [&](const std::string& what) {
+      return Status(StatusCode::kParseError,
+                    "line " + std::to_string(lineNo) + ": " + what);
+    };
+    bool outOfRange = false;
     if (line[first] == '#') {
       ShotSection section;
-      if (parseSectionHeader(line.substr(first), section)) {
+      if (parseSectionHeader(line.substr(first), section, outOfRange)) {
         out.push_back(std::move(section));
         continue;
       }
-      return Status(StatusCode::kParseError,
-                    "line " + std::to_string(lineNo) +
-                        ": malformed section header: '" + line + "'");
+      return error((outOfRange ? "section header number out of range: '"
+                               : "malformed section header: '") +
+                   line + "'");
     }
     Rect shot;
-    if (!parseShotLine(line, shot)) {
-      return Status(StatusCode::kParseError,
-                    "line " + std::to_string(lineNo) +
-                        ": not an 'x0 y0 x1 y1' shot: '" + line + "'");
+    if (!parseShotLine(line, shot, outOfRange)) {
+      return error((outOfRange ? "shot coordinate outside the 32-bit range: '"
+                               : "not an 'x0 y0 x1 y1' shot: '") +
+                   line + "'");
     }
-    if (out.empty()) {
-      return Status(StatusCode::kParseError,
-                    "line " + std::to_string(lineNo) +
-                        ": shot before the first '# shape' header");
-    }
+    if (out.empty()) return error("shot before the first '# shape' header");
     out.back().shots.push_back(shot);
   }
   return Status();
@@ -203,12 +267,15 @@ DenseViolations denseViolations(const Problem& problem,
   std::vector<ShotProfile> profiles(shots.size());
   for (std::size_t i = 0; i < shots.size(); ++i) {
     const Rect& shot = shots[i];
-    Rect w{shot.x0 - origin.x - radius, shot.y0 - origin.y - radius,
-           shot.x1 - origin.x + radius, shot.y1 - origin.y + radius};
-    w.x0 = std::max(w.x0, 0);
-    w.y0 = std::max(w.y0, 0);
-    w.x1 = std::min(w.x1, width);
-    w.y1 = std::min(w.y1, height);
+    // In int64: a shot anywhere in the plane (a tampered one included)
+    // clamps onto the grid without overflowing.
+    const auto onGrid = [](std::int64_t v, int size) {
+      return static_cast<int>(std::clamp<std::int64_t>(v, 0, size));
+    };
+    Rect w{onGrid(std::int64_t{shot.x0} - origin.x - radius, width),
+           onGrid(std::int64_t{shot.y0} - origin.y - radius, height),
+           onGrid(std::int64_t{shot.x1} - origin.x + radius, width),
+           onGrid(std::int64_t{shot.y1} - origin.y + radius, height)};
     if (w.x1 < w.x0) w.x1 = w.x0;
     if (w.y1 < w.y0) w.y1 = w.y0;
     ShotProfile& p = profiles[i];
@@ -321,7 +388,10 @@ AuditReport auditShotSections(const std::vector<LayoutShape>& shapes,
   auditParams.maxGridBytes = 0;
   auditParams.faultInjector = nullptr;
 
+  // Pass 1, per shape: the checks that read the section and the claims
+  // alone, then the audit key of every shape the dense check applies to.
   std::vector<std::vector<std::string>> findings(n);
+  std::vector<std::string> keys(n);
   const int resolved = ThreadPool::resolveThreads(threads);
   parallelFor(0, static_cast<int>(n), resolved, 1, [&](int idx) {
     const auto i = static_cast<std::size_t>(idx);
@@ -386,17 +456,53 @@ AuditReport auditShotSections(const std::vector<LayoutShape>& shapes,
       }
       return;
     }
+    keys[i] = auditKey(rings, section.shots);
+  });
 
+  // Pass 2: one Problem and one dense evaluation per distinct key, in
+  // first-occurrence order.
+  struct Evaluation {
+    std::size_t shape = 0;  ///< the first shape with this key
     DenseViolations dense;
-    try {
-      const Problem problem(rings, auditParams);
-      dense = denseViolations(problem, section.shots);
-    } catch (const std::exception& e) {
-      out.push_back(std::string("audit could not rasterize the shape: ") +
-                    e.what());
-      return;
+    std::optional<std::string> error;  ///< set when it could not be gridded
+  };
+  std::vector<Evaluation> evaluations;
+  std::vector<int> evaluationOf(n, -1);
+  {
+    std::unordered_map<std::string_view, int> byKey;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (keys[i].empty()) continue;
+      const auto [it, added] =
+          byKey.try_emplace(keys[i], static_cast<int>(evaluations.size()));
+      if (added) evaluations.push_back({i, {}, {}});
+      evaluationOf[i] = it->second;
     }
+  }
+  const int distinct = static_cast<int>(evaluations.size());
+  report.denseEvaluations = distinct;
+  parallelFor(0, distinct, resolved, 1, [&](int e) {
+    Evaluation& ev = evaluations[static_cast<std::size_t>(e)];
+    try {
+      const Problem problem(sanitizedRings(shapes[ev.shape]), auditParams);
+      ev.dense = denseViolations(problem, sections[ev.shape].shots);
+    } catch (const std::exception& ex) {
+      ev.error = ex.what();
+    }
+  });
 
+  // Pass 3, per shape: its claims against its key's dense result.
+  for (std::size_t i = 0; i < n; ++i) {
+    if (evaluationOf[i] < 0) continue;
+    const Evaluation& ev =
+        evaluations[static_cast<std::size_t>(evaluationOf[i])];
+    const ShotSection& section = sections[i];
+    const ShapeExpectation& expect = expectations[i];
+    std::vector<std::string>& out = findings[i];
+    if (ev.error) {
+      out.push_back("audit could not rasterize the shape: " + *ev.error);
+      continue;
+    }
+    const DenseViolations& dense = ev.dense;
     if (dense.failOn + dense.failOff != section.claimedFailingPx) {
       out.push_back("header claims " +
                     std::to_string(section.claimedFailingPx) +
@@ -415,7 +521,7 @@ AuditReport auditShotSections(const std::vector<LayoutShape>& shapes,
       out.push_back("claimed cost " + fmtDouble(expect.cost) +
                     ", dense re-evaluation finds " + fmtDouble(dense.cost));
     }
-  });
+  }
 
   for (std::size_t i = 0; i < n; ++i) {
     for (std::string& what : findings[i]) {

@@ -96,6 +96,10 @@ struct AuditFinding {
 
 struct AuditReport {
   int shapesAudited = 0;
+  /// Problems built and densely evaluated: one per distinct (target,
+  /// shots) content among the audited shapes, so translated repeats —
+  /// hierarchical instances, flat copies — cost one evaluation.
+  int denseEvaluations = 0;
   std::vector<AuditFinding> findings;
 
   bool clean() const { return findings.empty(); }
@@ -106,9 +110,12 @@ struct AuditReport {
 /// Audits the parsed sections of one .shots artifact against the input
 /// layout and the per-shape claims. `shapes[i]` pairs with
 /// `sections[i]` and `expectations[i]`, and findings for it name shape
-/// i. Shapes are audited concurrently (`threads` as in
-/// BatchConfig::threads); findings are merged in shape order, so the
-/// report is deterministic.
+/// i. Every check runs per shape, but shapes whose sanitized rings and
+/// shots are equal up to an integer translation share one Problem and
+/// one dense evaluation (AuditReport::denseEvaluations). Checks and
+/// evaluations run concurrently (`threads` as in BatchConfig::threads);
+/// findings are merged in shape order, so the report is deterministic
+/// and equals auditing every shape on its own.
 AuditReport auditShotSections(const std::vector<LayoutShape>& shapes,
                               const FractureParams& params,
                               std::span<const ShotSection> sections,

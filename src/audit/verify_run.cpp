@@ -5,6 +5,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <sstream>
 #include <utility>
 
 #include "io/atomic_file.h"
@@ -95,6 +98,28 @@ Status locateManifestInDir(const std::string& dir, std::string& out) {
 double numberOr(const JsonValue* v, double fallback) {
   return v != nullptr && v->kind == JsonValue::Kind::kNumber ? v->number
                                                              : fallback;
+}
+
+/// The integer a manifest number holds: `fallback` when the field is
+/// absent or not a number; `fallback` plus an issue naming the field
+/// when it is not integral or does not fit Int (JSON numbers are
+/// doubles, so 1e300 parses — converting it would be undefined).
+template <typename Int>
+Int integerOr(const JsonValue* v, Int fallback, const std::string& field,
+              std::vector<std::string>& issues) {
+  if (v == nullptr || v->kind != JsonValue::Kind::kNumber) return fallback;
+  const double d = v->number;
+  // [min, -min) holds exactly Int's integral values, and both bounds
+  // are powers of two, so exact as doubles.
+  const double lo = static_cast<double>(std::numeric_limits<Int>::min());
+  if (d == std::trunc(d) && d >= lo && d < -lo) return static_cast<Int>(d);
+  std::ostringstream text;
+  text.precision(17);
+  text << d;
+  issues.push_back("manifest " + field + " = " + text.str() +
+                   " is not a " + std::to_string(8 * sizeof(Int)) +
+                   "-bit integer");
+  return fallback;
 }
 
 std::string stringOr(const JsonValue* v, const std::string& fallback) {
@@ -195,11 +220,13 @@ Status verifyRun(const VerifyOptions& options, VerifyReport& out) {
   p.gamma = numberOr(config->find("gamma"), p.gamma);
   p.sigma = numberOr(config->find("sigma"), p.sigma);
   p.rho = numberOr(config->find("rho"), p.rho);
-  p.lmin = static_cast<int>(numberOr(config->find("lmin"), p.lmin));
+  p.lmin = integerOr(config->find("lmin"), p.lmin, "config.lmin",
+                     out.fileIssues);
   p.backscatterEta = numberOr(config->find("eta"), p.backscatterEta);
   p.backscatterSigma =
       numberOr(config->find("sigma_back"), p.backscatterSigma);
-  p.nmax = static_cast<int>(numberOr(config->find("nmax"), p.nmax));
+  p.nmax = integerOr(config->find("nmax"), p.nmax, "config.nmax",
+                     out.fileIssues);
   if (!parseMethod(stringOr(config->find("method"), "ours"), batch.method)) {
     out.fileIssues.push_back("manifest config.method '" +
                              stringOr(config->find("method"), "") +
@@ -229,11 +256,12 @@ Status verifyRun(const VerifyOptions& options, VerifyReport& out) {
     return Status(StatusCode::kInvalidArgument,
                   "no instantiated shapes in input '" + inputPath + "'");
   }
-  const double claimedShapesRaw =
-      numberOr(input != nullptr ? input->find("shapes") : nullptr, -1.0);
+  const std::int64_t claimedShapesRaw = integerOr<std::int64_t>(
+      input != nullptr ? input->find("shapes") : nullptr, -1, "input.shapes",
+      out.fileIssues);
   const std::size_t claimedShapes =
-      claimedShapesRaw < 0.0 ? shapes.size()
-                             : static_cast<std::size_t>(claimedShapesRaw);
+      claimedShapesRaw < 0 ? shapes.size()
+                           : static_cast<std::size_t>(claimedShapesRaw);
   if (claimedShapes != shapes.size()) {
     out.fileIssues.push_back(
         "manifest says the run covered " + std::to_string(claimedShapes) +
@@ -283,17 +311,20 @@ Status verifyRun(const VerifyOptions& options, VerifyReport& out) {
   std::vector<ShapeExpectation> expectations;
   std::int64_t manifestShotTotal = -1;
   if (const JsonValue* totals = doc.find("totals"); totals != nullptr) {
-    manifestShotTotal =
-        static_cast<std::int64_t>(numberOr(totals->find("shots"), -1.0));
+    manifestShotTotal = integerOr<std::int64_t>(
+        totals->find("shots"), -1, "totals.shots", out.fileIssues);
   }
   if (const JsonValue* shapeList = doc.find("shapes");
       shapeList != nullptr && shapeList->isArray()) {
     for (const JsonValue& s : shapeList->items) {
+      const std::string at =
+          "shapes[" + std::to_string(expectations.size()) + "].";
       ShapeExpectation e;
       e.method = stringOr(s.find("method"), "");
-      e.failOn = static_cast<std::int64_t>(numberOr(s.find("fail_on"), 0.0));
-      e.failOff =
-          static_cast<std::int64_t>(numberOr(s.find("fail_off"), 0.0));
+      e.failOn = integerOr<std::int64_t>(s.find("fail_on"), 0,
+                                         at + "fail_on", out.fileIssues);
+      e.failOff = integerOr<std::int64_t>(s.find("fail_off"), 0,
+                                          at + "fail_off", out.fileIssues);
       e.cost = numberOr(s.find("cost"), 0.0);
       e.degraded = boolOr(s.find("degraded"), false);
       const JsonValue* status = s.find("status");

@@ -1,10 +1,30 @@
 #include "ebeam/proximity_model.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <mutex>
 
 namespace mbf {
+namespace {
+
+/// Process-wide Lth values, keyed by the bits of (sigma, rho, eta,
+/// sigma_back, gamma): a sweep touches a handful of models, a run one.
+struct LthMemo {
+  std::mutex mutex;
+  std::map<std::array<std::uint64_t, 5>, double> values;
+};
+
+LthMemo& lthMemo() {
+  static LthMemo memo;
+  return memo;
+}
+
+}  // namespace
 
 ProximityModel::ProximityModel(double sigma, double rho, double backscatterEta,
                                double backscatterSigma)
@@ -112,6 +132,25 @@ double ProximityModel::cornerErosionDepth() const {
 }
 
 double ProximityModel::computeLth(double gamma) const {
+  // Lth is a constant of the model, but the contour walk behind it costs
+  // ~150k erf evaluations and every Problem asks for it. Computed once
+  // per exact parameter set, under the lock so concurrent first callers
+  // wait instead of repeating the walk; every caller gets the same bits.
+  const std::array<std::uint64_t, 5> key = {
+      std::bit_cast<std::uint64_t>(sigma_), std::bit_cast<std::uint64_t>(rho_),
+      std::bit_cast<std::uint64_t>(eta_),
+      std::bit_cast<std::uint64_t>(sigmaBack_),
+      std::bit_cast<std::uint64_t>(gamma)};
+  LthMemo& memo = lthMemo();
+  const std::lock_guard<std::mutex> lock(memo.mutex);
+  const auto known = memo.values.find(key);
+  if (known != memo.values.end()) return known->second;
+  const double lth = contourLth(gamma);
+  memo.values.emplace(key, lth);
+  return lth;
+}
+
+double ProximityModel::contourLth(double gamma) const {
   // Work in coordinates rotated 45 degrees: u along the candidate segment,
   // v perpendicular. The corner contour is symmetric in u; v(u) peaks at
   // u = 0 and falls off toward the edges. The best-positioned 45-degree

@@ -95,7 +95,9 @@ class ProximityModel {
   double shotIntensity(const Rect& s, double x, double y) const;
 
   /// Longest 45-degree boundary segment a single shot corner can print
-  /// within CD tolerance `gamma` (paper figure 2). Computed numerically.
+  /// within CD tolerance `gamma` (paper figure 2). Computed numerically,
+  /// once per process for each (sigma, rho, eta, sigma_back, gamma):
+  /// later calls, from any thread, return the memoized value.
   double computeLth(double gamma) const;
 
   /// Depth (nm) by which the printed contour erodes a convex shot corner
@@ -117,6 +119,9 @@ class ProximityModel {
   std::vector<Vec2> cornerContour(double extent, double step = 0.05) const;
 
  private:
+  /// The contour walk behind computeLth, uncached.
+  double contourLth(double gamma) const;
+
   /// Table slot of T[k]; out-of-range k clamps onto the saturated end
   /// entries (0 below, 1 above).
   std::size_t tableIndex(std::int64_t k) const {

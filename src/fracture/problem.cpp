@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "geometry/edt.h"
@@ -98,50 +99,74 @@ Problem::Problem(std::vector<Polygon> rings, FractureParams params)
     }
   }
 
+  // Grid extent: the union bbox plus enough margin that every pixel a
+  // near-target shot could push over threshold is represented. Planning
+  // rejects shapes whose grid would leave int32; a direct caller gets
+  // an exception rather than a wrapped grid.
+  Rect unionBox = rings_[0].bbox();
+  for (const Polygon& r : rings_) unionBox = unionBox.unionWith(r.bbox());
+  const int pad = gridPad(params_);
+  if (!gridFits(unionBox.x0, unionBox.y0, unionBox.x1, unionBox.y1, pad)) {
+    throw std::out_of_range("Problem: target bbox " + unionBox.str() +
+                            " plus its " + std::to_string(pad) +
+                            " nm grid halo leaves the 32-bit coordinate "
+                            "space");
+  }
+  origin_ = {unionBox.x0 - pad, unionBox.y0 - pad};
+  const int w = unionBox.width() + 2 * pad;
+  const int h = unionBox.height() + 2 * pad;
+
+  // The grid-local copy of the rings, translated by -origin in integer
+  // arithmetic (exact: every vertex lands in [0, w] x [0, h]). Pixel
+  // (x, y) samples (x + 1/2, y + 1/2) of it, so everything decided here
+  // — orientation, nesting, the inside mask, the classes — is the same
+  // for every integer translation of the shape (DESIGN.md section 17).
+  std::vector<Polygon> local;
+  local.reserve(rings_.size());
+  for (const Polygon& ring : rings_) {
+    std::vector<Point> v;
+    v.reserve(ring.size());
+    for (const Point& p : ring.vertices()) {
+      v.push_back({p.x - origin_.x, p.y - origin_.y});
+    }
+    local.emplace_back(std::move(v));
+  }
+  auto reverseRing = [](Polygon& p) {
+    p = Polygon(std::vector<Point>(p.vertices().rbegin(),
+                                   p.vertices().rend()));
+  };
+
   // Canonical ring orientation: the largest ring comes first and is
   // counter-clockwise. Every other ring nested inside an earlier ring is
   // a hole (clockwise); rings outside every other ring are separate
   // components (counter-clockwise). Walking any ring then keeps the
   // target interior on the left. (One nesting level: holes-in-islands
-  // are not supported.)
+  // are not supported.) rings_ follows the decisions made on `local`.
   std::size_t outer = 0;
   double outerArea = -1.0;
-  for (std::size_t i = 0; i < rings_.size(); ++i) {
-    const double a = rings_[i].area();
+  for (std::size_t i = 0; i < local.size(); ++i) {
+    const double a = local[i].area();
     if (a > outerArea) {
       outerArea = a;
       outer = i;
     }
   }
   std::swap(rings_[0], rings_[outer]);
-  rings_[0].makeCounterClockwise();
-  for (std::size_t i = 1; i < rings_.size(); ++i) {
+  std::swap(local[0], local[outer]);
+  if (!local[0].isCounterClockwise()) reverseRing(rings_[0]);
+  for (std::size_t i = 1; i < local.size(); ++i) {
     bool nested = false;
-    for (std::size_t j = 0; j < rings_.size(); ++j) {
+    for (std::size_t j = 0; j < local.size(); ++j) {
       if (i == j) continue;
-      if (rings_[j].bbox().contains(rings_[i].bbox()) &&
-          rings_[j].contains(toVec2(rings_[i][0]) + Vec2{0.25, 0.25})) {
+      if (local[j].bbox().contains(local[i].bbox()) &&
+          local[j].contains(toVec2(local[i][0]) + Vec2{0.25, 0.25})) {
         nested = true;
         break;
       }
     }
-    Polygon& p = rings_[i];
-    if (nested == p.isCounterClockwise()) {
-      // Holes must be clockwise, separate components counter-clockwise.
-      std::vector<Point> rev(p.vertices().rbegin(), p.vertices().rend());
-      p = Polygon(std::move(rev));
-    }
+    // Holes must be clockwise, separate components counter-clockwise.
+    if (nested == local[i].isCounterClockwise()) reverseRing(rings_[i]);
   }
-
-  // Grid extent: the union bbox plus enough margin that every pixel a
-  // near-target shot could push over threshold is represented.
-  Rect unionBox = rings_[0].bbox();
-  for (const Polygon& r : rings_) unionBox = unionBox.unionWith(r.bbox());
-  const int pad = model_.influenceRadiusPx() + params_.lmin / 2 + 4;
-  const Rect box = unionBox.inflated(pad);
-  origin_ = box.bl();
-  const int w = box.width();
-  const int h = box.height();
 
   // Grid-memory budget: refuse before allocating, so a pathological
   // shape degrades to the baseline instead of taking the process down.
@@ -158,7 +183,7 @@ Problem::Problem(std::vector<Polygon> rings, FractureParams params)
   }
 
   inside_ = MaskGrid(w, h, 0);
-  rasterizeEvenOdd(rings_, origin_, inside_);
+  rasterizeEvenOdd(local, Point{0, 0}, inside_);
 
   // Narrow-band exact distances; EDT pre-filter keeps the band small.
   MaskGrid boundary(w, h, 0);
@@ -175,7 +200,7 @@ Problem::Problem(std::vector<Polygon> rings, FractureParams params)
   }
   const Grid<float> approxDist = distanceTransform(boundary);
   const double bandLimit = params_.gamma + 2.0;
-  SegmentIndex segIndex(rings_, box, bandLimit + 2.0);
+  SegmentIndex segIndex(local, Rect(0, 0, w, h), bandLimit + 2.0);
 
   classes_ = Grid<std::uint8_t>(w, h, 0);
   MaskGrid onMask(w, h, 0);
@@ -183,9 +208,7 @@ Problem::Problem(std::vector<Polygon> rings, FractureParams params)
     for (int x = 0; x < w; ++x) {
       const bool in = inside_.at(x, y) != 0;
       double d = approxDist.at(x, y);
-      if (d <= bandLimit) {
-        d = segIndex.distance({origin_.x + x + 0.5, origin_.y + y + 0.5});
-      }
+      if (d <= bandLimit) d = segIndex.distance({x + 0.5, y + 0.5});
       PixelClass cls;
       if (d <= params_.gamma) {
         cls = PixelClass::kDontCare;
@@ -202,6 +225,22 @@ Problem::Problem(std::vector<Polygon> rings, FractureParams params)
   }
   insideSum_ = PrefixSum2D(inside_);
   onSum_ = PrefixSum2D(onMask);
+}
+
+int Problem::gridPad(const FractureParams& params) {
+  return params.makeModel().influenceRadiusPx() + params.lmin / 2 + 4;
+}
+
+bool Problem::gridFits(std::int64_t x0, std::int64_t y0, std::int64_t x1,
+                       std::int64_t y1, int pad) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int32_t>::max();
+  x0 -= pad;
+  y0 -= pad;
+  x1 += pad;
+  y1 += pad;
+  return x0 >= kMin && y0 >= kMin && x1 <= kMax && y1 <= kMax &&
+         x1 - x0 <= kMax && y1 - y0 <= kMax;
 }
 
 std::int64_t Problem::insideArea(const Rect& worldRect) const {

@@ -40,7 +40,11 @@ class Problem {
   double lth() const { return lth_; }
 
   /// World coordinate of the grid anchor: pixel (i, j) samples
-  /// (origin.x + i + 0.5, origin.y + j + 0.5).
+  /// (origin.x + i + 0.5, origin.y + j + 0.5). The grids are built from
+  /// the rings translated by -origin in integer arithmetic, so a shape
+  /// moved by an integer vector gets the same class grid and inside mask
+  /// (its origin moves by that vector); rings() stays in layout
+  /// coordinates.
   Point origin() const { return origin_; }
   int gridWidth() const { return classes_.width(); }
   int gridHeight() const { return classes_.height(); }
@@ -73,6 +77,20 @@ class Problem {
   void checkpoint(const char* stage) const {
     if (exec_ != nullptr) exec_->checkpoint(stage);
   }
+
+  /// Margin, in pixels, the grid adds on every side of the target's
+  /// bbox: the model's influence radius, half a minimum shot and 4.
+  /// The constructor throws std::out_of_range when the bbox plus this
+  /// margin leaves the 32-bit coordinate space; planning rejects such
+  /// shapes up front (mdp/hierarchy).
+  static int gridPad(const FractureParams& params);
+
+  /// True when the grid of a target whose bbox spans [x0, x1] x [y0, y1]
+  /// — the bbox grown by `pad` (gridPad) on every side — lies inside the
+  /// 32-bit coordinate space. int64 bounds, so callers can pass a
+  /// translated bbox before narrowing it.
+  static bool gridFits(std::int64_t x0, std::int64_t y0, std::int64_t x1,
+                       std::int64_t y1, int pad);
 
   /// Estimated resident bytes per grid cell across the Problem's own
   /// grids (inside mask + classes + two 8-byte prefix sums) plus the

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
-#include <limits>
 #include <mutex>
 #include <unordered_map>
 #include <unordered_set>
@@ -68,8 +67,11 @@ Rect ownBbox(const GdsStructure& s) {
   return box;
 }
 
+/// `pad` is Problem::gridPad: every instantiated shape's grid, not just
+/// its geometry, must fit in int32.
 Status expandInto(const GdsLibrary& lib, const GdsStructure& s,
-                  Offset64 offset, std::vector<const GdsStructure*>& path,
+                  Offset64 offset, int pad,
+                  std::vector<const GdsStructure*>& path,
                   std::unordered_map<const GdsStructure*, Rect>& bboxes,
                   Expansion& out) {
   for (const GdsStructure* onPath : path) {
@@ -93,15 +95,14 @@ Status expandInto(const GdsLibrary& lib, const GdsStructure& s,
     auto it = bboxes.find(&s);
     if (it == bboxes.end()) it = bboxes.emplace(&s, ownBbox(s)).first;
     const Rect& box = it->second;
-    constexpr std::int64_t kMin = std::numeric_limits<std::int32_t>::min();
-    constexpr std::int64_t kMax = std::numeric_limits<std::int32_t>::max();
-    if (offset.x + box.x0 < kMin || offset.y + box.y0 < kMin ||
-        offset.x + box.x1 > kMax || offset.y + box.y1 > kMax) {
+    if (!Problem::gridFits(offset.x + box.x0, offset.y + box.y0,
+                           offset.x + box.x1, offset.y + box.y1, pad)) {
       Status status(StatusCode::kInvalidArgument,
                     "placement of cell '" + s.name + "' at offset (" +
                         std::to_string(offset.x) + ", " +
                         std::to_string(offset.y) +
-                        ") leaves the 32-bit coordinate space (chain " +
+                        ") leaves the 32-bit coordinate space with its " +
+                        std::to_string(pad) + " nm grid halo (chain " +
                         chainString(path) + ")");
       path.pop_back();
       return status;
@@ -116,7 +117,7 @@ Status expandInto(const GdsLibrary& lib, const GdsStructure& s,
     const GdsStructure* child = lib.findStructure(ref.structName);
     if (!child) continue;  // subset extraction: missing cells are skipped
     const Offset64 at{offset.x + ref.offset.x, offset.y + ref.offset.y};
-    Status status = expandInto(lib, *child, at, path, bboxes, out);
+    Status status = expandInto(lib, *child, at, pad, path, bboxes, out);
     if (!status.ok()) {
       path.pop_back();
       return status;
@@ -145,7 +146,7 @@ Status expandInto(const GdsLibrary& lib, const GdsStructure& s,
             offset.y + ref.origin.y +
                 static_cast<std::int64_t>(c) * ref.columnPitch.y +
                 static_cast<std::int64_t>(r) * ref.rowPitch.y};
-        Status status = expandInto(lib, *child, at, path, bboxes, out);
+        Status status = expandInto(lib, *child, at, pad, path, bboxes, out);
         if (!status.ok()) {
           path.pop_back();
           return status;
@@ -158,7 +159,7 @@ Status expandInto(const GdsLibrary& lib, const GdsStructure& s,
 }
 
 Status expandGds(const GdsLibrary& lib, const std::string& topStruct,
-                 Expansion& out) {
+                 int pad, Expansion& out) {
   std::string topName = topStruct;
   if (topName.empty()) {
     Status status = findGdsTopStructure(lib, topName);
@@ -172,7 +173,7 @@ Status expandGds(const GdsLibrary& lib, const std::string& topStruct,
   out.top = topName;
   std::vector<const GdsStructure*> path;
   std::unordered_map<const GdsStructure*, Rect> bboxes;
-  return expandInto(lib, *top, {0, 0}, path, bboxes, out);
+  return expandInto(lib, *top, {0, 0}, pad, path, bboxes, out);
 }
 
 LayoutShape translatedShape(const LayoutShape& shape, Point offset) {
@@ -369,31 +370,46 @@ double secondsSince(std::chrono::steady_clock::time_point start) {
 
 }  // namespace
 
-HierPlan planFlatLayout(std::vector<LayoutShape> shapes,
-                        const BatchConfig& config) {
-  HierPlan plan;
+Status planFlatLayout(std::vector<LayoutShape> shapes,
+                      const BatchConfig& config, HierPlan& out) {
+  out = HierPlan{};
+  const int pad = Problem::gridPad(config.params);
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    if (shapes[i].rings.empty()) continue;
+    Rect box = shapes[i].rings.front().bbox();
+    for (const Polygon& ring : shapes[i].rings) {
+      box = box.unionWith(ring.bbox());
+    }
+    if (!Problem::gridFits(box.x0, box.y0, box.x1, box.y1, pad)) {
+      return Status(StatusCode::kInvalidArgument,
+                    "shape " + std::to_string(i) + " (bbox " + box.str() +
+                        ") leaves the 32-bit coordinate space with its " +
+                        std::to_string(pad) + " nm grid halo");
+    }
+  }
   const int n = static_cast<int>(shapes.size());
-  plan.reachableCells = n;
-  plan.instancesExpanded = n;
-  plan.cells.resize(shapes.size());
-  plan.instances.resize(shapes.size());
+  out.reachableCells = n;
+  out.instancesExpanded = n;
+  out.cells.resize(shapes.size());
+  out.instances.resize(shapes.size());
   for (int i = 0; i < n; ++i) {
     // The cell keeps layout coordinates (instance offset 0): fracturing
     // is not exactly translation-invariant for every shape (DESIGN.md
     // section 17), so moving a shape could change its shots.
-    HierPlan::Cell& cell = plan.cells[static_cast<std::size_t>(i)];
+    HierPlan::Cell& cell = out.cells[static_cast<std::size_t>(i)];
     cell.shapes.push_back(std::move(shapes[static_cast<std::size_t>(i)]));
     cell.key = cellFractureKey(cell.shapes, config);
-    plan.instances[static_cast<std::size_t>(i)] = {i, {0, 0}};
+    out.instances[static_cast<std::size_t>(i)] = {i, {0, 0}};
   }
-  return plan;
+  return {};
 }
 
 Status planGdsHierarchy(const GdsLibrary& lib, const BatchConfig& config,
                         const std::string& topStruct, HierPlan& out) {
   out = HierPlan{};
   Expansion expansion;
-  Status status = expandGds(lib, topStruct, expansion);
+  Status status =
+      expandGds(lib, topStruct, Problem::gridPad(config.params), expansion);
   if (!status.ok()) return status;
   out.topStruct = expansion.top;
   out.reachableCells = static_cast<int>(expansion.reachable.size());
@@ -464,9 +480,10 @@ Status planLayoutFile(const std::string& path, const BatchConfig& config,
     return Status(StatusCode::kInvalidArgument,
                   "no polygons in input '" + path + "'");
   }
-  out = planFlatLayout(groupRings(std::move(rings)), config);
+  const Status planned =
+      planFlatLayout(groupRings(std::move(rings)), config, out);
   out.topStruct = topCell;
-  return {};
+  return planned;
 }
 
 std::vector<LayoutShape> planInstanceShapes(const HierPlan& plan) {

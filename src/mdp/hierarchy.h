@@ -74,13 +74,16 @@ struct HierPlan {
 /// Plans a flat layout as a degenerate hierarchy: cell i is shape i in
 /// layout coordinates, keyed by cellFractureKey, with one instance at
 /// offset 0. Takes the shapes by value so a caller done with them can
-/// move the geometry in.
-HierPlan planFlatLayout(std::vector<LayoutShape> shapes,
-                        const BatchConfig& config);
+/// move the geometry in. Fails, naming the first such shape, when a
+/// shape's bbox grown by Problem::gridPad leaves the 32-bit coordinate
+/// space: its fracture grid could not be addressed.
+Status planFlatLayout(std::vector<LayoutShape> shapes,
+                      const BatchConfig& config, HierPlan& out);
 
 /// Expands and dedupes the hierarchy without fracturing anything.
-/// Errors: unresolvable top, cycles, depth, out-of-range placements,
-/// AREF caps — each naming the cell chain.
+/// Errors: unresolvable top, cycles, depth, placements whose geometry
+/// grown by Problem::gridPad leaves int32, AREF caps — each naming the
+/// cell chain.
 Status planGdsHierarchy(const GdsLibrary& lib, const BatchConfig& config,
                         const std::string& topStruct, HierPlan& out);
 

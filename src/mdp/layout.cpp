@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <new>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -376,9 +377,11 @@ void mergeBatchAggregates(BatchResult& result,
 
 BatchResult fractureLayout(const std::vector<LayoutShape>& shapes,
                            const BatchConfig& config) {
+  HierPlan plan;
+  const Status planned = planFlatLayout(shapes, config, plan);
+  if (!planned.ok()) throw std::invalid_argument(planned.str());
   HierarchicalResult run;
-  (void)fracturePlan(planFlatLayout(shapes, config), config, HierOptions{},
-                     run);
+  (void)fracturePlan(plan, config, HierOptions{}, run);
   return std::move(run.batch);
 }
 

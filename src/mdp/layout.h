@@ -151,7 +151,8 @@ void mergeBatchAggregates(BatchResult& result,
 /// so jobs touch disjoint state and run concurrently without
 /// synchronisation, and results are merged in input order after the
 /// join, making the result byte-identical for any thread count
-/// (verified in tests).
+/// (verified in tests). Throws std::invalid_argument when planning
+/// refuses the layout (a shape's grid would leave int32).
 BatchResult fractureLayout(const std::vector<LayoutShape>& shapes,
                            const BatchConfig& config);
 

@@ -1,17 +1,21 @@
 // Output-integrity surface (DESIGN.md section 16): SHA-256 vectors, the
 // atomic-write protocol and hash sidecars, the sectioned .shots parser,
-// and the independent dense checker's bitwise oracle agreement with the
-// pipeline Verifier. Labelled `audit`; the asan preset replays it under
-// AddressSanitizer + UBSan.
+// the independent dense checker's bitwise oracle agreement with the
+// pipeline Verifier, the content-grouped audit and --verify's manifest
+// number checks. Labelled `audit`; the asan preset replays it under
+// AddressSanitizer + UBSan, the tsan preset under ThreadSanitizer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "audit/independent_checker.h"
+#include "audit/verify_run.h"
 #include "benchgen/ilt_synth.h"
 #include "fracture/problem.h"
 #include "fracture/verifier.h"
@@ -178,6 +182,38 @@ TEST(ParseShotSectionsTest, UnderfilledSectionParsesFine) {
   ASSERT_EQ(sections.size(), 1u);
   EXPECT_EQ(sections[0].claimedShots, 3);
   EXPECT_EQ(sections[0].shots.size(), 1u);
+}
+
+TEST(ParseShotSectionsTest, RejectsIntegersOutsideTheirRange) {
+  // strtoll reads these fine; narrowed to int they once became the
+  // shot `10 0 20 10` and shape 0.
+  std::vector<ShotSection> sections;
+  Status st = parseShotSections(
+      "# shape 0: 1 shots, 0 failing px\n4294967306 0 4294967316 10\n",
+      sections);
+  EXPECT_EQ(st.code(), StatusCode::kParseError);
+  EXPECT_NE(st.message().find("line 2"), std::string::npos) << st.message();
+  st = parseShotSections("# shape 4294967296: 0 shots, 0 failing px\n",
+                         sections);
+  EXPECT_EQ(st.code(), StatusCode::kParseError);
+  EXPECT_NE(st.message().find("line 1"), std::string::npos) << st.message();
+  st = parseShotSections("# shape 0: -2147483649 shots, 0 failing px\n",
+                         sections);
+  EXPECT_EQ(st.code(), StatusCode::kParseError);
+  // The failing-pixel count is int64: only strtoll's own overflow fails.
+  st = parseShotSections(
+      "\n# shape 0: 0 shots, 99999999999999999999 failing px\n", sections);
+  EXPECT_EQ(st.code(), StatusCode::kParseError);
+  EXPECT_NE(st.message().find("line 2"), std::string::npos) << st.message();
+  // The limits themselves parse.
+  ASSERT_TRUE(parseShotSections("# shape 2147483647: 1 shots, "
+                                "9223372036854775807 failing px\n"
+                                "-2147483648 0 2147483647 10\n",
+                                sections)
+                  .ok());
+  EXPECT_EQ(sections[0].index, 2147483647);
+  EXPECT_EQ(sections[0].claimedFailingPx, 9223372036854775807LL);
+  EXPECT_EQ(sections[0].shots[0], Rect(-2147483648, 0, 2147483647, 10));
 }
 
 // --- Oracle agreement: dense checker vs pipeline Verifier -------------
@@ -425,6 +461,132 @@ TEST(AuditSectionsTest, IncompleteShapeMustBeEmpty) {
   expectations[0] = {"empty", 0, 0, 0.0, false, /*completed=*/false, true};
   EXPECT_FALSE(
       auditShotSections(shapes, params, sections, expectations, 1).clean());
+}
+
+TEST(AuditSectionsTest, RepeatsAuditLikeSinglesWithOneEvaluationEach) {
+  // Translated copies of two shapes at far-apart offsets, among them one
+  // copy with a moved shot, one with tampered claims and one with its
+  // shots reordered. Grouped by content, the audit must report exactly
+  // what auditing every shape on its own reports, and evaluate each
+  // distinct (target, shots) content once.
+  FractureParams params;
+  params.nmax = 300;
+  const LayoutShape a = iltLayoutShape(61u);
+  const LayoutShape b = iltLayoutShape(62u);
+  const Solution solA = fractureShape(a, params, Method::kOurs);
+  const Solution solB = fractureShape(b, params, Method::kOurs);
+  ASSERT_GE(solA.shots.size(), 2u);
+
+  std::vector<LayoutShape> shapes;
+  std::vector<ShotSection> sections;
+  std::vector<ShapeExpectation> expectations;
+  auto add = [&](const LayoutShape& shape, const Solution& sol, Point at,
+                 std::vector<Rect> shots, std::int64_t failOnDelta) {
+    LayoutShape moved = shape;
+    for (Polygon& ring : moved.rings) ring.translate(at);
+    for (Rect& r : shots) r = r.translated(at);
+    const int index = static_cast<int>(shapes.size());
+    shapes.push_back(std::move(moved));
+    sections.push_back({index, sol.shotCount(), sol.failingPixels(),
+                        sol.degraded, std::move(shots)});
+    expectations.push_back({sol.method, sol.failOn + failOnDelta,
+                            sol.failOff, sol.cost, sol.degraded, true,
+                            true});
+  };
+  std::vector<Rect> movedShot = solA.shots;
+  movedShot.front().x0 += 3;
+  std::vector<Rect> reordered(solA.shots.rbegin(), solA.shots.rend());
+  add(a, solA, {0, 0}, solA.shots, 0);
+  add(b, solB, {-2000000000, 1500000000}, solB.shots, 0);
+  add(a, solA, {2000000000, -2000000000}, solA.shots, 0);
+  add(a, solA, {-1000000, 3000}, movedShot, 0);  // shots tampered
+  add(a, solA, {123457, -98765}, solA.shots, 1);  // claims tampered
+  add(a, solA, {-2100000000, -2100000000}, reordered, 0);
+  add(b, solB, {7, 11}, solB.shots, 0);
+
+  const AuditReport grouped =
+      auditShotSections(shapes, params, sections, expectations, 4);
+  std::vector<AuditFinding> alone;
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    ShotSection section = sections[i];
+    section.index = 0;
+    const AuditReport one = auditShotSections(
+        {shapes[i]}, params, std::span<const ShotSection>(&section, 1),
+        std::span<const ShapeExpectation>(&expectations[i], 1), 1);
+    EXPECT_EQ(one.denseEvaluations, 1);
+    for (const AuditFinding& f : one.findings) {
+      alone.push_back({static_cast<int>(i), f.what});
+    }
+  }
+  // The tampered copies are findings on their own.
+  const auto findingsOf = [&](int shape) {
+    return std::count_if(alone.begin(), alone.end(),
+                         [&](const AuditFinding& f) {
+                           return f.shapeIndex == shape;
+                         });
+  };
+  EXPECT_GT(findingsOf(3), 0);
+  EXPECT_GT(findingsOf(4), 0);
+  ASSERT_EQ(grouped.findings.size(), alone.size()) << grouped.str();
+  for (std::size_t k = 0; k < alone.size(); ++k) {
+    EXPECT_EQ(grouped.findings[k].shapeIndex, alone[k].shapeIndex);
+    EXPECT_EQ(grouped.findings[k].what, alone[k].what);
+  }
+  EXPECT_EQ(grouped.shapesAudited, 7);
+  // a (shapes 0, 2, 4), b (1, 6), the moved shot (3), the reorder (5).
+  EXPECT_EQ(grouped.denseEvaluations, 4);
+}
+
+// --- verifyRun: manifest numbers --------------------------------------
+
+TEST(VerifyRunTest, NonIntegralManifestNumbersAreNamedIssues) {
+  // JSON numbers are doubles: a manifest may hold 1e300 or 12.5 where
+  // an integer belongs. Each such field is a file issue naming it, never
+  // a narrowing conversion.
+  const std::string dir = tmpPath("verify_numbers");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::vector<Polygon> rings = {
+      Polygon({{0, 0}, {60, 0}, {60, 60}, {0, 60}})};
+  {
+    std::ofstream poly(dir + "/in.poly");
+    writePolygons(poly, rings);
+  }
+  FractureParams params;
+  params.nmax = 200;
+  const Solution sol = fractureShape({rings}, params, Method::kOurs);
+  {
+    std::ofstream shots(dir + "/out.shots");
+    writeBatchShots(shots, std::vector<Solution>{sol});
+  }
+  const std::string manifest =
+      "{\"schema\": \"mbf-run-manifest\",\n"
+      " \"config\": {\"lmin\": 12.5, \"nmax\": 1e300},\n"
+      " \"input\": {\"path\": \"" + dir + "/in.poly\", \"shapes\": 1e300},\n"
+      " \"output\": {\"path\": \"" + dir + "/out.shots\"},\n"
+      " \"totals\": {\"shots\": -1e300},\n"
+      " \"shapes\": [{\"method\": \"ours\", \"fail_on\": 1e300,\n"
+      "              \"fail_off\": 0.5, \"cost\": 0}]}\n";
+  {
+    std::ofstream out(dir + "/manifest.json");
+    out << manifest;
+  }
+  VerifyOptions options;
+  options.target = dir + "/manifest.json";
+  VerifyReport report;
+  ASSERT_TRUE(verifyRun(options, report).ok());
+  EXPECT_FALSE(report.clean());
+  for (const char* field :
+       {"config.lmin", "config.nmax", "input.shapes", "totals.shots",
+        "shapes[0].fail_on", "shapes[0].fail_off"}) {
+    const bool named = std::any_of(
+        report.fileIssues.begin(), report.fileIssues.end(),
+        [&](const std::string& issue) {
+          return issue.find(std::string("manifest ") + field + " = ") !=
+                 std::string::npos;
+        });
+    EXPECT_TRUE(named) << field << " not named in:\n" << report.str();
+  }
 }
 
 }  // namespace

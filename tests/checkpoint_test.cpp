@@ -82,6 +82,16 @@ void expectSameSolution(const Solution& a, const Solution& b,
   EXPECT_EQ(a.degraded, b.degraded) << "shape " << i;
 }
 
+/// The flat plan of `shapes` (in-range test geometry: planning never
+/// refuses it).
+HierPlan flatPlan(const std::vector<LayoutShape>& shapes,
+                  const BatchConfig& config) {
+  HierPlan plan;
+  const Status st = planFlatLayout(shapes, config, plan);
+  EXPECT_TRUE(st.ok()) << st.str();
+  return plan;
+}
+
 /// The layout run as a flat plan through the journaled executor.
 Status journaledRun(const std::vector<LayoutShape>& shapes,
                     const BatchConfig& config, const std::string& journal,
@@ -91,8 +101,8 @@ Status journaledRun(const std::vector<LayoutShape>& shapes,
   options.journalPath = journal;
   options.resume = resume;
   HierarchicalResult run;
-  const Status st = fracturePlan(planFlatLayout(shapes, config), config,
-                                 options, run, counters);
+  const Status st =
+      fracturePlan(flatPlan(shapes, config), config, options, run, counters);
   out = std::move(run.batch);
   return st;
 }
@@ -101,7 +111,7 @@ Status journaledRun(const std::vector<LayoutShape>& shapes,
 std::string flatJournalMeta(const std::vector<LayoutShape>& shapes,
                             const BatchConfig& config) {
   std::vector<std::string> keys;
-  for (const HierPlan::Cell& cell : planFlatLayout(shapes, config).cells) {
+  for (const HierPlan::Cell& cell : flatPlan(shapes, config).cells) {
     keys.push_back(cell.key);
   }
   const int n = static_cast<int>(keys.size());
@@ -508,7 +518,7 @@ TEST(ShardedBatchTest, ReportsCarryOriginalLayoutIndices) {
   ASSERT_EQ(plain.reports[4].status.shapeIndex(), 4);
 
   // Two shards of three cells, like two supervisor worker ranges.
-  const HierPlan plan = planFlatLayout(shapes, config);
+  const HierPlan plan = flatPlan(shapes, config);
   BatchResult merged;
   for (int begin = 0; begin < 6; begin += 3) {
     HierOptions shard;

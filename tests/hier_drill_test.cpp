@@ -20,9 +20,10 @@
 //      byte-identical.
 //   5. Invalidation: changing one fracture parameter (--gamma) misses
 //      every cell; the repeat under the new key hits every cell.
-//   6. Corpus: cyclic, over-deep and coordinate-overflowing GDS inputs
-//      exit 3 with diagnostics naming the defect; an ambiguous root
-//      without --top-cell names the candidates.
+//   6. Corpus: cyclic, over-deep and coordinate-overflowing GDS inputs,
+//      and shapes whose fracture grid would leave int32 (.poly and
+//      --hier), exit 3 with diagnostics naming the defect; an
+//      ambiguous root without --top-cell names the candidates.
 //   7. --selfcheck audits hierarchically produced shots clean.
 //   8. Crash-at-every-frame: for every prefix k of the cell journal
 //      (the exact state a SIGKILL between frames k and k+1 leaves,
@@ -55,11 +56,14 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "fracture/problem.h"
 #include "io/gdsii.h"
 #include "io/poly_io.h"
 #include "support/journal.h"
@@ -389,6 +393,40 @@ int main(int argc, char** argv) {
     check(runCli(cli, {path, dir + "/range.shots", "--hier"}, &log) == 3 &&
               log.find("32-bit") != std::string::npos,
           "out-of-range placement: exits 3 naming the overflow");
+  }
+  {
+    // A shape whose fracture grid (bbox plus Problem::gridPad) would
+    // leave int32 is refused up front, naming the shape or the cell.
+    const int pad = mbf::Problem::gridPad(mbf::FractureParams{});
+    const int low = std::numeric_limits<std::int32_t>::min() + pad - 1;
+    const int high = std::numeric_limits<std::int32_t>::max() - pad - 59;
+    std::string log;
+    for (const auto& [x, limit] : {std::pair{low, "-2^31"},
+                                   std::pair{high, "+2^31"}}) {
+      const std::string path = dir + "/edge.poly";
+      {
+        std::ofstream os(path);
+        os << "0 0\n60 0\n60 60\n0 60\n\n"
+           << x << " 0\n" << x + 60 << " 0\n" << x + 60 << " 60\n" << x
+           << " 60\n";
+      }
+      check(runCli(cli, {path, dir + "/edge.shots"}, &log) == 3 &&
+                log.find("shape 1 ") != std::string::npos &&
+                log.find("grid halo") != std::string::npos,
+            std::string("square in the grid halo of ") + limit +
+                ": exits 3 naming it");
+    }
+    mbf::GdsLibrary edge;
+    mbf::GdsStructure cell{
+        "CELL", {poly({{0, 0}, {60, 0}, {60, 60}, {0, 60}})}, {}, {}};
+    mbf::GdsStructure top{"TOP", {}, {{"CELL", {0, high}}}, {}};
+    edge.structures = {top, cell};
+    const std::string gds = dir + "/edge.gds";
+    check(writeGdsFile(gds, edge), "corpus: edge.gds written");
+    check(runCli(cli, {gds, dir + "/edge.shots", "--hier"}, &log) == 3 &&
+              log.find("'CELL'") != std::string::npos &&
+              log.find("grid halo") != std::string::npos,
+          "cell in the grid halo of +2^31: exits 3 naming it");
   }
   {
     // The main layout's ORPHAN makes the root ambiguous without

@@ -1,8 +1,8 @@
 // Hierarchical production path (DESIGN.md section 17): one fracture per
 // unique REACHABLE cell, instantiation by translation, top-structure
-// auto-detection, cycle/depth/overflow diagnostics, and the persistent
-// content-addressed cell-fracture cache (warm-run bitwise identity,
-// key invalidation, entry format, tamper rejection).
+// auto-detection, cycle/depth/overflow and grid-halo diagnostics, and the
+// persistent content-addressed cell-fracture cache (warm-run bitwise
+// identity, key invalidation, entry format, tamper rejection).
 #include <fcntl.h>
 #include <sys/file.h>
 #include <sys/stat.h>
@@ -11,10 +11,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -271,6 +273,84 @@ TEST(HierarchyTest, OutOfRangePlacementIsRejected) {
   const Status st = instanceShapes(lib, shapes);
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("32-bit"), std::string::npos) << st.message();
+}
+
+// A shape's fracture grid spans its bbox plus Problem::gridPad on every
+// side. Planning refuses a shape whose grid would leave int32: such a
+// grid once wrapped, and a 60 x 60 square near -2^31 fractured to four
+// shots instead of one.
+LayoutShape squareAt(Point at) {
+  LayoutShape shape;
+  shape.rings.push_back(Polygon({{at.x, at.y},
+                                 {at.x + 60, at.y},
+                                 {at.x + 60, at.y + 60},
+                                 {at.x, at.y + 60}}));
+  return shape;
+}
+
+/// x0 of the lowest and highest 60 x 60 squares whose grid fits int32.
+int lowestSquare() {
+  return std::numeric_limits<std::int32_t>::min() +
+         Problem::gridPad(FractureParams{});
+}
+int highestSquare() {
+  return std::numeric_limits<std::int32_t>::max() -
+         Problem::gridPad(FractureParams{}) - 60;
+}
+
+TEST(PlanningTest, FlatShapeWhoseGridLeavesInt32IsRejected) {
+  for (const Point at :
+       {Point{lowestSquare() - 1, 0}, Point{0, highestSquare() + 1}}) {
+    HierPlan plan;
+    const Status st =
+        planFlatLayout({squareAt({0, 0}), squareAt(at)}, BatchConfig{}, plan);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(st.message().find("shape 1 "), std::string::npos)
+        << st.message();
+    EXPECT_NE(st.message().find("32-bit"), std::string::npos);
+  }
+  for (const Point at :
+       {Point{lowestSquare(), 0}, Point{0, highestSquare()}}) {
+    HierPlan plan;
+    EXPECT_TRUE(planFlatLayout({squareAt(at)}, BatchConfig{}, plan).ok());
+  }
+}
+
+TEST(PlanningTest, HierPlacementWhoseGridLeavesInt32IsRejected) {
+  for (const bool inside : {true, false}) {
+    GdsLibrary lib;
+    GdsPolygon square;
+    square.polygon = squareAt({0, 0}).rings.front();
+    GdsStructure cell{"CELL", {square}, {}, {}};
+    const int x = highestSquare() + (inside ? 0 : 1);
+    GdsStructure top{"TOP", {}, {{"CELL", {x, 0}}}, {}};
+    lib.structures = {top, cell};
+    HierPlan plan;
+    const Status st = planGdsHierarchy(lib, BatchConfig{}, "", plan);
+    if (inside) {
+      EXPECT_TRUE(st.ok()) << st.str();
+    } else {
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(st.message().find("'CELL'"), std::string::npos)
+          << st.message();
+      EXPECT_NE(st.message().find("grid halo"), std::string::npos);
+    }
+  }
+}
+
+TEST(PlanningTest, SquareAtTheGridLimitFracturesLikeAtTheOrigin) {
+  const BatchResult origin = fractureLayout({squareAt({0, 0})}, BatchConfig{});
+  ASSERT_EQ(origin.solutions.size(), 1u);
+  for (const Point at : {Point{lowestSquare(), lowestSquare()},
+                         Point{highestSquare(), highestSquare()}}) {
+    const BatchResult far = fractureLayout({squareAt(at)}, BatchConfig{});
+    std::vector<Rect> expected = origin.solutions[0].shots;
+    for (Rect& r : expected) r = r.translated(at);
+    EXPECT_EQ(far.solutions[0].shots, expected) << at.x;
+    EXPECT_EQ(far.solutions[0].failOn, origin.solutions[0].failOn);
+    EXPECT_EQ(far.solutions[0].failOff, origin.solutions[0].failOff);
+    EXPECT_FALSE(far.reports[0].degraded);
+  }
 }
 
 // --------------------------------------------------------------------

@@ -6,13 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <random>
 #include <thread>
 #include <vector>
 
 #include "benchgen/opc_synth.h"
+#include "ebeam/proximity_model.h"
 #include "ebeam/intensity_map.h"
 #include "fracture/problem.h"
 #include "fracture/verifier.h"
@@ -22,6 +25,33 @@
 
 namespace mbf {
 namespace {
+
+// --- Lth memo -----------------------------------------------------------
+
+TEST(LthMemoTest, ConcurrentFirstCallsAgreeBitwise) {
+  // Every thread asks for the same never-computed Lth values at once;
+  // all must get the same bits, and different models different values.
+  const std::vector<double> gammas = {1.25, 2.0, 3.5};
+  std::vector<std::vector<double>> seen(8);
+  std::vector<std::thread> threads;
+  for (std::vector<double>& out : seen) {
+    threads.emplace_back([&gammas, &out] {
+      const ProximityModel model(6.25, 0.5);
+      for (const double g : gammas) out.push_back(model.computeLth(g));
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const std::vector<double>& out : seen) {
+    ASSERT_EQ(out.size(), gammas.size());
+    for (std::size_t i = 0; i < gammas.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+                std::bit_cast<std::uint64_t>(seen[0][i]));
+    }
+  }
+  EXPECT_LT(seen[0][0], seen[0][1]);
+  EXPECT_NE(ProximityModel(5.0, 0.5).computeLth(2.0), seen[0][1]);
+  EXPECT_NE(ProximityModel(6.25, 0.5, 0.2, 20.0).computeLth(2.0), seen[0][1]);
+}
 
 // --- ThreadPool ---------------------------------------------------------
 

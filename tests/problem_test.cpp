@@ -1,6 +1,11 @@
 // Unit tests for fracture::Problem: pixel classification into Pon / Poff /
-// Px and the O(1) area queries.
+// Px, the O(1) area queries, and the grids' covariance under integer
+// translation up to the int32 limits.
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
 
 #include "fracture/problem.h"
 
@@ -103,6 +108,41 @@ TEST(ProblemTest, LShapeClassification) {
   EXPECT_EQ(cls(15, 45), PixelClass::kOn);
   EXPECT_EQ(cls(45, 45), PixelClass::kOff);  // notch
   EXPECT_EQ(cls(30, 45), PixelClass::kDontCare);
+}
+
+TEST(ProblemTest, GridsAreCovariantUnderIntegerTranslation) {
+  // A skewed quadrilateral whose edge crossings are far from integers:
+  // gridded in layout coordinates in double precision, its copy moved
+  // near +2^31 once got an inside mask 12 px different from the
+  // original. Built from the grid-local rings, both grids are equal.
+  const Polygon quad({{0, 0}, {384, 350}, {330, 369}, {-15, 24}});
+  const Point delta{2147482647, 2147482647};
+  Polygon moved = quad;
+  moved.translate(delta);
+  const Problem base(quad, FractureParams{});
+  const Problem far(moved, FractureParams{});
+  EXPECT_EQ(far.origin().x, base.origin().x + delta.x);
+  EXPECT_EQ(far.origin().y, base.origin().y + delta.y);
+  ASSERT_EQ(far.gridWidth(), base.gridWidth());
+  ASSERT_EQ(far.gridHeight(), base.gridHeight());
+  EXPECT_EQ(far.insideMask().data(), base.insideMask().data());
+  EXPECT_EQ(far.classGrid().data(), base.classGrid().data());
+  EXPECT_EQ(far.numOnPixels(), base.numOnPixels());
+  EXPECT_EQ(far.numOffPixels(), base.numOffPixels());
+}
+
+TEST(ProblemTest, GridHaloOutsideInt32Throws) {
+  // The grid spans the bbox plus gridPad on every side; one nm more
+  // than int32 holds is refused instead of wrapping.
+  const int pad = Problem::gridPad(FractureParams{});
+  const int lo = std::numeric_limits<std::int32_t>::min() + pad;
+  EXPECT_NO_THROW(Problem(square(60, {lo, 0}), FractureParams{}));
+  EXPECT_THROW(Problem(square(60, {lo - 1, 0}), FractureParams{}),
+               std::out_of_range);
+  const int hi = std::numeric_limits<std::int32_t>::max() - pad - 60;
+  EXPECT_NO_THROW(Problem(square(60, {0, hi}), FractureParams{}));
+  EXPECT_THROW(Problem(square(60, {0, hi + 1}), FractureParams{}),
+               std::out_of_range);
 }
 
 }  // namespace

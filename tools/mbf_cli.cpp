@@ -130,8 +130,9 @@
 //      --metrics-json, --trace-json) could not be written, or a journal
 //      append failed mid-batch and the run completed unjournaled (the
 //      .shots artifact is intact; the journal artifact was dropped)
-//   3  input or output I/O error (unreadable, unparseable, empty input),
-//      or a fatal journal/supervisor error
+//   3  input or output I/O error (unreadable, unparseable, empty input,
+//      a shape whose fracture grid would leave int32), or a fatal
+//      journal/supervisor error
 //   4  completed without degradation but with failing pixels — or, with
 //      --strict, any per-shape failure
 //   5  partial success: completed, but one or more plan cells crashed
@@ -256,7 +257,8 @@ int runVerifyMode(int argc, char** argv) {
   }
   std::cout << "verify: OK — " << report.artifactsChecked
             << " artifact(s) hashed, " << report.audit.shapesAudited
-            << " shape(s) re-checked, 0 discrepancies"
+            << " shape(s) re-checked (" << report.audit.denseEvaluations
+            << " distinct evaluated), 0 discrepancies"
             << (report.interrupted ? " (interrupted run: partial by design)"
                                    : "")
             << " [" << report.manifestPath << "]\n";
@@ -781,7 +783,8 @@ int main(int argc, char** argv) {
     AuditReport audit = auditOnce();
     if (audit.clean()) {
       std::cerr << "selfcheck: " << audit.shapesAudited
-                << " shape(s) audited, 0 findings\n";
+                << " shape(s) audited (" << audit.denseEvaluations
+                << " distinct evaluated), 0 findings\n";
     } else {
       std::cerr << "selfcheck: " << audit.findings.size()
                 << " finding(s):\n" << audit.str();
