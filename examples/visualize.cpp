@@ -29,6 +29,8 @@ int main(int argc, char** argv) {
       ColoringFracturer{}.fractureWithArtifacts(problem);
   Refiner refiner(problem);
   const Solution refined = refiner.refine(art.shots);
+  // Stage-1 geometry is grid-local; draw it over the target.
+  const Vec2 origin = toVec2(problem.origin());
 
   {
     SvgWriter svg(view);
@@ -38,7 +40,8 @@ int main(int argc, char** argv) {
   {
     SvgWriter svg(view);
     svg.addPolygon(shape, "#cfe3f7", "none");
-    for (const auto& ring : art.extraction.simplifiedRings) {
+    for (std::vector<Vec2> ring : art.extraction.simplifiedRings) {
+      for (Vec2& v : ring) v = v + origin;
       svg.addRing(ring, "none", "#d62728", 0.5, 0.0);
     }
     svg.save("stage1_rdp.svg");
@@ -54,7 +57,7 @@ int main(int argc, char** argv) {
         case CornerType::kTopLeft: color = "#9467bd"; break;
         case CornerType::kTopRight: color = "#ff7f0e"; break;
       }
-      svg.addCircle(c.pos, 1.2, color);
+      svg.addCircle(c.pos + origin, 1.2, color);
     }
     svg.save("stage2_corners.svg");
   }

@@ -154,6 +154,9 @@ Rect placeShotForClass(const Problem& problem,
   if (hasT && !hasB) r.y0 = r.y1 - lmin;
   // A class always pins at least one corner, so both axes have an anchor.
 
+  // The pins are grid-local, so they round the same wherever the shape
+  // sits; the integer rect then moves to layout coordinates.
+  r = problem.gridToWorld(r);
   if (hasL && !hasR) extendToOppositeBoundary(problem, r, Side::kRight);
   if (hasR && !hasL) extendToOppositeBoundary(problem, r, Side::kLeft);
   if (hasB && !hasT) extendToOppositeBoundary(problem, r, Side::kTop);

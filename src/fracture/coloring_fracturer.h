@@ -34,7 +34,9 @@ class ColoringFracturer {
 /// Places the shot for one color class (set of mutually compatible corner
 /// points). Degenerate classes (one point, or two points on the same shot
 /// edge) get minimum extent in the free directions and are then extended
-/// until they touch the opposite boundary of the target (figure 4).
+/// until they touch the opposite boundary of the target (figure 4). The
+/// points are grid-local (CornerExtraction); the shot is in layout
+/// coordinates.
 Rect placeShotForClass(const Problem& problem,
                        const std::vector<CornerPoint>& classPoints);
 

@@ -155,10 +155,20 @@ CornerExtraction extractCornerPoints(const Problem& problem) {
   const double shift = problem.model().cornerLineOffset(problem.params().gamma);
 
   {
+    // Stage 1 runs in the grid frame: the rings translated by -origin in
+    // integer arithmetic, so every double below depends only on the
+    // shape, never on where it sits in the layout (DESIGN.md section 17).
     TraceScope traceSimplify("simplify");
+    const Point origin = problem.origin();
+    std::vector<Vec2> local;
     for (const Polygon& ringPoly : problem.rings()) {
+      local.clear();
+      for (const Point& p : ringPoly.vertices()) {
+        local.push_back({static_cast<double>(p.x - origin.x),
+                         static_cast<double>(p.y - origin.y)});
+      }
       result.simplifiedRings.push_back(
-          simplifyRing(ringPoly, problem.params().gamma));
+          simplifyRing(local, problem.params().gamma));
     }
   }
 

@@ -31,6 +31,9 @@ struct CornerPoint {
   CornerType type;
 };
 
+/// Every position here is GRID-LOCAL: relative to Problem::origin(), so
+/// the extraction of a shape is the same wherever the shape sits in the
+/// layout. Add origin() to draw it over layout coordinates.
 struct CornerExtraction {
   /// RDP output per target ring (closed, implicit wrap): [0] is the outer
   /// boundary, the rest are holes (walked clockwise, interior on the left).

@@ -44,7 +44,8 @@ class Problem {
   /// the rings translated by -origin in integer arithmetic, so a shape
   /// moved by an integer vector gets the same class grid and inside mask
   /// (its origin moves by that vector); rings() stays in layout
-  /// coordinates.
+  /// coordinates, and stage 1 translates it the same way
+  /// (CornerExtraction is grid-local).
   Point origin() const { return origin_; }
   int gridWidth() const { return classes_.width(); }
   int gridHeight() const { return classes_.height(); }

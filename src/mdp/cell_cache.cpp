@@ -16,8 +16,9 @@ namespace mbf {
 namespace {
 
 // Key tag and entry header tag: bumping it re-addresses every entry, so
-// entries of an older format are never read.
-constexpr char kMagic[] = "mbf-cell-cache v2";
+// entries of an older format are never read. v3: stage 1 runs in the
+// grid frame and cells are anchored, so v2 results may differ.
+constexpr char kMagic[] = "mbf-cell-cache v3";
 
 void putBytes(Sha256& h, const void* data, std::size_t size) {
   h.update(data, size);

@@ -1,14 +1,14 @@
 // Persistent, content-addressed cell-fracture cache (DESIGN.md section
-// 17). A hierarchical run fractures each UNIQUE cell once; this cache
-// extends that leverage across runs: a cell's fracture result is stored
-// on disk under a SHA-256 key over its normalized cell-local geometry
-// plus the result-relevant fracture configuration, so a warm re-run (or
+// 17). A run fractures each UNIQUE cell once; this cache extends that
+// leverage across runs: a cell's fracture result is stored on disk
+// under a SHA-256 key over its anchored cell-local geometry plus the
+// result-relevant fracture configuration, so a warm re-run (or
 // a run on a revision touching a few cells) fractures only cache
 // misses.
 //
 // Format: an entry is ONE self-verifying file, `<dir>/<key>.cell`,
 // published by a single atomicWriteFile (io/atomic_file): the line
-// `mbf-cell-cache v2 <SHA-256 of the payload>`, then the journal's
+// `mbf-cell-cache v3 <SHA-256 of the payload>`, then the journal's
 // encodeCellRecord frame (mdp/checkpoint) of the cell's CellRecord. A
 // lookup reads the file once, checks the digest, decodes the frame and
 // checks the embedded key; any mismatch — bit rot, a tampered byte, a

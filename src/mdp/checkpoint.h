@@ -49,8 +49,9 @@ std::string journalMetaFor(const std::vector<LayoutShape>& shapes,
 
 /// A plan cell's complete fracture result: one solution and one report
 /// per shape of the cell, in groupRings order. It is addressed by its
-/// index in the plan (GDS: the first-visit order of unique cells under
-/// the top structure; flat: the shape index; -1 in a cell-cache entry)
+/// index in the plan (the first-visit order of unique cells: under the
+/// top structure for GDS, in layout order for flat input; -1 in a
+/// cell-cache entry)
 /// and stamped with the cell-cache content key so replay can prove the
 /// record still describes the cell it claims to. Shots are cell-local;
 /// instantiation translates them and re-stamps failing statuses.

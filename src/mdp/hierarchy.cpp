@@ -5,6 +5,7 @@
 #include <chrono>
 #include <filesystem>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -180,6 +181,47 @@ LayoutShape translatedShape(const LayoutShape& shape, Point offset) {
   LayoutShape t = shape;
   for (Polygon& ring : t.rings) ring.translate(offset);
   return t;
+}
+
+/// Moves a cell's shapes so that their union bbox min corner is (0, 0)
+/// and returns that corner: the ANCHOR its instances add to their
+/// offsets. Cells equal up to translation thus get equal content keys.
+/// A cell without rings stays where it is.
+Point anchorShapes(std::vector<LayoutShape>& shapes) {
+  std::optional<Rect> box;
+  for (const LayoutShape& shape : shapes) {
+    for (const Polygon& ring : shape.rings) {
+      box = box ? box->unionWith(ring.bbox()) : ring.bbox();
+    }
+  }
+  if (!box) return {0, 0};
+  const Point anchor{box->x0, box->y0};
+  for (LayoutShape& shape : shapes) {
+    for (Polygon& ring : shape.rings) {
+      std::vector<Point> v = ring.vertices();
+      for (Point& p : v) p = {p.x - anchor.x, p.y - anchor.y};
+      ring = Polygon(std::move(v));
+    }
+  }
+  return anchor;
+}
+
+/// Plans one cell: anchors its shapes, keys them and either finds the
+/// plan cell with that content or appends a new one. Returns the
+/// instance of that cell placed at offset (0, 0): its offset is the
+/// anchor.
+HierPlan::Instance internCell(std::vector<LayoutShape> shapes,
+                              const BatchConfig& config,
+                              std::unordered_map<std::string, int>& keyToCell,
+                              HierPlan& plan) {
+  const Point anchor = anchorShapes(shapes);
+  std::string key = cellFractureKey(shapes, config);
+  const auto known = keyToCell.find(key);
+  if (known != keyToCell.end()) return {known->second, anchor};
+  const int index = static_cast<int>(plan.cells.size());
+  keyToCell.emplace(key, index);
+  plan.cells.push_back(HierPlan::Cell{std::move(shapes), std::move(key)});
+  return {index, anchor};
 }
 
 /// A journaled CellRecord is only installed if it provably describes
@@ -390,16 +432,13 @@ Status planFlatLayout(std::vector<LayoutShape> shapes,
   const int n = static_cast<int>(shapes.size());
   out.reachableCells = n;
   out.instancesExpanded = n;
-  out.cells.resize(shapes.size());
-  out.instances.resize(shapes.size());
-  for (int i = 0; i < n; ++i) {
-    // The cell keeps layout coordinates (instance offset 0): fracturing
-    // is not exactly translation-invariant for every shape (DESIGN.md
-    // section 17), so moving a shape could change its shots.
-    HierPlan::Cell& cell = out.cells[static_cast<std::size_t>(i)];
-    cell.shapes.push_back(std::move(shapes[static_cast<std::size_t>(i)]));
-    cell.key = cellFractureKey(cell.shapes, config);
-    out.instances[static_cast<std::size_t>(i)] = {i, {0, 0}};
+  out.instances.reserve(shapes.size());
+  // One anchored cell per distinct shape, in first-occurrence order; every
+  // shape is an instance of its cell, in layout order.
+  std::unordered_map<std::string, int> keyToCell;
+  for (LayoutShape& shape : shapes) {
+    out.instances.push_back(
+        internCell({std::move(shape)}, config, keyToCell, out));
   }
   return {};
 }
@@ -416,10 +455,10 @@ Status planGdsHierarchy(const GdsLibrary& lib, const BatchConfig& config,
   out.instancesExpanded = expansion.visits;
 
   // One plan cell per CONTENT key, in first-visit order: two GDS cells
-  // with identical geometry (under identical parameters) share one
-  // fracture, one cache slot and one plan index.
-  std::unordered_map<const GdsStructure*, int> cellToEntry;
-  std::unordered_map<std::string, int> keyToEntry;
+  // whose geometry is equal up to translation (under identical
+  // parameters) share one fracture, one cache slot and one plan index.
+  std::unordered_map<const GdsStructure*, HierPlan::Instance> cellToEntry;
+  std::unordered_map<std::string, int> keyToCell;
   for (const CellInstance& inst : expansion.instances) {
     auto it = cellToEntry.find(inst.cell);
     if (it == cellToEntry.end()) {
@@ -428,21 +467,15 @@ Status planGdsHierarchy(const GdsLibrary& lib, const BatchConfig& config,
       for (const GdsPolygon& gp : inst.cell->polygons) {
         rings.push_back(gp.polygon);
       }
-      std::vector<LayoutShape> shapes = groupRings(std::move(rings));
-      std::string key = cellFractureKey(shapes, config);
-      const auto known = keyToEntry.find(key);
-      int index;
-      if (known != keyToEntry.end()) {
-        index = known->second;
-      } else {
-        index = static_cast<int>(out.cells.size());
-        out.cells.push_back(HierPlan::Cell{std::move(shapes),
-                                           std::move(key)});
-        keyToEntry.emplace(out.cells.back().key, index);
-      }
-      it = cellToEntry.emplace(inst.cell, index).first;
+      it = cellToEntry
+               .emplace(inst.cell, internCell(groupRings(std::move(rings)),
+                                              config, keyToCell, out))
+               .first;
     }
-    out.instances.push_back(HierPlan::Instance{it->second, inst.offset});
+    // In int32: the anchored geometry at this offset is the placed
+    // geometry, which expansion range-checked.
+    out.instances.push_back(HierPlan::Instance{
+        it->second.cell, inst.offset + it->second.offset});
   }
   return {};
 }
@@ -495,6 +528,39 @@ std::vector<LayoutShape> planInstanceShapes(const HierPlan& plan) {
     }
   }
   return shapes;
+}
+
+SupervisorResult superviseFracture(const SupervisorConfig& config) {
+  HierPlan plan;
+  const Status planned =
+      planLayoutFile(config.inputPath, BatchConfig{}, false, "", plan);
+  if (!planned.ok()) {
+    SupervisorResult failed;
+    failed.status = planned;
+    return failed;
+  }
+  SupervisorConfig cells = config;
+  cells.numShapes = static_cast<int>(plan.cells.size());
+  SupervisorResult result = superviseCells(cells);
+  // A flat plan's instances are its shapes in layout order, one per
+  // instance of a one-shape cell.
+  for (std::size_t i = 0; i < plan.instances.size(); ++i) {
+    const HierPlan::Instance& inst = plan.instances[i];
+    const auto it = result.cellRecords.find(inst.cell);
+    if (it == result.cellRecords.end() || it->second.solutions.size() != 1) {
+      continue;
+    }
+    const int index = static_cast<int>(i);
+    ShapeRecord& record = result.records[index];
+    record.shapeIndex = index;
+    record.solution = it->second.solutions.front();
+    for (Rect& shot : record.solution.shots) {
+      shot = shot.translated(inst.offset);
+    }
+    record.report = it->second.reports.front();
+    if (!record.report.status.ok()) record.report.status.withShape(index);
+  }
+  return result;
 }
 
 Status fracturePlan(const HierPlan& plan, const BatchConfig& config,

@@ -5,18 +5,17 @@
 // 2 -- but only thousands of unique cells), and with the persistent
 // cell-fracture cache (mdp/cell_cache) it extends across runs: a warm
 // re-run fractures only the cells whose geometry or parameters changed.
-// A flat layout is the degenerate plan — one single-instance cell per
-// shape — so every run, flat or hierarchical, in-process or supervised,
-// goes through the same executor, journal format and cache.
+// A flat layout is the degenerate plan — a one-level hierarchy with one
+// cell per distinct shape — so every run, flat or hierarchical,
+// in-process or supervised, goes through the same executor, journal
+// format and cache, and fractures each distinct shape once.
 //
-// Correctness contract: fracturing is invariant under whole-pixel
-// (integer-nm) translation — pinned by the audit layer's metamorphic
-// test — so a cell's cell-local solution translated to an instance
-// offset is bitwise the solution a flat run would have produced there.
-// The contract has a known exception (DESIGN.md section 17: corner
-// extraction rounds in layout coordinates, which can change a
-// curvilinear shape's corners), which is why flat plans keep their
-// shapes in layout coordinates.
+// Correctness contract: fracturing is exactly covariant under
+// whole-pixel (integer-nm) translation — pinned by the metamorphic
+// test — so every plan cell is ANCHORED (its shapes moved so their
+// union bbox min corner is (0, 0)) and a cell's cell-local solution
+// translated to an instance offset is bitwise the solution a flat run
+// would have produced there (DESIGN.md section 17).
 // The instance expansion mirrors flattenGdsChecked's traversal order
 // (own polygons, then SREFs, then AREFs, row-major), so the hierarchical
 // shape list lines up one-to-one with the flattened one whenever
@@ -41,13 +40,14 @@ namespace mbf {
 /// input under the same config produce identical plans, which is what
 /// lets a worker shard cells by index and a resumed run trust journaled
 /// indices. A flat layout is the degenerate case (planFlatLayout): one
-/// single-instance cell per shape.
+/// one-shape cell per distinct shape.
 ///
 /// The PLAN-SHAPE ORDINAL of a cell shape counts shapes over the cells
 /// in plan order, then within the cell; it is the index fracturing
 /// stamps on a shape's Status and hands the fault injector, so it is
 /// the same in every process and under any cache or resume state. For
-/// a flat plan it equals the shape's index in the layout.
+/// a flat plan it counts distinct shapes in first-occurrence order (the
+/// layout index when no shape repeats).
 struct HierPlan {
   /// Top structure the plan was expanded (or flattened) from; empty for
   /// .poly input and auto-detected flat .gds roots.
@@ -56,27 +56,32 @@ struct HierPlan {
   std::int64_t instancesExpanded = 0;
 
   struct Cell {
-    std::vector<LayoutShape> shapes;  ///< cell-local, groupRings order
-    std::string key;                  ///< cellFractureKey under the config
+    /// Anchored: groupRings order, moved so that the union bbox min
+    /// corner is (0, 0).
+    std::vector<LayoutShape> shapes;
+    std::string key;  ///< cellFractureKey under the config
   };
-  /// GDS plans: one entry per CONTENT key, in first-visit (DFS) order.
-  /// Flat plans: one entry per shape, in layout order.
+  /// One entry per CONTENT key, in first-visit order: DFS order for GDS
+  /// plans, layout order for flat ones.
   std::vector<Cell> cells;
 
   struct Instance {
     int cell = -1;  ///< index into `cells`
+    /// Where the anchored cell lands: the placement offset plus the
+    /// cell's anchor (its bbox min corner in its own coordinates).
     Point offset;
   };
   /// Every placement carrying geometry, in DFS (flat-equivalent) order.
   std::vector<Instance> instances;
 };
 
-/// Plans a flat layout as a degenerate hierarchy: cell i is shape i in
-/// layout coordinates, keyed by cellFractureKey, with one instance at
-/// offset 0. Takes the shapes by value so a caller done with them can
-/// move the geometry in. Fails, naming the first such shape, when a
-/// shape's bbox grown by Problem::gridPad leaves the 32-bit coordinate
-/// space: its fracture grid could not be addressed.
+/// Plans a flat layout as a one-level hierarchy: one anchored cell per
+/// distinct shape (the first occurrence of each cellFractureKey), and
+/// one instance per shape at its bbox min corner, in layout order.
+/// Takes the shapes by value so a caller done with them can move the
+/// geometry in. Fails, naming the first such shape, when a shape's bbox
+/// grown by Problem::gridPad leaves the 32-bit coordinate space: its
+/// fracture grid could not be addressed.
 Status planFlatLayout(std::vector<LayoutShape> shapes,
                       const BatchConfig& config, HierPlan& out);
 
@@ -226,6 +231,16 @@ Status fracturePlanSupervised(const HierPlan& plan, const HierOptions& options,
                               SupervisorConfig supervisor,
                               HierarchicalResult& out,
                               RunCounters* countersOut = nullptr);
+
+/// Supervises a flat input the way mbf_cli --isolate does and returns
+/// SupervisorResult::records: one ShapeRecord per layout shape, shots in
+/// layout coordinates. It replans config.inputPath as its workers do
+/// (default BatchConfig: the caller forwards no worker flags), sets
+/// config.numShapes to the plan's cell count and supervises those cells
+/// (superviseCells). A planning failure is the result's status. For
+/// callers that merge shapes themselves, such as bench/e2e's traced run;
+/// mbf_cli uses fracturePlanSupervised.
+SupervisorResult superviseFracture(const SupervisorConfig& config);
 
 /// planGdsHierarchy from options.topStruct, then fracturePlan.
 Status fractureGdsHierarchical(const GdsLibrary& lib,

@@ -22,6 +22,9 @@ namespace mbf {
 
 std::vector<LayoutShape> groupRings(std::vector<Polygon> rings) {
   const std::size_t n = rings.size();
+  std::vector<Rect> boxes;
+  boxes.reserve(n);
+  for (const Polygon& ring : rings) boxes.push_back(ring.bbox());
   // parent[i] = index of the ring containing ring i, or -1.
   std::vector<int> parent(n, -1);
   for (std::size_t i = 0; i < n; ++i) {
@@ -29,7 +32,7 @@ std::vector<LayoutShape> groupRings(std::vector<Polygon> rings) {
       if (i == j) continue;
       // Containment test: bbox plus a representative vertex. Mask rings
       // never intersect, so one interior vertex decides.
-      if (!rings[j].bbox().contains(rings[i].bbox())) continue;
+      if (!boxes[j].contains(boxes[i])) continue;
       if (rings[j].contains(toVec2(rings[i][0]) + Vec2{0.25, 0.25})) {
         parent[i] = static_cast<int>(j);
         break;

@@ -71,9 +71,9 @@ struct ShapeOutcome {
 /// rect-partition fallback solution tagged `degraded` instead of
 /// throwing. Never throws except on allocation failure of its own
 /// bookkeeping. `shapeIndex` is the shape's plan-shape ordinal (see
-/// mdp/hierarchy's HierPlan; a flat layout's shape index), the same in
-/// every process whatever shard it runs in; it is stamped on every
-/// Status and selects the fault injector's armed faults.
+/// mdp/hierarchy's HierPlan), the same in every process whatever shard
+/// it runs in; it is stamped on every Status and selects the fault
+/// injector's armed faults.
 /// `fallbackOnly` skips the primary method (and fault injection)
 /// entirely and goes straight to the fallback ladder — the supervisor
 /// uses it to re-fracture a crash-isolated culprit shape without
@@ -145,8 +145,8 @@ void mergeBatchAggregates(BatchResult& result,
 
 /// Parallel layout fracturing: runs `shapes` as a flat plan through the
 /// in-process plan executor (mdp/hierarchy: planFlatLayout +
-/// fracturePlan), unjournaled and uncached. Every shape is one job on
-/// the work-stealing pool with private Problem/Verifier state; a
+/// fracturePlan), unjournaled and uncached. Every distinct shape is one
+/// job on the work-stealing pool with private Problem/Verifier state; a
 /// shape's grid covers its polygon inflated by the gamma + 3*sigma halo,
 /// so jobs touch disjoint state and run concurrently without
 /// synchronisation, and results are merged in input order after the

@@ -521,14 +521,4 @@ SupervisorResult superviseCells(const SupervisorConfig& config) {
   return result;
 }
 
-SupervisorResult superviseFracture(const SupervisorConfig& config) {
-  SupervisorResult result = superviseCells(config);
-  for (const auto& [index, cell] : result.cellRecords) {
-    if (cell.solutions.size() != 1) continue;
-    result.records[index] = {index, cell.solutions.front(),
-                             cell.reports.front()};
-  }
-  return result;
-}
-
 }  // namespace mbf

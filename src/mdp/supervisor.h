@@ -1,8 +1,8 @@
 // Supervised multi-process fracturing (mbf_cli --isolate). The
 // supervisor shards a plan's cell ranges (mdp/hierarchy; a flat
-// layout's cells are its shapes) across worker subprocesses — each
-// worker is mbf_cli re-exec'd in a hidden worker mode, journaling every
-// completed cell to a per-range journal — and survives what no
+// layout's cells are its distinct shapes) across worker subprocesses —
+// each worker is mbf_cli re-exec'd in a hidden worker mode, journaling
+// every completed cell to a per-range journal — and survives what no
 // in-process ladder can: segfaults, OOM-kills and hard hangs of the
 // fracture engine itself.
 //
@@ -57,7 +57,7 @@ struct SupervisorConfig {
   /// and friends). The supervisor adds the worker-mode plumbing itself.
   std::vector<std::string> workerArgs;
 
-  /// Plan cells to supervise (a flat layout's shape count).
+  /// Plan cells to supervise (a flat layout's distinct shapes).
   int numShapes = 0;
   int jobs = 2;            ///< concurrent worker processes
   int chunkShapes = 0;     ///< cells per initial range; 0 = derive
@@ -88,8 +88,9 @@ struct SupervisorResult {
   /// Holes (crashed-even-in-fallback cells, drained or aborted ranges)
   /// are the caller's to fill — it owns the plan and instantiation.
   std::map<int, CellRecord> cellRecords;
-  /// superviseFracture only: the one-shape view of `cellRecords` for a
-  /// flat input, whose plan cell i is shape i in layout coordinates.
+  /// superviseFracture only (mdp/hierarchy): one record per layout
+  /// shape of a flat input, keyed by layout index, shots in layout
+  /// coordinates.
   std::map<int, ShapeRecord> records;
   RunCounters counters;
   /// Plan indices of crash-isolated culprit cells.
@@ -115,13 +116,6 @@ struct SupervisorResult {
 
 /// Supervises the plan cell ranges and harvests the workers' CellRecords.
 SupervisorResult superviseCells(const SupervisorConfig& config);
-
-/// superviseCells plus SupervisorResult::records, for a flat input. It
-/// stays for callers that supervise a flat layout directly and merge
-/// shapes themselves, such as bench/e2e's traced run; the supervised
-/// driver (fracturePlanSupervised) owns its plan, instantiates it and
-/// calls superviseCells.
-SupervisorResult superviseFracture(const SupervisorConfig& config);
 
 /// Absolute path of the running executable (/proc/self/exe), falling
 /// back to `argv0` when the proc link is unreadable.

@@ -736,9 +736,10 @@ std::string buildRunManifest(const RunManifestInfo& info,
   w.key("total_shot_area").value(shotStats.totalShotArea);
   w.endObject();
 
-  // Hierarchy leverage: what --hier saved. "fracture_work_avoided" is
-  // the instantiated shapes the run did NOT fracture individually —
-  // instancing plus the persistent cell cache account for all of it.
+  // Plan leverage, for flat and --hier runs alike: "fracture_work_avoided"
+  // is the instantiated shapes the run did NOT fracture individually —
+  // instancing (repeated cells, repeated flat shapes) plus the journal
+  // and the persistent cell cache account for all of it.
   w.key("hier").beginObject();
   w.key("enabled").value(info.hier.enabled);
   w.key("top_cell").value(info.hier.topCell);
@@ -763,15 +764,10 @@ std::string buildRunManifest(const RunManifestInfo& info,
     w.key("cache_disabled").value(true);
   }
   w.key("instances_expanded").value(info.hier.instancesExpanded);
-  w.key("instantiated_shapes")
-      .value(info.hier.enabled
-                 ? static_cast<std::int64_t>(result.solutions.size())
-                 : 0);
+  const auto instantiated = static_cast<std::int64_t>(result.solutions.size());
+  w.key("instantiated_shapes").value(instantiated);
   w.key("fracture_work_avoided")
-      .value(info.hier.enabled
-                 ? static_cast<std::int64_t>(result.solutions.size()) -
-                       info.hier.uniqueShapesFractured
-                 : 0);
+      .value(instantiated - info.hier.uniqueShapesFractured);
   w.endObject();
 
   w.key("recovery").beginObject();

@@ -279,7 +279,7 @@ struct RunManifestInfo {
   /// meaningful.
   bool haveRecovery = false;
   /// Plan indices of crash-isolated cells (supervised runs; a flat
-  /// layout's cells are its shapes).
+  /// layout's cells are its distinct shapes).
   std::vector<int> isolatedShapes;
   /// Checksummed artifacts for `mbf_cli --verify` (DESIGN.md sec. 16).
   std::vector<ArtifactEntry> artifacts;

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "benchgen/ilt_synth.h"
@@ -45,7 +46,8 @@ Polygon square(int size, Point at = {0, 0}) {
 }
 
 /// A small mixed layout: synthesized ILT shapes so solutions carry
-/// non-trivial doubles, plus plain squares.
+/// non-trivial doubles, plus plain squares. The squares (every third
+/// shape) are translated repeats, so they share one plan cell.
 std::vector<LayoutShape> testLayout(int n) {
   std::vector<LayoutShape> shapes;
   for (int i = 0; i < n; ++i) {
@@ -328,6 +330,9 @@ TEST(JournaledRunTest, MatchesPlainRunExactly) {
   BatchConfig config;
   config.threads = 2;
   const BatchResult plain = fractureLayout(shapes, config);
+  // Shapes 0 and 3 are one plan cell.
+  const std::size_t cells = flatPlan(shapes, config).cells.size();
+  ASSERT_EQ(cells, 5u);
 
   TempFile journal("plain_match");
   BatchResult journaled;
@@ -337,13 +342,17 @@ TEST(JournaledRunTest, MatchesPlainRunExactly) {
           .ok());
   expectSameBatch(plain, journaled);
   EXPECT_EQ(counters.resumedShapes, 0);
-  EXPECT_EQ(counters.freshShapes, static_cast<int>(shapes.size()));
+  EXPECT_EQ(counters.freshShapes, static_cast<int>(cells));
 }
 
 TEST(JournaledRunTest, ResumeFromPartialJournalIsByteIdentical) {
   const std::vector<LayoutShape> shapes = testLayout(8);
   BatchConfig config;
   const BatchResult plain = fractureLayout(shapes, config);
+  // Shapes 0, 3 and 6 are one plan cell; the journal holds one record
+  // per cell.
+  const std::size_t cells = flatPlan(shapes, config).cells.size();
+  ASSERT_EQ(cells, 6u);
 
   // A full journal to harvest records from.
   TempFile fullJournal("resume_full");
@@ -356,13 +365,13 @@ TEST(JournaledRunTest, ResumeFromPartialJournalIsByteIdentical) {
   std::string meta;
   std::vector<std::string> records;
   ASSERT_TRUE(recoverJournal(fullJournal.path(), meta, records).ok());
-  ASSERT_EQ(records.size(), shapes.size());
+  ASSERT_EQ(records.size(), cells);
 
   // Resume from every prefix size, at several thread counts: the merged
   // output must equal the uninterrupted run bit for bit.
   for (const int threads : {1, 4, 8}) {
-    for (const std::size_t keep : {std::size_t{0}, std::size_t{3},
-                                   std::size_t{7}, records.size()}) {
+    for (const std::size_t keep :
+         {std::size_t{0}, std::size_t{3}, cells - 1, cells}) {
       TempFile partial("resume_partial");
       {
         JournalWriter writer;
@@ -382,8 +391,7 @@ TEST(JournaledRunTest, ResumeFromPartialJournalIsByteIdentical) {
           << "threads=" << threads << " keep=" << keep;
       expectSameBatch(plain, resumed);
       EXPECT_EQ(counters.resumedShapes, static_cast<int>(keep));
-      EXPECT_EQ(counters.freshShapes,
-                static_cast<int>(shapes.size() - keep));
+      EXPECT_EQ(counters.freshShapes, static_cast<int>(cells - keep));
       // The journal is now complete: a second resume replays everything.
       BatchResult replayed;
       RunCounters replayCounters;
@@ -503,48 +511,62 @@ TEST(JournaledRunTest, FirstDuplicateRecordWins) {
 // Fracturing a layout in shards must report every failure against the
 // shape's index in the whole layout. A shard starting at shape 4 once
 // reported its faults as shapes 0..3 — the operator then re-ran (or
-// excluded) the wrong shapes. Worker shards are plan cell ranges, and
-// every shape runs under its plan-shape ordinal (a flat layout's shape
-// index), both when consulting the injector and when stamping reports.
+// excluded) the wrong shapes. Worker shards are plan cell ranges; every
+// shape runs under its plan-shape ordinal, both when consulting the
+// injector and when stamping reports, and instantiation re-stamps a
+// report with the layout index.
 TEST(ShardedBatchTest, ReportsCarryOriginalLayoutIndices) {
   const std::vector<LayoutShape> shapes = testLayout(6);
   FaultInjector injector;
-  injector.armShape(4, FaultKind::kThrow);  // inside the second shard
-
   BatchConfig config;
   config.params.faultInjector = &injector;
+  // Shape 3 repeats shape 0, so layout shape 4 is plan cell 3 and runs
+  // under plan-shape ordinal 3.
+  const HierPlan plan = flatPlan(shapes, config);
+  ASSERT_EQ(plan.cells.size(), 5u);
+  ASSERT_EQ(plan.instances[4].cell, 3);
+  injector.armShape(3, FaultKind::kThrow);  // inside the second shard
+
   const BatchResult plain = fractureLayout(shapes, config);
   ASSERT_TRUE(plain.reports[4].degraded);
   ASSERT_EQ(plain.reports[4].status.shapeIndex(), 4);
 
-  // Two shards of three cells, like two supervisor worker ranges.
-  const HierPlan plan = flatPlan(shapes, config);
-  BatchResult merged;
-  for (int begin = 0; begin < 6; begin += 3) {
+  // Two shards of plan cells, like two supervisor worker ranges. A shard
+  // returns its cells' cell-local results in plan order.
+  BatchResult cellResults;
+  for (const auto& [begin, end] : {std::pair{0, 3}, std::pair{3, 5}}) {
     HierOptions shard;
     shard.cellBegin = begin;
-    shard.cellEnd = begin + 3;
+    shard.cellEnd = end;
     HierarchicalResult part;
     ASSERT_TRUE(fracturePlan(plan, config, shard, part).ok());
-    merged.solutions.insert(merged.solutions.end(),
-                            part.batch.solutions.begin(),
-                            part.batch.solutions.end());
-    merged.reports.insert(merged.reports.end(), part.batch.reports.begin(),
-                          part.batch.reports.end());
+    cellResults.solutions.insert(cellResults.solutions.end(),
+                                 part.batch.solutions.begin(),
+                                 part.batch.solutions.end());
+    cellResults.reports.insert(cellResults.reports.end(),
+                               part.batch.reports.begin(),
+                               part.batch.reports.end());
+  }
+  ASSERT_EQ(cellResults.solutions.size(), plan.cells.size());
+  // The regression: the degraded report names ordinal 3, not shard-local
+  // 0.
+  EXPECT_TRUE(cellResults.reports[3].degraded);
+  EXPECT_EQ(cellResults.reports[3].status.shapeIndex(), 3);
+
+  // Instantiated at the plan's offsets, the shards give the plain run.
+  BatchResult merged;
+  for (const HierPlan::Instance& inst : plan.instances) {
+    const auto c = static_cast<std::size_t>(inst.cell);
+    Solution sol = cellResults.solutions[c];
+    for (Rect& shot : sol.shots) shot = shot.translated(inst.offset);
+    merged.solutions.push_back(std::move(sol));
+    merged.reports.push_back(cellResults.reports[c]);
   }
   mergeBatchAggregates(merged, {});
-
-  ASSERT_EQ(merged.solutions.size(), 6u);
-  for (int i = 0; i < 6; ++i) {
-    expectSameSolution(merged.solutions[static_cast<std::size_t>(i)],
-                       plain.solutions[static_cast<std::size_t>(i)],
-                       static_cast<std::size_t>(i));
-    EXPECT_EQ(merged.reports[static_cast<std::size_t>(i)].degraded, i == 4);
+  expectSameBatch(plain, merged);
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    EXPECT_EQ(plain.reports[i].degraded, i == 4) << "shape " << i;
   }
-  // The regression: the degraded report names shape 4, not shard-local 1.
-  EXPECT_EQ(merged.reports[4].status.shapeIndex(), 4);
-  EXPECT_EQ(merged.degradedShapes, plain.degradedShapes);
-  EXPECT_EQ(merged.totalShots, plain.totalShots);
 }
 
 TEST(MergeBatchAggregatesTest, RecomputesFromScratch) {

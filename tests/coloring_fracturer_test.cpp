@@ -11,6 +11,12 @@ Polygon square(int size) {
   return Polygon({{0, 0}, {size, 0}, {size, size}, {0, size}});
 }
 
+/// A class point at layout position `pos`: CornerExtraction positions
+/// are grid-local, relative to Problem::origin().
+CornerPoint pin(const Problem& p, Vec2 pos, CornerType type) {
+  return {pos - toVec2(p.origin()), type};
+}
+
 Polygon lShape(int arm, int thick) {
   return Polygon({{0, 0},
                   {arm, 0},
@@ -82,8 +88,8 @@ TEST(ColoringFracturerTest, SolutionStatsFilled) {
 TEST(PlaceShotTest, FullClassUsesAllPins) {
   Problem p(square(60), FractureParams{});
   const std::vector<CornerPoint> cls{
-      {{-2.0, -2.0}, CornerType::kBottomLeft},
-      {{62.0, 62.0}, CornerType::kTopRight},
+      pin(p, {-2.0, -2.0}, CornerType::kBottomLeft),
+      pin(p, {62.0, 62.0}, CornerType::kTopRight),
   };
   const Rect s = placeShotForClass(p, cls);
   EXPECT_EQ(s, Rect(-2, -2, 62, 62));
@@ -92,8 +98,8 @@ TEST(PlaceShotTest, FullClassUsesAllPins) {
 TEST(PlaceShotTest, TopEdgeClassExtendsToBottomBoundary) {
   Problem p(square(60), FractureParams{});
   const std::vector<CornerPoint> cls{
-      {{-2.0, 62.0}, CornerType::kTopLeft},
-      {{62.0, 62.0}, CornerType::kTopRight},
+      pin(p, {-2.0, 62.0}, CornerType::kTopLeft),
+      pin(p, {62.0, 62.0}, CornerType::kTopRight),
   };
   const Rect s = placeShotForClass(p, cls);
   EXPECT_EQ(s.x0, -2);
@@ -106,7 +112,7 @@ TEST(PlaceShotTest, TopEdgeClassExtendsToBottomBoundary) {
 TEST(PlaceShotTest, SinglePointClassExtendsBothFreeEdges) {
   Problem p(square(60), FractureParams{});
   const std::vector<CornerPoint> cls{
-      {{-2.0, -2.0}, CornerType::kBottomLeft},
+      pin(p, {-2.0, -2.0}, CornerType::kBottomLeft),
   };
   const Rect s = placeShotForClass(p, cls);
   EXPECT_EQ(s.bl(), Point(-2, -2));
@@ -118,8 +124,8 @@ TEST(PlaceShotTest, MinSizeEnforcedOnDegeneratePins) {
   Problem p(square(60), FractureParams{});
   // Two pins closer than Lmin in y.
   const std::vector<CornerPoint> cls{
-      {{-2.0, 20.0}, CornerType::kBottomLeft},
-      {{-2.0, 24.0}, CornerType::kTopLeft},
+      pin(p, {-2.0, 20.0}, CornerType::kBottomLeft),
+      pin(p, {-2.0, 24.0}, CornerType::kTopLeft),
   };
   const Rect s = placeShotForClass(p, cls);
   EXPECT_GE(s.width(), p.params().lmin);

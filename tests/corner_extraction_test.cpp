@@ -15,6 +15,12 @@ Polygon square(int size) {
   return Polygon({{0, 0}, {size, 0}, {size, size}, {0, size}});
 }
 
+/// Corner positions are grid-local (relative to Problem::origin()); the
+/// tests state their expectations in layout coordinates.
+Vec2 layoutPos(const Problem& p, const CornerPoint& c) {
+  return c.pos + toVec2(p.origin());
+}
+
 int countType(const std::vector<CornerPoint>& pts, CornerType t) {
   return static_cast<int>(
       std::count_if(pts.begin(), pts.end(),
@@ -40,22 +46,23 @@ TEST(CornerExtractionTest, CornerPointsOvershootTheCorner) {
   for (const CornerPoint& c : ex.corners) {
     // Clustered corner points sit diagonally outside their target corner
     // (rounding compensation).
+    const Vec2 pos = layoutPos(p, c);
     switch (c.type) {
       case CornerType::kBottomLeft:
-        EXPECT_LT(c.pos.x, 0.0);
-        EXPECT_LT(c.pos.y, 0.0);
+        EXPECT_LT(pos.x, 0.0);
+        EXPECT_LT(pos.y, 0.0);
         break;
       case CornerType::kTopRight:
-        EXPECT_GT(c.pos.x, 60.0);
-        EXPECT_GT(c.pos.y, 60.0);
+        EXPECT_GT(pos.x, 60.0);
+        EXPECT_GT(pos.y, 60.0);
         break;
       case CornerType::kBottomRight:
-        EXPECT_GT(c.pos.x, 60.0);
-        EXPECT_LT(c.pos.y, 0.0);
+        EXPECT_GT(pos.x, 60.0);
+        EXPECT_LT(pos.y, 0.0);
         break;
       case CornerType::kTopLeft:
-        EXPECT_LT(c.pos.x, 0.0);
-        EXPECT_GT(c.pos.y, 60.0);
+        EXPECT_LT(pos.x, 0.0);
+        EXPECT_GT(pos.y, 60.0);
         break;
     }
   }
@@ -74,7 +81,8 @@ TEST(CornerExtractionTest, DiagonalSegmentSpawnsSpacedPoints) {
   // All TL points lie above-left of the hypotenuse (outside).
   for (const CornerPoint& c : ex.raw) {
     if (c.type != CornerType::kTopLeft) continue;
-    EXPECT_GT(c.pos.y, c.pos.x * 0.5 - 1e-9);
+    const Vec2 pos = layoutPos(p, c);
+    EXPECT_GT(pos.y, pos.x * 0.5 - 1e-9);
   }
 }
 
@@ -97,9 +105,9 @@ TEST(CornerExtractionTest, ShortSegmentsSkipped) {
     // No raw point may come from inside the nick (3 <= x <= 33 near y=0
     // at the *top* of the nick, y ~ 3 + shift); bottom-edge points at
     // y ~ -shift are fine.
-    EXPECT_FALSE(c.pos.y > 1.0 && c.pos.y < 8.0 && c.pos.x > 2.0 &&
-                 c.pos.x < 34.0)
-        << c.pos.x << "," << c.pos.y << " " << toString(c.type);
+    const Vec2 pos = layoutPos(p, c);
+    EXPECT_FALSE(pos.y > 1.0 && pos.y < 8.0 && pos.x > 2.0 && pos.x < 34.0)
+        << pos.x << "," << pos.y << " " << toString(c.type);
   }
 }
 
@@ -197,11 +205,11 @@ TEST(ShotGraphTest, OverlapTestRejectsOutsideShots) {
   int tr = -1;
   for (std::size_t i = 0; i < ex.corners.size(); ++i) {
     const CornerPoint& c = ex.corners[i];
-    if (c.type == CornerType::kBottomLeft && c.pos.x < 5.0 && c.pos.y < 5.0) {
+    const Vec2 pos = layoutPos(p, c);
+    if (c.type == CornerType::kBottomLeft && pos.x < 5.0 && pos.y < 5.0) {
       bl = static_cast<int>(i);
     }
-    if (c.type == CornerType::kTopRight && c.pos.x > 115.0 &&
-        c.pos.y > 35.0) {
+    if (c.type == CornerType::kTopRight && pos.x > 115.0 && pos.y > 35.0) {
       tr = static_cast<int>(i);
     }
   }

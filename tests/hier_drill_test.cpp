@@ -36,11 +36,18 @@
 //      serial --hier and passes --verify.
 //  11. totals.shape_seconds_sum counts each fractured shape once: at
 //      most threads x wall on the cold run, 0 on the warm one.
-//  12. Flat --cell-cache: a warm flat run over the same .gds fractures
-//      no cell and writes the flat run's bytes.
+//  12. Flat --cell-cache: a flat run plans one cell per distinct shape
+//      (5 for the 51 instances) and its manifest reports the repeats it
+//      did not fracture; a warm flat run over the same .gds hits one
+//      entry per distinct shape, fractures none and writes the flat
+//      run's bytes.
 //  13. --hier --isolate --inject=crash@i crash-isolates exactly the plan
 //      cell holding plan-shape ordinal i, and its output matches the
 //      in-process --hier --inject=throw@i degradation.
+//  14. Translation: on a chip of curvilinear ILT cells with one copy
+//      placed near -2^31, a flat run and a --hier run write
+//      byte-identical .shots; a flat --isolate --jobs=4 run of the
+//      repeat-heavy drill layout equals the serial flat run.
 //
 // Standalone driver (no gtest), same pattern as mbf_verify_drill: it
 // exercises the CLI process boundary, not library internals.
@@ -63,6 +70,7 @@
 #include <utility>
 #include <vector>
 
+#include "benchgen/ilt_synth.h"
 #include "fracture/problem.h"
 #include "io/gdsii.h"
 #include "io/poly_io.h"
@@ -622,19 +630,32 @@ int main(int argc, char** argv) {
   {
     const std::string flatCache = dir + "/flat_cache";
     const std::string coldFlat = dir + "/flat_cold.shots";
+    const std::string coldFlatJson = dir + "/flat_cold.json";
     const std::string warmFlat = dir + "/flat_warm.shots";
     const std::string warmFlatJson = dir + "/flat_warm.json";
     check(runCli(cli, {input, coldFlat, "--top-cell=TOP",
-                       "--cell-cache=" + flatCache}) == 0,
+                       "--cell-cache=" + flatCache,
+                       "--metrics-json=" + coldFlatJson}) == 0,
           "cold flat --cell-cache run exits 0");
+    check(manifestNumber(coldFlatJson, "hier", "unique_cells_fractured") ==
+                  5.0 &&
+              manifestNumber(coldFlatJson, "hier", "cache_misses") == 5.0,
+          "cold flat run: one cell per distinct shape (5 of 51)");
+    check(manifestNumber(coldFlatJson, "hier", "instantiated_shapes") ==
+                  51.0 &&
+              manifestNumber(coldFlatJson, "hier",
+                             "fracture_work_avoided") == 46.0,
+          "cold flat manifest: 51 instantiated, 46 repeats avoided");
     check(runCli(cli, {input, warmFlat, "--top-cell=TOP",
                        "--cell-cache=" + flatCache,
                        "--metrics-json=" + warmFlatJson}) == 0,
           "warm flat --cell-cache run exits 0");
     check(manifestNumber(warmFlatJson, "hier", "unique_cells_fractured") ==
                   0.0 &&
-              manifestNumber(warmFlatJson, "hier", "cache_hits") == 51.0,
-          "warm flat run: 51 cache hits, 0 cells fractured");
+              manifestNumber(warmFlatJson, "hier", "cache_hits") == 5.0 &&
+              manifestNumber(warmFlatJson, "hier",
+                             "fracture_work_avoided") == 51.0,
+          "warm flat run: 5 cache hits, 0 cells fractured");
     check(readBytes(coldFlat) == readBytes(flatShots) &&
               readBytes(warmFlat) == readBytes(flatShots),
           "flat --cell-cache output byte-identical to the flat run");
@@ -664,6 +685,66 @@ int main(int argc, char** argv) {
     check(!readBytes(throwShots).empty() &&
               readBytes(crashShots) == readBytes(throwShots),
           "crash-isolated output == in-process throw@2 output");
+  }
+
+  // --- Drill 14: fracture is exact under translation --------------------
+  {
+    // Two curvilinear ILT cells, each placed at the origin and again in
+    // a BLOCK whose grid sits just inside -2^31. A flat run fractures
+    // the four shapes at their bbox corners, --hier the two cells;
+    // either way each copy gets its cell's shots exactly translated.
+
+    // ilt_flat clip k (bench/e2e/workload_gen.cpp, iltClip).
+    auto iltCell = [](const std::string& name, int k) {
+      mbf::IltSynthConfig cfg =
+          mbf::iltSuiteConfigs()[static_cast<std::size_t>(k % 10)];
+      cfg.seed += static_cast<std::uint32_t>(10 * (k / 10));
+      mbf::GdsPolygon p;
+      p.polygon = mbf::makeIltShape(cfg);
+      return mbf::GdsStructure{name, {p}, {}, {}};
+    };
+    // ILT clips may keep failing pixels (exit 4); never degraded.
+    auto completes = [](int rc) { return rc == 0 || rc == 4; };
+    const mbf::GdsStructure a = iltCell("ILT_A", 18);
+    const mbf::GdsStructure b = iltCell("ILT_B", 5);
+    mbf::GdsStructure block{"BLOCK", {}, {{"ILT_A", {0, 0}},
+                                          {"ILT_B", {3000, 0}}}, {}};
+    // BLOCK's lowest grid pixel lands 1 nm inside -2^31.
+    const mbf::Rect boxA = a.polygons.front().polygon.bbox();
+    const mbf::Rect boxB = b.polygons.front().polygon.bbox();
+    const int low = std::numeric_limits<std::int32_t>::min() +
+                    mbf::Problem::gridPad(mbf::FractureParams{}) + 1;
+    const mbf::Point at{low - std::min(boxA.x0, boxB.x0 + 3000),
+                        low - std::min(boxA.y0, boxB.y0)};
+    mbf::GdsStructure top{"CHIP", {}, {{"ILT_A", {0, 0}},
+                                       {"ILT_B", {3000, 0}},
+                                       {"BLOCK", at}}, {}};
+    mbf::GdsLibrary chip;
+    chip.structures = {top, block, a, b};
+    const std::string path = dir + "/edge_chip.gds";
+    check(writeGdsFile(path, chip), "translation: edge_chip.gds written");
+    const std::string flat = dir + "/edge_flat.shots";
+    const std::string hierOut = dir + "/edge_hier.shots";
+    const std::string flatJson = dir + "/edge_flat.json";
+    check(completes(runCli(cli, {path, flat, "--top-cell=CHIP",
+                                 "--metrics-json=" + flatJson})) &&
+              completes(runCli(cli, {path, hierOut, "--hier",
+                                     "--top-cell=CHIP"})),
+          "translation: flat and --hier runs complete");
+    check(!readBytes(flat).empty() && readBytes(flat) == readBytes(hierOut),
+          "translation: flat .shots byte-identical to --hier near -2^31");
+    check(manifestNumber(flatJson, "hier", "unique_cells_fractured") == 2.0,
+          "translation: the flat run fractures 2 distinct shapes of 4");
+
+    const std::string isoFlat = dir + "/flat_iso.shots";
+    const std::string isoJson = dir + "/flat_iso.json";
+    check(runCli(cli, {input, isoFlat, "--top-cell=TOP", "--isolate",
+                       "--jobs=4", "--metrics-json=" + isoJson}) == 0,
+          "flat --isolate --jobs=4 over repeats exits 0");
+    check(readBytes(isoFlat) == readBytes(flatShots),
+          "flat --isolate output byte-identical to the serial flat run");
+    check(runCli(cli, {"--verify", isoJson}) == 0,
+          "flat --isolate run passes --verify");
   }
 
   if (g_failures > 0) {

@@ -17,13 +17,16 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "benchgen/ilt_synth.h"
 #include "fracture/verifier.h"
 #include "io/atomic_file.h"
+#include "io/poly_io.h"
 #include "mdp/cell_cache.h"
 #include "mdp/hierarchy.h"
 
@@ -353,6 +356,133 @@ TEST(PlanningTest, SquareAtTheGridLimitFracturesLikeAtTheOrigin) {
   }
 }
 
+/// Union bbox min corner of a cell's shapes.
+Point minCorner(const std::vector<LayoutShape>& shapes) {
+  Rect box = shapes.front().rings.front().bbox();
+  for (const LayoutShape& shape : shapes) {
+    for (const Polygon& ring : shape.rings) box = box.unionWith(ring.bbox());
+  }
+  return box.bl();
+}
+
+bool sameGeometry(const LayoutShape& a, const LayoutShape& b) {
+  if (a.rings.size() != b.rings.size()) return false;
+  for (std::size_t r = 0; r < a.rings.size(); ++r) {
+    if (a.rings[r].vertices() != b.rings[r].vertices()) return false;
+  }
+  return true;
+}
+
+LayoutShape movedBy(LayoutShape shape, Point d) {
+  for (Polygon& ring : shape.rings) ring.translate(d);
+  return shape;
+}
+
+TEST(PlanningTest, FlatRepeatsShareOneAnchoredCellPerContent) {
+  // Three contents — a square, an L and a curvilinear ILT clip — placed
+  // six times by translation, a repeat before the last new content.
+  LayoutShape ilt;
+  IltSynthConfig cfg;
+  cfg.seed = 7;
+  ilt.rings.push_back(makeIltShape(cfg));
+  LayoutShape l;
+  l.rings.push_back(lPoly().polygon);
+  const std::vector<LayoutShape> layout = {
+      squareAt({100, 40}),          movedBy(l, {-500, 700}),
+      squareAt({-3000, 12}),        movedBy(ilt, {4000, -900}),
+      movedBy(l, {900, -20}),       movedBy(ilt, {-7001, 2503})};
+  const int wantCell[] = {0, 1, 0, 2, 1, 2};
+
+  HierPlan plan;
+  ASSERT_TRUE(planFlatLayout(layout, BatchConfig{}, plan).ok());
+  ASSERT_EQ(plan.cells.size(), 3u);
+  ASSERT_EQ(plan.instances.size(), layout.size());
+  for (const HierPlan::Cell& cell : plan.cells) {
+    ASSERT_EQ(cell.shapes.size(), 1u);
+    EXPECT_EQ(minCorner(cell.shapes), Point(0, 0));
+  }
+  const std::vector<LayoutShape> placed = planInstanceShapes(plan);
+  ASSERT_EQ(placed.size(), layout.size());
+  for (std::size_t i = 0; i < layout.size(); ++i) {
+    EXPECT_EQ(plan.instances[i].cell, wantCell[i]) << "shape " << i;
+    EXPECT_EQ(plan.instances[i].offset, minCorner({layout[i]}))
+        << "shape " << i;
+    EXPECT_TRUE(sameGeometry(placed[i], layout[i])) << "shape " << i;
+  }
+
+  // The deduped run writes the bytes of fracturing every shape alone,
+  // where it lies.
+  BatchConfig config;
+  config.threads = 2;
+  const BatchResult run = fractureLayout(layout, config);
+  std::vector<Solution> alone;
+  for (const LayoutShape& shape : layout) {
+    alone.push_back(fractureShape(shape, config.params, config.method));
+  }
+  std::ostringstream want;
+  std::ostringstream got;
+  writeBatchShots(want, alone);
+  writeBatchShots(got, run.solutions);
+  EXPECT_EQ(got.str(), want.str());
+}
+
+TEST(PlanningTest, GdsCellsEqualUpToTranslationShareOneCell) {
+  // A and B draw the same L at different positions in their own
+  // coordinates; each is placed twice.
+  GdsPolygon inA = lPoly();
+  inA.polygon.translate({20, 10});
+  GdsPolygon inB = lPoly();
+  inB.polygon.translate({1000, -30});
+  GdsStructure a{"A", {inA}, {}, {}};
+  GdsStructure b{"B", {inB}, {}, {}};
+  GdsStructure top{"TOP",
+                   {},
+                   {{"A", {0, 0}},
+                    {"B", {5000, 0}},
+                    {"A", {0, 4000}},
+                    {"B", {-7000, 300}}},
+                   {}};
+  GdsLibrary lib;
+  lib.structures = {top, a, b};
+
+  HierPlan plan;
+  ASSERT_TRUE(planGdsHierarchy(lib, BatchConfig{}, "", plan).ok());
+  ASSERT_EQ(plan.cells.size(), 1u);
+  EXPECT_EQ(minCorner(plan.cells[0].shapes), Point(0, 0));
+  // Offset = placement + the cell's anchor in its own coordinates.
+  const Point want[] = {{20, 10}, {6000, -30}, {20, 4010}, {-6000, 270}};
+  ASSERT_EQ(plan.instances.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(plan.instances[i].cell, 0);
+    EXPECT_EQ(plan.instances[i].offset, want[i]) << "instance " << i;
+  }
+
+  // The placed geometry is the flattened layout, and every instance gets
+  // the cell's shots at its own position.
+  std::vector<GdsPolygon> flat;
+  ASSERT_TRUE(flattenGdsChecked(lib, "", flat).ok());
+  const std::vector<LayoutShape> placed = planInstanceShapes(plan);
+  ASSERT_EQ(placed.size(), flat.size());
+  for (std::size_t i = 0; i < flat.size(); ++i) {
+    ASSERT_EQ(placed[i].rings.size(), 1u);
+    EXPECT_EQ(placed[i].rings[0].vertices(), flat[i].polygon.vertices())
+        << "instance " << i;
+  }
+  HierarchicalResult run;
+  ASSERT_TRUE(fracturePlan(plan, BatchConfig{}, HierOptions{}, run).ok());
+  EXPECT_EQ(run.uniqueShapesFractured, 1);
+  LayoutShape l;
+  l.rings.push_back(lPoly().polygon);
+  const Solution atOrigin =
+      fractureShape(l, FractureParams{}, Method::kOurs);
+  ASSERT_EQ(run.batch.solutions.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    std::vector<Rect> expected = atOrigin.shots;
+    for (Rect& r : expected) r = r.translated(want[i]);
+    EXPECT_EQ(run.batch.solutions[i].shots, expected) << "instance " << i;
+  }
+}
+
 // --------------------------------------------------------------------
 // Persistent cell-fracture cache
 // --------------------------------------------------------------------
@@ -497,7 +627,7 @@ TEST(CellCacheTest, EntryIsDigestLinePlusCanonicalCellRecord) {
   std::string bytes;
   ASSERT_TRUE(readFileToString(cache.pathFor(cell.key), bytes).ok());
   const std::string payload = encodeCellRecord(canonical(cell));
-  EXPECT_EQ(bytes, "mbf-cell-cache v2 " + sha256Hex(payload) + "\n" + payload);
+  EXPECT_EQ(bytes, "mbf-cell-cache v3 " + sha256Hex(payload) + "\n" + payload);
 
   // One file per entry: besides this process's liveness lock, the
   // directory holds the entry alone.

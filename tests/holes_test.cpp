@@ -53,7 +53,9 @@ TEST(HolesTest, CornerExtractionCoversHoleBoundary) {
   EXPECT_EQ(ex.corners.size(), 12u);
   int nearHole = 0;
   for (const CornerPoint& c : ex.corners) {
-    if (c.pos.x > 5 && c.pos.x < 95 && c.pos.y > 5 && c.pos.y < 95) {
+    // Corner positions are grid-local; the hole is in layout coordinates.
+    const Vec2 pos = c.pos + toVec2(p.origin());
+    if (pos.x > 5 && pos.x < 95 && pos.y > 5 && pos.y < 95) {
       ++nearHole;
     }
   }

@@ -32,8 +32,8 @@
 //                                timeline; under --isolate the worker
 //                                subprocesses' spans are merged in
 //
-// Every run plans its input (a flat layout is a plan with one
-// single-instance cell per shape; --hier plans the GDS hierarchy),
+// Every run plans its input (a flat layout is a one-level plan with one
+// anchored cell per distinct shape; --hier plans the GDS hierarchy),
 // executes the plan in process or supervised, and instantiates it.
 //
 // Crash recovery (DESIGN.md sections 14 and 19):
@@ -61,7 +61,8 @@
 //   --inject=<kind>@<i>[,...]    arm <kind> (throw|oom|timeout|crash|
 //                                hang) on plan-shape ordinal i (cells in
 //                                plan order, shapes in cell order; a
-//                                flat layout's shape index)
+//                                flat layout counts distinct shapes in
+//                                first-occurrence order)
 //   --inject-every=<kind>@<n>    arm <kind> on every nth ordinal
 //   --inject-seed=<s>            seed for the injector
 //
@@ -600,8 +601,8 @@ int main(int argc, char** argv) {
     TraceRecorder::instance().enable();
   }
 
-  // 1. Plan: a flat layout is a plan with one single-instance cell per
-  // shape; --hier plans the GDS structure tree.
+  // 1. Plan: a flat layout is a one-level plan with one anchored cell per
+  // distinct shape; --hier plans the GDS structure tree.
   HierPlan plan;
   {
     std::string warning;
@@ -616,9 +617,9 @@ int main(int argc, char** argv) {
     }
   }
   if (!hier) {
-    std::cerr << "fracturing " << plan.cells.size()
-              << " shape(s) with method '" << toString(config.method)
-              << "'...\n";
+    std::cerr << "fracturing " << plan.instances.size() << " shape(s) ("
+              << plan.cells.size() << " distinct) with method '"
+              << toString(config.method) << "'...\n";
   }
 
   // 2. Execute: in process (a worker runs its --cell-range shard), or
