@@ -9,6 +9,8 @@
 #include <map>
 #include <mutex>
 
+#include "support/telemetry.h"
+
 namespace mbf {
 namespace {
 
@@ -131,23 +133,33 @@ double ProximityModel::cornerErosionDepth() const {
   return t * std::sqrt(2.0);  // diagonal distance from corner to contour
 }
 
+std::array<std::uint64_t, 5> ProximityModel::lthKey(double gamma) const {
+  return {std::bit_cast<std::uint64_t>(sigma_),
+          std::bit_cast<std::uint64_t>(rho_), std::bit_cast<std::uint64_t>(eta_),
+          std::bit_cast<std::uint64_t>(sigmaBack_),
+          std::bit_cast<std::uint64_t>(gamma)};
+}
+
 double ProximityModel::computeLth(double gamma) const {
   // Lth is a constant of the model, but the contour walk behind it costs
   // ~150k erf evaluations and every Problem asks for it. Computed once
   // per exact parameter set, under the lock so concurrent first callers
   // wait instead of repeating the walk; every caller gets the same bits.
-  const std::array<std::uint64_t, 5> key = {
-      std::bit_cast<std::uint64_t>(sigma_), std::bit_cast<std::uint64_t>(rho_),
-      std::bit_cast<std::uint64_t>(eta_),
-      std::bit_cast<std::uint64_t>(sigmaBack_),
-      std::bit_cast<std::uint64_t>(gamma)};
+  const std::array<std::uint64_t, 5> key = lthKey(gamma);
   LthMemo& memo = lthMemo();
   const std::lock_guard<std::mutex> lock(memo.mutex);
   const auto known = memo.values.find(key);
   if (known != memo.values.end()) return known->second;
+  TraceScope span("lth");
   const double lth = contourLth(gamma);
   memo.values.emplace(key, lth);
   return lth;
+}
+
+void ProximityModel::seedLth(double gamma, double lth) const {
+  LthMemo& memo = lthMemo();
+  const std::lock_guard<std::mutex> lock(memo.mutex);
+  memo.values.try_emplace(lthKey(gamma), lth);
 }
 
 double ProximityModel::contourLth(double gamma) const {

@@ -34,6 +34,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -100,6 +101,12 @@ class ProximityModel {
   /// later calls, from any thread, return the memoized value.
   double computeLth(double gamma) const;
 
+  /// Makes `lth` the memoized computeLth(gamma) of this model's
+  /// parameters unless a value is memoized already. For a process handed
+  /// the value its supervisor resolved from the same parameters (mbf_cli
+  /// --isolate workers), so the contour walk runs once per run.
+  void seedLth(double gamma, double lth) const;
+
   /// Depth (nm) by which the printed contour erodes a convex shot corner
   /// along the diagonal (distance from corner to contour along x = y).
   double cornerErosionDepth() const;
@@ -121,6 +128,8 @@ class ProximityModel {
  private:
   /// The contour walk behind computeLth, uncached.
   double contourLth(double gamma) const;
+  /// Memo key of Lth: the bits of (sigma, rho, eta, sigma_back, gamma).
+  std::array<std::uint64_t, 5> lthKey(double gamma) const;
 
   /// Table slot of T[k]; out-of-range k clamps onto the saturated end
   /// entries (0 below, 1 above).

@@ -1,14 +1,18 @@
 #include "fracture/refiner.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <optional>
+#include <string>
 
 #include "grid/connected_components.h"
 #include "grid/prefix_sum.h"
+#include "io/atomic_file.h"
 #include "support/telemetry.h"
 
 namespace mbf {
@@ -100,6 +104,32 @@ struct Snapshot {
     return v.cost < o.v.cost;
   }
 };
+
+/// The refine loop's state at an iteration that follows a structural
+/// step or a feasible-merge restart: `stagnant` is 0 there and the
+/// ledger, band masks and dirty band are fresh, so together with the
+/// intensity grid these fields determine every later iteration.
+struct LoopCheckpoint {
+  std::vector<Rect> shots;  ///< the verifier's shots, in order
+  double bestCostSeen = 0.0;
+  std::int64_t bestTotalAtLastStruct = 0;
+  /// SHA-256 of the intensity-grid bytes; taken only once the fields
+  /// above repeat, empty before.
+  std::string gridDigest;
+
+  bool sameSmallState(const LoopCheckpoint& o) const {
+    return std::bit_cast<std::uint64_t>(bestCostSeen) ==
+               std::bit_cast<std::uint64_t>(o.bestCostSeen) &&
+           bestTotalAtLastStruct == o.bestTotalAtLastStruct &&
+           shots == o.shots;
+  }
+};
+
+std::string gridDigest(const Grid<double>& grid) {
+  Sha256 sha;
+  sha.update(grid.data().data(), grid.size() * sizeof(double));
+  return sha.hexDigest();
+}
 
 }  // namespace
 
@@ -391,28 +421,62 @@ Solution Refiner::refine(std::vector<Rect> initialShots) {
   int stagnant = 0;
   std::int64_t bestTotalAtLastStruct = std::numeric_limits<std::int64_t>::max();
 
+  // Limit-cycle exit. An iteration is a function of the verifier's shots
+  // and intensity grid (the ledger, band masks and dirty band derive from
+  // the grid; the candidate cache lives for one pass), bestCostSeen,
+  // stagnant, bestTotalAtLastStruct and `best`. After a structural step
+  // or a feasible-merge restart stagnant is 0, and every repeating
+  // trajectory passes one. When the state there equals an earlier one
+  // and `best` did not improve in between, a run to Nmax only replays
+  // that cycle and returns this `best`, so the loop returns it now.
+  // `checkpoints` holds the states since `best` last improved.
+  std::vector<LoopCheckpoint> checkpoints;
+  bool atCheckpoint = false;
+  auto closesCycle = [&] {
+    LoopCheckpoint now{verifier.shots(), bestCostSeen, bestTotalAtLastStruct,
+                       {}};
+    for (const LoopCheckpoint& earlier : checkpoints) {
+      if (!earlier.sameSmallState(now)) continue;
+      if (now.gridDigest.empty()) {
+        now.gridDigest = gridDigest(verifier.intensity().grid());
+      }
+      if (earlier.gridDigest == now.gridDigest) return true;
+    }
+    checkpoints.push_back(std::move(now));
+    return false;
+  };
+  auto offer = [&](Snapshot&& snap) {
+    if (!snap.betterThan(best)) return;
+    best = std::move(snap);
+    checkpoints.clear();
+  };
+
   int iter = 0;
   for (; iter < p.nmax; ++iter) {
+    if (atCheckpoint && closesCycle()) {
+      ++stats_.limitCycleExits;
+      break;
+    }
+    atCheckpoint = false;
     // Cooperative per-shape budget: when the deadline passed, this throws
     // and the mdp driver degrades the shape to the baseline fracturer.
     problem_->checkpoint("refine");
     const Violations v = scanViolations();
     if (v.total() == 0) {
       // Feasible: keep the snapshot (it may beat `best` on shot count).
-      Snapshot snap{verifier.shots(), v};
-      if (snap.betterThan(best)) best = std::move(snap);
+      offer(Snapshot{verifier.shots(), v});
       // Redundant shots (e.g. fully contained ones) may remain; try a
       // merge pass and keep refining if it changed the solution --
       // feasibility may need re-establishing after a merge.
       if (p.enableMerge && mergeShots(verifier) > 0) {
         bestCostSeen = scanViolations().cost;
         stagnant = 0;
+        atCheckpoint = true;
         continue;
       }
       break;
     }
-    Snapshot snap{verifier.shots(), v};
-    if (snap.betterThan(best)) best = std::move(snap);
+    offer(Snapshot{verifier.shots(), v});
 
     if (v.cost < bestCostSeen - p.stagnationEps) {
       bestCostSeen = v.cost;
@@ -440,6 +504,7 @@ Solution Refiner::refine(std::vector<Rect> initialShots) {
       if (p.enableMerge) mergeShots(verifier);
       stagnant = 0;
       bestCostSeen = scanViolations().cost;
+      atCheckpoint = true;
       continue;
     }
 

@@ -17,12 +17,15 @@
 namespace mbf {
 
 struct RefinerStats {
-  int iterations = 0;
+  int iterations = 0;  ///< iterations actually run
   int edgeMoves = 0;
   int biasSteps = 0;
   int shotsAdded = 0;
   int shotsRemoved = 0;
   int mergeEvents = 0;
+  /// Runs that returned at an exact limit cycle instead of at Nmax (see
+  /// refine()).
+  int limitCycleExits = 0;
 
   // Wall-clock seconds per refinement stage (and overall), measured by
   // refine(); the bench/scaling thread sweep reports these so a parallel
@@ -48,6 +51,7 @@ struct RefinerStats {
     shotsAdded += o.shotsAdded;
     shotsRemoved += o.shotsRemoved;
     mergeEvents += o.mergeEvents;
+    limitCycleExits += o.limitCycleExits;
     totalSeconds += o.totalSeconds;
     setupSeconds += o.setupSeconds;
     violationSeconds += o.violationSeconds;
@@ -66,6 +70,11 @@ class Refiner {
 
   /// Runs Algorithm 1 on `initialShots` and returns the visited solution
   /// with the fewest failing pixels (ties: fewer shots, then lower cost).
+  /// Returns before Nmax once the loop state after a structural step or
+  /// a feasible-merge restart repeats exactly (same shots in order, same
+  /// intensity-grid bytes, same scalars, no better solution in between):
+  /// the remaining iterations could only cycle, so the result is the one
+  /// a run to Nmax returns.
   Solution refine(std::vector<Rect> initialShots);
 
   const RefinerStats& stats() const { return stats_; }

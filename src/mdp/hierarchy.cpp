@@ -618,20 +618,29 @@ Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
     missCells.push_back(i);
   }
 
-  // Fracture every missing cell's shapes as ONE batch on the
-  // work-stealing pool. Each shape runs under its plan-shape ordinal,
-  // so statuses and injected faults address the same shape in every
-  // process whatever the cache or resume state. Jobs write only their
-  // own slot, so any thread count computes identical results. A cell's
-  // CellRecord is appended the moment its LAST shape completes;
-  // interrupted cells are never journaled — a later resume re-fractures
-  // them instead of replaying unfinished work.
+  // Fracture each distinct shape of the missing cells once, as ONE batch
+  // on the work-stealing pool. A cell-local shape is keyed like a
+  // one-shape flat cell (anchored at its bbox min corner, then
+  // cellFractureKey); the first slot of each key runs under its
+  // plan-shape ordinal, and every repeat inherits that outcome with its
+  // shots moved by the anchor difference — exactly what fracturing it in
+  // place gives, since fracture is covariant under integer translation.
+  // Jobs write only their own slots, so any thread count computes
+  // identical results. A cell's CellRecord is appended the moment its
+  // LAST slot fills; interrupted cells are never journaled — a later
+  // resume re-fractures them instead of replaying unfinished work.
   std::vector<int> firstOrdinal(plan.cells.size(), 0);
   for (std::size_t c = 1; c < plan.cells.size(); ++c) {
     firstOrdinal[c] = firstOrdinal[c - 1] +
                       static_cast<int>(plan.cells[c - 1].shapes.size());
   }
-  std::vector<std::pair<int, int>> todo;  // (cell, cell-local shape)
+  struct Slot {
+    int cell = 0;
+    int shape = 0;  ///< cell-local shape index
+    Point anchor;   ///< the shape's bbox min corner, cell-local
+  };
+  std::vector<std::vector<Slot>> jobs;  // per distinct shape; [0] runs
+  std::unordered_map<std::string, std::size_t> keyToJob;
   std::vector<std::atomic<int>> cellRemaining(plan.cells.size());
   std::vector<std::atomic<bool>> cellInterrupted(plan.cells.size());
   for (const int cellIdx : missCells) {
@@ -640,33 +649,50 @@ Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
     progress.records[c].solutions.resize(n);
     progress.records[c].reports.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-      todo.emplace_back(cellIdx, static_cast<int>(i));
+      std::vector<LayoutShape> anchored{plan.cells[c].shapes[i]};
+      const Slot slot{cellIdx, static_cast<int>(i), anchorShapes(anchored)};
+      const auto [it, fresh] =
+          keyToJob.emplace(cellFractureKey(anchored, config), jobs.size());
+      if (fresh) jobs.emplace_back();
+      jobs[it->second].push_back(slot);
     }
     cellRemaining[c].store(static_cast<int>(n), std::memory_order_relaxed);
     cellInterrupted[c].store(false, std::memory_order_relaxed);
   }
-  std::vector<RefinerStats> shapeStats(todo.size());
-  parallelFor(0, static_cast<int>(todo.size()),
+  std::vector<RefinerStats> shapeStats(jobs.size());
+  parallelFor(0, static_cast<int>(jobs.size()),
               ThreadPool::resolveThreads(config.threads), 1, [&](int k) {
-    const auto [cell, shape] = todo[static_cast<std::size_t>(k)];
-    const auto c = static_cast<std::size_t>(cell);
-    const auto local = static_cast<std::size_t>(shape);
+    const std::vector<Slot>& slots = jobs[static_cast<std::size_t>(k)];
+    const Slot& first = slots.front();
+    const auto firstCell = static_cast<std::size_t>(first.cell);
     ShapeOutcome outcome = fractureShapeGuarded(
-        plan.cells[c].shapes[local], config.params, config.method,
-        firstOrdinal[c] + static_cast<int>(local), config.allowDegradation,
-        &shapeStats[static_cast<std::size_t>(k)], config.fallbackOnly);
-    if (outcome.interrupted) {
-      cellInterrupted[c].store(true, std::memory_order_relaxed);
-    }
-    CellRecord& record = progress.records[c];
-    record.solutions[local] = std::move(outcome.solution);
-    record.reports[local] = {std::move(outcome.status), outcome.degraded,
-                             outcome.interrupted};
-    // acq_rel: the thread finishing the cell's last shape observes
-    // every sibling slot written before their decrements.
-    if (cellRemaining[c].fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-        !cellInterrupted[c].load(std::memory_order_relaxed)) {
-      journal.append(record);
+        plan.cells[firstCell].shapes[static_cast<std::size_t>(first.shape)],
+        config.params, config.method, firstOrdinal[firstCell] + first.shape,
+        config.allowDegradation, &shapeStats[static_cast<std::size_t>(k)],
+        config.fallbackOnly);
+    for (const Slot& slot : slots) {
+      const auto c = static_cast<std::size_t>(slot.cell);
+      const auto local = static_cast<std::size_t>(slot.shape);
+      if (outcome.interrupted) {
+        cellInterrupted[c].store(true, std::memory_order_relaxed);
+      }
+      CellRecord& record = progress.records[c];
+      Solution& sol = record.solutions[local];
+      sol = outcome.solution;
+      const Point delta = slot.anchor - first.anchor;
+      for (Rect& shot : sol.shots) shot = shot.translated(delta);
+      ShapeReport& report = record.reports[local];
+      report = {outcome.status, outcome.degraded, outcome.interrupted};
+      // A stamped status names the slot it describes.
+      if (report.status.shapeIndex() >= 0) {
+        report.status.withShape(firstOrdinal[c] + slot.shape);
+      }
+      // acq_rel: the thread filling the cell's last slot observes every
+      // sibling slot written before their decrements.
+      if (cellRemaining[c].fetch_sub(1, std::memory_order_acq_rel) == 1 &&
+          !cellInterrupted[c].load(std::memory_order_relaxed)) {
+        journal.append(record);
+      }
     }
   });
   bool anyInterrupted = false;
@@ -682,9 +708,9 @@ Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
   if (!status.ok() && !counters.journalDowngraded) return status;
 
   out.uniqueCellsFractured = static_cast<int>(missCells.size());
-  out.uniqueShapesFractured = static_cast<int>(todo.size());
+  out.uniqueShapesFractured = static_cast<int>(jobs.size());
   counters.freshCells = static_cast<int>(missCells.size());
-  counters.freshShapes = static_cast<int>(todo.size());
+  counters.freshShapes = static_cast<int>(jobs.size());
 
   // Store freshly fractured cells — but only CLEAN ones. A degraded or
   // interrupted result is wall-clock dependent (time budgets) or
@@ -725,10 +751,10 @@ Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
   // and cached cells add nothing.
   double freshSeconds = 0.0;
   RefinerStats freshStats;
-  for (std::size_t k = 0; k < todo.size(); ++k) {
-    const auto [cell, shape] = todo[k];
-    freshSeconds += progress.records[static_cast<std::size_t>(cell)]
-                        .solutions[static_cast<std::size_t>(shape)]
+  for (std::size_t k = 0; k < jobs.size(); ++k) {
+    const Slot& first = jobs[k].front();
+    freshSeconds += progress.records[static_cast<std::size_t>(first.cell)]
+                        .solutions[static_cast<std::size_t>(first.shape)]
                         .runtimeSeconds;
     freshStats += shapeStats[k];
   }

@@ -45,9 +45,12 @@ namespace mbf {
 /// The PLAN-SHAPE ORDINAL of a cell shape counts shapes over the cells
 /// in plan order, then within the cell; it is the index fracturing
 /// stamps on a shape's Status and hands the fault injector, so it is
-/// the same in every process and under any cache or resume state. For
-/// a flat plan it counts distinct shapes in first-occurrence order (the
-/// layout index when no shape repeats).
+/// the same in every process and under any cache or resume state. A
+/// shape repeated across the cells one batch fractures runs once, under
+/// the ordinal of its first slot there, and its repeats inherit that
+/// outcome (see fracturePlan). For a flat plan the ordinal counts
+/// distinct shapes in first-occurrence order (the layout index when no
+/// shape repeats).
 struct HierPlan {
   /// Top structure the plan was expanded (or flattened) from; empty for
   /// .poly input and auto-detected flat .gds roots.
@@ -152,7 +155,9 @@ struct HierarchicalResult {
   /// Plan cells that had to be fractured this run (cache misses +
   /// rejected entries; 0 on a fully warm run).
   int uniqueCellsFractured = 0;
-  /// Shapes fractured this run (summed over fractured cells).
+  /// Shapes fractured this run: the distinct shapes of the fractured
+  /// cells (a supervised parent counts the shapes of the cells its
+  /// workers delivered).
   int uniqueShapesFractured = 0;
   /// Persistent-cache outcome counts (all zero when no cache dir, and
   /// zero in the supervised parent — workers own all cache I/O there).
@@ -200,10 +205,12 @@ struct HierarchicalResult {
 
 /// The in-process executor: replays the journal when resuming, serves
 /// cells from the persistent cache when options.cellCacheDir is set,
-/// fractures every remaining cell's shapes in one batch over the
-/// work-stealing pool (per-shape budgets and the degradation ladder
-/// apply; each shape runs under its plan-shape ordinal), journals each
-/// cell as it completes, and instantiates the plan. With a worker shard
+/// fractures each distinct shape of the remaining cells once, in one
+/// batch over the work-stealing pool (per-shape budgets and the
+/// degradation ladder apply; a shape runs under the plan-shape ordinal
+/// of its first slot, and each repeat gets that outcome translated to
+/// its own position), journals each cell as it completes, and
+/// instantiates the plan. With a worker shard
 /// (options.cellBegin >= 0) only that range is fractured and nothing is
 /// instantiated. Cache I/O failures never fail the run: the cache is
 /// disabled with a counted warning (degrade, don't die — section 18).

@@ -92,9 +92,9 @@ pid_t spawnWorker(const SupervisorConfig& config, const RangeTask& task,
   args.push_back("--journal=" + journalPath);
   // Always resume: a retried range skips its already-journaled prefix.
   args.push_back("--resume");
-  // Worker parallelism is process-level; inside one worker the cell
-  // order must be completion order so a crash leaves a contiguous
-  // journaled prefix (the requeue logic depends on it).
+  // Worker parallelism is process-level; a serial worker fractures its
+  // cells' distinct shapes in plan order, so a crash leaves every cell
+  // before the crashing one journaled (the requeue logic depends on it).
   args.push_back("--threads=1");
   if (task.degradeOnly) args.push_back("--degrade-only");
   if (!spanPath.empty()) args.push_back("--trace-raw=" + spanPath);

@@ -712,6 +712,9 @@ std::string buildRunManifest(const RunManifestInfo& info,
   w.key("shots_added").value(rs.shotsAdded);
   w.key("shots_removed").value(rs.shotsRemoved);
   w.key("merge_events").value(rs.mergeEvents);
+  if (rs.limitCycleExits > 0) {
+    w.key("limit_cycle_exits").value(rs.limitCycleExits);
+  }
   w.key("stage_seconds").beginObject();
   w.key("total").value(rs.totalSeconds);
   w.key("setup").value(rs.setupSeconds);

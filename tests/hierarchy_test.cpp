@@ -865,5 +865,64 @@ TEST(CellCacheTest, WarmHierRunIsBitIdenticalWithZeroFractures) {
   EXPECT_EQ(invalidated.uniqueCellsFractured, 2);
 }
 
+TEST(HierarchyTest, ShapeSharedByTwoCellsIsFracturedOnce) {
+  // A and B are different cells; each holds one distinct shape and the
+  // same L at a different spot of its own coordinates. 4 cell shapes, 3
+  // distinct.
+  GdsPolygon square;
+  square.polygon = Polygon({{200, 10}, {260, 10}, {260, 70}, {200, 70}});
+  GdsPolygon bar;
+  bar.polygon = Polygon({{0, 0}, {140, 0}, {140, 40}, {0, 40}});
+  GdsPolygon lInB = lPoly();
+  lInB.polygon.translate({170, 60});
+  GdsStructure a{"A", {lPoly(), square}, {}, {}};
+  GdsStructure b{"B", {bar, lInB}, {}, {}};
+  GdsStructure top{
+      "TOP", {}, {{"A", {0, 0}}, {"B", {1000, 500}}, {"A", {-800, 900}}}, {}};
+  GdsLibrary lib;
+  lib.structures = {top, a, b};
+
+  TempCacheDir dir("shared_shape");
+  std::filesystem::create_directories(dir.path);
+  BatchConfig config;
+  config.threads = 4;
+  HierOptions options;
+  options.journalPath = dir.path + "/run.jrn";
+  HierarchicalResult hier;
+  RunCounters counters;
+  ASSERT_TRUE(
+      fractureGdsHierarchical(lib, config, options, hier, &counters).ok());
+  EXPECT_EQ(hier.uniqueCellsFractured, 2);
+  EXPECT_EQ(hier.uniqueShapesFractured, 3);
+  EXPECT_EQ(counters.freshCells, 2);
+  EXPECT_EQ(counters.freshShapes, 3);
+  auto bytesOf = [](const std::vector<Solution>& solutions) {
+    std::ostringstream os;
+    writeBatchShots(os, solutions);
+    return os.str();
+  };
+  const std::string bytes = bytesOf(hier.batch.solutions);
+
+  // The flat run of the same layout, and the bytes of fracturing each
+  // cell shape in place (recorded before shapes were shared).
+  std::vector<LayoutShape> shapes;
+  ASSERT_TRUE(instanceShapes(lib, shapes).ok());
+  ASSERT_EQ(shapes.size(), 6u);
+  EXPECT_EQ(bytes, bytesOf(fractureLayout(shapes, config).solutions));
+  EXPECT_EQ(sha256Hex(bytes),
+            "30aec9aa0fa5f81478366a770c14459c94e825d8c626ae25e0fa76fa77c31e0e");
+
+  // Both cell records reached the journal: a resume fractures nothing.
+  options.resume = true;
+  HierarchicalResult resumed;
+  RunCounters resumedCounters;
+  ASSERT_TRUE(
+      fractureGdsHierarchical(lib, config, options, resumed, &resumedCounters)
+          .ok());
+  EXPECT_EQ(resumedCounters.resumedCells, 2);
+  EXPECT_EQ(resumed.uniqueShapesFractured, 0);
+  EXPECT_EQ(bytesOf(resumed.batch.solutions), bytes);
+}
+
 }  // namespace
 }  // namespace mbf

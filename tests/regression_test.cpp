@@ -3,6 +3,7 @@
 // stage show up as test failures rather than silently skewed tables.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 
@@ -132,6 +133,35 @@ TEST(PinnedOutputTest, ShotsDigestsMatchPinnedValues) {
                   opcSuiteConfigs()[static_cast<std::size_t>(pin.index)])),
               pin.sha)
         << "opc clip " << pin.index;
+  }
+}
+
+TEST(PinnedOutputTest, LimitCycleClipsMatchPinnedValues) {
+  // The clips whose refinement ends in an exact limit cycle (OPC suite
+  // clip 5 and six ilt_flat benchmark clips), pinned as refined to Nmax
+  // before the refiner returned at the cycle: the exit must not move a
+  // byte.
+  EXPECT_EQ(shotsDigest(makeOpcShape(opcSuiteConfigs()[5])),
+            "079508c79ba6675d8721a32aaf1321be2fa6dc4aba9adc7b6ab35e0b04905772")
+      << "opc clip 5";
+  // Clip k of the ilt_flat workload (bench/e2e/workload_gen.cpp,
+  // iltClip): suite config k % 10, seed offset 10 * (k / 10).
+  const struct {
+    int clip;
+    const char* sha;
+  } kIlt[] = {
+      {11, "21a848627f25d3a78135f9dd1829d58270542d54da5f9bab5284630c08092590"},
+      {18, "b8ca6a3c055482b4ff2f7be84aa186a1ffa6f05116ad66abb1758f361288d9b7"},
+      {22, "9f2b3be64e984b553d8d60446f25bb769fd2afb542cb2c37a0909e476dadba47"},
+      {25, "449307e8e208c8e72f275e6e99cf753130a7a829e325a751160883a2c522270f"},
+      {32, "9fceff61c2cd226f45c29fa0c9a81f6e3908e00e87704bc406e074976f4867c6"},
+      {34, "6b31e1045de39f65bd2c0372dff856752d11551e27cf23efa961f541a6afad98"}};
+  for (const auto& pin : kIlt) {
+    IltSynthConfig cfg =
+        iltSuiteConfigs()[static_cast<std::size_t>(pin.clip % 10)];
+    cfg.seed += static_cast<std::uint32_t>(10 * (pin.clip / 10));
+    EXPECT_EQ(shotsDigest(makeIltShape(cfg)), pin.sha)
+        << "ilt clip " << pin.clip;
   }
 }
 

@@ -13,7 +13,8 @@
 //   3. A supervised crash drill (--isolate with an injected worker
 //      crash) still produces one merged, well-formed trace containing
 //      spans from the supervisor AND at least two worker processes,
-//      plus the crash lifecycle markers.
+//      plus the crash lifecycle markers, and exactly one `lth` span:
+//      the supervisor's Lth contour walk, which no worker repeats.
 //
 // Standalone driver (no gtest), same pattern as the crash drills: it
 // exercises the CLI process boundary, not library internals.
@@ -203,18 +204,22 @@ int main(int argc, char** argv) {
     std::set<int> pids;
     bool sawWorkerLifecycle = false;
     bool sawIsolate = false;
+    int lthWalks = 0;
     if (events != nullptr && events->isArray()) {
       for (const mbf::JsonValue& e : events->items) {
         pids.insert(static_cast<int>(e.find("pid")->number));
         const std::string& name = e.find("name")->string;
         if (name.rfind("worker [", 0) == 0) sawWorkerLifecycle = true;
         if (name.rfind("isolate shape", 0) == 0) sawIsolate = true;
+        if (name == "lth") ++lthWalks;
       }
     }
     // Supervisor + at least two distinct worker processes in one file.
     check(pids.size() >= 3, "trace spans from >= 2 worker processes");
     check(sawWorkerLifecycle, "trace has worker lifecycle spans");
     check(sawIsolate, "trace marks the crash isolation");
+    // The supervisor resolves Lth and hands it to every worker.
+    check(lthWalks == 1, "one Lth contour walk across all processes");
   }
 
   if (g_failures > 0) {

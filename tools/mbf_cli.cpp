@@ -11,7 +11,10 @@
 //   --sigma-back=<nm>            backscatter sigma        (default sigma)
 //   --threads=<n>                worker threads; 0 = all cores (default 1)
 //   --budget-ms=<ms>             per-shape time budget; 0 = none (default 0)
-//   --nmax=<n>                   max refinement iterations  (default 1500)
+//   --nmax=<n>                   max refinement iterations  (default 1500;
+//                                a shape whose refine loop repeats its
+//                                exact state stops there, with the result
+//                                a run to n would return)
 //   --strict                     fail shapes instead of degrading them
 //   --order                      order shots for the writer (NN + 2-opt)
 //   --svg=<path>                 write an overlay SVG of shapes + shots
@@ -34,7 +37,9 @@
 //
 // Every run plans its input (a flat layout is a one-level plan with one
 // anchored cell per distinct shape; --hier plans the GDS hierarchy),
-// executes the plan in process or supervised, and instantiates it.
+// executes the plan in process or supervised, and instantiates it. A
+// shape shared by several cells is fractured once per batch and copied,
+// translated, into the others.
 //
 // Crash recovery (DESIGN.md sections 14 and 19):
 //   --journal=<path>             append each completed plan cell to a
@@ -116,6 +121,10 @@
 //   --degrade-only               fallback-only re-fracture of a
 //                                crash-isolated culprit cell; skips
 //                                the cell cache
+//   --lth-bits=<16 hex digits>   the IEEE-754 bits of the Lth the
+//                                supervisor resolved for this model and
+//                                gamma; seeds the worker's Lth memo so
+//                                the contour walk runs once per run
 //   --trace-raw=<path>           record trace spans and dump them as a
 //                                raw span file for the supervisor to
 //                                merge (instead of chrome JSON)
@@ -147,6 +156,11 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <bit>
+#include <cctype>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -191,6 +205,27 @@ bool parseInt(const std::string& value, int& out) {
   } catch (...) {
     return false;
   }
+}
+
+/// The hidden --lth-bits value: the IEEE-754 bits of Lth as 16 lowercase
+/// hex digits, so a worker receives its supervisor's exact double.
+std::string lthBits(double lth) {
+  char bits[17];
+  std::snprintf(bits, sizeof(bits), "%016llx",
+                static_cast<unsigned long long>(
+                    std::bit_cast<std::uint64_t>(lth)));
+  return bits;
+}
+
+/// Inverse of lthBits: false unless `text` is exactly 16 hex digits.
+bool parseLthBits(const std::string& text, double& lth) {
+  if (text.size() != 16) return false;
+  for (const char c : text) {
+    if (std::isxdigit(static_cast<unsigned char>(c)) == 0) return false;
+  }
+  lth = std::bit_cast<double>(
+      static_cast<std::uint64_t>(std::stoull(text, nullptr, 16)));
+  return true;
 }
 
 int usage() {
@@ -312,6 +347,7 @@ int main(int argc, char** argv) {
   bool workerMode = false;
   int cellRangeBegin = -1;
   int cellRangeEnd = -1;
+  double workerLth = 0.0;  // --lth-bits; 0 = derive Lth here
   int jobs = 2;
   double workerTimeoutMs = 0.0;
   int retries = 2;
@@ -470,6 +506,11 @@ int main(int argc, char** argv) {
       }
     } else if (key == "--degrade-only") {
       config.fallbackOnly = true;
+    } else if (key == "--lth-bits") {
+      if (!parseLthBits(value, workerLth) || !std::isfinite(workerLth) ||
+          workerLth <= 0.0) {
+        error = "must be the 16 hex digits of a finite Lth > 0";
+      }
     } else if (key == "--inject") {
       std::string rest = value;
       while (!rest.empty() && error.empty()) {
@@ -527,9 +568,10 @@ int main(int argc, char** argv) {
     std::cerr << "--isolate and --worker are mutually exclusive\n";
     return usage();
   }
-  if ((cellRangeBegin >= 0 || config.fallbackOnly) && !workerMode) {
-    std::cerr << "--cell-range/--degrade-only are worker-mode plumbing "
-                 "(spawned by --isolate)\n";
+  if ((cellRangeBegin >= 0 || config.fallbackOnly || workerLth > 0.0) &&
+      !workerMode) {
+    std::cerr << "--cell-range/--degrade-only/--lth-bits are worker-mode "
+                 "plumbing (spawned by --isolate)\n";
     return usage();
   }
   // A worker's journal IS the product its supervisor harvests.
@@ -554,6 +596,11 @@ int main(int argc, char** argv) {
     return usage();
   }
   if (injectorArmed) config.params.faultInjector = &injector;
+  // A worker's model and gamma are its supervisor's (the flags are
+  // forwarded verbatim), so the supervisor's Lth is this process's too.
+  if (workerLth > 0.0) {
+    config.params.makeModel().seedLth(config.params.gamma, workerLth);
+  }
 
   const auto dirOf = [](const std::string& p) {
     const std::size_t slash = p.find_last_of('/');
@@ -651,6 +698,9 @@ int main(int argc, char** argv) {
     sup.backoffBaseMs = backoffMs;
     sup.verbose = report;
     sup.collectTraceSpans = !traceJsonPath.empty();
+    // Lth is resolved once, here, and handed to every worker.
+    const double lth = config.params.resolvedLth(config.params.makeModel());
+    if (lth > 0.0) sup.workerArgs.push_back("--lth-bits=" + lthBits(lth));
     runStatus = fracturePlanSupervised(plan, options, sup, run, &counters);
   } else {
     runStatus = fracturePlan(plan, config, options, run, &counters);
