@@ -40,11 +40,13 @@ int main(int argc, char** argv) {
     saveGds("clip_in.gds", lib);
   }
   GdsLibrary lib;
-  if (!loadGds("clip_in.gds", lib)) {
-    std::cerr << "GDSII round trip failed\n";
+  std::vector<GdsPolygon> polys;
+  Status status = parseGdsFile("clip_in.gds", lib);
+  if (status.ok()) status = flattenGdsChecked(lib, "", polys);
+  if (!status.ok()) {
+    std::cerr << "GDSII round trip failed: " << status.str() << "\n";
     return 1;
   }
-  const std::vector<GdsPolygon> polys = flattenGds(lib);
   if (polys.empty()) {
     std::cerr << "GDSII round trip lost the polygon\n";
     return 1;

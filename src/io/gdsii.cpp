@@ -628,14 +628,6 @@ Status parseGdsFile(const std::string& path, GdsLibrary& out) {
   return parseGds(is, out);
 }
 
-bool readGds(std::istream& is, GdsLibrary& out) {
-  return parseGds(is, out).ok();
-}
-
-bool loadGds(const std::string& path, GdsLibrary& out) {
-  return parseGdsFile(path, out).ok();
-}
-
 Status findGdsTopStructure(const GdsLibrary& lib, std::string& out) {
   out.clear();
   if (lib.structures.empty()) {
@@ -686,21 +678,6 @@ Status flattenGdsChecked(const GdsLibrary& lib, const std::string& topStruct,
   }
   std::vector<const GdsStructure*> path;
   return flattenCheckedInto(lib, *top, {0, 0}, path, out);
-}
-
-std::vector<GdsPolygon> flattenGds(const GdsLibrary& lib,
-                                   const std::string& topStruct) {
-  std::vector<GdsPolygon> out;
-  std::string topName = topStruct;
-  if (topName.empty() && !findGdsTopStructure(lib, topName).ok()) {
-    // Ambiguous or cyclic hierarchy: keep the historical best-effort
-    // default so legacy callers still get the first structure's view.
-    topName = lib.structures.empty() ? "" : lib.structures.front().name;
-  }
-  if (!topName.empty()) {
-    flattenGdsChecked(lib, topName, out);  // partial output on error
-  }
-  return out;
 }
 
 }  // namespace mbf

@@ -77,11 +77,6 @@ bool saveGds(const std::string& path, const GdsLibrary& lib);
 Status parseGds(std::istream& is, GdsLibrary& out);
 Status parseGdsFile(const std::string& path, GdsLibrary& out);
 
-/// Bool-convenience wrappers over parseGds / parseGdsFile (the original
-/// API; the Status with the failure detail is discarded).
-bool readGds(std::istream& is, GdsLibrary& out);
-bool loadGds(const std::string& path, GdsLibrary& out);
-
 /// Deepest reference chain the checked traversals follow before calling
 /// the hierarchy malformed. Real masks nest a handful of levels; 64 is
 /// far past any legitimate design while still bounding recursion.
@@ -103,16 +98,9 @@ Status findGdsTopStructure(const GdsLibrary& lib, std::string& out);
 /// space and AREFs declaring more than 2^22 instances are
 /// kInvalidArgument instead of silently dropped geometry. References to
 /// structures absent from the library are skipped (a subset extraction
-/// convention shared with flattenGds). On error `out` holds whatever
+/// convention shared with planGdsHierarchy). On error `out` holds whatever
 /// geometry was gathered before the failure (partial, do not ship).
 Status flattenGdsChecked(const GdsLibrary& lib, const std::string& topStruct,
                          std::vector<GdsPolygon>& out);
-
-/// Best-effort wrapper over flattenGdsChecked (the original API): the
-/// Status is discarded and a failed traversal yields whatever geometry
-/// was gathered before the error. `topStruct` empty auto-detects the
-/// root, falling back to the first structure when the root is ambiguous.
-std::vector<GdsPolygon> flattenGds(const GdsLibrary& lib,
-                                   const std::string& topStruct = {});
 
 }  // namespace mbf

@@ -29,12 +29,6 @@ void writePolygons(std::ostream& os, std::span<const Polygon> polygons) {
   }
 }
 
-std::vector<Polygon> readPolygons(std::istream& is) {
-  std::vector<Polygon> out;
-  parsePolygons(is, out);
-  return out;
-}
-
 Status parsePolygons(std::istream& is, std::vector<Polygon>& out,
                      PolyReadStats* stats) {
   Status first;
@@ -101,12 +95,6 @@ bool savePolygons(const std::string& path, std::span<const Polygon> polygons) {
   return atomicWriteFile(path, os.str()).ok();
 }
 
-std::vector<Polygon> loadPolygons(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) return {};
-  return readPolygons(is);
-}
-
 void writeShots(std::ostream& os, std::span<const Rect> shots) {
   for (const Rect& s : shots) {
     os << s.x0 << " " << s.y0 << " " << s.x1 << " " << s.y1 << "\n";
@@ -120,19 +108,6 @@ void writeBatchShots(std::ostream& os, std::span<const Solution> solutions) {
        << (solutions[i].degraded ? ", degraded" : "") << "\n";
     writeShots(os, solutions[i].shots);
   }
-}
-
-std::vector<Rect> readShots(std::istream& is) {
-  std::vector<Rect> out;
-  std::string raw;
-  std::string line;
-  while (std::getline(is, raw)) {
-    if (!contentLine(raw, line)) continue;
-    std::istringstream ls(line);
-    Rect r;
-    if (ls >> r.x0 >> r.y0 >> r.x1 >> r.y1) out.push_back(r);
-  }
-  return out;
 }
 
 bool saveShots(const std::string& path, std::span<const Rect> shots) {
@@ -151,12 +126,6 @@ Status saveBatchShots(const std::string& path,
   std::ostringstream os;
   writeBatchShots(os, solutions);
   return atomicWriteFile(path, os.str(), sha256Out);
-}
-
-std::vector<Rect> loadShots(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) return {};
-  return readShots(is);
 }
 
 }  // namespace mbf

@@ -27,7 +27,6 @@ struct PolyReadStats {
 };
 
 void writePolygons(std::ostream& os, std::span<const Polygon> polygons);
-std::vector<Polygon> readPolygons(std::istream& is);
 
 /// Status-reporting parse: well-formed polygons land in `out` even when
 /// the Status is an error (parsing is line-tolerant); the Status is the
@@ -41,10 +40,8 @@ Status parsePolygonsFile(const std::string& path, std::vector<Polygon>& out,
                          PolyReadStats* stats = nullptr);
 
 bool savePolygons(const std::string& path, std::span<const Polygon> polygons);
-std::vector<Polygon> loadPolygons(const std::string& path);
 
 void writeShots(std::ostream& os, std::span<const Rect> shots);
-std::vector<Rect> readShots(std::istream& is);
 
 /// The sectioned .shots layout mbf_cli emits: one "# shape i: N shots,
 /// M failing px[, degraded]" comment per shape followed by its shots.
@@ -62,6 +59,5 @@ Status saveBatchShots(const std::string& path,
                       std::string* sha256Out = nullptr);
 
 bool saveShots(const std::string& path, std::span<const Rect> shots);
-std::vector<Rect> loadShots(const std::string& path);
 
 }  // namespace mbf

@@ -224,6 +224,53 @@ HierPlan::Instance internCell(std::vector<LayoutShape> shapes,
   return {index, anchor};
 }
 
+/// Where a plan cell holds one shape.
+struct ShapeSlot {
+  int cell = 0;
+  int shape = 0;  ///< cell-local shape index
+  Point anchor;   ///< the shape's bbox min corner, cell-local
+};
+
+/// The distinct shapes of `cells` (plan cell indices, in plan order),
+/// each keyed like a one-shape flat cell: anchored at its bbox min
+/// corner, then cellFractureKey. One group per distinct shape, in order
+/// of first slot; the first slot is the one fractured, and the others
+/// repeat its outcome.
+std::vector<std::vector<ShapeSlot>> distinctShapes(
+    const HierPlan& plan, const std::vector<int>& cells,
+    const BatchConfig& config) {
+  std::vector<std::vector<ShapeSlot>> groups;
+  std::unordered_map<std::string, std::size_t> keyToGroup;
+  for (const int cellIdx : cells) {
+    const std::vector<LayoutShape>& shapes =
+        plan.cells[static_cast<std::size_t>(cellIdx)].shapes;
+    for (std::size_t i = 0; i < shapes.size(); ++i) {
+      std::vector<LayoutShape> anchored{shapes[i]};
+      const ShapeSlot slot{cellIdx, static_cast<int>(i),
+                           anchorShapes(anchored)};
+      const auto [it, fresh] = keyToGroup.emplace(
+          cellFractureKey(anchored, config), groups.size());
+      if (fresh) groups.emplace_back();
+      groups[it->second].push_back(slot);
+    }
+  }
+  return groups;
+}
+
+/// The fracture seconds of each distinct shape, counted once: the sum of
+/// every group's first-slot runtime (repeats carry a copy of it).
+double firstSlotSeconds(const std::vector<std::vector<ShapeSlot>>& groups,
+                        const std::vector<CellRecord>& records) {
+  double seconds = 0.0;
+  for (const std::vector<ShapeSlot>& group : groups) {
+    const ShapeSlot& first = group.front();
+    seconds += records[static_cast<std::size_t>(first.cell)]
+                   .solutions[static_cast<std::size_t>(first.shape)]
+                   .runtimeSeconds;
+  }
+  return seconds;
+}
+
 /// A journaled CellRecord is only installed if it provably describes
 /// the plan cell it claims: in-range index, the cell's content key, and
 /// one solution per cell shape.
@@ -619,12 +666,11 @@ Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
   }
 
   // Fracture each distinct shape of the missing cells once, as ONE batch
-  // on the work-stealing pool. A cell-local shape is keyed like a
-  // one-shape flat cell (anchored at its bbox min corner, then
-  // cellFractureKey); the first slot of each key runs under its
-  // plan-shape ordinal, and every repeat inherits that outcome with its
-  // shots moved by the anchor difference — exactly what fracturing it in
-  // place gives, since fracture is covariant under integer translation.
+  // on the work-stealing pool (distinctShapes). The first slot of each
+  // runs under its plan-shape ordinal, and every repeat inherits that
+  // outcome with its shots moved by the anchor difference — exactly what
+  // fracturing it in place gives, since fracture is covariant under
+  // integer translation.
   // Jobs write only their own slots, so any thread count computes
   // identical results. A cell's CellRecord is appended the moment its
   // LAST slot fills; interrupted cells are never journaled — a later
@@ -634,13 +680,8 @@ Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
     firstOrdinal[c] = firstOrdinal[c - 1] +
                       static_cast<int>(plan.cells[c - 1].shapes.size());
   }
-  struct Slot {
-    int cell = 0;
-    int shape = 0;  ///< cell-local shape index
-    Point anchor;   ///< the shape's bbox min corner, cell-local
-  };
-  std::vector<std::vector<Slot>> jobs;  // per distinct shape; [0] runs
-  std::unordered_map<std::string, std::size_t> keyToJob;
+  const std::vector<std::vector<ShapeSlot>> jobs =
+      distinctShapes(plan, missCells, config);
   std::vector<std::atomic<int>> cellRemaining(plan.cells.size());
   std::vector<std::atomic<bool>> cellInterrupted(plan.cells.size());
   for (const int cellIdx : missCells) {
@@ -648,29 +689,21 @@ Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
     const std::size_t n = plan.cells[c].shapes.size();
     progress.records[c].solutions.resize(n);
     progress.records[c].reports.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      std::vector<LayoutShape> anchored{plan.cells[c].shapes[i]};
-      const Slot slot{cellIdx, static_cast<int>(i), anchorShapes(anchored)};
-      const auto [it, fresh] =
-          keyToJob.emplace(cellFractureKey(anchored, config), jobs.size());
-      if (fresh) jobs.emplace_back();
-      jobs[it->second].push_back(slot);
-    }
     cellRemaining[c].store(static_cast<int>(n), std::memory_order_relaxed);
     cellInterrupted[c].store(false, std::memory_order_relaxed);
   }
   std::vector<RefinerStats> shapeStats(jobs.size());
   parallelFor(0, static_cast<int>(jobs.size()),
               ThreadPool::resolveThreads(config.threads), 1, [&](int k) {
-    const std::vector<Slot>& slots = jobs[static_cast<std::size_t>(k)];
-    const Slot& first = slots.front();
+    const std::vector<ShapeSlot>& slots = jobs[static_cast<std::size_t>(k)];
+    const ShapeSlot& first = slots.front();
     const auto firstCell = static_cast<std::size_t>(first.cell);
     ShapeOutcome outcome = fractureShapeGuarded(
         plan.cells[firstCell].shapes[static_cast<std::size_t>(first.shape)],
         config.params, config.method, firstOrdinal[firstCell] + first.shape,
         config.allowDegradation, &shapeStats[static_cast<std::size_t>(k)],
         config.fallbackOnly);
-    for (const Slot& slot : slots) {
+    for (const ShapeSlot& slot : slots) {
       const auto c = static_cast<std::size_t>(slot.cell);
       const auto local = static_cast<std::size_t>(slot.shape);
       if (outcome.interrupted) {
@@ -749,15 +782,9 @@ Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
 
   // What THIS process fractured, each shape once: instances, replayed
   // and cached cells add nothing.
-  double freshSeconds = 0.0;
+  const double freshSeconds = firstSlotSeconds(jobs, progress.records);
   RefinerStats freshStats;
-  for (std::size_t k = 0; k < jobs.size(); ++k) {
-    const Slot& first = jobs[k].front();
-    freshSeconds += progress.records[static_cast<std::size_t>(first.cell)]
-                        .solutions[static_cast<std::size_t>(first.shape)]
-                        .runtimeSeconds;
-    freshStats += shapeStats[k];
-  }
+  for (const RefinerStats& stats : shapeStats) freshStats += stats;
 
   if (workerShard) {
     // Worker mode: no instantiation — the supervising parent owns it.
@@ -784,7 +811,8 @@ Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
   return status;
 }
 
-Status fracturePlanSupervised(const HierPlan& plan, const HierOptions& options,
+Status fracturePlanSupervised(const HierPlan& plan, const BatchConfig& config,
+                              const HierOptions& options,
                               SupervisorConfig supervisor,
                               HierarchicalResult& out,
                               RunCounters* countersOut) {
@@ -862,19 +890,22 @@ Status fracturePlanSupervised(const HierPlan& plan, const HierOptions& options,
     // and its cell hole-filled below. Fresh records are appended to the
     // parent journal in plan order so a later resume needs only this one
     // file.
+    std::vector<int> delivered;
     for (auto& [index, record] : sres.cellRecords) {
       if (progress.done[static_cast<std::size_t>(index)] != 0 ||
           !validateCellRecord(plan, record).ok()) {
         continue;
       }
       journal.append(record);
-      for (const Solution& sol : record.solutions) {
-        freshSeconds += sol.runtimeSeconds;
-      }
-      ++counters.freshCells;
-      counters.freshShapes += static_cast<int>(record.solutions.size());
+      delivered.push_back(index);
       progress.install(std::move(record));
     }
+    // A shape shared by delivered cells counts once, as in fracturePlan.
+    const std::vector<std::vector<ShapeSlot>> shapes =
+        distinctShapes(plan, delivered, config);
+    counters.freshCells = static_cast<int>(delivered.size());
+    counters.freshShapes = static_cast<int>(shapes.size());
+    freshSeconds = firstSlotSeconds(shapes, progress.records);
   }
 
   const bool allDone =

@@ -156,8 +156,8 @@ struct HierarchicalResult {
   /// rejected entries; 0 on a fully warm run).
   int uniqueCellsFractured = 0;
   /// Shapes fractured this run: the distinct shapes of the fractured
-  /// cells (a supervised parent counts the shapes of the cells its
-  /// workers delivered).
+  /// cells (a supervised parent counts the distinct shapes of the cells
+  /// its workers delivered).
   int uniqueShapesFractured = 0;
   /// Persistent-cache outcome counts (all zero when no cache dir, and
   /// zero in the supervised parent — workers own all cache I/O there).
@@ -233,8 +233,12 @@ Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
 /// supervisor-fatal conditions and, as for fracturePlan, a downgraded
 /// journal; per-cell failures degrade records instead. The parent
 /// fractures nothing itself (workers take the configuration from their
-/// command line), so it needs no BatchConfig.
-Status fracturePlanSupervised(const HierPlan& plan, const HierOptions& options,
+/// command line); `config`, the one the plan was built under, keys the
+/// distinct shapes of the delivered cells, so that a shape shared by
+/// several cells counts once in uniqueShapesFractured, freshShapes and
+/// shapeSecondsSum, as in fracturePlan.
+Status fracturePlanSupervised(const HierPlan& plan, const BatchConfig& config,
+                              const HierOptions& options,
                               SupervisorConfig supervisor,
                               HierarchicalResult& out,
                               RunCounters* countersOut = nullptr);

@@ -55,12 +55,13 @@ std::string rangeLabel(const RangeTask& t) {
 }
 
 double backoffMs(const SupervisorConfig& config, int attempts) {
+  constexpr double kBackoffCapMs = 2000.0;
   double ms = config.backoffBaseMs;
   for (int i = 0; i < attempts; ++i) {
     ms *= 2.0;
-    if (ms >= config.backoffCapMs) return config.backoffCapMs;
+    if (ms >= kBackoffCapMs) return kBackoffCapMs;
   }
-  return std::min(ms, config.backoffCapMs);
+  return std::min(ms, kBackoffCapMs);
 }
 
 /// Last few lines of a worker log, for fatal-error diagnostics.
@@ -163,8 +164,7 @@ SupervisorResult superviseCells(const SupervisorConfig& config) {
   // Several chunks per worker slot: small enough that a crash forfeits
   // little work and bisection starts close to the culprit, large enough
   // that process spawn cost stays amortized.
-  int chunk = config.chunkShapes;
-  if (chunk <= 0) chunk = std::max(1, (work + jobs * 4 - 1) / (jobs * 4));
+  const int chunk = std::max(1, (work + jobs * 4 - 1) / (jobs * 4));
 
   std::deque<RangeTask> queue;
   for (const auto& r : ranges) {

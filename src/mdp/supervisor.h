@@ -60,11 +60,10 @@ struct SupervisorConfig {
   /// Plan cells to supervise (a flat layout's distinct shapes).
   int numShapes = 0;
   int jobs = 2;            ///< concurrent worker processes
-  int chunkShapes = 0;     ///< cells per initial range; 0 = derive
   double workerTimeoutMs = 0.0;  ///< watchdog; 0 = no timeout
   int maxRetries = 2;      ///< relaunches of one range before bisection
+  /// First retry delay; each retry doubles it, up to 2 s.
   double backoffBaseMs = 50.0;
-  double backoffCapMs = 2000.0;
   bool verbose = false;    ///< supervisor event log on stderr
   /// Ask every worker to record trace spans into a per-range span file
   /// (--trace-raw) and merge them into SupervisorResult::workerSpans, so

@@ -22,7 +22,7 @@
 // already survives any process death (SIGKILL included), because write()
 // completes into the kernel before returning. kEachRecord additionally
 // fsyncs after every append, extending the guarantee to machine power
-// loss at a measurable throughput cost (bench/journal_overhead).
+// loss at the cost of one fsync per record.
 //
 // Thread safety: append() serializes internally; one JournalWriter may
 // be shared by all worker threads of a batch.

@@ -113,11 +113,6 @@ TEST(SvgEdgeTest, SaveToBadPathFails) {
   EXPECT_FALSE(svg.save("/nonexistent-dir-xyz/out.svg").ok());
 }
 
-TEST(PolyIoEdgeTest, LoadMissingFileReturnsEmpty) {
-  EXPECT_TRUE(loadPolygons("/nonexistent-dir-xyz/in.poly").empty());
-  EXPECT_TRUE(loadShots("/nonexistent-dir-xyz/in.shots").empty());
-}
-
 TEST(PolyIoEdgeTest, SaveToBadPathFails) {
   const Polygon polys[] = {square(5)};
   EXPECT_FALSE(savePolygons("/nonexistent-dir-xyz/out.poly", polys));

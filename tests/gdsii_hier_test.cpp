@@ -25,9 +25,18 @@ GdsLibrary hierLib() {
   top.name = "TOP";
   top.polygons = {squarePoly(5)};
   top.srefs = {{"CELL", {100, 0}}, {"CELL", {0, 100}}, {"CELL", {100, 100}}};
-  // Top first: flattenGds defaults to the first structure.
   lib.structures = {top, cell};
   return lib;
+}
+
+/// flattenGdsChecked from `top` (empty = the detected root), which must
+/// succeed.
+std::vector<GdsPolygon> flatten(const GdsLibrary& lib,
+                                const std::string& top = {}) {
+  std::vector<GdsPolygon> out;
+  const Status st = flattenGdsChecked(lib, top, out);
+  EXPECT_TRUE(st.ok()) << st.str();
+  return out;
 }
 
 TEST(GdsiiHierTest, SrefRoundTrip) {
@@ -35,7 +44,7 @@ TEST(GdsiiHierTest, SrefRoundTrip) {
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
   writeGds(ss, lib);
   GdsLibrary back;
-  ASSERT_TRUE(readGds(ss, back));
+  ASSERT_TRUE(parseGds(ss, back).ok());
   ASSERT_EQ(back.structures.size(), 2u);
   const GdsStructure* top = back.findStructure("TOP");
   ASSERT_NE(top, nullptr);
@@ -46,7 +55,7 @@ TEST(GdsiiHierTest, SrefRoundTrip) {
 }
 
 TEST(GdsiiHierTest, FlattenTranslatesInstances) {
-  const std::vector<GdsPolygon> flat = flattenGds(hierLib());
+  const std::vector<GdsPolygon> flat = flatten(hierLib());
   // 1 own polygon + 3 instances of CELL.
   ASSERT_EQ(flat.size(), 4u);
   // Instance at (100, 0): bbox shifted.
@@ -58,7 +67,7 @@ TEST(GdsiiHierTest, FlattenTranslatesInstances) {
 }
 
 TEST(GdsiiHierTest, FlattenByName) {
-  const std::vector<GdsPolygon> flat = flattenGds(hierLib(), "CELL");
+  const std::vector<GdsPolygon> flat = flatten(hierLib(), "CELL");
   ASSERT_EQ(flat.size(), 1u);
   EXPECT_EQ(flat[0].polygon.bbox(), Rect(0, 0, 20, 20));
 }
@@ -69,7 +78,7 @@ TEST(GdsiiHierTest, NestedReferences) {
   GdsStructure mid{"MID", {}, {{"LEAF", {50, 0}}, {"LEAF", {0, 50}}}, {}};
   GdsStructure top{"TOP", {}, {{"MID", {1000, 1000}}}, {}};
   lib.structures = {top, mid, leaf};
-  const std::vector<GdsPolygon> flat = flattenGds(lib);
+  const std::vector<GdsPolygon> flat = flatten(lib);
   ASSERT_EQ(flat.size(), 2u);
   EXPECT_EQ(flat[0].polygon.bbox(), Rect(1050, 1000, 1060, 1010));
   EXPECT_EQ(flat[1].polygon.bbox(), Rect(1000, 1050, 1010, 1060));
@@ -93,8 +102,6 @@ TEST(GdsiiHierTest, CycleIsAnError) {
   // referenced): detection reports the cycle up front.
   std::string top;
   EXPECT_FALSE(findGdsTopStructure(lib, top).ok());
-  // The legacy best-effort wrapper still terminates on cyclic input.
-  EXPECT_LE(flattenGds(lib).size(), 20u);
 }
 
 TEST(GdsiiHierTest, TopStructureDetection) {
@@ -105,9 +112,8 @@ TEST(GdsiiHierTest, TopStructureDetection) {
   std::string top;
   ASSERT_TRUE(findGdsTopStructure(lib, top).ok());
   EXPECT_EQ(top, "TOP");
-  // flattenGds with no name now flattens the detected root, not
-  // structures.front().
-  EXPECT_EQ(flattenGds(lib).size(), 4u);
+  // An empty top flattens the detected root, not structures.front().
+  EXPECT_EQ(flatten(lib).size(), 4u);
 
   // Two unreferenced structures: ambiguous, names both candidates.
   lib.structures.push_back(GdsStructure{"TOP2", {squarePoly(5)}, {}, {}});
@@ -120,7 +126,7 @@ TEST(GdsiiHierTest, MissingReferenceIgnored) {
   GdsLibrary lib;
   GdsStructure top{"TOP", {squarePoly(5)}, {{"GHOST", {10, 10}}}, {}};
   lib.structures = {top};
-  EXPECT_EQ(flattenGds(lib).size(), 1u);
+  EXPECT_EQ(flatten(lib).size(), 1u);
 }
 
 TEST(GdsiiHierTest, ArefRoundTripAndFlatten) {
@@ -140,7 +146,7 @@ TEST(GdsiiHierTest, ArefRoundTripAndFlatten) {
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
   writeGds(ss, lib);
   GdsLibrary back;
-  ASSERT_TRUE(readGds(ss, back));
+  ASSERT_TRUE(parseGds(ss, back).ok());
   const GdsStructure* t = back.findStructure("TOP");
   ASSERT_NE(t, nullptr);
   ASSERT_EQ(t->arefs.size(), 1u);
@@ -150,7 +156,7 @@ TEST(GdsiiHierTest, ArefRoundTripAndFlatten) {
   EXPECT_EQ(t->arefs[0].columnPitch, Point(40, 0));
   EXPECT_EQ(t->arefs[0].rowPitch, Point(0, 50));
 
-  const std::vector<GdsPolygon> flat = flattenGds(back);
+  const std::vector<GdsPolygon> flat = flatten(back);
   ASSERT_EQ(flat.size(), 6u);  // 3 x 2 array
   bool corner = false;
   for (const GdsPolygon& p : flat) {

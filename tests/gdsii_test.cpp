@@ -32,7 +32,7 @@ TEST(GdsiiTest, RoundTripPolygons) {
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
   writeGds(ss, lib);
   GdsLibrary back;
-  ASSERT_TRUE(readGds(ss, back));
+  ASSERT_TRUE(parseGds(ss, back).ok());
   ASSERT_EQ(back.structures.size(), 1u);
   const GdsStructure& s0 = back.structures[0];
   ASSERT_EQ(s0.polygons.size(), 2u);
@@ -53,7 +53,7 @@ TEST(GdsiiTest, UnitsRoundTrip) {
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
   writeGds(ss, lib);
   GdsLibrary back;
-  ASSERT_TRUE(readGds(ss, back));
+  ASSERT_TRUE(parseGds(ss, back).ok());
   EXPECT_NEAR(back.userUnitsPerDbUnit, 1e-3, 1e-12);
   EXPECT_NEAR(back.metersPerDbUnit, 1e-9, 1e-18);
 }
@@ -66,7 +66,7 @@ TEST(GdsiiTest, NegativeCoordinatesSurvive) {
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
   writeGds(ss, lib);
   GdsLibrary back;
-  ASSERT_TRUE(readGds(ss, back));
+  ASSERT_TRUE(parseGds(ss, back).ok());
   ASSERT_EQ(back.structures.size(), 1u);
   const auto& polys = back.structures[0].polygons;
   ASSERT_EQ(polys.size(), 1u);
@@ -79,15 +79,19 @@ TEST(GdsiiTest, EmptyLibrary) {
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
   writeGds(ss, lib);
   GdsLibrary back;
-  ASSERT_TRUE(readGds(ss, back));
-  EXPECT_TRUE(flattenGds(back).empty());
+  ASSERT_TRUE(parseGds(ss, back).ok());
+  EXPECT_TRUE(back.structures.empty());
+  // No structure, so no top to flatten from: a named error.
+  std::vector<GdsPolygon> flat;
+  EXPECT_FALSE(flattenGdsChecked(back, "", flat).ok());
+  EXPECT_TRUE(flat.empty());
 }
 
 TEST(GdsiiTest, GarbageRejected) {
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
   ss << "this is not gdsii at all, definitely";
   GdsLibrary back;
-  EXPECT_FALSE(readGds(ss, back));
+  EXPECT_FALSE(parseGds(ss, back).ok());
 }
 
 TEST(GdsiiTest, TruncatedStreamRejected) {
@@ -98,7 +102,7 @@ TEST(GdsiiTest, TruncatedStreamRejected) {
   std::stringstream truncated(bytes.substr(0, bytes.size() / 2),
                               std::ios::in | std::ios::binary);
   GdsLibrary back;
-  EXPECT_FALSE(readGds(truncated, back));
+  EXPECT_FALSE(parseGds(truncated, back).ok());
 }
 
 TEST(GdsiiTest, FileRoundTrip) {
@@ -106,8 +110,10 @@ TEST(GdsiiTest, FileRoundTrip) {
   const std::string path = "gdsii_test_tmp.gds";
   ASSERT_TRUE(saveGds(path, lib));
   GdsLibrary back;
-  ASSERT_TRUE(loadGds(path, back));
-  EXPECT_EQ(flattenGds(back).size(), 2u);
+  ASSERT_TRUE(parseGdsFile(path, back).ok());
+  std::vector<GdsPolygon> flat;
+  ASSERT_TRUE(flattenGdsChecked(back, "", flat).ok());
+  EXPECT_EQ(flat.size(), 2u);
   std::remove(path.c_str());
 }
 
@@ -117,7 +123,7 @@ TEST(GdsiiTest, OddLengthNamesPadded) {
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
   writeGds(ss, lib);
   GdsLibrary back;
-  ASSERT_TRUE(readGds(ss, back));
+  ASSERT_TRUE(parseGds(ss, back).ok());
   EXPECT_EQ(back.libName, "ODD");
 }
 

@@ -1,6 +1,7 @@
 // Unit tests for the geometry substrate: rects, polygons, RDP
 // simplification, rasterization, EDT and contour tracing.
 #include <gtest/gtest.h>
+#include <pthread.h>
 
 #include <cmath>
 
@@ -163,19 +164,40 @@ TEST(RdpTest, ToleranceGuarantee) {
 }
 
 TEST(RdpTest, LongDenseContourDoesNotOverflowStack) {
-  // Dense zigzag (y alternating 0/1, chord y = 0, tolerance 0.5): every
-  // split point is adjacent to an interval endpoint, so the recursive
-  // formulation reached O(n) call depth and overflowed on contours this
-  // long. The work-stack version must simplify it without crashing.
+  // Dense zigzag (y alternating 0/1, tolerance 0.5) whose first vertex
+  // sits at y = 0.1: every split point is the vertex next to the
+  // interval's END, so a recursive RDP descends one frame per vertex
+  // through its first call, which no tail-call optimization removes.
+  // On a thread with a 256 KiB stack that depth overflows; the
+  // work-stack version must simplify the contour without crashing.
   std::vector<Vec2> pts;
-  const int n = 150001;  // odd so both endpoints sit on the chord
+  const int n = 8001;  // odd: the last vertex sits at y = 0
   pts.reserve(n);
   for (int i = 0; i < n; ++i) {
     pts.push_back({double(i), double(i % 2)});
   }
-  const std::vector<Vec2> out = simplifyPolyline(pts, 0.5);
+  pts[0].y = 0.1;
+  struct Job {
+    const std::vector<Vec2>* pts;
+    std::vector<Vec2> out;
+  } job{&pts, {}};
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, 256 * 1024), 0);
+  pthread_t thread;
+  const int rc = pthread_create(
+      &thread, &attr,
+      [](void* arg) -> void* {
+        Job& j = *static_cast<Job*>(arg);
+        j.out = simplifyPolyline(*j.pts, 0.5);
+        return nullptr;
+      },
+      &job);
+  pthread_attr_destroy(&attr);
+  ASSERT_EQ(rc, 0);
+  ASSERT_EQ(pthread_join(thread, nullptr), 0);
   // Every zigzag vertex deviates > tolerance from its local chord.
-  EXPECT_EQ(out.size(), pts.size());
+  EXPECT_EQ(job.out.size(), pts.size());
 }
 
 TEST(RdpTest, RingOfCoincidentVerticesFallsBackToSafeSplit) {

@@ -48,6 +48,8 @@
 //      placed near -2^31, a flat run and a --hier run write
 //      byte-identical .shots; a flat --isolate --jobs=4 run of the
 //      repeat-heavy drill layout equals the serial flat run.
+//  15. A shape shared by two cells is counted once by a --hier --isolate
+//      run, as in process: 3 fractured shapes of 4 cell shapes.
 //
 // Standalone driver (no gtest), same pattern as mbf_verify_drill: it
 // exercises the CLI process boundary, not library internals.
@@ -70,10 +72,11 @@
 #include <utility>
 #include <vector>
 
+#include "audit/independent_checker.h"
 #include "benchgen/ilt_synth.h"
 #include "fracture/problem.h"
+#include "io/atomic_file.h"
 #include "io/gdsii.h"
-#include "io/poly_io.h"
 #include "support/journal.h"
 #include "support/telemetry.h"
 
@@ -119,13 +122,21 @@ int runCli(const std::string& cli, const std::vector<std::string>& args,
   return WEXITSTATUS(raw);
 }
 
-/// The shot multiset of a .shots file: every "x0 y0 x1 y1" line, sorted.
+/// The shot multiset of a .shots file: every section's shots, sorted;
+/// empty when the file is unreadable or malformed.
 std::vector<std::tuple<int, int, int, int>> shotMultiset(
     const std::string& path) {
-  std::ifstream is(path);
+  std::string content;
+  std::vector<mbf::ShotSection> sections;
   std::vector<std::tuple<int, int, int, int>> out;
-  for (const mbf::Rect& r : mbf::readShots(is)) {
-    out.emplace_back(r.x0, r.y0, r.x1, r.y1);
+  if (!mbf::readFileToString(path, content).ok() ||
+      !mbf::parseShotSections(content, sections).ok()) {
+    return out;
+  }
+  for (const mbf::ShotSection& section : sections) {
+    for (const mbf::Rect& r : section.shots) {
+      out.emplace_back(r.x0, r.y0, r.x1, r.y1);
+    }
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -745,6 +756,34 @@ int main(int argc, char** argv) {
           "flat --isolate output byte-identical to the serial flat run");
     check(runCli(cli, {"--verify", isoJson}) == 0,
           "flat --isolate run passes --verify");
+  }
+
+  // --- Drill 15: supervised runs count a shared shape once -------------
+  {
+    // A and B each hold one distinct shape and the same L at a different
+    // spot of their own coordinates; --jobs=2 gives each cell a worker.
+    const mbf::GdsPolygon l =
+        poly({{0, 0}, {80, 0}, {80, 30}, {30, 30}, {30, 80}, {0, 80}});
+    mbf::GdsPolygon lInB = l;
+    lInB.polygon.translate({170, 60});
+    const mbf::GdsStructure a{
+        "A", {l, poly({{200, 10}, {260, 10}, {260, 70}, {200, 70}})}, {}, {}};
+    const mbf::GdsStructure b{
+        "B", {poly({{0, 0}, {140, 0}, {140, 40}, {0, 40}}), lInB}, {}, {}};
+    const mbf::GdsStructure top{
+        "TOP", {}, {{"A", {0, 0}}, {"B", {1000, 500}}, {"A", {-800, 900}}},
+        {}};
+    mbf::GdsLibrary lib;
+    lib.structures = {top, a, b};
+    const std::string path = dir + "/shared_shape.gds";
+    const std::string json = dir + "/shared_shape.json";
+    check(writeGdsFile(path, lib), "shared shape: .gds written");
+    check(runCli(cli, {path, dir + "/shared_shape.shots", "--hier",
+                       "--isolate", "--jobs=2", "--metrics-json=" + json}) == 0,
+          "shared shape: --hier --isolate --jobs=2 exits 0");
+    check(manifestNumber(json, "hier", "unique_shapes_fractured") == 3.0 &&
+              manifestNumber(json, "recovery", "fresh_shapes") == 3.0,
+          "shared shape: supervised manifest counts 3 shapes of 4");
   }
 
   if (g_failures > 0) {

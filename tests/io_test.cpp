@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "audit/independent_checker.h"
 #include "io/poly_io.h"
 #include "io/svg.h"
 #include "io/table.h"
@@ -16,7 +17,8 @@ TEST(PolyIoTest, SinglePolygonRoundTrip) {
   std::stringstream ss;
   const Polygon polys[] = {p};
   writePolygons(ss, polys);
-  const std::vector<Polygon> back = readPolygons(ss);
+  std::vector<Polygon> back;
+  ASSERT_TRUE(parsePolygons(ss, back).ok());
   ASSERT_EQ(back.size(), 1u);
   EXPECT_EQ(back[0].vertices(), p.vertices());
 }
@@ -27,7 +29,8 @@ TEST(PolyIoTest, MultiplePolygonsSeparatedByBlankLine) {
   std::stringstream ss;
   const Polygon polys[] = {a, b};
   writePolygons(ss, polys);
-  const std::vector<Polygon> back = readPolygons(ss);
+  std::vector<Polygon> back;
+  ASSERT_TRUE(parsePolygons(ss, back).ok());
   ASSERT_EQ(back.size(), 2u);
   EXPECT_EQ(back[0].size(), 3u);
   EXPECT_EQ(back[1].size(), 4u);
@@ -35,21 +38,28 @@ TEST(PolyIoTest, MultiplePolygonsSeparatedByBlankLine) {
 
 TEST(PolyIoTest, CommentsAndNegativesParsed) {
   std::stringstream ss("# header\n-5 -3\n10 0 # trailing\n10 10\n");
-  const std::vector<Polygon> back = readPolygons(ss);
+  std::vector<Polygon> back;
+  ASSERT_TRUE(parsePolygons(ss, back).ok());
   ASSERT_EQ(back.size(), 1u);
   EXPECT_EQ(back[0][0], Point(-5, -3));
 }
 
 TEST(PolyIoTest, DegenerateInputDropped) {
   std::stringstream ss("1 1\n2 2\n");  // only two vertices
-  EXPECT_TRUE(readPolygons(ss).empty());
+  std::vector<Polygon> back;
+  EXPECT_EQ(parsePolygons(ss, back).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(back.empty());
 }
 
 TEST(ShotsIoTest, RoundTrip) {
-  const std::vector<Rect> shots{{0, 0, 10, 12}, {-5, 3, 7, 40}};
-  std::stringstream ss;
-  writeShots(ss, shots);
-  EXPECT_EQ(readShots(ss), shots);
+  std::vector<Solution> solutions(1);
+  solutions[0].shots = {{0, 0, 10, 12}, {-5, 3, 7, 40}};
+  std::ostringstream os;
+  writeBatchShots(os, solutions);
+  std::vector<ShotSection> sections;
+  ASSERT_TRUE(parseShotSections(os.str(), sections).ok());
+  ASSERT_EQ(sections.size(), 1u);
+  EXPECT_EQ(sections[0].shots, solutions[0].shots);
 }
 
 TEST(SvgTest, ContainsExpectedElements) {

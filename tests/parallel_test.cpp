@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "benchgen/ilt_synth.h"
 #include "benchgen/opc_synth.h"
 #include "ebeam/proximity_model.h"
 #include "ebeam/intensity_map.h"
@@ -277,11 +278,18 @@ TEST(ParallelVerifierTest, LedgerEqualsFreshScanOverRandomMutationCycles) {
 // --- End-to-end layout determinism (the issue's acceptance test) --------
 
 TEST(ParallelLayoutTest, FractureLayoutParallelIsByteIdentical) {
+  // OPC clips 0-5 and ILT clips 0-2 (curvilinear, refine-dominated).
   std::vector<LayoutShape> shapes;
   const std::vector<OpcSynthConfig> suite = opcSuiteConfigs();
   for (std::size_t i = 0; i < suite.size() && i < 6; ++i) {
     LayoutShape shape;
     shape.rings.push_back(makeOpcShape(suite[i]));
+    shapes.push_back(std::move(shape));
+  }
+  const std::vector<IltSynthConfig> iltSuite = iltSuiteConfigs();
+  for (std::size_t i = 0; i < 3; ++i) {
+    LayoutShape shape;
+    shape.rings.push_back(makeIltShape(iltSuite[i]));
     shapes.push_back(std::move(shape));
   }
 

@@ -2,8 +2,13 @@
 // updates and the cost-delta evaluation the refiner relies on.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <random>
 
+#include "benchgen/ilt_synth.h"
+#include "benchgen/opc_synth.h"
+#include "fracture/fallback.h"
 #include "fracture/verifier.h"
 
 namespace mbf {
@@ -221,6 +226,15 @@ TEST_F(VerifierTest, CostDeltaOffGridWindowIsZero) {
   EXPECT_EQ(v.costDeltaForReplace(1, {301, 300, 341, 340}, cache), 0.0);
 }
 
+/// The refiner's candidate set for shot `s`: its eight +-1 nm
+/// single-edge moves.
+std::vector<Rect> singleEdgeMoves(const Rect& s) {
+  return {{s.x0 - 1, s.y0, s.x1, s.y1}, {s.x0 + 1, s.y0, s.x1, s.y1},
+          {s.x0, s.y0, s.x1 - 1, s.y1}, {s.x0, s.y0, s.x1 + 1, s.y1},
+          {s.x0, s.y0 - 1, s.x1, s.y1}, {s.x0, s.y0 + 1, s.x1, s.y1},
+          {s.x0, s.y0, s.x1, s.y1 - 1}, {s.x0, s.y0, s.x1, s.y1 + 1}};
+}
+
 TEST_F(VerifierTest, SharedCacheCandidateSetMatchesUncachedBitwise) {
   Verifier v(problem_);
   v.setShots(std::vector<Rect>{{0, 0, 40, 40}, {8, 6, 30, 27}});
@@ -228,18 +242,8 @@ TEST_F(VerifierTest, SharedCacheCandidateSetMatchesUncachedBitwise) {
   // The refiner's exact access pattern: one cache reused across a shot's
   // whole +-1 single-edge candidate set.
   const Rect base = v.shots()[1];
-  const Rect candidates[] = {
-      {base.x0 - 1, base.y0, base.x1, base.y1},
-      {base.x0 + 1, base.y0, base.x1, base.y1},
-      {base.x0, base.y0, base.x1 - 1, base.y1},
-      {base.x0, base.y0, base.x1 + 1, base.y1},
-      {base.x0, base.y0 - 1, base.x1, base.y1},
-      {base.x0, base.y0 + 1, base.x1, base.y1},
-      {base.x0, base.y0, base.x1, base.y1 - 1},
-      {base.x0, base.y0, base.x1, base.y1 + 1},
-  };
   CandidateEvalCache cache;
-  for (const Rect& cand : candidates) {
+  for (const Rect& cand : singleEdgeMoves(base)) {
     EXPECT_EQ(v.costDeltaForReplace(1, cand, cache),
               v.costDeltaForReplace(1, cand))
         << cand.str();
@@ -252,6 +256,56 @@ TEST_F(VerifierTest, SharedCacheCandidateSetMatchesUncachedBitwise) {
   const Rect cand{moved.x0, moved.y0 - 1, moved.x1, moved.y1};
   EXPECT_EQ(v.costDeltaForReplace(1, cand, cache),
             v.costDeltaForReplace(1, cand));
+}
+
+/// OPC and ILT suite clips 0-2. Their verifiers start from the partition
+/// fallback's shots: deterministic, cheap, and shaped like the refiner's
+/// starting point.
+std::vector<Polygon> suiteClips() {
+  std::vector<Polygon> clips;
+  for (std::size_t i = 0; i < 3; ++i) {
+    clips.push_back(makeOpcShape(opcSuiteConfigs()[i]));
+    clips.push_back(makeIltShape(iltSuiteConfigs()[i]));
+  }
+  return clips;
+}
+
+TEST(VerifierSuiteTest, CachedCandidateDeltasMatchUncachedBitwise) {
+  for (const Polygon& clip : suiteClips()) {
+    const Problem problem(clip, FractureParams{});
+    Verifier v(problem);
+    v.setShots(fallbackFracture(problem).shots);
+    ASSERT_FALSE(v.shots().empty());
+    // One cache across every shot's candidate set.
+    CandidateEvalCache cache;
+    for (std::size_t i = 0; i < v.shots().size(); ++i) {
+      for (const Rect& cand : singleEdgeMoves(v.shots()[i])) {
+        const double cached = v.costDeltaForReplace(i, cand, cache);
+        const double uncached = v.costDeltaForReplace(i, cand);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(cached),
+                  std::bit_cast<std::uint64_t>(uncached))
+            << "shot " << i << " -> " << cand.str();
+      }
+    }
+  }
+}
+
+TEST(VerifierSuiteTest, LedgerMatchesScanOverAlternatingEdgeMoves) {
+  for (const Polygon& clip : suiteClips()) {
+    const Problem problem(clip, FractureParams{});
+    Verifier v(problem);
+    v.setShots(fallbackFracture(problem).shots);
+    ASSERT_FALSE(v.shots().empty());
+    // Shot 0's right edge steps +1, -1, +1, ...: each move dirties the
+    // same row band, and the ledger refreshes it lazily on query.
+    for (int k = 0; k < 64; ++k) {
+      Rect r = v.shots()[0];
+      r.x1 += (k % 2 == 0) ? 1 : -1;
+      v.replaceShot(0, r);
+      ASSERT_TRUE(v.violations() == v.scanViolations()) << "move " << k;
+    }
+    EXPECT_TRUE(v.ledgerMatchesScan());
+  }
 }
 
 }  // namespace

@@ -701,7 +701,8 @@ int main(int argc, char** argv) {
     // Lth is resolved once, here, and handed to every worker.
     const double lth = config.params.resolvedLth(config.params.makeModel());
     if (lth > 0.0) sup.workerArgs.push_back("--lth-bits=" + lthBits(lth));
-    runStatus = fracturePlanSupervised(plan, options, sup, run, &counters);
+    runStatus =
+        fracturePlanSupervised(plan, config, options, sup, run, &counters);
   } else {
     runStatus = fracturePlan(plan, config, options, run, &counters);
   }
