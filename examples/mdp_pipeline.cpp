@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
     GdsPolygon gp;
     gp.polygon = target;
     gp.layer = 1;
-    lib.structures = {GdsStructure{"CLIP", {gp}, {}}};
+    lib.structures = {GdsStructure{"CLIP", {gp}, {}, {}}};
     saveGds("clip_in.gds", lib);
   }
   GdsLibrary lib;

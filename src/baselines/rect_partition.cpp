@@ -25,10 +25,6 @@ struct Walls {
   Walls(int w, int ht) : h(w, ht + 1, 0), v(w + 1, ht, 0) {}
 };
 
-bool properOverlap(int a0, int a1, int b0, int b1) {
-  return std::max(a0, b0) < std::min(a1, b1);
-}
-
 // True when the open chord segment lies strictly inside the polygon:
 // every unit cell along both sides of the chord line is inside the mask.
 // (Chord endpoints are polygon vertices, so touching the boundary at the

@@ -71,7 +71,7 @@ IltShape tryMakeIltShape(const IltSynthConfig& config, std::uint32_t salt) {
     const Point a = anchorOn(rng, host);
     const int w = widthDist(rng);
     const int l = lengthDist(rng);
-    const bool horizontal = (i % 2) == (config.seed % 2);
+    const bool horizontal = static_cast<unsigned>(i % 2) == config.seed % 2;
     Rect next;
     if (horizontal) {
       // Extend left or right from the anchor; the 4 nm back-extension

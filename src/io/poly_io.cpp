@@ -116,16 +116,4 @@ bool saveShots(const std::string& path, std::span<const Rect> shots) {
   return atomicWriteFile(path, os.str()).ok();
 }
 
-Status saveBatchShots(const std::string& path,
-                      std::span<const Solution> solutions,
-                      std::string* sha256Out) {
-  // The bytes are defined by writeBatchShots (the resume/selfcheck
-  // byte-identity contracts cover them); only the durability protocol
-  // changed: temp + fsync + rename + parent-dir fsync, with short
-  // writes and ENOSPC surfaced instead of swallowed.
-  std::ostringstream os;
-  writeBatchShots(os, solutions);
-  return atomicWriteFile(path, os.str(), sha256Out);
-}
-
 }  // namespace mbf

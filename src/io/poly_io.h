@@ -50,14 +50,6 @@ void writeShots(std::ostream& os, std::span<const Rect> shots);
 /// covers the exact bytes of this writer.
 void writeBatchShots(std::ostream& os, std::span<const Solution> solutions);
 
-/// writeBatchShots to `path` through the atomic-write protocol
-/// (io/atomic_file): identical bytes, durable rename, errors as Status.
-/// `sha256Out`, when non-null, receives the artifact's hex digest for
-/// the run manifest.
-Status saveBatchShots(const std::string& path,
-                      std::span<const Solution> solutions,
-                      std::string* sha256Out = nullptr);
-
 bool saveShots(const std::string& path, std::span<const Rect> shots);
 
 }  // namespace mbf

@@ -327,8 +327,9 @@ struct PlanProgress {
 };
 
 /// The cell journal of one run: the single open -> replay -> append
-/// (downgrade on failure) -> seal sequence both drivers share. With an
-/// empty path every call is a no-op.
+/// (downgrade on failure) -> seal sequence of the executor, in process,
+/// supervised or as a worker shard. With an empty path every call is a
+/// no-op.
 class PlanJournal {
  public:
   /// Creates the journal covering plan cells [begin, end) or, resuming,
@@ -417,13 +418,6 @@ class PlanJournal {
   std::mutex errorMutex_;
   Status appendError_;
 };
-
-void startResult(const HierPlan& plan, HierarchicalResult& out) {
-  out = HierarchicalResult{};
-  out.topStruct = plan.topStruct;
-  out.reachableCells = plan.reachableCells;
-  out.instancesExpanded = plan.instancesExpanded;
-}
 
 /// Expands the plan: translates each instance's cell-local solutions
 /// into top coordinates in DFS order — the order a flat run sees —
@@ -612,9 +606,13 @@ SupervisorResult superviseFracture(const SupervisorConfig& config) {
 
 Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
                     const HierOptions& options, HierarchicalResult& out,
-                    RunCounters* countersOut) {
+                    RunCounters* countersOut,
+                    const SupervisorConfig* supervisor) {
   const auto start = std::chrono::steady_clock::now();
-  startResult(plan, out);
+  out = HierarchicalResult{};
+  out.topStruct = plan.topStruct;
+  out.reachableCells = plan.reachableCells;
+  out.instancesExpanded = plan.instancesExpanded;
   RunCounters counters;
 
   const int numCells = static_cast<int>(plan.cells.size());
@@ -665,85 +663,146 @@ Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
     missCells.push_back(i);
   }
 
-  // Fracture each distinct shape of the missing cells once, as ONE batch
-  // on the work-stealing pool (distinctShapes). The first slot of each
-  // runs under its plan-shape ordinal, and every repeat inherits that
-  // outcome with its shots moved by the anchor difference — exactly what
-  // fracturing it in place gives, since fracture is covariant under
-  // integer translation.
-  // Jobs write only their own slots, so any thread count computes
-  // identical results. A cell's CellRecord is appended the moment its
-  // LAST slot fills; interrupted cells are never journaled — a later
-  // resume re-fractures them instead of replaying unfinished work.
-  std::vector<int> firstOrdinal(plan.cells.size(), 0);
-  for (std::size_t c = 1; c < plan.cells.size(); ++c) {
-    firstOrdinal[c] = firstOrdinal[c - 1] +
-                      static_cast<int>(plan.cells[c - 1].shapes.size());
-  }
-  const std::vector<std::vector<ShapeSlot>> jobs =
-      distinctShapes(plan, missCells, config);
-  std::vector<std::atomic<int>> cellRemaining(plan.cells.size());
-  std::vector<std::atomic<bool>> cellInterrupted(plan.cells.size());
-  for (const int cellIdx : missCells) {
-    const auto c = static_cast<std::size_t>(cellIdx);
-    const std::size_t n = plan.cells[c].shapes.size();
-    progress.records[c].solutions.resize(n);
-    progress.records[c].reports.resize(n);
-    cellRemaining[c].store(static_cast<int>(n), std::memory_order_relaxed);
-    cellInterrupted[c].store(false, std::memory_order_relaxed);
-  }
-  std::vector<RefinerStats> shapeStats(jobs.size());
-  parallelFor(0, static_cast<int>(jobs.size()),
-              ThreadPool::resolveThreads(config.threads), 1, [&](int k) {
-    const std::vector<ShapeSlot>& slots = jobs[static_cast<std::size_t>(k)];
-    const ShapeSlot& first = slots.front();
-    const auto firstCell = static_cast<std::size_t>(first.cell);
-    ShapeOutcome outcome = fractureShapeGuarded(
-        plan.cells[firstCell].shapes[static_cast<std::size_t>(first.shape)],
-        config.params, config.method, firstOrdinal[firstCell] + first.shape,
-        config.allowDegradation, &shapeStats[static_cast<std::size_t>(k)],
-        config.fallbackOnly);
-    for (const ShapeSlot& slot : slots) {
-      const auto c = static_cast<std::size_t>(slot.cell);
-      const auto local = static_cast<std::size_t>(slot.shape);
-      if (outcome.interrupted) {
-        cellInterrupted[c].store(true, std::memory_order_relaxed);
+  // Fill the missing cells. `fresh` lists the cells filled this run and
+  // `groups` their distinct shapes (distinctShapes), each fractured once.
+  std::vector<int> fresh;
+  std::vector<std::vector<ShapeSlot>> groups;
+  std::vector<RefinerStats> shapeStats;
+  bool interrupted = false;
+  if (supervisor == nullptr) {
+    // In process, as ONE batch on the work-stealing pool. The first slot
+    // of each group runs under its plan-shape ordinal, and every repeat
+    // inherits that outcome with its shots moved by the anchor
+    // difference — exactly what fracturing it in place gives, since
+    // fracture is covariant under integer translation.
+    // Jobs write only their own slots, so any thread count computes
+    // identical results. A cell's CellRecord is appended the moment its
+    // LAST slot fills; interrupted cells are never journaled — a later
+    // resume re-fractures them instead of replaying unfinished work.
+    fresh = missCells;
+    groups = distinctShapes(plan, fresh, config);
+    std::vector<int> firstOrdinal(plan.cells.size(), 0);
+    for (std::size_t c = 1; c < plan.cells.size(); ++c) {
+      firstOrdinal[c] = firstOrdinal[c - 1] +
+                        static_cast<int>(plan.cells[c - 1].shapes.size());
+    }
+    std::vector<std::atomic<int>> cellRemaining(plan.cells.size());
+    std::vector<std::atomic<bool>> cellInterrupted(plan.cells.size());
+    for (const int cellIdx : fresh) {
+      const auto c = static_cast<std::size_t>(cellIdx);
+      const std::size_t n = plan.cells[c].shapes.size();
+      progress.records[c].solutions.resize(n);
+      progress.records[c].reports.resize(n);
+      cellRemaining[c].store(static_cast<int>(n), std::memory_order_relaxed);
+      cellInterrupted[c].store(false, std::memory_order_relaxed);
+    }
+    shapeStats.resize(groups.size());
+    parallelFor(0, static_cast<int>(groups.size()),
+                ThreadPool::resolveThreads(config.threads), 1, [&](int k) {
+      const std::vector<ShapeSlot>& slots = groups[static_cast<std::size_t>(k)];
+      const ShapeSlot& first = slots.front();
+      const auto firstCell = static_cast<std::size_t>(first.cell);
+      ShapeOutcome outcome = fractureShapeGuarded(
+          plan.cells[firstCell].shapes[static_cast<std::size_t>(first.shape)],
+          config.params, config.method, firstOrdinal[firstCell] + first.shape,
+          config.allowDegradation, &shapeStats[static_cast<std::size_t>(k)],
+          config.fallbackOnly);
+      for (const ShapeSlot& slot : slots) {
+        const auto c = static_cast<std::size_t>(slot.cell);
+        const auto local = static_cast<std::size_t>(slot.shape);
+        if (outcome.interrupted) {
+          cellInterrupted[c].store(true, std::memory_order_relaxed);
+        }
+        CellRecord& record = progress.records[c];
+        Solution& sol = record.solutions[local];
+        sol = outcome.solution;
+        const Point delta = slot.anchor - first.anchor;
+        for (Rect& shot : sol.shots) shot = shot.translated(delta);
+        ShapeReport& report = record.reports[local];
+        report = {outcome.status, outcome.degraded, outcome.interrupted};
+        // A stamped status names the slot it describes.
+        if (report.status.shapeIndex() >= 0) {
+          report.status.withShape(firstOrdinal[c] + slot.shape);
+        }
+        // acq_rel: the thread filling the cell's last slot observes every
+        // sibling slot written before their decrements.
+        if (cellRemaining[c].fetch_sub(1, std::memory_order_acq_rel) == 1 &&
+            !cellInterrupted[c].load(std::memory_order_relaxed)) {
+          journal.append(record);
+        }
       }
-      CellRecord& record = progress.records[c];
-      Solution& sol = record.solutions[local];
-      sol = outcome.solution;
-      const Point delta = slot.anchor - first.anchor;
-      for (Rect& shot : sol.shots) shot = shot.translated(delta);
-      ShapeReport& report = record.reports[local];
-      report = {outcome.status, outcome.degraded, outcome.interrupted};
-      // A stamped status names the slot it describes.
-      if (report.status.shapeIndex() >= 0) {
-        report.status.withShape(firstOrdinal[c] + slot.shape);
-      }
-      // acq_rel: the thread filling the cell's last slot observes every
-      // sibling slot written before their decrements.
-      if (cellRemaining[c].fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-          !cellInterrupted[c].load(std::memory_order_relaxed)) {
-        journal.append(record);
+    });
+    for (const int cellIdx : fresh) {
+      const auto c = static_cast<std::size_t>(cellIdx);
+      progress.done[c] = 1;
+      if (cellInterrupted[c].load(std::memory_order_relaxed)) {
+        interrupted = true;
       }
     }
-  });
-  bool anyInterrupted = false;
-  for (const int cellIdx : missCells) {
-    const auto c = static_cast<std::size_t>(cellIdx);
-    progress.done[c] = 1;
-    if (cellInterrupted[c].load(std::memory_order_relaxed)) {
-      anyInterrupted = true;
+  } else if (!missCells.empty()) {
+    // Supervised: the contiguous runs of missing cells become the
+    // ranges superviseCells shards across worker processes, which
+    // replan the input and run this executor on their ranges. This
+    // process fractures nothing. Worker journals of an earlier run
+    // describe that run, not this one: a fresh run starts from an empty
+    // work directory (a resumed one reuses them to skip work a killed
+    // worker already journaled).
+    if (!options.resume) {
+      std::error_code ignored;
+      std::filesystem::remove_all(supervisor->workDir, ignored);
     }
+    SupervisorConfig cells = *supervisor;
+    cells.numShapes = numCells;
+    for (const int c : missCells) {
+      if (!cells.initialRanges.empty() &&
+          cells.initialRanges.back().second == c) {
+        ++cells.initialRanges.back().second;
+      } else {
+        cells.initialRanges.emplace_back(c, c + 1);
+      }
+    }
+    SupervisorResult sres = superviseCells(cells);
+    if (!sres.status.ok()) return sres.status;
+    counters.retriedRanges = sres.counters.retriedRanges;
+    counters.bisectedRanges = sres.counters.bisectedRanges;
+    counters.crashedWorkers = sres.counters.crashedWorkers;
+    counters.hungWorkers = sres.counters.hungWorkers;
+    counters.crashedShapes = sres.counters.crashedShapes;
+    counters.corruptJournals = sres.counters.corruptJournals;
+    counters.staleTempsRemoved = sres.counters.staleTempsRemoved;
+    interrupted = sres.interrupted;
+    out.abortCause = std::move(sres.abortCause);
+    out.isolatedCells = std::move(sres.isolatedShapes);
+    out.workerSpans = std::move(sres.workerSpans);
+    // Install every harvested record that provably matches the plan
+    // (its key, right shape count) as it is, appending it to this
+    // journal in plan order so a later resume needs only this one file;
+    // an invalid one is dropped and its cell hole-filled below.
+    for (auto& [index, record] : sres.cellRecords) {
+      if (progress.done[static_cast<std::size_t>(index)] != 0 ||
+          !validateCellRecord(plan, record).ok()) {
+        continue;
+      }
+      journal.append(record);
+      fresh.push_back(index);
+      progress.install(std::move(record));
+    }
+    groups = distinctShapes(plan, fresh, config);
   }
 
-  status = journal.seal(!anyInterrupted, counters);
+  const bool complete = std::count(progress.done.begin() + shardBegin,
+                                   progress.done.begin() + shardEnd, 0) == 0;
+  status = journal.seal(complete && !interrupted && out.abortCause.empty(),
+                        counters);
   if (!status.ok() && !counters.journalDowngraded) return status;
 
-  out.uniqueCellsFractured = static_cast<int>(missCells.size());
-  out.uniqueShapesFractured = static_cast<int>(jobs.size());
-  counters.freshCells = static_cast<int>(missCells.size());
-  counters.freshShapes = static_cast<int>(jobs.size());
+  // What THIS run fractured, each distinct shape once: instances, replayed
+  // and cached cells add nothing. Workers keep their refiner profiles.
+  out.uniqueCellsFractured = static_cast<int>(fresh.size());
+  out.uniqueShapesFractured = static_cast<int>(groups.size());
+  counters.freshCells = out.uniqueCellsFractured;
+  counters.freshShapes = out.uniqueShapesFractured;
+  if (countersOut != nullptr) *countersOut = counters;
 
   // Store freshly fractured cells — but only CLEAN ones. A degraded or
   // interrupted result is wall-clock dependent (time budgets) or
@@ -752,7 +811,7 @@ Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
   // disables the cache (inside store()) and is NOT a run failure: the
   // results being stored are already in memory and ship below.
   if (useCache) {
-    for (const int cellIdx : missCells) {
+    for (const int cellIdx : fresh) {
       const CellRecord& record =
           progress.records[static_cast<std::size_t>(cellIdx)];
       bool clean = true;
@@ -776,144 +835,15 @@ Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
     if (cache.disabled()) {
       out.cellCacheDisableCause = cache.disableCause().str();
     }
-  } else {
+  } else if (supervisor == nullptr) {
+    // Uncached, every fractured cell is a miss. A supervising parent
+    // counts none: its workers own all cache I/O.
     out.cellCacheMisses = static_cast<int>(missCells.size());
   }
 
-  // What THIS process fractured, each shape once: instances, replayed
-  // and cached cells add nothing.
-  const double freshSeconds = firstSlotSeconds(jobs, progress.records);
-  RefinerStats freshStats;
-  for (const RefinerStats& stats : shapeStats) freshStats += stats;
-
-  if (workerShard) {
-    // Worker mode: no instantiation — the supervising parent owns it.
-    // The batch concatenates the shard's cell-local results (scratch
-    // output; the supervisor harvests the journal, not the .shots).
-    for (int i = shardBegin; i < shardEnd; ++i) {
-      const auto c = static_cast<std::size_t>(i);
-      CellRecord& record = progress.records[c];
-      for (std::size_t j = 0; j < record.solutions.size(); ++j) {
-        out.instanceShapes.push_back(plan.cells[c].shapes[j]);
-        out.batch.solutions.push_back(std::move(record.solutions[j]));
-        out.batch.reports.push_back(std::move(record.reports[j]));
-      }
-    }
-    mergeBatchAggregates(out.batch, {});
-  } else {
-    instantiatePlan(plan, progress.records, out);
-  }
-  out.batch.shapeSecondsSum = freshSeconds;
-  out.batch.refinerStats = freshStats;
-  out.wallSeconds = secondsSince(start);
-  out.batch.wallSeconds = out.wallSeconds;
-  if (countersOut != nullptr) *countersOut = counters;
-  return status;
-}
-
-Status fracturePlanSupervised(const HierPlan& plan, const BatchConfig& config,
-                              const HierOptions& options,
-                              SupervisorConfig supervisor,
-                              HierarchicalResult& out,
-                              RunCounters* countersOut) {
-  const auto start = std::chrono::steady_clock::now();
-  startResult(plan, out);
-  RunCounters counters;
-
-  // Parent journal: replayed before sharding so the supervisor is
-  // handed only the MISSING cell ranges.
-  const int numCells = static_cast<int>(plan.cells.size());
-  PlanProgress progress(plan);
-  PlanJournal journal;
-  Status status = journal.open(plan, options, 0, numCells, progress, counters);
-  if (!status.ok()) return status;
-
-  // Contiguous runs of missing plan cells become the supervised ranges.
-  std::vector<std::pair<int, int>> missingRanges;
-  for (int i = 0; i < numCells;) {
-    if (progress.done[static_cast<std::size_t>(i)] != 0) {
-      ++i;
-      continue;
-    }
-    int j = i;
-    while (j < numCells && progress.done[static_cast<std::size_t>(j)] == 0) {
-      ++j;
-    }
-    missingRanges.emplace_back(i, j);
-    i = j;
-  }
-
-  bool interrupted = false;
-  double freshSeconds = 0.0;
-  if (!missingRanges.empty()) {
-    // Worker journals of an earlier run describe that run, not this
-    // one: a fresh run starts from an empty work directory (a resumed
-    // one reuses them to skip work a killed worker already journaled).
-    if (!options.resume) {
-      std::error_code ignored;
-      std::filesystem::remove_all(supervisor.workDir, ignored);
-    }
-    supervisor.numShapes = numCells;
-    supervisor.initialRanges = missingRanges;
-    // Workers replan the identical input (the resolved top rides along
-    // so auto-detection cannot diverge) and own ALL cell-cache I/O —
-    // the parent never opens the cache, so its cache stats stay zero by
-    // design.
-    if (!plan.topStruct.empty()) {
-      supervisor.workerArgs.push_back("--top-cell=" + plan.topStruct);
-    }
-    if (!options.cellCacheDir.empty()) {
-      supervisor.workerArgs.push_back("--cell-cache=" +
-                                      options.cellCacheDir);
-      if (options.cellCacheQuotaBytes > 0) {
-        supervisor.workerArgs.push_back(
-            "--cell-cache-quota-mb=" +
-            std::to_string(options.cellCacheQuotaBytes / (1024 * 1024)));
-      }
-    }
-    SupervisorResult sres = superviseCells(supervisor);
-    if (!sres.status.ok()) return sres.status;
-    counters.retriedRanges = sres.counters.retriedRanges;
-    counters.bisectedRanges = sres.counters.bisectedRanges;
-    counters.crashedWorkers = sres.counters.crashedWorkers;
-    counters.hungWorkers = sres.counters.hungWorkers;
-    counters.crashedShapes = sres.counters.crashedShapes;
-    counters.corruptJournals = sres.counters.corruptJournals;
-    counters.staleTempsRemoved = sres.counters.staleTempsRemoved;
-    interrupted = sres.interrupted;
-    out.abortCause = std::move(sres.abortCause);
-    out.isolatedCells = std::move(sres.isolatedShapes);
-    out.workerSpans = std::move(sres.workerSpans);
-
-    // Install every harvested record that provably matches the plan
-    // (its key, right shape count) as it is; an invalid one is dropped
-    // and its cell hole-filled below. Fresh records are appended to the
-    // parent journal in plan order so a later resume needs only this one
-    // file.
-    std::vector<int> delivered;
-    for (auto& [index, record] : sres.cellRecords) {
-      if (progress.done[static_cast<std::size_t>(index)] != 0 ||
-          !validateCellRecord(plan, record).ok()) {
-        continue;
-      }
-      journal.append(record);
-      delivered.push_back(index);
-      progress.install(std::move(record));
-    }
-    // A shape shared by delivered cells counts once, as in fracturePlan.
-    const std::vector<std::vector<ShapeSlot>> shapes =
-        distinctShapes(plan, delivered, config);
-    counters.freshCells = static_cast<int>(delivered.size());
-    counters.freshShapes = static_cast<int>(shapes.size());
-    freshSeconds = firstSlotSeconds(shapes, progress.records);
-  }
-
-  const bool allDone =
-      std::find(progress.done.begin(), progress.done.end(), 0) ==
-      progress.done.end();
-  status = journal.seal(allDone && !interrupted && out.abortCause.empty(),
-                        counters);
-  if (!status.ok() && !counters.journalDowngraded) return status;
+  // A worker shard ends at its journal: the supervising parent harvests
+  // it and instantiates.
+  if (workerShard) return status;
 
   // Hole-fill cells no worker delivered so every INSTANCE still gets a
   // record: the abort cause, a graceful drain, or a supervisor bug.
@@ -950,14 +880,10 @@ Status fracturePlanSupervised(const HierPlan& plan, const BatchConfig& config,
     }
   }
 
-  out.uniqueCellsFractured = counters.freshCells;
-  out.uniqueShapesFractured = counters.freshShapes;
   instantiatePlan(plan, progress.records, out);
-  out.batch.shapeSecondsSum = freshSeconds;
-  out.batch.refinerStats = {};  // workers keep their profiling
-  out.wallSeconds = secondsSince(start);
-  out.batch.wallSeconds = out.wallSeconds;
-  if (countersOut != nullptr) *countersOut = counters;
+  out.batch.shapeSecondsSum = firstSlotSeconds(groups, progress.records);
+  for (const RefinerStats& stats : shapeStats) out.batch.refinerStats += stats;
+  out.batch.wallSeconds = secondsSince(start);
   return status;
 }
 

@@ -7,8 +7,9 @@
 // re-run fractures only the cells whose geometry or parameters changed.
 // A flat layout is the degenerate plan — a one-level hierarchy with one
 // cell per distinct shape — so every run, flat or hierarchical,
-// in-process or supervised, goes through the same executor, journal
-// format and cache, and fractures each distinct shape once.
+// in-process or supervised, goes through the one executor
+// (fracturePlan), journal format and cache, and fractures each distinct
+// shape once.
 //
 // Correctness contract: fracturing is exactly covariant under
 // whole-pixel (integer-nm) translation — pinned by the metamorphic
@@ -116,7 +117,8 @@ struct HierOptions {
   /// findGdsTopStructure.
   std::string topStruct;
   /// Persistent cell-fracture cache directory; empty = no cache. A
-  /// fallback-only config (BatchConfig::fallbackOnly) never uses it.
+  /// fallback-only config (BatchConfig::fallbackOnly) never uses it, and
+  /// a supervising parent leaves it empty: its workers own the cache.
   std::string cellCacheDir;
   /// Best-effort byte cap on the cache directory (0 = unlimited): after
   /// each store, least-recently-modified entries NOT touched by this
@@ -130,9 +132,9 @@ struct HierOptions {
   std::string journalPath;
   bool resume = false;
   JournalFsync fsync = JournalFsync::kNone;
-  /// Worker shard: fracture only plan cells [cellBegin, cellEnd) and
-  /// skip instantiation (the batch concatenates the shard's cell-local
-  /// results; the supervising parent instantiates). Both -1 = full run.
+  /// Worker shard: fill only plan cells [cellBegin, cellEnd) and end at
+  /// the journal (the supervising parent harvests and instantiates it).
+  /// Both -1 = full run.
   int cellBegin = -1;
   int cellEnd = -1;
 };
@@ -159,8 +161,9 @@ struct HierarchicalResult {
   /// cells (a supervised parent counts the distinct shapes of the cells
   /// its workers delivered).
   int uniqueShapesFractured = 0;
-  /// Persistent-cache outcome counts (all zero when no cache dir, and
-  /// zero in the supervised parent — workers own all cache I/O there).
+  /// Persistent-cache outcome counts (without a cache dir every
+  /// fractured cell is a miss; all zero in a supervising parent, whose
+  /// workers own all cache I/O).
   int cellCacheHits = 0;
   int cellCacheMisses = 0;
   int cellCacheRejected = 0;
@@ -177,7 +180,6 @@ struct HierarchicalResult {
   std::string cellCacheDisableCause;
   /// Cell placements materialised during expansion.
   std::int64_t instancesExpanded = 0;
-  double wallSeconds = 0.0;
   /// Supervised runs only: trace spans harvested from worker span files
   /// (SupervisorConfig::collectTraceSpans), merged into --trace-json.
   std::vector<TraceSpan> workerSpans;
@@ -203,45 +205,37 @@ struct HierarchicalResult {
   }
 };
 
-/// The in-process executor: replays the journal when resuming, serves
-/// cells from the persistent cache when options.cellCacheDir is set,
-/// fractures each distinct shape of the remaining cells once, in one
-/// batch over the work-stealing pool (per-shape budgets and the
-/// degradation ladder apply; a shape runs under the plan-shape ordinal
-/// of its first slot, and each repeat gets that outcome translated to
-/// its own position), journals each cell as it completes, and
-/// instantiates the plan. With a worker shard
-/// (options.cellBegin >= 0) only that range is fractured and nothing is
-/// instantiated. Cache I/O failures never fail the run: the cache is
-/// disabled with a counted warning (degrade, don't die — section 18).
-/// A journal append failure downgrades the run to unjournaled
-/// completion: `out` is complete, countersOut->journalDowngraded is set
-/// and the append error is returned.
+/// The plan executor: replays the journal when resuming, serves cells
+/// from the persistent cache when options.cellCacheDir is set, fills the
+/// remaining cells, seals the journal, counts each fresh distinct shape
+/// once, hole-fills and instantiates the plan. Only the fill differs:
+/// - in process (no `supervisor`), each distinct shape of the remaining
+///   cells is fractured once, in one batch over the work-stealing pool
+///   (per-shape budgets and the degradation ladder apply; a shape runs
+///   under the plan-shape ordinal of its first slot, and each repeat
+///   gets that outcome translated to its own position), and each cell
+///   is journaled as it completes;
+/// - with a `supervisor`, superviseCells shards the remaining cells'
+///   contiguous ranges across worker processes, which take their
+///   configuration from SupervisorConfig::workerArgs, replan the input
+///   and run this executor on their ranges (a run that does not resume
+///   first empties SupervisorConfig::workDir). Every harvested CellRecord
+///   that matches the plan is journaled; cells no worker delivered are
+///   hole-filled. out.isolatedCells, out.abortCause and out.workerSpans
+///   carry the supervisor's verdicts, and a supervisor-fatal condition
+///   is the returned Status. `config`, the one the plan was built
+///   under, keys the distinct shapes of the delivered cells.
+/// A worker shard (options.cellBegin >= 0) fills only its range and ends
+/// at its journal: nothing is hole-filled or instantiated. Cache I/O
+/// failures never fail the run: the cache is disabled with a counted
+/// warning (degrade, don't die — section 18). A journal append failure
+/// downgrades the run to unjournaled completion: `out` is complete,
+/// countersOut->journalDowngraded is set and the append error is
+/// returned.
 Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
                     const HierOptions& options, HierarchicalResult& out,
-                    RunCounters* countersOut = nullptr);
-
-/// The supervised driver (mbf_cli --isolate): replays the parent journal
-/// when resuming, empties the supervisor's work directory unless
-/// resuming, shards the MISSING plan cells across worker processes via
-/// mdp/supervisor (workers replan the input and run fracturePlan with
-/// --cell-range under the watchdog/retry/bisect/ENOSPC-abort ladder),
-/// validates every harvested CellRecord against the plan keys, appends
-/// it to the parent journal, hole-fills cells no worker delivered and
-/// instantiates. out.isolatedCells and out.abortCause report the
-/// supervisor's verdicts. The returned Status is non-ok for
-/// supervisor-fatal conditions and, as for fracturePlan, a downgraded
-/// journal; per-cell failures degrade records instead. The parent
-/// fractures nothing itself (workers take the configuration from their
-/// command line); `config`, the one the plan was built under, keys the
-/// distinct shapes of the delivered cells, so that a shape shared by
-/// several cells counts once in uniqueShapesFractured, freshShapes and
-/// shapeSecondsSum, as in fracturePlan.
-Status fracturePlanSupervised(const HierPlan& plan, const BatchConfig& config,
-                              const HierOptions& options,
-                              SupervisorConfig supervisor,
-                              HierarchicalResult& out,
-                              RunCounters* countersOut = nullptr);
+                    RunCounters* countersOut = nullptr,
+                    const SupervisorConfig* supervisor = nullptr);
 
 /// Supervises a flat input the way mbf_cli --isolate does and returns
 /// SupervisorResult::records: one ShapeRecord per layout shape, shots in
@@ -250,7 +244,7 @@ Status fracturePlanSupervised(const HierPlan& plan, const BatchConfig& config,
 /// config.numShapes to the plan's cell count and supervises those cells
 /// (superviseCells). A planning failure is the result's status. For
 /// callers that merge shapes themselves, such as bench/e2e's traced run;
-/// mbf_cli uses fracturePlanSupervised.
+/// mbf_cli runs fracturePlan with a SupervisorConfig.
 SupervisorResult superviseFracture(const SupervisorConfig& config);
 
 /// planGdsHierarchy from options.topStruct, then fracturePlan.

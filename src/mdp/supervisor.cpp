@@ -86,7 +86,9 @@ pid_t spawnWorker(const SupervisorConfig& config, const RangeTask& task,
   std::vector<std::string> args;
   args.push_back(config.cliPath);
   args.push_back(config.inputPath);
-  args.push_back(config.workDir + "/w_" + rangeTag(task) + ".shots");
+  // The output argument only names the range: a worker ends at its
+  // journal and writes no .shots.
+  args.push_back(config.workDir + "/w_" + rangeTag(task));
   args.push_back("--worker");
   args.push_back("--cell-range=" + std::to_string(task.begin) + ":" +
                  std::to_string(task.end));
@@ -302,8 +304,7 @@ SupervisorResult superviseCells(const SupervisorConfig& config) {
 
       const bool exited = WIFEXITED(wstatus);
       const int exitCode = exited ? WEXITSTATUS(wstatus) : -1;
-      const bool cleanExit =
-          exited && (exitCode == 0 || exitCode == 1 || exitCode == 4);
+      const bool cleanExit = exited && exitCode == 0;
 
       // A cleanly-exited worker sealed its journal with a SHA-256
       // sidecar (the plan executor writes it after the last append).

@@ -8,7 +8,7 @@
 //
 // State machine per range task:
 //
-//   queued -> running -> completed          (worker exit 0/1/4, range
+//   queued -> running -> completed          (worker exit 0, range
 //                                            fully journaled)
 //                     -> progressed         (worker died mid-range; the
 //                                            journaled prefix is kept and
@@ -28,9 +28,12 @@
 // (hard hangs never reach a cooperative checkpoint). Because workers
 // journal as they go, every retry resumes instead of recomputing, and
 // the cell records the supervisor harvests are bitwise identical to
-// what a single-process run would have produced. Validating them
-// against the plan, hole-filling and instantiation belong to the
-// supervised driver (mdp/hierarchy: fracturePlanSupervised).
+// what a single-process run would have produced. A worker ends at its
+// journal: it writes only that journal, its seal, its log and (when
+// tracing) its span file, and exits 0 when clean, 3 on a fatal or
+// journal error and 5 when drained. Validating the records against the
+// plan, hole-filling and instantiation belong to the plan executor
+// (mdp/hierarchy: fracturePlan with a SupervisorConfig).
 #pragma once
 
 #include <map>
@@ -50,11 +53,13 @@ struct SupervisorConfig {
   /// Input layout file; workers re-read and re-plan it, so plan cell
   /// indices agree across every process by construction.
   std::string inputPath;
-  /// Scratch directory for per-range journals, worker outputs and logs;
-  /// created if missing.
+  /// Scratch directory for per-range journals, their seals, worker logs
+  /// and span files; created if missing.
   std::string workDir;
-  /// Flags forwarded verbatim to every worker (--gamma=..., --inject=...
-  /// and friends). The supervisor adds the worker-mode plumbing itself.
+  /// The workers' run flags, assembled by the caller (mbf_cli: the
+  /// result-relevant flags verbatim, --gamma=..., --cell-cache=...,
+  /// --inject=... and friends, plus --lth-bits and the resolved
+  /// --top-cell). The supervisor adds the worker-mode plumbing itself.
   std::vector<std::string> workerArgs;
 
   /// Plan cells to supervise (a flat layout's distinct shapes).

@@ -28,12 +28,4 @@ bool interruptRequested() {
   return g_interrupted.load(std::memory_order_relaxed);
 }
 
-void clearInterruptFlag() {
-  g_interrupted.store(false, std::memory_order_relaxed);
-}
-
-void requestInterruptForTest() {
-  g_interrupted.store(true, std::memory_order_relaxed);
-}
-
 }  // namespace mbf

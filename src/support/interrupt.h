@@ -12,13 +12,7 @@ namespace mbf {
 /// main() before threads start.
 void installInterruptHandlers();
 
-/// True once SIGTERM or SIGINT has been delivered since the last clear.
+/// True once SIGTERM or SIGINT has been delivered.
 bool interruptRequested();
-
-/// Tests only: reset the flag so one process can run several drills.
-void clearInterruptFlag();
-
-/// Tests only: set the flag as if a signal had arrived.
-void requestInterruptForTest();
 
 }  // namespace mbf

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "benchgen/ilt_synth.h"
+#include "io/atomic_file.h"
 #include "io/poly_io.h"
 #include "mdp/checkpoint.h"
 #include "mdp/hierarchy.h"
@@ -514,7 +515,8 @@ TEST(JournaledRunTest, FirstDuplicateRecordWins) {
 // excluded) the wrong shapes. Worker shards are plan cell ranges; every
 // shape runs under its plan-shape ordinal, both when consulting the
 // injector and when stamping reports, and instantiation re-stamps a
-// report with the layout index.
+// report with the layout index. A shard ends at its journal, so the
+// cell results are read back from there, as the supervisor does.
 TEST(ShardedBatchTest, ReportsCarryOriginalLayoutIndices) {
   const std::vector<LayoutShape> shapes = testLayout(6);
   FaultInjector injector;
@@ -532,22 +534,37 @@ TEST(ShardedBatchTest, ReportsCarryOriginalLayoutIndices) {
   ASSERT_EQ(plain.reports[4].status.shapeIndex(), 4);
 
   // Two shards of plan cells, like two supervisor worker ranges. A shard
-  // returns its cells' cell-local results in plan order.
+  // journals its cells' cell-local results and instantiates nothing.
   BatchResult cellResults;
+  cellResults.solutions.resize(plan.cells.size());
+  cellResults.reports.resize(plan.cells.size());
+  std::size_t journaledCells = 0;
   for (const auto& [begin, end] : {std::pair{0, 3}, std::pair{3, 5}}) {
+    const TempFile journal("shard_" + std::to_string(begin));
     HierOptions shard;
+    shard.journalPath = journal.path();
     shard.cellBegin = begin;
     shard.cellEnd = end;
     HierarchicalResult part;
     ASSERT_TRUE(fracturePlan(plan, config, shard, part).ok());
-    cellResults.solutions.insert(cellResults.solutions.end(),
-                                 part.batch.solutions.begin(),
-                                 part.batch.solutions.end());
-    cellResults.reports.insert(cellResults.reports.end(),
-                               part.batch.reports.begin(),
-                               part.batch.reports.end());
+    EXPECT_TRUE(part.batch.solutions.empty());
+    std::string meta;
+    std::vector<std::string> payloads;
+    ASSERT_TRUE(recoverJournal(journal.path(), meta, payloads).ok());
+    for (const std::string& bytes : payloads) {
+      CellRecord record;
+      ASSERT_TRUE(decodeCellRecord(bytes, record).ok());
+      ASSERT_GE(record.cellIndex, begin);
+      ASSERT_LT(record.cellIndex, end);
+      ASSERT_EQ(record.solutions.size(), 1u);
+      const auto c = static_cast<std::size_t>(record.cellIndex);
+      cellResults.solutions[c] = record.solutions.front();
+      cellResults.reports[c] = record.reports.front();
+      ++journaledCells;
+    }
+    std::remove(sidecarPathFor(journal.path()).c_str());
   }
-  ASSERT_EQ(cellResults.solutions.size(), plan.cells.size());
+  ASSERT_EQ(journaledCells, plan.cells.size());
   // The regression: the degraded report names ordinal 3, not shard-local
   // 0.
   EXPECT_TRUE(cellResults.reports[3].degraded);

@@ -119,8 +119,9 @@ int main(int argc, char** argv) {
   cases.push_back({"neg_gamma", dir + "/valid.poly", "--gamma=-2", 2});
   cases.push_back({"bad_eta", dir + "/valid.poly", "--eta=1.5", 2});
 
-  // --lth-bits is worker plumbing: refused outside worker mode, and in
-  // it only the 16 hex digits of a finite, positive Lth.
+  // --lth-bits and --trace-raw are worker plumbing, refused outside
+  // worker mode; in it --lth-bits takes only the 16 hex digits of a
+  // finite, positive Lth.
   char lthBits[17];
   std::snprintf(lthBits, sizeof(lthBits), "%016llx",
                 static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(
@@ -129,6 +130,8 @@ int main(int argc, char** argv) {
       "--worker --cell-range=0:1 --journal=" + dir + "/worker.jrn ";
   cases.push_back({"lth_bits_not_worker", dir + "/valid.poly",
                    std::string("--lth-bits=") + lthBits, 2});
+  cases.push_back({"trace_raw_not_worker", dir + "/valid.poly",
+                   "--trace-raw=" + dir + "/spans", 2});
   cases.push_back({"lth_bits_worker", dir + "/valid.poly",
                    worker + "--lth-bits=" + lthBits, 0});
   cases.push_back({"lth_bits_decimal", dir + "/valid.poly",

@@ -62,7 +62,7 @@ TEST(GdsiiTest, NegativeCoordinatesSurvive) {
   GdsLibrary lib;
   GdsPolygon p;
   p.polygon = Polygon({{-1000000, -2}, {5, -2}, {5, 3000000}});
-  lib.structures = {GdsStructure{"T", {p}, {}}};
+  lib.structures = {GdsStructure{"T", {p}, {}, {}}};
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
   writeGds(ss, lib);
   GdsLibrary back;

@@ -33,7 +33,9 @@
 //   9. A genuine SIGKILL mid-run (best-effort timing) resumes to
 //      byte-identical output.
 //  10. Clean --hier --isolate --jobs=4 output is byte-identical to
-//      serial --hier and passes --verify.
+//      serial --hier and passes --verify; the workers end at their
+//      journals, so the work directory holds journals, seals and logs
+//      but no .shots.
 //  11. totals.shape_seconds_sum counts each fractured shape once: at
 //      most threads x wall on the cold run, 0 on the warm one.
 //  12. Flat --cell-cache: a flat run plans one cell per distinct shape
@@ -47,7 +49,8 @@
 //  14. Translation: on a chip of curvilinear ILT cells with one copy
 //      placed near -2^31, a flat run and a --hier run write
 //      byte-identical .shots; a flat --isolate --jobs=4 run of the
-//      repeat-heavy drill layout equals the serial flat run.
+//      repeat-heavy drill layout equals the serial flat run, and its
+//      workers leave no .shots either.
 //  15. A shape shared by two cells is counted once by a --hier --isolate
 //      run, as in process: 3 fractured shapes of 4 cell shapes.
 //
@@ -66,6 +69,7 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -153,6 +157,20 @@ double manifestNumber(const std::string& path, const std::string& section,
              ? value->number
              : std::nan("");
 }
+
+/// The kinds of file in `dir`, by extension (".jrnl", ".log", ...).
+std::set<std::string> fileKinds(const std::string& dir) {
+  std::set<std::string> kinds;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    kinds.insert(entry.path().extension().string());
+  }
+  return kinds;
+}
+
+/// What a clean supervised run leaves in its work directory: per-range
+/// journals, their seals and the worker logs.
+const std::set<std::string> kWorkerFileKinds = {".jrnl", ".log", ".sha256"};
 
 bool writeGdsFile(const std::string& path, const mbf::GdsLibrary& lib) {
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
@@ -621,6 +639,8 @@ int main(int argc, char** argv) {
           "isolate output byte-identical to serial hier");
     check(runCli(cli, {"--verify", json}) == 0,
           "isolate run passes --verify");
+    check(fileKinds(shots + ".workers") == kWorkerFileKinds,
+          "--hier --isolate workers: journals, seals, logs, no .shots");
   }
 
   // --- Drill 11: shape_seconds_sum counts fractured shapes once --------
@@ -756,6 +776,8 @@ int main(int argc, char** argv) {
           "flat --isolate output byte-identical to the serial flat run");
     check(runCli(cli, {"--verify", isoJson}) == 0,
           "flat --isolate run passes --verify");
+    check(fileKinds(isoFlat + ".workers") == kWorkerFileKinds,
+          "flat --isolate workers: journals, seals, logs, no .shots");
   }
 
   // --- Drill 15: supervised runs count a shared shape once -------------

@@ -15,6 +15,9 @@
 //      spans from the supervisor AND at least two worker processes,
 //      plus the crash lifecycle markers, and exactly one `lth` span:
 //      the supervisor's Lth contour walk, which no worker repeats.
+//   4. A worker's span file is best effort: with a directory in the
+//      place of one worker's span file, a supervised --trace-json run
+//      still completes with the unobstructed run's exit code and bytes.
 //
 // Standalone driver (no gtest), same pattern as the crash drills: it
 // exercises the CLI process boundary, not library internals.
@@ -220,6 +223,30 @@ int main(int argc, char** argv) {
     check(sawIsolate, "trace marks the crash isolation");
     // The supervisor resolves Lth and hands it to every worker.
     check(lthWalks == 1, "one Lth contour walk across all processes");
+  }
+
+  // --- 4. A failed worker span-file write costs only its spans --------
+  {
+    // A resumed run keeps its work directory (a fresh one empties it),
+    // so the directory blocking worker [0, 1)'s span file stays put.
+    const std::string clearShots = dir + "/span_clear.shots";
+    const std::string blockedShots = dir + "/span_blocked.shots";
+    std::system(
+        ("mkdir -p '" + blockedShots + ".workers/w_0_1.spans'").c_str());
+    int exits[2] = {-1, -1};
+    for (int k = 0; k < 2; ++k) {
+      const std::string& shots = k == 0 ? clearShots : blockedShots;
+      std::vector<std::string> args = {
+          input, shots, "--isolate", "--jobs=4", "--journal=" + shots + ".jrnl",
+          "--resume", "--trace-json=" + shots + ".trace.json"};
+      args.insert(args.end(), baseFlags.begin(), baseFlags.end());
+      exits[k] = runCli(cli, args);
+    }
+    check((exits[1] == 0 || exits[1] == 4) && exits[1] == exits[0],
+          "blocked worker span file: run completes");
+    check(!readBytes(clearShots).empty() &&
+              readBytes(blockedShots) == readBytes(clearShots),
+          "blocked worker span file: bytes of the clear run");
   }
 
   if (g_failures > 0) {

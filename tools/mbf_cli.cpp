@@ -127,7 +127,11 @@
 //                                the contour walk runs once per run
 //   --trace-raw=<path>           record trace spans and dump them as a
 //                                raw span file for the supervisor to
-//                                merge (instead of chrome JSON)
+//                                merge (best effort: a failed write is
+//                                logged and costs only these spans)
+// A worker ends at its journal: it writes no .shots (its output argument
+// only names its directory) and exits 0 when clean, 3 on a fatal or
+// journal error and 5 when drained.
 //
 // Input: flat .poly ring list (blank-line separated) or a .gds file
 // (BOUNDARY elements); rings nested in another ring are holes. Output:
@@ -231,15 +235,17 @@ bool parseLthBits(const std::string& text, double& lth) {
 int usage() {
   std::cerr << "usage: mbf_cli <input.poly> <output.shots> "
                "[--method=ours|gsc|mp|proxy] [--gamma=nm] [--sigma=nm] "
-               "[--lmin=nm] [--eta=0..1] [--threads=n] [--budget-ms=ms] "
-               "[--nmax=n] [--strict] [--svg=path] [--report] "
+               "[--lmin=nm] [--eta=0..1] [--sigma-back=nm] [--threads=n] "
+               "[--budget-ms=ms] [--nmax=n] [--strict] [--order] "
+               "[--svg=path] [--gds-out=path] [--report] "
                "[--metrics-json=path] [--trace-json=path] "
                "[--journal=path] [--resume] [--fsync=none|each] "
                "[--isolate] [--jobs=n] [--worker-timeout-ms=ms] "
                "[--retries=n] [--backoff-ms=ms] [--selfcheck] "
                "[--hier] [--cell-cache=dir] [--cell-cache-quota-mb=n] "
                "[--top-cell=name] "
-               "[--inject=kind@i,...] [--inject-every=kind@n]\n"
+               "[--inject=kind@i,...] [--inject-every=kind@n] "
+               "[--inject-seed=s]\n"
                "       mbf_cli --verify <run-dir-or-manifest.json> "
                "[--threads=n]\n";
   return 2;
@@ -358,8 +364,9 @@ int main(int argc, char** argv) {
   bool injectorArmed = false;
 
   // Flags a supervisor forwards verbatim to its workers: everything
-  // that changes the plan or the computed result (plus injection, so an
-  // injected crash actually fires inside the worker process).
+  // that changes the plan or the computed result, the cell cache (the
+  // workers own all cache I/O), and injection, so an injected crash
+  // actually fires inside the worker process.
   std::vector<std::string> forwardArgs;
 
   for (int i = 3; i < argc; ++i) {
@@ -431,10 +438,12 @@ int main(int argc, char** argv) {
     } else if (key == "--cell-cache") {
       cellCacheDir = value;
       if (cellCacheDir.empty()) error = "must be a directory path";
+      forward = true;
     } else if (key == "--cell-cache-quota-mb") {
       if (!parseInt(value, cellCacheQuotaMb) || cellCacheQuotaMb < 1) {
         error = "must be an integer >= 1 (megabytes)";
       }
+      forward = true;
     } else if (key == "--top-cell") {
       topCell = value;
       if (topCell.empty()) error = "must be a structure name";
@@ -568,10 +577,11 @@ int main(int argc, char** argv) {
     std::cerr << "--isolate and --worker are mutually exclusive\n";
     return usage();
   }
-  if ((cellRangeBegin >= 0 || config.fallbackOnly || workerLth > 0.0) &&
+  if ((cellRangeBegin >= 0 || config.fallbackOnly || workerLth > 0.0 ||
+       !traceRawPath.empty()) &&
       !workerMode) {
-    std::cerr << "--cell-range/--degrade-only/--lth-bits are worker-mode "
-                 "plumbing (spawned by --isolate)\n";
+    std::cerr << "--cell-range/--degrade-only/--lth-bits/--trace-raw are "
+                 "worker-mode plumbing (spawned by --isolate)\n";
     return usage();
   }
   // A worker's journal IS the product its supervisor harvests.
@@ -671,23 +681,18 @@ int main(int argc, char** argv) {
 
   // 2. Execute: in process (a worker runs its --cell-range shard), or
   // supervised across worker processes; either way journaled, cached and
-  // instantiated by the same plan drivers.
+  // (except in a worker) instantiated by the one plan executor.
   HierOptions options;
-  options.cellCacheDir = cellCacheDir;
-  options.cellCacheQuotaBytes =
-      static_cast<std::int64_t>(cellCacheQuotaMb) * 1024 * 1024;
   options.journalPath = journalPath;
   options.resume = resume;
   options.fsync = fsyncPolicy;
   options.cellBegin = cellRangeBegin;
   options.cellEnd = cellRangeEnd;
-  HierarchicalResult run;
-  RunCounters counters;
-  Status runStatus;
+  SupervisorConfig sup;
   if (isolate) {
     // This process never fractures; it shards, watches, retries,
-    // bisects, and merges worker journals.
-    SupervisorConfig sup;
+    // bisects, and merges worker journals. The workers, not this
+    // process, open the cell cache.
     sup.cliPath = selfExePath(argv[0]);
     sup.inputPath = inputPath;
     sup.workDir = outputPath + ".workers";
@@ -698,20 +703,42 @@ int main(int argc, char** argv) {
     sup.backoffBaseMs = backoffMs;
     sup.verbose = report;
     sup.collectTraceSpans = !traceJsonPath.empty();
-    // Lth is resolved once, here, and handed to every worker.
+    // Lth is resolved once, here, and handed to every worker, and so is
+    // the resolved top structure, so auto-detection cannot diverge.
     const double lth = config.params.resolvedLth(config.params.makeModel());
     if (lth > 0.0) sup.workerArgs.push_back("--lth-bits=" + lthBits(lth));
-    runStatus =
-        fracturePlanSupervised(plan, config, options, sup, run, &counters);
+    if (!plan.topStruct.empty()) {
+      sup.workerArgs.push_back("--top-cell=" + plan.topStruct);
+    }
   } else {
-    runStatus = fracturePlan(plan, config, options, run, &counters);
+    options.cellCacheDir = cellCacheDir;
+    options.cellCacheQuotaBytes =
+        static_cast<std::int64_t>(cellCacheQuotaMb) * 1024 * 1024;
+  }
+  HierarchicalResult run;
+  RunCounters counters;
+  const Status runStatus = fracturePlan(plan, config, options, run, &counters,
+                                        isolate ? &sup : nullptr);
+  if (workerMode) {
+    // A worker ends at its journal, the product its supervisor harvests,
+    // so a downgraded journal is fatal here.
+    if (!runStatus.ok()) {
+      std::cerr << "fracture: " << runStatus.str() << "\n";
+      return 3;
+    }
+    if (!traceRawPath.empty()) {
+      // Best effort: the supervisor reads a missing span file as no spans.
+      const Status st =
+          writeSpanFile(traceRawPath, TraceRecorder::instance().snapshot());
+      if (!st.ok()) std::cerr << "trace: " << st.str() << "\n";
+    }
+    return interruptRequested() ? 5 : 0;
   }
   if (!runStatus.ok()) {
     // Degrade-don't-die: a downgraded journal leaves the run complete in
     // memory; ship the shots, drop the (unsealed) journal artifact, exit
-    // 2 via the ladder below. Workers stay strict: their journal IS the
-    // product the supervisor harvests.
-    if (!counters.journalDowngraded || workerMode) {
+    // 2 via the ladder below.
+    if (!counters.journalDowngraded) {
       std::cerr << "fracture: " << runStatus.str() << "\n";
       return 3;
     }
@@ -991,17 +1018,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Worker span dump first (supervised runs), chrome JSON second: a
-  // worker never gets --trace-json, a parent never gets --trace-raw.
-  // Both precede the manifest so it can record their hashes.
-  if (!traceRawPath.empty()) {
-    const Status st =
-        writeSpanFile(traceRawPath, TraceRecorder::instance().snapshot());
-    if (!st.ok()) {
-      std::cerr << st.str() << "\n";
-      auxWriteFailed = true;
-    }
-  }
+  // The trace precedes the manifest so it can record its hash.
   if (!traceJsonPath.empty()) {
     const Status st =
         writeTraceJson(traceJsonPath, TraceRecorder::instance().snapshot());
