@@ -156,12 +156,6 @@ double ProximityModel::computeLth(double gamma) const {
   return lth;
 }
 
-void ProximityModel::seedLth(double gamma, double lth) const {
-  LthMemo& memo = lthMemo();
-  const std::lock_guard<std::mutex> lock(memo.mutex);
-  memo.values.try_emplace(lthKey(gamma), lth);
-}
-
 double ProximityModel::contourLth(double gamma) const {
   // Work in coordinates rotated 45 degrees: u along the candidate segment,
   // v perpendicular. The corner contour is symmetric in u; v(u) peaks at

@@ -98,14 +98,9 @@ class ProximityModel {
   /// Longest 45-degree boundary segment a single shot corner can print
   /// within CD tolerance `gamma` (paper figure 2). Computed numerically,
   /// once per process for each (sigma, rho, eta, sigma_back, gamma):
-  /// later calls, from any thread, return the memoized value.
+  /// later calls, from any thread, return the memoized value (a forked
+  /// --isolate worker inherits its supervisor's memo).
   double computeLth(double gamma) const;
-
-  /// Makes `lth` the memoized computeLth(gamma) of this model's
-  /// parameters unless a value is memoized already. For a process handed
-  /// the value its supervisor resolved from the same parameters (mbf_cli
-  /// --isolate workers), so the contour walk runs once per run.
-  void seedLth(double gamma, double lth) const;
 
   /// Depth (nm) by which the printed contour erodes a convex shot corner
   /// along the diagonal (distance from corner to contour along x = y).

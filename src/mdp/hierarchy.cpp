@@ -572,34 +572,26 @@ std::vector<LayoutShape> planInstanceShapes(const HierPlan& plan) {
 }
 
 SupervisorResult superviseFracture(const SupervisorConfig& config) {
+  SupervisorResult result;
+  const BatchConfig batch;
   HierPlan plan;
-  const Status planned =
-      planLayoutFile(config.inputPath, BatchConfig{}, false, "", plan);
-  if (!planned.ok()) {
-    SupervisorResult failed;
-    failed.status = planned;
-    return failed;
+  HierarchicalResult run;
+  result.status = planLayoutFile(config.inputPath, batch, false, "", plan);
+  if (result.status.ok()) {
+    result.status = fracturePlan(plan, batch, HierOptions{}, run,
+                                 &result.counters, &config);
   }
-  SupervisorConfig cells = config;
-  cells.numShapes = static_cast<int>(plan.cells.size());
-  SupervisorResult result = superviseCells(cells);
-  // A flat plan's instances are its shapes in layout order, one per
-  // instance of a one-shape cell.
-  for (std::size_t i = 0; i < plan.instances.size(); ++i) {
-    const HierPlan::Instance& inst = plan.instances[i];
-    const auto it = result.cellRecords.find(inst.cell);
-    if (it == result.cellRecords.end() || it->second.solutions.size() != 1) {
-      continue;
-    }
+  if (!result.status.ok()) return result;
+  result.isolatedShapes = std::move(run.isolatedCells);
+  result.abortCause = std::move(run.abortCause);
+  result.interrupted = run.batch.interruptedShapes > 0;
+  result.workerSpans = std::move(run.workerSpans);
+  // The instantiated plan is the layout, shape for shape.
+  for (std::size_t i = 0; i < run.batch.solutions.size(); ++i) {
     const int index = static_cast<int>(i);
-    ShapeRecord& record = result.records[index];
-    record.shapeIndex = index;
-    record.solution = it->second.solutions.front();
-    for (Rect& shot : record.solution.shots) {
-      shot = shot.translated(inst.offset);
-    }
-    record.report = it->second.reports.front();
-    if (!record.report.status.ok()) record.report.status.withShape(index);
+    result.records[index] = ShapeRecord{index,
+                                        std::move(run.batch.solutions[i]),
+                                        std::move(run.batch.reports[i])};
   }
   return result;
 }
@@ -639,9 +631,11 @@ Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
   // worker journal) replays it without consulting the cache. A
   // fallback-only run skips the cache: its cells are always degraded,
   // so it would never store one, and the cache holds primary results
-  // such a run must not return.
+  // such a run must not return. A supervising run leaves the cache to
+  // its workers.
   CellFractureCache cache(options.cellCacheDir);
-  const bool useCache = !options.cellCacheDir.empty() && !config.fallbackOnly;
+  const bool useCache = supervisor == nullptr &&
+                        !options.cellCacheDir.empty() && !config.fallbackOnly;
   if (useCache) {
     // Degrade, don't die: an uncreatable cache directory (read-only
     // filer, quota) costs cross-run reuse, never the run itself. Every
@@ -741,9 +735,9 @@ Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
     }
   } else if (!missCells.empty()) {
     // Supervised: the contiguous runs of missing cells become the
-    // ranges superviseCells shards across worker processes, which
-    // replan the input and run this executor on their ranges. This
-    // process fractures nothing. Worker journals of an earlier run
+    // ranges superviseCells shards across forked worker processes, each
+    // running this executor serially on its range of this very plan.
+    // This process fractures nothing. Worker journals of an earlier run
     // describe that run, not this one: a fresh run starts from an empty
     // work directory (a resumed one reuses them to skip work a killed
     // worker already journaled).
@@ -751,8 +745,27 @@ Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
       std::error_code ignored;
       std::filesystem::remove_all(supervisor->workDir, ignored);
     }
+    // Lth before the first fork: every worker inherits the memo, so the
+    // contour walk runs once per run.
+    (void)config.params.resolvedLth(config.params.makeModel());
     SupervisorConfig cells = *supervisor;
     cells.numShapes = numCells;
+    cells.fill = [&](int begin, int end, bool fallbackOnly,
+                     const std::string& journalPath) {
+      BatchConfig serial = config;
+      serial.threads = 1;
+      serial.params.numThreads = 1;
+      serial.fallbackOnly = config.fallbackOnly || fallbackOnly;
+      HierOptions shard;
+      shard.cellCacheDir = options.cellCacheDir;
+      shard.cellCacheQuotaBytes = options.cellCacheQuotaBytes;
+      shard.journalPath = journalPath;
+      shard.resume = true;
+      shard.cellBegin = begin;
+      shard.cellEnd = end;
+      HierarchicalResult journaled;
+      return fracturePlan(plan, serial, shard, journaled);
+    };
     for (const int c : missCells) {
       if (!cells.initialRanges.empty() &&
           cells.initialRanges.back().second == c) {

@@ -39,9 +39,10 @@ namespace mbf {
 /// INDEX every journal record, worker shard and supervisor range refers
 /// to — plus every instance placement. Two processes planning the same
 /// input under the same config produce identical plans, which is what
-/// lets a worker shard cells by index and a resumed run trust journaled
-/// indices. A flat layout is the degenerate case (planFlatLayout): one
-/// one-shape cell per distinct shape.
+/// lets a resumed run trust journaled indices; a forked --isolate worker
+/// inherits its supervisor's plan outright. A flat layout is the
+/// degenerate case (planFlatLayout): one one-shape cell per distinct
+/// shape.
 ///
 /// The PLAN-SHAPE ORDINAL of a cell shape counts shapes over the cells
 /// in plan order, then within the cell; it is the index fracturing
@@ -118,7 +119,8 @@ struct HierOptions {
   std::string topStruct;
   /// Persistent cell-fracture cache directory; empty = no cache. A
   /// fallback-only config (BatchConfig::fallbackOnly) never uses it, and
-  /// a supervising parent leaves it empty: its workers own the cache.
+  /// a supervising parent opens none: it hands the directory to its
+  /// workers, which own all cache I/O.
   std::string cellCacheDir;
   /// Best-effort byte cap on the cache directory (0 = unlimited): after
   /// each store, least-recently-modified entries NOT touched by this
@@ -132,9 +134,9 @@ struct HierOptions {
   std::string journalPath;
   bool resume = false;
   JournalFsync fsync = JournalFsync::kNone;
-  /// Worker shard: fill only plan cells [cellBegin, cellEnd) and end at
-  /// the journal (the supervising parent harvests and instantiates it).
-  /// Both -1 = full run.
+  /// Worker shard (a forked --isolate worker): fill only plan cells
+  /// [cellBegin, cellEnd) and end at the journal (the supervising parent
+  /// harvests and instantiates it). Both -1 = full run.
   int cellBegin = -1;
   int cellEnd = -1;
 };
@@ -215,16 +217,17 @@ struct HierarchicalResult {
 ///   under the plan-shape ordinal of its first slot, and each repeat
 ///   gets that outcome translated to its own position), and each cell
 ///   is journaled as it completes;
-/// - with a `supervisor`, superviseCells shards the remaining cells'
-///   contiguous ranges across worker processes, which take their
-///   configuration from SupervisorConfig::workerArgs, replan the input
-///   and run this executor on their ranges (a run that does not resume
-///   first empties SupervisorConfig::workDir). Every harvested CellRecord
-///   that matches the plan is journaled; cells no worker delivered are
-///   hole-filled. out.isolatedCells, out.abortCause and out.workerSpans
-///   carry the supervisor's verdicts, and a supervisor-fatal condition
-///   is the returned Status. `config`, the one the plan was built
-///   under, keys the distinct shapes of the delivered cells.
+/// - with a `supervisor`, this process resolves Lth, then
+///   superviseCells shards the remaining cells' contiguous ranges across
+///   forked worker processes, each running this executor serially on
+///   its range of the inherited plan, with `config` and
+///   options.cellCacheDir (a run that does not resume first empties
+///   SupervisorConfig::workDir). Every harvested CellRecord that matches
+///   the plan is journaled; cells no worker delivered are hole-filled.
+///   out.isolatedCells, out.abortCause and out.workerSpans carry the
+///   supervisor's verdicts, and a supervisor-fatal condition is the
+///   returned Status. `config`, the one the plan was built under, keys
+///   the distinct shapes of the delivered cells.
 /// A worker shard (options.cellBegin >= 0) fills only its range and ends
 /// at its journal: nothing is hole-filled or instantiated. Cache I/O
 /// failures never fail the run: the cache is disabled with a counted
@@ -239,12 +242,11 @@ Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
 
 /// Supervises a flat input the way mbf_cli --isolate does and returns
 /// SupervisorResult::records: one ShapeRecord per layout shape, shots in
-/// layout coordinates. It replans config.inputPath as its workers do
-/// (default BatchConfig: the caller forwards no worker flags), sets
-/// config.numShapes to the plan's cell count and supervises those cells
-/// (superviseCells). A planning failure is the result's status. For
-/// callers that merge shapes themselves, such as bench/e2e's traced run;
-/// mbf_cli runs fracturePlan with a SupervisorConfig.
+/// layout coordinates. It plans config.inputPath (planLayoutFile, default
+/// BatchConfig) and runs fracturePlan on it with `config`, unjournaled
+/// and uncached. A planning or supervisor-fatal failure is the result's
+/// status. For callers that merge shapes themselves, such as bench/e2e's
+/// traced run; mbf_cli runs fracturePlan with a SupervisorConfig.
 SupervisorResult superviseFracture(const SupervisorConfig& config);
 
 /// planGdsHierarchy from options.topStruct, then fracturePlan.

@@ -10,10 +10,10 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <deque>
 #include <iostream>
-#include <limits>
 #include <thread>
 
 #include "io/atomic_file.h"
@@ -80,66 +80,67 @@ std::string logTail(const std::string& path) {
   return all.empty() ? "(empty worker log)" : all;
 }
 
+/// A forked worker's whole life: fill its range with stdout/stderr in
+/// the range log, then leave through _exit, so none of the parent's
+/// atexit hooks or static destructors run twice. noexcept: an exception
+/// escaping the fill terminates the worker (SIGABRT), a crash the
+/// supervisor retries, bisects and isolates like any other, never the
+/// fatal exit 3.
+[[noreturn]] void runWorker(const SupervisorConfig& config,
+                            const RangeTask& task,
+                            const std::string& journalPath,
+                            const std::string& logPath,
+                            const std::string& spanPath) noexcept {
+  const int logFd =
+      ::open(logPath.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+  if (logFd >= 0) {
+    ::dup2(logFd, 1);
+    ::dup2(logFd, 2);
+    ::close(logFd);
+  }
+  // Start as a fresh process would: sysio op indices of its own, and an
+  // empty trace stamped with its own pid.
+  sysio::restartCounting();
+  TraceRecorder& trace = TraceRecorder::instance();
+  trace.clear();
+  if (traceEnabled()) trace.enable();
+
+  int code = 0;
+  const Status filled =
+      config.fill(task.begin, task.end, task.degradeOnly, journalPath);
+  if (!filled.ok()) {
+    std::cerr << "fracture: " << filled.str() << "\n";
+    code = 3;
+  } else if (interruptRequested()) {
+    code = 5;
+  }
+  if (!spanPath.empty()) {
+    // Best effort: the supervisor reads a missing span file as no spans.
+    const Status st = writeSpanFile(spanPath, trace.snapshot());
+    if (!st.ok()) std::cerr << "trace: " << st.str() << "\n";
+  }
+  std::fflush(nullptr);
+  sysio::writeStatsLine();
+  ::_exit(code);
+}
+
 pid_t spawnWorker(const SupervisorConfig& config, const RangeTask& task,
                   const std::string& journalPath, const std::string& logPath,
                   const std::string& spanPath, Status& error) {
-  std::vector<std::string> args;
-  args.push_back(config.cliPath);
-  args.push_back(config.inputPath);
-  // The output argument only names the range: a worker ends at its
-  // journal and writes no .shots.
-  args.push_back(config.workDir + "/w_" + rangeTag(task));
-  args.push_back("--worker");
-  args.push_back("--cell-range=" + std::to_string(task.begin) + ":" +
-                 std::to_string(task.end));
-  args.push_back("--journal=" + journalPath);
-  // Always resume: a retried range skips its already-journaled prefix.
-  args.push_back("--resume");
-  // Worker parallelism is process-level; a serial worker fractures its
-  // cells' distinct shapes in plan order, so a crash leaves every cell
-  // before the crashing one journaled (the requeue logic depends on it).
-  args.push_back("--threads=1");
-  if (task.degradeOnly) args.push_back("--degrade-only");
-  if (!spanPath.empty()) args.push_back("--trace-raw=" + spanPath);
-  for (const std::string& a : config.workerArgs) args.push_back(a);
-
-  std::vector<char*> argv;
-  argv.reserve(args.size() + 1);
-  for (std::string& a : args) argv.push_back(a.data());
-  argv.push_back(nullptr);
-
+  // Output the parent has buffered would otherwise be written again by
+  // the worker, into its log.
+  std::fflush(nullptr);
   const pid_t pid = ::fork();
   if (pid < 0) {
     error = Status(StatusCode::kResourceExhausted,
                    std::string("fork failed: ") + std::strerror(errno));
     return -1;
   }
-  if (pid == 0) {
-    // Child: only async-signal-safe calls between fork and exec.
-    const int logFd =
-        ::open(logPath.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-    if (logFd >= 0) {
-      ::dup2(logFd, 1);
-      ::dup2(logFd, 2);
-      ::close(logFd);
-    }
-    ::execv(argv[0], argv.data());
-    _exit(127);
-  }
+  if (pid == 0) runWorker(config, task, journalPath, logPath, spanPath);
   return pid;
 }
 
 }  // namespace
-
-std::string selfExePath(const char* argv0) {
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n > 0) {
-    buf[n] = '\0';
-    return buf;
-  }
-  return argv0 != nullptr ? argv0 : "";
-}
 
 SupervisorResult superviseCells(const SupervisorConfig& config) {
   SupervisorResult result;
@@ -157,10 +158,7 @@ SupervisorResult superviseCells(const SupervisorConfig& config) {
   }
 
   const int jobs = std::max(1, config.jobs);
-  // A resumed run supervises only the ranges its parent journal is
-  // missing; the default is the whole index space.
-  std::vector<std::pair<int, int>> ranges = config.initialRanges;
-  if (ranges.empty()) ranges.emplace_back(0, n);
+  const std::vector<std::pair<int, int>>& ranges = config.initialRanges;
   int work = 0;
   for (const auto& r : ranges) work += std::max(0, r.second - r.first);
   // Several chunks per worker slot: small enough that a crash forfeits
@@ -212,7 +210,7 @@ SupervisorResult superviseCells(const SupervisorConfig& config) {
 
     if (!draining && interruptRequested()) {
       // Graceful drain: drop queued work, ask live workers to drain
-      // (they install the same handlers and journal what they finished),
+      // (they inherit the same handlers and journal what they finished),
       // and keep reaping until everyone is gone. Nothing is requeued.
       draining = true;
       result.interrupted = true;
@@ -351,21 +349,20 @@ SupervisorResult superviseCells(const SupervisorConfig& config) {
         continue;
       }
 
-      // Config-level failures poison every future worker identically;
-      // retrying or bisecting them would only spin. Within that class,
-      // ENOSPC gets its own treatment (section 18): a full filer fails
-      // every future worker AND every retry, so the run ABORTS — stop
-      // spawning, terminate the rest, keep everything already journaled,
-      // and name the cause so the manifest reports why the run is
-      // partial instead of grinding the backoff/bisect ladder against a
-      // disk that cannot take another byte.
-      if (exited && (exitCode == 2 || exitCode == 3 || exitCode == 127)) {
+      // A fatal or journal error (exit 3) poisons every future worker
+      // identically; retrying or bisecting it would only spin. Within
+      // that class, ENOSPC gets its own treatment (section 18): a full
+      // filer fails every future worker AND every retry, so the run
+      // ABORTS — stop spawning, terminate the rest, keep everything
+      // already journaled, and name the cause so the manifest reports
+      // why the run is partial instead of grinding the backoff/bisect
+      // ladder against a disk that cannot take another byte.
+      if (exited && exitCode == 3) {
         const std::string tail = logTail(worker.logPath);
         const bool enospc =
-            exitCode == 3 &&
-            (tail.find("No space left on device") != std::string::npos ||
-             tail.find("ENOSPC") != std::string::npos ||
-             tail.find("Disk quota exceeded") != std::string::npos);
+            tail.find("No space left on device") != std::string::npos ||
+            tail.find("ENOSPC") != std::string::npos ||
+            tail.find("Disk quota exceeded") != std::string::npos;
         if (enospc) {
           result.abortCause =
               "worker for cells [" + std::to_string(task.begin) + ", " +
@@ -385,9 +382,8 @@ SupervisorResult superviseCells(const SupervisorConfig& config) {
         }
         fatal = Status(StatusCode::kInternal,
                        "worker for cells [" + std::to_string(task.begin) +
-                           ", " + std::to_string(task.end) + ") exited " +
-                           std::to_string(exitCode) +
-                           " (bad arguments / unrunnable): " + tail);
+                           ", " + std::to_string(task.end) +
+                           ") exited 3 (fatal or journal error): " + tail);
         break;
       }
 

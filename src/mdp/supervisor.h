@@ -1,8 +1,9 @@
 // Supervised multi-process fracturing (mbf_cli --isolate). The
 // supervisor shards a plan's cell ranges (mdp/hierarchy; a flat
-// layout's cells are its distinct shapes) across worker subprocesses —
-// each worker is mbf_cli re-exec'd in a hidden worker mode, journaling
-// every completed cell to a per-range journal — and survives what no
+// layout's cells are its distinct shapes) across worker processes —
+// each worker is a fork of the supervising process that fills its range
+// of the inherited plan (SupervisorConfig::fill), journaling every
+// completed cell to a per-range journal — and survives what no
 // in-process ladder can: segfaults, OOM-kills and hard hangs of the
 // fracture engine itself.
 //
@@ -30,12 +31,20 @@
 // the cell records the supervisor harvests are bitwise identical to
 // what a single-process run would have produced. A worker ends at its
 // journal: it writes only that journal, its seal, its log and (when
-// tracing) its span file, and exits 0 when clean, 3 on a fatal or
-// journal error and 5 when drained. Validating the records against the
-// plan, hole-filling and instantiation belong to the plan executor
-// (mdp/hierarchy: fracturePlan with a SupervisorConfig).
+// tracing) its span file, and leaves through _exit with 0 when clean, 3
+// on a fatal or journal error and 5 when drained. Validating the records
+// against the plan, hole-filling and instantiation belong to the plan
+// executor (mdp/hierarchy: fracturePlan with a SupervisorConfig).
+//
+// Fork safety: mbf_cli's supervising process is single-threaded when it
+// forks (the thread pool starts lazily and a supervising parent never
+// fractures), and a worker runs its range serially, never starting the
+// pool, so a child never inherits a lock some other thread held. A
+// caller that ran a parallel batch before (bench/e2e's traced run)
+// forks beside idle pool threads, which hold no lock a worker takes.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <string>
 #include <utility>
@@ -48,21 +57,27 @@
 namespace mbf {
 
 struct SupervisorConfig {
-  /// The mbf_cli binary to re-exec as workers (see selfExePath()).
+  /// Unread: workers are forked, not exec'd. bench/e2e's traced run
+  /// still assigns it, until the [benchmark] change of ROADMAP item 3
+  /// deletes it.
   std::string cliPath;
-  /// Input layout file; workers re-read and re-plan it, so plan cell
-  /// indices agree across every process by construction.
+  /// Input layout file of superviseFracture, which plans it.
+  /// fracturePlan supervises the plan it is handed and ignores this.
   std::string inputPath;
   /// Scratch directory for per-range journals, their seals, worker logs
   /// and span files; created if missing.
   std::string workDir;
-  /// The workers' run flags, assembled by the caller (mbf_cli: the
-  /// result-relevant flags verbatim, --gamma=..., --cell-cache=...,
-  /// --inject=... and friends, plus --lth-bits and the resolved
-  /// --top-cell). The supervisor adds the worker-mode plumbing itself.
-  std::vector<std::string> workerArgs;
+  /// Run in each forked worker: fill plan cells [begin, end), serially,
+  /// resuming the range's journal at `journalPath` (so a retried range
+  /// skips its journaled prefix), fallback-only when `fallbackOnly` (a
+  /// crash-isolated cell). A serial fill leaves every cell before a
+  /// crashing one journaled, which the requeue logic depends on. A
+  /// non-ok Status is the worker's exit 3. fracturePlan sets it.
+  std::function<Status(int begin, int end, bool fallbackOnly,
+                       const std::string& journalPath)>
+      fill;
 
-  /// Plan cells to supervise (a flat layout's distinct shapes).
+  /// Plan cells the ranges index (a flat layout's distinct shapes).
   int numShapes = 0;
   int jobs = 2;            ///< concurrent worker processes
   double workerTimeoutMs = 0.0;  ///< watchdog; 0 = no timeout
@@ -70,23 +85,22 @@ struct SupervisorConfig {
   /// First retry delay; each retry doubles it, up to 2 s.
   double backoffBaseMs = 50.0;
   bool verbose = false;    ///< supervisor event log on stderr
-  /// Ask every worker to record trace spans into a per-range span file
-  /// (--trace-raw) and merge them into SupervisorResult::workerSpans, so
+  /// Have every worker dump the trace spans it records into a per-range
+  /// span file and merge them into SupervisorResult::workerSpans, so
   /// --trace-json on a supervised run shows one timeline across all
   /// worker processes. Lifecycle events (spawn/retry/bisect/isolate/
   /// watchdog kills) are recorded by the supervisor itself.
   bool collectTraceSpans = false;
-  /// Restrict the supervised work to these [begin, end) cell ranges
-  /// (still chunked across workers). Empty = the whole [0, numShapes).
-  /// A resumed run passes only the cell ranges its parent journal is
-  /// missing.
+  /// The [begin, end) cell ranges to supervise, chunked across workers:
+  /// the missing cells of the run (a resumed run's parent journal holds
+  /// the others).
   std::vector<std::pair<int, int>> initialRanges;
 };
 
 struct SupervisorResult {
-  /// Supervisor-level fatal error (worker binary unrunnable, worker
-  /// rejected its arguments, scratch dir unwritable). Per-cell
-  /// failures never land here — they become degraded records.
+  /// Supervisor-level fatal error (fork failed, a worker exited 3 on a
+  /// fatal or journal error other than ENOSPC, scratch dir unwritable).
+  /// Per-cell failures never land here — they become degraded records.
   Status status;
   /// Harvested cell records (cell-local shots) keyed by plan cell index.
   /// Holes (crashed-even-in-fallback cells, drained or aborted ranges)
@@ -94,7 +108,7 @@ struct SupervisorResult {
   std::map<int, CellRecord> cellRecords;
   /// superviseFracture only (mdp/hierarchy): one record per layout
   /// shape of a flat input, keyed by layout index, shots in layout
-  /// coordinates.
+  /// coordinates; cellRecords stays empty there.
   std::map<int, ShapeRecord> records;
   RunCounters counters;
   /// Plan indices of crash-isolated culprit cells.
@@ -120,9 +134,5 @@ struct SupervisorResult {
 
 /// Supervises the plan cell ranges and harvests the workers' CellRecords.
 SupervisorResult superviseCells(const SupervisorConfig& config);
-
-/// Absolute path of the running executable (/proc/self/exe), falling
-/// back to `argv0` when the proc link is unreadable.
-std::string selfExePath(const char* argv0);
 
 }  // namespace mbf

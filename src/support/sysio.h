@@ -9,10 +9,11 @@
 // a documented exit code instead of shipping a corrupt artifact.
 //
 // Fault schedule: deterministic, armed either programmatically (arm())
-// or from the MBF_SYSIO_FAULT environment variable, which is what lets
-// the chaos drills reach child mbf_cli worker processes — the spec
-// rides the environment across fork/exec. One spec names an op kind, a
-// 1-based index among matching ops, and a fault:
+// or from the MBF_SYSIO_FAULT environment variable, which every process
+// of a run — mbf_cli and its forked --isolate workers — observes: a
+// forked worker inherits the armed schedule and restartCounting() makes
+// its op indices its own. One spec names an op kind, a 1-based index
+// among matching ops, and a fault:
 //
 //   MBF_SYSIO_FAULT=<op>@<n>:<fault>[!]
 //
@@ -27,10 +28,11 @@
 //           stays full); without it the fault is one-shot
 //
 // Op counting: MBF_SYSIO_STATS=<path> appends one line of per-op counts
-// at process exit (raw syscalls, so the stats write cannot fault
-// itself). The first-failure sweep drill runs a clean reference run to
-// learn N, then replays the run once per op index 1..N with a fault
-// injected there.
+// at process exit, or at writeStatsLine() for a process that leaves
+// through _exit (raw syscalls, so the stats write cannot fault itself).
+// The first-failure sweep drill runs a clean reference run to learn N,
+// then replays the run once per op index 1..N with a fault injected
+// there.
 //
 // Overhead when disarmed: one relaxed atomic load per wrapper, then the
 // raw syscall — no counting, no locks. The shim never changes
@@ -93,6 +95,17 @@ bool armed();
 /// Ops observed since arming (or since counting started). The sweep
 /// drill sizes its fault schedule from this via MBF_SYSIO_STATS.
 std::uint64_t opCount();
+
+/// Restarts op counting in a forked child: zeroes the op index and the
+/// per-op counts and re-arms a consumed one-shot fault (or a storm in
+/// flight), so the schedule and the stats line count this process's own
+/// ops, as they do in a freshly started process. The schedule is kept.
+void restartCounting();
+
+/// Appends this process's MBF_SYSIO_STATS line now; a no-op without the
+/// variable. For a process that leaves through _exit, which skips the
+/// atexit hook that writes it otherwise.
+void writeStatsLine();
 
 /// Syscall wrappers. Exact raw-syscall semantics when disarmed; when a
 /// fault fires they return the syscall's failure value with errno set

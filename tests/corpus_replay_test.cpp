@@ -7,8 +7,6 @@
 //
 // Standalone driver (no gtest) because it exercises the CLI process
 // boundary, not library internals.
-#include <bit>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -17,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "ebeam/proximity_model.h"
 #include "io/gdsii.h"
 
 namespace {
@@ -119,35 +116,18 @@ int main(int argc, char** argv) {
   cases.push_back({"neg_gamma", dir + "/valid.poly", "--gamma=-2", 2});
   cases.push_back({"bad_eta", dir + "/valid.poly", "--eta=1.5", 2});
 
-  // --lth-bits and --trace-raw are worker plumbing, refused outside
-  // worker mode; in it --lth-bits takes only the 16 hex digits of a
-  // finite, positive Lth.
-  char lthBits[17];
-  std::snprintf(lthBits, sizeof(lthBits), "%016llx",
-                static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(
-                    mbf::ProximityModel().computeLth(2.0))));
-  const std::string worker =
-      "--worker --cell-range=0:1 --journal=" + dir + "/worker.jrn ";
-  cases.push_back({"lth_bits_not_worker", dir + "/valid.poly",
-                   std::string("--lth-bits=") + lthBits, 2});
-  cases.push_back({"trace_raw_not_worker", dir + "/valid.poly",
+  // Forked --isolate workers have no command line: these worker flags
+  // are unknown arguments. The first spells a complete worker run.
+  cases.push_back({"worker", dir + "/valid.poly",
+                   "--worker --cell-range=0:1 --journal=" + dir +
+                       "/worker.jrn",
+                   2});
+  cases.push_back({"cell_range", dir + "/valid.poly", "--cell-range=0:1", 2});
+  cases.push_back({"degrade_only", dir + "/valid.poly", "--degrade-only", 2});
+  cases.push_back({"lth_bits", dir + "/valid.poly",
+                   "--lth-bits=402d51eb851eb852", 2});
+  cases.push_back({"trace_raw", dir + "/valid.poly",
                    "--trace-raw=" + dir + "/spans", 2});
-  cases.push_back({"lth_bits_worker", dir + "/valid.poly",
-                   worker + "--lth-bits=" + lthBits, 0});
-  cases.push_back({"lth_bits_decimal", dir + "/valid.poly",
-                   worker + "--lth-bits=14.66", 2});
-  cases.push_back({"lth_bits_short", dir + "/valid.poly",
-                   worker + "--lth-bits=402d51eb851eb8", 2});
-  cases.push_back({"lth_bits_not_hex", dir + "/valid.poly",
-                   worker + "--lth-bits=402d51eb851eb8zz", 2});
-  cases.push_back({"lth_bits_inf", dir + "/valid.poly",
-                   worker + "--lth-bits=7ff0000000000000", 2});
-  cases.push_back({"lth_bits_nan", dir + "/valid.poly",
-                   worker + "--lth-bits=7ff8000000000000", 2});
-  cases.push_back({"lth_bits_negative", dir + "/valid.poly",
-                   worker + "--lth-bits=c02d51eb851eb852", 2});
-  cases.push_back({"lth_bits_zero", dir + "/valid.poly",
-                   worker + "--lth-bits=0000000000000000", 2});
 
   // And the happy path, to prove the harness itself works.
   cases.push_back({"valid", dir + "/valid.poly", "", 0});

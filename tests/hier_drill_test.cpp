@@ -53,6 +53,9 @@
 //      workers leave no .shots either.
 //  15. A shape shared by two cells is counted once by a --hier --isolate
 //      run, as in process: 3 fractured shapes of 4 cell shapes.
+//  16. Piped input: `cat layout.poly | mbf_cli /dev/stdin ... --isolate
+//      --jobs=2` exits like the file-input run and writes its bytes —
+//      the forked workers inherit the plan and never re-read the input.
 //
 // Standalone driver (no gtest), same pattern as mbf_verify_drill: it
 // exercises the CLI process boundary, not library internals.
@@ -806,6 +809,31 @@ int main(int argc, char** argv) {
     check(manifestNumber(json, "hier", "unique_shapes_fractured") == 3.0 &&
               manifestNumber(json, "recovery", "fresh_shapes") == 3.0,
           "shared shape: supervised manifest counts 3 shapes of 4");
+  }
+
+  // --- Drill 16: a supervised run reads its input once -----------------
+  {
+    const std::string poly = dir + "/piped.poly";
+    check(writeBytes(poly,
+                     "0 0\n80 0\n80 30\n30 30\n30 80\n0 80\n\n"
+                     "200 0\n260 0\n260 60\n200 60\n\n"
+                     "400 0\n460 0\n460 60\n400 60\n\n"
+                     "0 300\n140 300\n140 340\n0 340\n"),
+          "piped input: .poly written");
+    const std::string fileShots = dir + "/piped_file.shots";
+    const std::string pipeShots = dir + "/piped_stdin.shots";
+    const int fileExit =
+        runCli(cli, {poly, fileShots, "--isolate", "--jobs=2"});
+    const int raw = std::system(("cat '" + poly + "' | '" + cli +
+                                 "' /dev/stdin '" + pipeShots +
+                                 "' --isolate --jobs=2 > /dev/null 2>&1")
+                                    .c_str());
+    const int pipeExit = raw != -1 && WIFEXITED(raw) ? WEXITSTATUS(raw) : -2;
+    check(fileExit == 0 && pipeExit == fileExit,
+          "piped input: --isolate exits like the file-input run");
+    check(!readBytes(fileShots).empty() &&
+              readBytes(pipeShots) == readBytes(fileShots),
+          "piped input: --isolate writes the file-input run's bytes");
   }
 
   if (g_failures > 0) {

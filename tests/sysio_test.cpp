@@ -159,6 +159,37 @@ TEST_F(SysioTest, StickyFaultKeepsFiring) {
   ASSERT_EQ(::close(fd), 0);
 }
 
+TEST_F(SysioTest, RestartCountingGivesAForkedWorkerItsOwnIndices) {
+  // A forked --isolate worker inherits its parent's op counts and any
+  // one-shot fault the parent consumed; restartCounting() leaves it the
+  // indices a freshly started process would see, schedule intact.
+  const std::string dir = tempDir();
+  const int fd =
+      sysio::open((dir + "/f").c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
+  ASSERT_GE(fd, 0);
+  sysio::FaultSpec spec;
+  ASSERT_TRUE(sysio::parseFaultSpec("write@2:enospc", spec));
+  sysio::arm(spec);
+  EXPECT_EQ(sysio::write(fd, "a", 1), 1);
+  EXPECT_EQ(sysio::write(fd, "b", 1), -1);  // consumes the one-shot fault
+  EXPECT_EQ(sysio::fsync(fd), 0);
+  EXPECT_EQ(sysio::opCount(), 3u);
+
+  sysio::restartCounting();
+  EXPECT_EQ(sysio::opCount(), 0u);
+  EXPECT_TRUE(sysio::armed());
+  // Writes count from 1 again (the fsync shows the per-op index, not
+  // the total, restarted), and the fault fires again at write #2.
+  EXPECT_EQ(sysio::fsync(fd), 0);
+  EXPECT_EQ(sysio::write(fd, "c", 1), 1);
+  errno = 0;
+  EXPECT_EQ(sysio::write(fd, "d", 1), -1);
+  EXPECT_EQ(errno, ENOSPC);
+  EXPECT_EQ(sysio::opCount(), 3u);
+  sysio::disarm();
+  ASSERT_EQ(::close(fd), 0);
+}
+
 TEST_F(SysioTest, AtomicWriteEnospcLeavesDestinationIntact) {
   const std::string dir = tempDir();
   const std::string path = dir + "/artifact.bin";

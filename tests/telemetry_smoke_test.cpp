@@ -221,7 +221,7 @@ int main(int argc, char** argv) {
     check(pids.size() >= 3, "trace spans from >= 2 worker processes");
     check(sawWorkerLifecycle, "trace has worker lifecycle spans");
     check(sawIsolate, "trace marks the crash isolation");
-    // The supervisor resolves Lth and hands it to every worker.
+    // The supervisor resolves Lth before it forks its workers.
     check(lthWalks == 1, "one Lth contour walk across all processes");
   }
 

@@ -51,8 +51,8 @@
 //                                survives process death; each: survives
 //                                power loss)
 //   --isolate                    supervised multi-process mode: plan
-//                                cells are sharded across mbf_cli worker
-//                                subprocesses; crashes/hangs cost one
+//                                cells are sharded across forked worker
+//                                processes; crashes/hangs cost one
 //                                degraded cell, never the run
 //   --jobs=<n>                   worker processes for --isolate
 //   --worker-timeout-ms=<ms>     watchdog: SIGKILL workers that exceed
@@ -114,25 +114,6 @@
 // finish and are journaled, the manifest is stamped "interrupted", and
 // the run exits 5.
 //
-// Hidden worker plumbing (spawned by --isolate, not for direct use):
-//   --worker --cell-range=a:b    fracture only plan cells [a, b) and
-//                                journal their CellRecords; requires
-//                                --journal
-//   --degrade-only               fallback-only re-fracture of a
-//                                crash-isolated culprit cell; skips
-//                                the cell cache
-//   --lth-bits=<16 hex digits>   the IEEE-754 bits of the Lth the
-//                                supervisor resolved for this model and
-//                                gamma; seeds the worker's Lth memo so
-//                                the contour walk runs once per run
-//   --trace-raw=<path>           record trace spans and dump them as a
-//                                raw span file for the supervisor to
-//                                merge (best effort: a failed write is
-//                                logged and costs only these spans)
-// A worker ends at its journal: it writes no .shots (its output argument
-// only names its directory) and exits 0 when clean, 3 on a fatal or
-// journal error and 5 when drained.
-//
 // Input: flat .poly ring list (blank-line separated) or a .gds file
 // (BOUNDARY elements); rings nested in another ring are holes. Output:
 // one "x0 y0 x1 y1" shot per line, with '#' comments separating shapes.
@@ -160,11 +141,7 @@
 #include <sys/stat.h>
 
 #include <algorithm>
-#include <bit>
-#include <cctype>
-#include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -209,27 +186,6 @@ bool parseInt(const std::string& value, int& out) {
   } catch (...) {
     return false;
   }
-}
-
-/// The hidden --lth-bits value: the IEEE-754 bits of Lth as 16 lowercase
-/// hex digits, so a worker receives its supervisor's exact double.
-std::string lthBits(double lth) {
-  char bits[17];
-  std::snprintf(bits, sizeof(bits), "%016llx",
-                static_cast<unsigned long long>(
-                    std::bit_cast<std::uint64_t>(lth)));
-  return bits;
-}
-
-/// Inverse of lthBits: false unless `text` is exactly 16 hex digits.
-bool parseLthBits(const std::string& text, double& lth) {
-  if (text.size() != 16) return false;
-  for (const char c : text) {
-    if (std::isxdigit(static_cast<unsigned char>(c)) == 0) return false;
-  }
-  lth = std::bit_cast<double>(
-      static_cast<std::uint64_t>(std::stoull(text, nullptr, 16)));
-  return true;
 }
 
 int usage() {
@@ -334,7 +290,6 @@ int main(int argc, char** argv) {
   std::string gdsOutPath;
   std::string metricsJsonPath;
   std::string traceJsonPath;
-  std::string traceRawPath;
   bool report = false;
   bool orderForWriter = false;
   bool selfcheck = false;
@@ -350,10 +305,6 @@ int main(int argc, char** argv) {
   bool resume = false;
   JournalFsync fsyncPolicy = JournalFsync::kNone;
   bool isolate = false;
-  bool workerMode = false;
-  int cellRangeBegin = -1;
-  int cellRangeEnd = -1;
-  double workerLth = 0.0;  // --lth-bits; 0 = derive Lth here
   int jobs = 2;
   double workerTimeoutMs = 0.0;
   int retries = 2;
@@ -362,12 +313,6 @@ int main(int argc, char** argv) {
   // Deterministic fault injection (lives as long as the batch does).
   FaultInjector injector;
   bool injectorArmed = false;
-
-  // Flags a supervisor forwards verbatim to its workers: everything
-  // that changes the plan or the computed result, the cell cache (the
-  // workers own all cache I/O), and injection, so an injected crash
-  // actually fires inside the worker process.
-  std::vector<std::string> forwardArgs;
 
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -378,72 +323,59 @@ int main(int argc, char** argv) {
     // Each flag reports its own constraint so a rejected value explains
     // itself instead of the generic "bad argument".
     std::string error;
-    bool forward = false;
     if (key == "--method") {
       if (!parseMethod(value, config.method)) {
         error = "must be ours, gsc, mp or proxy";
       }
-      forward = true;
     } else if (key == "--gamma") {
       if (!parseDouble(value, config.params.gamma) ||
           config.params.gamma < 0.0) {
         error = "must be a number >= 0 (nm)";
       }
-      forward = true;
     } else if (key == "--sigma") {
       if (!parseDouble(value, config.params.sigma) ||
           config.params.sigma <= 0.0) {
         error = "must be a number > 0 (nm)";
       }
-      forward = true;
     } else if (key == "--lmin") {
       if (!parseInt(value, config.params.lmin) || config.params.lmin < 1) {
         error = "must be an integer >= 1 (nm)";
       }
-      forward = true;
     } else if (key == "--eta") {
       if (!parseDouble(value, config.params.backscatterEta) ||
           config.params.backscatterEta < 0.0 ||
           config.params.backscatterEta > 1.0) {
         error = "must be a number in [0, 1]";
       }
-      forward = true;
     } else if (key == "--sigma-back") {
       if (!parseDouble(value, config.params.backscatterSigma) ||
           config.params.backscatterSigma <= 0.0) {
         error = "must be a number > 0 (nm)";
       }
-      forward = true;
     } else if (key == "--budget-ms") {
       if (!parseDouble(value, config.params.shapeTimeBudgetMs) ||
           config.params.shapeTimeBudgetMs < 0.0) {
         error = "must be a number >= 0 (milliseconds, 0 = unlimited)";
       }
-      forward = true;
     } else if (key == "--nmax") {
       if (!parseInt(value, config.params.nmax) || config.params.nmax < 0) {
         error = "must be an integer >= 0";
       }
-      forward = true;
     } else if (key == "--strict") {
       config.allowDegradation = false;
-      forward = true;
     } else if (key == "--order") {
       orderForWriter = true;
     } else if (key == "--selfcheck") {
       selfcheck = true;
     } else if (key == "--hier") {
       hier = true;
-      forward = true;
     } else if (key == "--cell-cache") {
       cellCacheDir = value;
       if (cellCacheDir.empty()) error = "must be a directory path";
-      forward = true;
     } else if (key == "--cell-cache-quota-mb") {
       if (!parseInt(value, cellCacheQuotaMb) || cellCacheQuotaMb < 1) {
         error = "must be an integer >= 1 (megabytes)";
       }
-      forward = true;
     } else if (key == "--top-cell") {
       topCell = value;
       if (topCell.empty()) error = "must be a structure name";
@@ -469,9 +401,6 @@ int main(int argc, char** argv) {
     } else if (key == "--trace-json") {
       traceJsonPath = value;
       if (traceJsonPath.empty()) error = "must be a path";
-    } else if (key == "--trace-raw") {
-      traceRawPath = value;
-      if (traceRawPath.empty()) error = "must be a path";
     } else if (key == "--journal") {
       journalPath = value;
       if (journalPath.empty()) error = "must be a path";
@@ -503,23 +432,6 @@ int main(int argc, char** argv) {
       if (!parseDouble(value, backoffMs) || backoffMs < 0.0) {
         error = "must be a number >= 0 (milliseconds)";
       }
-    } else if (key == "--worker") {
-      workerMode = true;
-    } else if (key == "--cell-range") {
-      const std::size_t colon = value.find(':');
-      if (colon == std::string::npos ||
-          !parseInt(value.substr(0, colon), cellRangeBegin) ||
-          !parseInt(value.substr(colon + 1), cellRangeEnd) ||
-          cellRangeBegin < 0 || cellRangeEnd < cellRangeBegin) {
-        error = "must be begin:end with 0 <= begin <= end";
-      }
-    } else if (key == "--degrade-only") {
-      config.fallbackOnly = true;
-    } else if (key == "--lth-bits") {
-      if (!parseLthBits(value, workerLth) || !std::isfinite(workerLth) ||
-          workerLth <= 0.0) {
-        error = "must be the 16 hex digits of a finite Lth > 0";
-      }
     } else if (key == "--inject") {
       std::string rest = value;
       while (!rest.empty() && error.empty()) {
@@ -538,7 +450,6 @@ int main(int argc, char** argv) {
         }
       }
       if (value.empty()) error = "must be kind@index[,kind@index...]";
-      forward = true;
     } else if (key == "--inject-every") {
       FaultKind kind = FaultKind::kNone;
       int n = 0;
@@ -548,7 +459,6 @@ int main(int argc, char** argv) {
         injector.armEveryNth(n, kind);
         injectorArmed = true;
       }
-      forward = true;
     } else if (key == "--inject-seed") {
       int seed = 0;
       if (!parseInt(value, seed)) {
@@ -557,7 +467,6 @@ int main(int argc, char** argv) {
         injector = FaultInjector(static_cast<std::uint64_t>(seed));
         injectorArmed = false;  // re-arm flags must follow the seed
       }
-      forward = true;
     } else {
       std::cerr << "unknown argument: " << arg << "\n";
       return usage();
@@ -567,27 +476,9 @@ int main(int argc, char** argv) {
                 << "\n";
       return usage();
     }
-    if (forward) forwardArgs.push_back(arg);
   }
   if (resume && journalPath.empty()) {
     std::cerr << "--resume requires --journal=<path>\n";
-    return usage();
-  }
-  if (isolate && workerMode) {
-    std::cerr << "--isolate and --worker are mutually exclusive\n";
-    return usage();
-  }
-  if ((cellRangeBegin >= 0 || config.fallbackOnly || workerLth > 0.0 ||
-       !traceRawPath.empty()) &&
-      !workerMode) {
-    std::cerr << "--cell-range/--degrade-only/--lth-bits/--trace-raw are "
-                 "worker-mode plumbing (spawned by --isolate)\n";
-    return usage();
-  }
-  // A worker's journal IS the product its supervisor harvests.
-  if (workerMode && (cellRangeBegin < 0 || journalPath.empty())) {
-    std::cerr << "a worker needs --cell-range=a:b and --journal=<path> "
-                 "(spawned by --isolate)\n";
     return usage();
   }
   const bool gdsInput = inputPath.size() > 4 &&
@@ -606,11 +497,6 @@ int main(int argc, char** argv) {
     return usage();
   }
   if (injectorArmed) config.params.faultInjector = &injector;
-  // A worker's model and gamma are its supervisor's (the flags are
-  // forwarded verbatim), so the supervisor's Lth is this process's too.
-  if (workerLth > 0.0) {
-    config.params.makeModel().seedLth(config.params.gamma, workerLth);
-  }
 
   const auto dirOf = [](const std::string& p) {
     const std::size_t slash = p.find_last_of('/');
@@ -648,15 +534,14 @@ int main(int argc, char** argv) {
   // Graceful drain: SIGTERM/SIGINT set a flag that fractureShapeGuarded
   // checks on entry, so started shapes finish (and are journaled) while
   // unstarted ones stay untouched for a later --resume; the supervisor
-  // additionally forwards the signal to its workers. The run then exits
-  // 5 with the manifest stamped "interrupted".
+  // additionally forwards the signal to its workers, which inherit these
+  // handlers. The run then exits 5 with the manifest stamped
+  // "interrupted".
   installInterruptHandlers();
 
   // Tracing on before any traced work starts. Spans never change what is
   // computed, so the output stays byte-identical either way.
-  if (!traceJsonPath.empty() || !traceRawPath.empty()) {
-    TraceRecorder::instance().enable();
-  }
+  if (!traceJsonPath.empty()) TraceRecorder::instance().enable();
 
   // 1. Plan: a flat layout is a one-level plan with one anchored cell per
   // distinct shape; --hier plans the GDS structure tree.
@@ -679,61 +564,33 @@ int main(int argc, char** argv) {
               << toString(config.method) << "'...\n";
   }
 
-  // 2. Execute: in process (a worker runs its --cell-range shard), or
-  // supervised across worker processes; either way journaled, cached and
-  // (except in a worker) instantiated by the one plan executor.
+  // 2. Execute: in process, or supervised across forked worker
+  // processes; either way journaled, cached and instantiated by the one
+  // plan executor.
   HierOptions options;
   options.journalPath = journalPath;
   options.resume = resume;
   options.fsync = fsyncPolicy;
-  options.cellBegin = cellRangeBegin;
-  options.cellEnd = cellRangeEnd;
+  options.cellCacheDir = cellCacheDir;
+  options.cellCacheQuotaBytes =
+      static_cast<std::int64_t>(cellCacheQuotaMb) * 1024 * 1024;
   SupervisorConfig sup;
   if (isolate) {
     // This process never fractures; it shards, watches, retries,
     // bisects, and merges worker journals. The workers, not this
     // process, open the cell cache.
-    sup.cliPath = selfExePath(argv[0]);
-    sup.inputPath = inputPath;
     sup.workDir = outputPath + ".workers";
-    sup.workerArgs = forwardArgs;
     sup.jobs = jobs;
     sup.workerTimeoutMs = workerTimeoutMs;
     sup.maxRetries = retries;
     sup.backoffBaseMs = backoffMs;
     sup.verbose = report;
     sup.collectTraceSpans = !traceJsonPath.empty();
-    // Lth is resolved once, here, and handed to every worker, and so is
-    // the resolved top structure, so auto-detection cannot diverge.
-    const double lth = config.params.resolvedLth(config.params.makeModel());
-    if (lth > 0.0) sup.workerArgs.push_back("--lth-bits=" + lthBits(lth));
-    if (!plan.topStruct.empty()) {
-      sup.workerArgs.push_back("--top-cell=" + plan.topStruct);
-    }
-  } else {
-    options.cellCacheDir = cellCacheDir;
-    options.cellCacheQuotaBytes =
-        static_cast<std::int64_t>(cellCacheQuotaMb) * 1024 * 1024;
   }
   HierarchicalResult run;
   RunCounters counters;
   const Status runStatus = fracturePlan(plan, config, options, run, &counters,
                                         isolate ? &sup : nullptr);
-  if (workerMode) {
-    // A worker ends at its journal, the product its supervisor harvests,
-    // so a downgraded journal is fatal here.
-    if (!runStatus.ok()) {
-      std::cerr << "fracture: " << runStatus.str() << "\n";
-      return 3;
-    }
-    if (!traceRawPath.empty()) {
-      // Best effort: the supervisor reads a missing span file as no spans.
-      const Status st =
-          writeSpanFile(traceRawPath, TraceRecorder::instance().snapshot());
-      if (!st.ok()) std::cerr << "trace: " << st.str() << "\n";
-    }
-    return interruptRequested() ? 5 : 0;
-  }
   if (!runStatus.ok()) {
     // Degrade-don't-die: a downgraded journal leaves the run complete in
     // memory; ship the shots, drop the (unsealed) journal artifact, exit
