@@ -29,4 +29,8 @@ struct ShotStats {
 ShotStats computeShotStats(std::span<const Rect> shots,
                            int sliverThreshold = 20);
 
+/// Sum over all unordered pairs of shots of their intersection area, in
+/// nm^2 (touching pairs contribute 0); exact in int64.
+std::int64_t pairwiseOverlapArea(std::span<const Rect> shots);
+
 }  // namespace mbf

@@ -53,8 +53,17 @@ std::string resolveArtifactPath(const std::string& manifestDir,
   return path;  // keep the original so the error message names it
 }
 
-/// A directory target: find exactly one *.json that is a run manifest.
-Status locateManifestInDir(const std::string& dir, std::string& out) {
+/// The manifest a --verify run audits: its path, the bytes read from it
+/// (the bytes the sidecar is checked against) and their parse.
+struct LoadedManifest {
+  std::string path;
+  std::string bytes;
+  JsonValue doc;
+};
+
+/// A directory target: find exactly one *.json that is a run manifest,
+/// keeping the one found as read and parsed.
+Status locateManifestInDir(const std::string& dir, LoadedManifest& out) {
   DIR* d = ::opendir(dir.c_str());
   if (d == nullptr) {
     return Status(StatusCode::kIoError, "cannot open directory '" + dir + "'");
@@ -69,14 +78,14 @@ Status locateManifestInDir(const std::string& dir, std::string& out) {
   std::vector<std::string> candidates;
   for (const std::string& name : names) {
     if (name.size() < 5 || name.substr(name.size() - 5) != ".json") continue;
-    const std::string path = dir + "/" + name;
-    std::string content;
-    if (!readFileToString(path, content).ok()) continue;
-    JsonValue doc;
-    if (!parseJson(content, doc).ok()) continue;
-    const JsonValue* schema = doc.find("schema");
+    LoadedManifest m;
+    m.path = dir + "/" + name;
+    if (!readFileToString(m.path, m.bytes).ok()) continue;
+    if (!parseJson(m.bytes, m.doc).ok()) continue;
+    const JsonValue* schema = m.doc.find("schema");
     if (schema != nullptr && schema->string == "mbf-run-manifest") {
-      candidates.push_back(path);
+      candidates.push_back(m.path);
+      if (candidates.size() == 1) out = std::move(m);
     }
   }
   if (candidates.empty()) {
@@ -91,7 +100,6 @@ Status locateManifestInDir(const std::string& dir, std::string& out) {
                   "multiple run manifests in '" + dir + "':" + list +
                       " — pass the manifest path directly");
   }
-  out = candidates.front();
   return Status();
 }
 
@@ -144,29 +152,31 @@ std::string VerifyReport::str() const {
 Status verifyRun(const VerifyOptions& options, VerifyReport& out) {
   out = {};
 
-  // 1. Locate and load the manifest.
-  std::string manifestPath = options.target;
-  if (isDirectory(manifestPath)) {
-    const Status st = locateManifestInDir(manifestPath, manifestPath);
+  // 1. Locate and load the manifest: read once, parsed once (a
+  //    directory target was parsed while it was being located).
+  LoadedManifest manifest;
+  const bool located = isDirectory(options.target);
+  if (located) {
+    const Status st = locateManifestInDir(options.target, manifest);
+    if (!st.ok()) return st;
+  } else {
+    manifest.path = options.target;
+    const Status st = readFileToString(manifest.path, manifest.bytes);
     if (!st.ok()) return st;
   }
+  const std::string& manifestPath = manifest.path;
   out.manifestPath = manifestPath;
-  std::string manifestBytes;
-  {
-    const Status st = readFileToString(manifestPath, manifestBytes);
-    if (!st.ok()) return st;
-  }
 
   // 2. The manifest's own integrity: its .sha256 sidecar (the manifest
-  //    cannot embed its own digest).
+  //    cannot embed its own digest), checked against the bytes parsed.
   {
-    const Status st = verifyHashSidecar(manifestPath);
+    const Status st = verifyHashSidecar(manifestPath, manifest.bytes);
     if (!st.ok()) out.fileIssues.push_back(st.message());
   }
 
-  JsonValue doc;
-  {
-    const Status st = parseJson(manifestBytes, doc);
+  const JsonValue& doc = manifest.doc;
+  if (!located) {
+    const Status st = parseJson(manifest.bytes, manifest.doc);
     if (!st.ok()) {
       return Status(StatusCode::kParseError,
                     "manifest '" + manifestPath +

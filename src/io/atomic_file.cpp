@@ -16,6 +16,10 @@
 
 #include "support/sysio.h"
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace mbf {
 namespace {
 
@@ -74,7 +78,7 @@ Status fsyncRetry(int fd, const char* what) {
 
 // --- SHA-256 (FIPS 180-4) ---------------------------------------------
 
-constexpr std::uint32_t kSha256K[64] = {
+alignas(16) constexpr std::uint32_t kSha256K[64] = {
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
     0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
     0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
@@ -91,56 +95,137 @@ inline std::uint32_t rotr(std::uint32_t x, int n) {
   return (x >> n) | (x << (32 - n));
 }
 
+// The portable block function: FIPS 180-4 section 6.2.2 as written.
+void compressPortable(std::uint32_t* state, const std::uint8_t* data,
+                      std::size_t blocks) {
+  for (; blocks > 0; --blocks, data += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (std::uint32_t(data[4 * i]) << 24) |
+             (std::uint32_t(data[4 * i + 1]) << 16) |
+             (std::uint32_t(data[4 * i + 2]) << 8) |
+             std::uint32_t(data[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 =
+          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 =
+          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t t1 = h + s1 + ch + kSha256K[i] + w[i];
+      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t t2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + t1;
+      d = c;
+      c = b;
+      b = a;
+      a = t1 + t2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#if defined(__x86_64__)
+// The x86 SHA-extensions block function. SHA256RNDS2 runs two rounds on
+// the state split as (A,B,E,F) and (C,D,G,H); each 4-word group of the
+// message schedule is w[i-16] + sigma0(w[i-15]) (SHA256MSG1), plus
+// w[i-7], plus sigma1(w[i-2]) (SHA256MSG2), in groups of four rounds.
+__attribute__((target("sha,sse4.1"))) void compressSha(
+    std::uint32_t* state, const std::uint8_t* data, std::size_t blocks) {
+  const __m128i byteSwap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  // (A,B,C,D), (E,F,G,H) -> (A,B,E,F), (C,D,G,H), high lane first.
+  const __m128i dcba = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);
+  const __m128i hgfe = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
+  __m128i abef = _mm_alignr_epi8(dcba, hgfe, 8);
+  __m128i cdgh = _mm_blend_epi16(hgfe, dcba, 0xF0);
+
+  for (; blocks > 0; --blocks, data += 64) {
+    const __m128i abefIn = abef;
+    const __m128i cdghIn = cdgh;
+    __m128i w[4];  // w[g % 4] holds schedule words 4g..4g+3
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      __m128i& x = w[g & 3];
+      if (g < 4) {
+        x = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * g)),
+            byteSwap);
+      } else {
+        const __m128i& back1 = w[(g + 3) & 3];  // words 4g-4..4g-1
+        const __m128i& back2 = w[(g + 2) & 3];  // words 4g-8..4g-5
+        const __m128i& back3 = w[(g + 1) & 3];  // words 4g-12..4g-9
+        x = _mm_sha256msg2_epu32(
+            _mm_add_epi32(_mm_sha256msg1_epu32(x, back3),
+                          _mm_alignr_epi8(back1, back2, 4)),
+            back1);
+      }
+      const __m128i wk = _mm_add_epi32(
+          x, _mm_loadu_si128(reinterpret_cast<const __m128i*>(kSha256K) + g));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+    abef = _mm_add_epi32(abef, abefIn);
+    cdgh = _mm_add_epi32(cdgh, cdghIn);
+  }
+
+  // Back to (A,B,C,D), (E,F,G,H).
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+#endif
+
+// Chosen once per process (a thread-safe static initialization).
+Sha256::BlockFn bestKernel() {
+  static const Sha256::BlockFn best = [] {
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1")) {
+      return &compressSha;
+    }
+#endif
+    return &compressPortable;
+  }();
+  return best;
+}
+
 }  // namespace
+
+Sha256::Sha256(Kernel kernel)
+    : compress_(kernel == Kernel::kBest ? bestKernel() : &compressPortable) {
+  reset();
+}
+
+bool Sha256::hardwareKernel() { return bestKernel() != &compressPortable; }
 
 void Sha256::reset() {
   state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
   totalBytes_ = 0;
   bufferUsed_ = 0;
-}
-
-void Sha256::compress(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (std::uint32_t(block[4 * i]) << 24) |
-           (std::uint32_t(block[4 * i + 1]) << 16) |
-           (std::uint32_t(block[4 * i + 2]) << 8) |
-           std::uint32_t(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t t1 = h + s1 + ch + kSha256K[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t t2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
 }
 
 void Sha256::update(const void* data, std::size_t size) {
@@ -152,15 +237,14 @@ void Sha256::update(const void* data, std::size_t size) {
     bufferUsed_ += take;
     p += take;
     size -= take;
-    if (bufferUsed_ == buffer_.size()) {
-      compress(buffer_.data());
-      bufferUsed_ = 0;
-    }
+    if (bufferUsed_ < buffer_.size()) return;
+    compress_(state_.data(), buffer_.data(), 1);
+    bufferUsed_ = 0;
   }
-  while (size >= 64) {
-    compress(p);
-    p += 64;
-    size -= 64;
+  if (size >= 64) {
+    compress_(state_.data(), p, size / 64);
+    p += size - size % 64;
+    size %= 64;
   }
   if (size > 0) {
     std::memcpy(buffer_.data(), p, size);
@@ -169,18 +253,18 @@ void Sha256::update(const void* data, std::size_t size) {
 }
 
 std::string Sha256::hexDigest() {
+  // Padding: 0x80, zeros up to 56 mod 64, then the message bit length
+  // big-endian; one block, or two when fewer than 9 bytes are free.
   const std::uint64_t bitLen = totalBytes_ * 8;
-  const std::uint8_t pad = 0x80;
-  update(&pad, 1);
-  const std::uint8_t zero = 0;
-  while (bufferUsed_ != 56) update(&zero, 1);
-  std::uint8_t len[8];
+  std::uint8_t tail[128] = {};
+  std::memcpy(tail, buffer_.data(), bufferUsed_);
+  tail[bufferUsed_] = 0x80;
+  const std::size_t tailBytes = bufferUsed_ < 56 ? 64 : 128;
   for (int i = 0; i < 8; ++i) {
-    len[i] = std::uint8_t(bitLen >> (56 - 8 * i));
+    tail[tailBytes - 1 - i] = std::uint8_t(bitLen >> (8 * i));
   }
-  // update() counts these padding bytes into totalBytes_, but bitLen was
-  // latched above so the encoded length covers only the message itself.
-  update(len, 8);
+  compress_(state_.data(), tail, tailBytes / 64);
+  bufferUsed_ = 0;
 
   static const char* hex = "0123456789abcdef";
   std::string out(64, '0');
@@ -583,12 +667,17 @@ Status readHashSidecar(const std::string& artifactPath, std::string& hexOut) {
   return Status();
 }
 
-Status verifyHashSidecar(const std::string& artifactPath) {
+namespace {
+
+/// Reads the sidecar of `artifactPath` and compares it with the digest
+/// `hashArtifact` yields.
+template <typename HashFn>
+Status checkSidecar(const std::string& artifactPath, HashFn hashArtifact) {
   std::string expected;
   Status st = readHashSidecar(artifactPath, expected);
   if (!st.ok()) return st;
   std::string actual;
-  st = sha256File(artifactPath, actual);
+  st = hashArtifact(actual);
   if (!st.ok()) return st;
   if (actual != expected) {
     return Status(StatusCode::kInfeasible,
@@ -596,6 +685,22 @@ Status verifyHashSidecar(const std::string& artifactPath) {
                       expected + ", file hashes to " + actual);
   }
   return Status();
+}
+
+}  // namespace
+
+Status verifyHashSidecar(const std::string& artifactPath) {
+  return checkSidecar(artifactPath, [&](std::string& hex) {
+    return sha256File(artifactPath, hex);
+  });
+}
+
+Status verifyHashSidecar(const std::string& artifactPath,
+                         std::string_view bytes) {
+  return checkSidecar(artifactPath, [&](std::string& hex) {
+    hex = sha256Hex(bytes);
+    return Status();
+  });
 }
 
 }  // namespace mbf

@@ -11,9 +11,11 @@
 // a Status carrying the errno text, never as a silently truncated file.
 //
 // The same header hosts the artifact-hashing primitives the integrity
-// layer is built on: a dependency-free SHA-256 and the `<path>.sha256`
-// sidecar convention used for the run manifest (which cannot embed its
-// own digest) and for supervisor worker-range journals.
+// layer is built on: a dependency-free SHA-256 (the x86 SHA extensions
+// when CPUID reports them, else a portable loop; the digests are the
+// same) and the `<path>.sha256` sidecar convention used for the run
+// manifest (which cannot embed its own digest) and for supervisor
+// worker-range journals.
 #pragma once
 
 #include <array>
@@ -31,7 +33,17 @@ namespace mbf {
 /// needs nothing the container doesn't already have.
 class Sha256 {
  public:
-  Sha256() { reset(); }
+  /// The block function. kBest is chosen once per process from CPUID:
+  /// the x86 SHA-extensions kernel when the CPU has it, else the
+  /// portable loop. kPortable forces the portable loop, which stays the
+  /// fallback and the oracle the hardware kernel is tested against.
+  /// Every kernel yields the same digest.
+  enum class Kernel { kBest, kPortable };
+
+  explicit Sha256(Kernel kernel = Kernel::kBest);
+
+  /// True when kBest is the SHA-extensions kernel on this CPU.
+  static bool hardwareKernel();
 
   void reset();
   void update(const void* data, std::size_t size);
@@ -40,9 +52,12 @@ class Sha256 {
   /// must be reset() before reuse.
   std::string hexDigest();
 
- private:
-  void compress(const std::uint8_t* block);
+  /// Compresses `blocks` consecutive 64-byte blocks into `state`.
+  using BlockFn = void (*)(std::uint32_t* state, const std::uint8_t* data,
+                           std::size_t blocks);
 
+ private:
+  BlockFn compress_;
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
   std::uint64_t totalBytes_ = 0;
@@ -166,5 +181,11 @@ Status readHashSidecar(const std::string& artifactPath, std::string& hexOut);
 /// kOk on match; kInfeasible with a pointed message on digest mismatch;
 /// the read/parse Status otherwise.
 Status verifyHashSidecar(const std::string& artifactPath);
+
+/// The same check on `bytes`, the artifact's content as the caller
+/// already read it, so what is checked is what the caller goes on to
+/// use.
+Status verifyHashSidecar(const std::string& artifactPath,
+                         std::string_view bytes);
 
 }  // namespace mbf

@@ -1,7 +1,11 @@
 #include "io/poly_io.h"
 
+#include <algorithm>
+#include <charconv>
 #include <fstream>
+#include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "io/atomic_file.h"
 
@@ -95,25 +99,62 @@ bool savePolygons(const std::string& path, std::span<const Polygon> polygons) {
   return atomicWriteFile(path, os.str()).ok();
 }
 
-void writeShots(std::ostream& os, std::span<const Rect> shots) {
+namespace {
+
+/// Appends "x0 y0 x1 y1\n" per shot. One line is at most 4 * 11 + 4
+/// bytes, so each is formatted on the stack and appended whole.
+void appendShots(std::string& out, std::span<const Rect> shots) {
+  char line[48];
   for (const Rect& s : shots) {
-    os << s.x0 << " " << s.y0 << " " << s.x1 << " " << s.y1 << "\n";
+    char* p = std::to_chars(line, line + 11, s.x0).ptr;
+    *p++ = ' ';
+    p = std::to_chars(p, p + 11, s.y0).ptr;
+    *p++ = ' ';
+    p = std::to_chars(p, p + 11, s.x1).ptr;
+    *p++ = ' ';
+    p = std::to_chars(p, p + 11, s.y1).ptr;
+    *p++ = '\n';
+    out.append(line, p);
   }
+}
+
+}  // namespace
+
+std::string formatBatchShots(std::span<const Solution> solutions) {
+  std::size_t shots = 0;
+  for (const Solution& sol : solutions) shots += sol.shots.size();
+  std::string out;
+  // Typical lines: ~40 bytes per section comment, ~28 per shot.
+  out.reserve(40 * solutions.size() + 28 * shots);
+  char head[96];
+  for (std::size_t i = 0; i < solutions.size(); ++i) {
+    const Solution& sol = solutions[i];
+    char* p = head;
+    const auto put = [&p](std::string_view text) {
+      p = std::copy(text.begin(), text.end(), p);
+    };
+    put("# shape ");
+    p = std::to_chars(p, head + sizeof head, i).ptr;
+    put(": ");
+    p = std::to_chars(p, head + sizeof head, sol.shotCount()).ptr;
+    put(" shots, ");
+    p = std::to_chars(p, head + sizeof head, sol.failingPixels()).ptr;
+    put(sol.degraded ? " failing px, degraded\n" : " failing px\n");
+    out.append(head, p);
+    appendShots(out, sol.shots);
+  }
+  return out;
 }
 
 void writeBatchShots(std::ostream& os, std::span<const Solution> solutions) {
-  for (std::size_t i = 0; i < solutions.size(); ++i) {
-    os << "# shape " << i << ": " << solutions[i].shotCount() << " shots, "
-       << solutions[i].failingPixels() << " failing px"
-       << (solutions[i].degraded ? ", degraded" : "") << "\n";
-    writeShots(os, solutions[i].shots);
-  }
+  const std::string text = formatBatchShots(solutions);
+  os.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 bool saveShots(const std::string& path, std::span<const Rect> shots) {
-  std::ostringstream os;
-  writeShots(os, shots);
-  return atomicWriteFile(path, os.str()).ok();
+  std::string out;
+  appendShots(out, shots);
+  return atomicWriteFile(path, out).ok();
 }
 
 }  // namespace mbf

@@ -41,13 +41,14 @@ Status parsePolygonsFile(const std::string& path, std::vector<Polygon>& out,
 
 bool savePolygons(const std::string& path, std::span<const Polygon> polygons);
 
-void writeShots(std::ostream& os, std::span<const Rect> shots);
-
 /// The sectioned .shots layout mbf_cli emits: one "# shape i: N shots,
-/// M failing px[, degraded]" comment per shape followed by its shots.
-/// Factored here so every driver (plain, resumed, supervised) formats
-/// output through the same code — the resume byte-identity contract
-/// covers the exact bytes of this writer.
+/// M failing px[, degraded]" comment per shape followed by its shots,
+/// formatted into the one buffer the atomic writer consumes. Every
+/// driver (plain, resumed, supervised) formats output through this
+/// code — the resume byte-identity contract covers its exact bytes.
+std::string formatBatchShots(std::span<const Solution> solutions);
+
+/// formatBatchShots written to a stream.
 void writeBatchShots(std::ostream& os, std::span<const Solution> solutions);
 
 bool saveShots(const std::string& path, std::span<const Rect> shots);

@@ -4,8 +4,8 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
-#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -23,10 +23,21 @@ namespace mbf {
 // JsonWriter
 // ---------------------------------------------------------------------
 
-std::string jsonEscape(std::string_view v) {
-  std::string out;
-  out.reserve(v.size());
-  for (const char c : v) {
+namespace {
+
+bool needsEscape(char c) {
+  return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+}
+
+/// Appends the JSON escape of `v` to `out`; runs of bytes that need no
+/// escape are copied whole.
+void appendEscaped(std::string& out, std::string_view v) {
+  std::size_t plain = 0;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    const char c = v[i];
+    if (!needsEscape(c)) continue;
+    out.append(v.data() + plain, i - plain);
+    plain = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -35,17 +46,24 @@ std::string jsonEscape(std::string_view v) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        static const char* hex = "0123456789abcdef";
+        const auto byte = static_cast<unsigned char>(c);
+        const char u[6] = {'\\', 'u', '0', '0', hex[byte >> 4],
+                           hex[byte & 0xf]};
+        out.append(u, sizeof u);
+      }
     }
   }
+  out.append(v.data() + plain, v.size() - plain);
+}
+
+}  // namespace
+
+std::string jsonEscape(std::string_view v) {
+  std::string out;
+  out.reserve(v.size());
+  appendEscaped(out, v);
   return out;
 }
 
@@ -102,7 +120,7 @@ JsonWriter& JsonWriter::key(std::string_view k) {
   top.empty = false;
   indent();
   out_ += '"';
-  out_ += jsonEscape(k);
+  appendEscaped(out_, k);
   out_ += "\": ";
   keyPending_ = true;
   return *this;
@@ -111,7 +129,7 @@ JsonWriter& JsonWriter::key(std::string_view k) {
 JsonWriter& JsonWriter::value(std::string_view v) {
   beforeValue();
   out_ += '"';
-  out_ += jsonEscape(v);
+  appendEscaped(out_, v);
   out_ += '"';
   return *this;
 }
@@ -128,30 +146,34 @@ JsonWriter& JsonWriter::value(double v) {
     out_ += "null";  // JSON has no inf/nan; absent beats invalid
     return *this;
   }
-  // Shortest decimal that parses back to the same double, so manifests
-  // round-trip bit-exactly through parseJson.
-  char buf[40];
+  // The first of %.15g, %.16g, %.17g (to_chars with a precision prints
+  // exactly what printf does) that parses back to the same double, so
+  // manifests round-trip bit-exactly through parseJson.
+  char buf[32];
+  char* end = buf;
   for (const int precision : {15, 16, 17}) {
-    std::snprintf(buf, sizeof buf, "%.*g", precision, v);
-    if (std::strtod(buf, nullptr) == v) break;
+    end = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
+                        precision)
+              .ptr;
+    double back = 0.0;
+    std::from_chars(buf, end, back);
+    if (back == v) break;
   }
-  out_ += buf;
+  out_.append(buf, end);
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::int64_t v) {
   beforeValue();
   char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRId64, v);
-  out_ += buf;
+  out_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::uint64_t v) {
   beforeValue();
   char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  out_ += buf;
+  out_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
   return *this;
 }
 
@@ -161,7 +183,12 @@ JsonWriter& JsonWriter::nullValue() {
   return *this;
 }
 
-std::string JsonWriter::str() const { return out_ + "\n"; }
+std::string JsonWriter::str() const& { return out_ + "\n"; }
+
+std::string JsonWriter::str() && {
+  out_ += '\n';
+  return std::move(out_);
+}
 
 // ---------------------------------------------------------------------
 // JSON parser
@@ -552,7 +579,7 @@ std::string traceEventsJson(std::vector<TraceSpan> spans) {
   }
   w.endArray();
   w.endObject();
-  return w.str();
+  return std::move(w).str();
 }
 
 Status writeTraceJson(const std::string& path,
@@ -834,7 +861,7 @@ std::string buildRunManifest(const RunManifestInfo& info,
   w.endArray();
 
   w.endObject();
-  return w.str();
+  return std::move(w).str();
 }
 
 }  // namespace mbf

@@ -48,9 +48,14 @@ namespace mbf {
 // ---------------------------------------------------------------------
 
 /// Incremental, pretty-printing JSON emitter. Tracks nesting and comma
-/// placement so callers only state structure; strings are escaped, and
-/// doubles are printed with the shortest representation that parses back
-/// bit-identically (so a manifest round-trips through parseJson).
+/// placement so callers only state structure. Keys and strings are
+/// appended to the one output buffer, escaped only where a byte needs it.
+///
+/// Number text is part of the manifest's byte contract: an integer is
+/// its decimal digits, and a finite double is the first of printf's
+/// %.15g, %.16g and %.17g that parses back to the same double (so a
+/// manifest round-trips bit-exactly through parseJson); inf and nan
+/// become null.
 class JsonWriter {
  public:
   JsonWriter& beginObject();
@@ -72,8 +77,10 @@ class JsonWriter {
   JsonWriter& nullValue();
 
   /// The finished document. Valid only once every begin* has been
-  /// matched; an unbalanced writer is a caller bug.
-  std::string str() const;
+  /// matched; an unbalanced writer is a caller bug. The rvalue overload
+  /// hands the buffer out without a copy and leaves the writer empty.
+  std::string str() const&;
+  std::string str() &&;
 
  private:
   void beforeValue();

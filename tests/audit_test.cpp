@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -140,11 +139,8 @@ TEST(ParseShotSectionsTest, RoundTripsWriteBatchShots) {
   sols[1].failOn = 2;
   sols[1].failOff = 1;
   sols[1].degraded = true;
-  std::ostringstream os;
-  writeBatchShots(os, sols);
-
   std::vector<ShotSection> sections;
-  ASSERT_TRUE(parseShotSections(os.str(), sections).ok());
+  ASSERT_TRUE(parseShotSections(formatBatchShots(sols), sections).ok());
   ASSERT_EQ(sections.size(), 2u);
   EXPECT_EQ(sections[0].index, 0);
   EXPECT_EQ(sections[0].claimedShots, 2);
@@ -322,11 +318,9 @@ TEST(DenseOracleTest, ShotOffTheGridInXOnlyIsIgnored) {
   // Through the section audit, the extra shot is a finding on that
   // shape: its section now holds more shots than its header claims.
   std::vector<Solution> sols = {sol};
-  std::ostringstream os;
-  writeBatchShots(os, sols);
-  os << "1 2 3 4\n";
   std::vector<ShotSection> sections;
-  ASSERT_TRUE(parseShotSections(os.str(), sections).ok());
+  ASSERT_TRUE(
+      parseShotSections(formatBatchShots(sols) + "1 2 3 4\n", sections).ok());
   const std::vector<ShapeExpectation> expectations = {
       {sol.method, sol.failOn, sol.failOff, sol.cost, sol.degraded, true,
        true}};
@@ -379,10 +373,9 @@ TEST(AuditSectionsTest, CleanBatchHasNoFindings) {
   config.params.nmax = 300;
   const BatchResult result = fractureLayout(shapes, config);
 
-  std::ostringstream os;
-  writeBatchShots(os, result.solutions);
   std::vector<ShotSection> sections;
-  ASSERT_TRUE(parseShotSections(os.str(), sections).ok());
+  ASSERT_TRUE(
+      parseShotSections(formatBatchShots(result.solutions), sections).ok());
 
   std::vector<ShapeExpectation> expectations(shapes.size());
   for (std::size_t i = 0; i < shapes.size(); ++i) {
@@ -404,10 +397,9 @@ TEST(AuditSectionsTest, FlagsTamperedClaimsAndShots) {
   config.params.nmax = 300;
   const BatchResult result = fractureLayout(shapes, config);
 
-  std::ostringstream os;
-  writeBatchShots(os, result.solutions);
   std::vector<ShotSection> sections;
-  ASSERT_TRUE(parseShotSections(os.str(), sections).ok());
+  ASSERT_TRUE(
+      parseShotSections(formatBatchShots(result.solutions), sections).ok());
 
   std::vector<ShapeExpectation> expectations(1);
   const Solution& sol = result.solutions[0];
@@ -450,10 +442,8 @@ TEST(AuditSectionsTest, IncompleteShapeMustBeEmpty) {
   ASSERT_FALSE(sol.shots.empty());
 
   std::vector<Solution> sols = {sol};
-  std::ostringstream os;
-  writeBatchShots(os, sols);
   std::vector<ShotSection> sections;
-  ASSERT_TRUE(parseShotSections(os.str(), sections).ok());
+  ASSERT_TRUE(parseShotSections(formatBatchShots(sols), sections).ok());
 
   // The run claims this shape failed/was interrupted (completed=false):
   // a NON-empty section is a finding.
@@ -555,10 +545,9 @@ TEST(VerifyRunTest, NonIntegralManifestNumbersAreNamedIssues) {
   FractureParams params;
   params.nmax = 200;
   const Solution sol = fractureShape({rings}, params, Method::kOurs);
-  {
-    std::ofstream shots(dir + "/out.shots");
-    writeBatchShots(shots, std::vector<Solution>{sol});
-  }
+  ASSERT_TRUE(atomicWriteFile(dir + "/out.shots",
+                              formatBatchShots(std::vector<Solution>{sol}))
+                  .ok());
   const std::string manifest =
       "{\"schema\": \"mbf-run-manifest\",\n"
       " \"config\": {\"lmin\": 12.5, \"nmax\": 1e300},\n"

@@ -9,7 +9,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -66,9 +65,7 @@ std::vector<LayoutShape> testLayout(int n) {
 }
 
 std::string shotsText(const BatchResult& result) {
-  std::ostringstream os;
-  writeBatchShots(os, result.solutions);
-  return os.str();
+  return formatBatchShots(result.solutions);
 }
 
 /// Result equality across two independent runs: everything the batch

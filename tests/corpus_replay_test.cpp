@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "drill_util.h"
 #include "io/gdsii.h"
 
 namespace {
@@ -44,18 +45,12 @@ std::string validGdsBytes() {
   return ss.str();
 }
 
-int runCli(const std::string& cli, const Case& c, const std::string& outDir) {
-  const std::string cmd = "'" + cli + "' '" + c.file + "' '" + outDir + "/" +
-                          c.name + ".shots' " + c.extraArgs +
-                          " > /dev/null 2>&1";
-  const int raw = std::system(cmd.c_str());
-  if (raw == -1) return -1;
-#if defined(WIFEXITED)
-  if (!WIFEXITED(raw)) return -2;  // killed by a signal = crash
-  return WEXITSTATUS(raw);
-#else
-  return raw;
-#endif
+/// Runs one case; a signal death (a crash) reads as exit -2.
+int runCase(const std::string& cli, const Case& c, const std::string& outDir) {
+  std::vector<std::string> args = {c.file, outDir + "/" + c.name + ".shots"};
+  std::istringstream extra(c.extraArgs);
+  for (std::string arg; extra >> arg;) args.push_back(arg);
+  return drill::runCli(cli, args);
 }
 
 }  // namespace
@@ -132,18 +127,11 @@ int main(int argc, char** argv) {
   // And the happy path, to prove the harness itself works.
   cases.push_back({"valid", dir + "/valid.poly", "", 0});
 
-  int failures = 0;
   for (const Case& c : cases) {
-    const int got = runCli(cli, c, dir);
-    const bool pass = got == c.wantExit;
-    std::printf("%-16s exit=%d want=%d  %s\n", c.name.c_str(), got,
-                c.wantExit, pass ? "ok" : "FAIL");
-    if (!pass) ++failures;
+    const int got = runCase(cli, c, dir);
+    drill::check(got == c.wantExit, c.name + ": exit " + std::to_string(got) +
+                                        ", want " +
+                                        std::to_string(c.wantExit));
   }
-  if (failures > 0) {
-    std::fprintf(stderr, "%d corpus case(s) failed\n", failures);
-    return 1;
-  }
-  std::printf("all %zu corpus cases passed\n", cases.size());
-  return 0;
+  return drill::finish("corpus replay");
 }

@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "benchgen/ilt_synth.h"
+#include "drill_util.h"
 #include "io/atomic_file.h"
 #include "io/poly_io.h"
 #include "mdp/checkpoint.h"
@@ -46,31 +47,9 @@
 
 namespace {
 
-int g_failures = 0;
-
-void check(bool ok, const std::string& what) {
-  std::printf("%-56s %s\n", what.c_str(), ok ? "ok" : "FAIL");
-  if (!ok) ++g_failures;
-}
-
-std::string readBytes(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(is)),
-                     std::istreambuf_iterator<char>());
-}
-
-/// Runs mbf_cli to completion; returns the exit code, -2 on signal death.
-/// `logPath` (optional) receives the combined stdout+stderr.
-int runCli(const std::string& cli, const std::vector<std::string>& args,
-           const std::string& logPath = "/dev/null") {
-  std::string cmd = "'" + cli + "'";
-  for (const std::string& a : args) cmd += " '" + a + "'";
-  cmd += " > '" + logPath + "' 2>&1";
-  const int raw = std::system(cmd.c_str());
-  if (raw == -1) return -1;
-  if (!WIFEXITED(raw)) return -2;
-  return WEXITSTATUS(raw);
-}
+using drill::check;
+using drill::readBytes;
+using drill::runCli;
 
 /// Launches mbf_cli, SIGKILLs it after `delayMs`, reaps it. Returns true
 /// when the process was actually killed mid-run (false = it finished
@@ -347,10 +326,5 @@ int main(int argc, char** argv) {
           "reused work dir output == fresh-directory output");
   }
 
-  if (g_failures > 0) {
-    std::fprintf(stderr, "%d crash drill check(s) failed\n", g_failures);
-    return 1;
-  }
-  std::printf("all crash drills passed\n");
-  return 0;
+  return drill::finish("crash drill");
 }

@@ -17,7 +17,6 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -419,11 +418,7 @@ TEST(PlanningTest, FlatRepeatsShareOneAnchoredCellPerContent) {
   for (const LayoutShape& shape : layout) {
     alone.push_back(fractureShape(shape, config.params, config.method));
   }
-  std::ostringstream want;
-  std::ostringstream got;
-  writeBatchShots(want, alone);
-  writeBatchShots(got, run.solutions);
-  EXPECT_EQ(got.str(), want.str());
+  EXPECT_EQ(formatBatchShots(run.solutions), formatBatchShots(alone));
 }
 
 TEST(PlanningTest, GdsCellsEqualUpToTranslationShareOneCell) {
@@ -896,19 +891,14 @@ TEST(HierarchyTest, ShapeSharedByTwoCellsIsFracturedOnce) {
   EXPECT_EQ(hier.uniqueShapesFractured, 3);
   EXPECT_EQ(counters.freshCells, 2);
   EXPECT_EQ(counters.freshShapes, 3);
-  auto bytesOf = [](const std::vector<Solution>& solutions) {
-    std::ostringstream os;
-    writeBatchShots(os, solutions);
-    return os.str();
-  };
-  const std::string bytes = bytesOf(hier.batch.solutions);
+  const std::string bytes = formatBatchShots(hier.batch.solutions);
 
   // The flat run of the same layout, and the bytes of fracturing each
   // cell shape in place (recorded before shapes were shared).
   std::vector<LayoutShape> shapes;
   ASSERT_TRUE(instanceShapes(lib, shapes).ok());
   ASSERT_EQ(shapes.size(), 6u);
-  EXPECT_EQ(bytes, bytesOf(fractureLayout(shapes, config).solutions));
+  EXPECT_EQ(bytes, formatBatchShots(fractureLayout(shapes, config).solutions));
   EXPECT_EQ(sha256Hex(bytes),
             "30aec9aa0fa5f81478366a770c14459c94e825d8c626ae25e0fa76fa77c31e0e");
 
@@ -921,7 +911,7 @@ TEST(HierarchyTest, ShapeSharedByTwoCellsIsFracturedOnce) {
           .ok());
   EXPECT_EQ(resumedCounters.resumedCells, 2);
   EXPECT_EQ(resumed.uniqueShapesFractured, 0);
-  EXPECT_EQ(bytesOf(resumed.batch.solutions), bytes);
+  EXPECT_EQ(formatBatchShots(resumed.batch.solutions), bytes);
 }
 
 }  // namespace

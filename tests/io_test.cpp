@@ -54,10 +54,8 @@ TEST(PolyIoTest, DegenerateInputDropped) {
 TEST(ShotsIoTest, RoundTrip) {
   std::vector<Solution> solutions(1);
   solutions[0].shots = {{0, 0, 10, 12}, {-5, 3, 7, 40}};
-  std::ostringstream os;
-  writeBatchShots(os, solutions);
   std::vector<ShotSection> sections;
-  ASSERT_TRUE(parseShotSections(os.str(), sections).ok());
+  ASSERT_TRUE(parseShotSections(formatBatchShots(solutions), sections).ok());
   ASSERT_EQ(sections.size(), 1u);
   EXPECT_EQ(sections[0].shots, solutions[0].shots);
 }

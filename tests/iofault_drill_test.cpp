@@ -46,39 +46,18 @@
 #include <vector>
 
 #include "benchgen/ilt_synth.h"
+#include "drill_util.h"
 #include "io/poly_io.h"
 
 namespace {
 
-int g_failures = 0;
-
-void check(bool ok, const std::string& what) {
-  std::printf("%-64s %s\n", what.c_str(), ok ? "ok" : "FAIL");
-  if (!ok) ++g_failures;
-}
-
-std::string readBytes(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(is)),
-                     std::istreambuf_iterator<char>());
-}
+using drill::check;
+using drill::readBytes;
+using drill::runCli;
 
 bool exists(const std::string& path) {
   struct stat st {};
   return ::stat(path.c_str(), &st) == 0;
-}
-
-/// Runs mbf_cli under `env` ("K=V K=V" prefix), capturing stderr.
-/// Returns the exit code; -2 on signal death.
-int runCli(const std::string& cli, const std::vector<std::string>& args,
-           const std::string& env, const std::string& errPath) {
-  std::string cmd = "env " + env + " '" + cli + "'";
-  for (const std::string& a : args) cmd += " '" + a + "'";
-  cmd += " > /dev/null 2> '" + errPath + "'";
-  const int raw = std::system(cmd.c_str());
-  if (raw == -1) return -1;
-  if (!WIFEXITED(raw)) return -2;
-  return WEXITSTATUS(raw);
 }
 
 /// Recursively counts `*.tmp.<digits>` files under `dir` (the debris the
@@ -177,14 +156,14 @@ int main(int argc, char** argv) {
                                      "--journal=" + dir + "/ref.jrnl",
                                      "--metrics-json=" + dir + "/ref.json"};
     args.insert(args.end(), baseFlags.begin(), baseFlags.end());
-    const int exit = runCli(cli, args, "MBF_SYSIO_STATS=" + refStats,
-                            dir + "/ref.err");
+    const int exit = runCli(cli, args, "/dev/null", dir + "/ref.err",
+                            "MBF_SYSIO_STATS=" + refStats);
     check(exit == 0, "reference run exits 0");
     totalOps = statsSum(refStats, "total");
     totalWrites = statsSum(refStats, "write");
     check(totalOps > 10, "reference run counted its I/O ops (" +
                              std::to_string(totalOps) + ")");
-    check(runCli(cli, {"--verify", dir + "/ref.json"}, "true=1",
+    check(runCli(cli, {"--verify", dir + "/ref.json"}, "/dev/null",
                  dir + "/refverify.err") == 0,
           "clean reference run passes --verify");
   }
@@ -204,9 +183,8 @@ int main(int argc, char** argv) {
                                        "--metrics-json=" + tag + ".json"};
       args.insert(args.end(), baseFlags.begin(), baseFlags.end());
       const int exit =
-          runCli(cli, args,
-                 "MBF_SYSIO_FAULT=any@" + std::to_string(i) + ":enospc!",
-                 tag + ".err");
+          runCli(cli, args, "/dev/null", tag + ".err",
+                 "MBF_SYSIO_FAULT=any@" + std::to_string(i) + ":enospc!");
       exitsSeen.insert(exit);
       if (!isDocumentedExit(exit)) {
         allDocumented = false;
@@ -226,7 +204,7 @@ int main(int argc, char** argv) {
                                                "--resume"};
         resumeArgs.insert(resumeArgs.end(), baseFlags.begin(),
                           baseFlags.end());
-        (void)runCli(cli, resumeArgs, "true=1", tag + ".sweep.err");
+        (void)runCli(cli, resumeArgs, "/dev/null", tag + ".sweep.err");
         if (countTempDebris(dir) != 0) {
           noDebris = false;
           std::cerr << "  index " << i
@@ -238,7 +216,7 @@ int main(int argc, char** argv) {
       // shots it vouches for must be the reference bytes: --verify
       // never green-lights an output ENOSPC mangled.
       if (exists(tag + ".json") && exists(tag + ".json.sha256")) {
-        const int v = runCli(cli, {"--verify", tag + ".json"}, "true=1",
+        const int v = runCli(cli, {"--verify", tag + ".json"}, "/dev/null",
                              tag + ".verify.err");
         if (v == 0 && readBytes(tag + ".shots") != refBytes) {
           verifyNeverLied = false;
@@ -271,9 +249,8 @@ int main(int argc, char** argv) {
                                        "--jobs=4"};
       args.insert(args.end(), baseFlags.begin(), baseFlags.end());
       const int exit =
-          runCli(cli, args,
-                 "MBF_SYSIO_FAULT=any@" + std::to_string(i) + ":enospc!",
-                 tag + ".err");
+          runCli(cli, args, "/dev/null", tag + ".err",
+                 "MBF_SYSIO_FAULT=any@" + std::to_string(i) + ":enospc!");
       if (!isDocumentedExit(exit)) {
         allDocumented = false;
         std::cerr << "  iso index " << i << ": undocumented exit " << exit
@@ -287,7 +264,7 @@ int main(int argc, char** argv) {
         // Same caveat as the serial sweep: the armed fault blocks the
         // supervisor's own sweep. A disarmed re-run over the same
         // scratch dir must collect the dead workers' debris.
-        (void)runCli(cli, args, "true=1", tag + ".sweep.err");
+        (void)runCli(cli, args, "/dev/null", tag + ".sweep.err");
         if (countTempDebris(tag + ".shots.workers") > 0) {
           noDebris = false;
           std::cerr << "  iso index " << i
@@ -312,9 +289,9 @@ int main(int argc, char** argv) {
       std::vector<std::string> args = {input, tag + ".shots",
                                        "--journal=" + tag + ".jrnl"};
       args.insert(args.end(), baseFlags.begin(), baseFlags.end());
-      const int exit = runCli(
-          cli, args, "MBF_SYSIO_FAULT=write@" + std::to_string(w) + ":eio",
-          tag + ".err");
+      const int exit =
+          runCli(cli, args, "/dev/null", tag + ".err",
+                 "MBF_SYSIO_FAULT=write@" + std::to_string(w) + ":eio");
       const std::string err = readBytes(tag + ".err");
       if (exit == 2 && err.find("unjournaled") != std::string::npos) {
         sawDowngrade = readBytes(tag + ".shots") == refBytes;
@@ -332,10 +309,9 @@ int main(int argc, char** argv) {
                                      "--metrics-json=" + tag + ".json"};
     args.insert(args.end(), baseFlags.begin(), baseFlags.end());
     const int exit =
-        runCli(cli, args,
+        runCli(cli, args, "/dev/null", tag + ".err",
                "MBF_SYSIO_FAULT=write@" + std::to_string(totalWrites) +
-                   ":enospc",
-               tag + ".err");
+                   ":enospc");
     check(exit == 2, "metrics-sidecar ENOSPC: exit 2 (artifact named)");
     check(readBytes(tag + ".shots") == refBytes,
           "metrics-sidecar ENOSPC: .shots intact and identical");
@@ -352,8 +328,8 @@ int main(int argc, char** argv) {
     std::vector<std::string> args = {input, tag + ".shots", "--isolate",
                                      "--jobs=2"};
     args.insert(args.end(), baseFlags.begin(), baseFlags.end());
-    const int exit = runCli(cli, args, "MBF_SYSIO_FAULT=write@2:enospc!",
-                            tag + ".err");
+    const int exit = runCli(cli, args, "/dev/null", tag + ".err",
+                            "MBF_SYSIO_FAULT=write@2:enospc!");
     const std::string err = readBytes(tag + ".err");
     check(exit == 5, "worker ENOSPC: supervised run aborts with exit 5");
     check(err.find("aborted") != std::string::npos,
@@ -369,7 +345,8 @@ int main(int argc, char** argv) {
                                      "--fsync=each"};
     args.insert(args.end(), baseFlags.begin(), baseFlags.end());
     const int exit =
-        runCli(cli, args, "MBF_SYSIO_FAULT=fsync@1:eio!", tag + ".err");
+        runCli(cli, args, "/dev/null", tag + ".err",
+               "MBF_SYSIO_FAULT=fsync@1:eio!");
     check(isDocumentedExit(exit) && exit != 0,
           "sticky fsync EIO under --fsync=each fails cleanly");
 
@@ -388,7 +365,7 @@ int main(int argc, char** argv) {
                                            "--resume"};
     resumeArgs.insert(resumeArgs.end(), baseFlags.begin(), baseFlags.end());
     const int resumeExit =
-        runCli(cli, resumeArgs, "true=1", tag + ".resume.err");
+        runCli(cli, resumeArgs, "/dev/null", tag + ".resume.err");
     check(resumeExit == 0, "disarmed --resume completes after fsync chaos");
     check(readBytes(tag + ".shots") == refBytes,
           "resumed output is byte-identical to the reference");
@@ -398,7 +375,5 @@ int main(int argc, char** argv) {
           "--resume reported the sweep");
   }
 
-  std::printf("%s: %d failure(s)\n", g_failures == 0 ? "PASS" : "FAIL",
-              g_failures);
-  return g_failures == 0 ? 0 : 1;
+  return drill::finish("iofault drill");
 }

@@ -105,63 +105,5 @@ TEST(ShotStatsTest, EmptyList) {
   EXPECT_EQ(s.totalShotArea, 0);
 }
 
-/// The O(n^2) all-pairs overlap sum computeShotStats used before the
-/// sort-by-x sweep replaced it — kept as the oracle the sweep must
-/// match exactly (int64 sums are order-independent, so "exactly" means
-/// bitwise).
-std::int64_t bruteForceOverlap(const std::vector<Rect>& shots) {
-  std::int64_t overlap = 0;
-  for (std::size_t i = 0; i < shots.size(); ++i) {
-    for (std::size_t j = i + 1; j < shots.size(); ++j) {
-      overlap += shots[i].intersection(shots[j]).area();
-    }
-  }
-  return overlap;
-}
-
-TEST(ShotStatsTest, SweepMatchesBruteForceOracle) {
-  std::mt19937 rng(20260808);
-  for (int trial = 0; trial < 40; ++trial) {
-    // Vary density: tight clusters stress the active set, spread-out
-    // sets stress the pruning.
-    const int n = 1 + static_cast<int>(rng() % 120);
-    const int space = trial % 2 == 0 ? 300 : 4000;
-    std::uniform_int_distribution<int> pos(0, space);
-    std::uniform_int_distribution<int> size(1, 150);
-    std::vector<Rect> shots;
-    for (int i = 0; i < n; ++i) {
-      const int x = pos(rng);
-      const int y = pos(rng);
-      shots.push_back({x, y, x + size(rng), y + size(rng)});
-    }
-    const ShotStats stats = computeShotStats(shots);
-    const double expected =
-        stats.totalShotArea > 0
-            ? static_cast<double>(bruteForceOverlap(shots)) /
-                  static_cast<double>(stats.totalShotArea)
-            : 0.0;
-    ASSERT_EQ(stats.overlapFraction, expected)
-        << "trial " << trial << " with " << n << " shots";
-  }
-}
-
-TEST(ShotStatsTest, SweepHandlesTouchingAndNestedShots) {
-  // Edge-touching pairs (zero-area intersections, prune boundary) and
-  // full containment.
-  const std::vector<Rect> shots{
-      {0, 0, 100, 100}, {100, 0, 200, 100},  // share the x=100 edge
-      {20, 20, 80, 80},                      // nested in the first
-      {0, 100, 100, 200},                    // shares the y=100 edge
-  };
-  const ShotStats stats = computeShotStats(shots);
-  const double expected = static_cast<double>(bruteForceOverlap(shots)) /
-                          static_cast<double>(stats.totalShotArea);
-  EXPECT_EQ(stats.overlapFraction, expected);
-  EXPECT_DOUBLE_EQ(
-      stats.overlapFraction,
-      static_cast<double>(60 * 60) /
-          static_cast<double>(stats.totalShotArea));
-}
-
 }  // namespace
 }  // namespace mbf

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <sstream>
 #include <string>
 
 #include "baselines/eda_proxy.h"
@@ -102,9 +101,7 @@ std::string shotsDigest(const Polygon& ring) {
   LayoutShape shape;
   shape.rings.push_back(ring);
   const Solution sol = fractureShape(shape, FractureParams{}, Method::kOurs);
-  std::ostringstream os;
-  writeBatchShots(os, std::span<const Solution>(&sol, 1));
-  return sha256Hex(os.str());
+  return sha256Hex(formatBatchShots(std::span<const Solution>(&sol, 1)));
 }
 
 TEST(PinnedOutputTest, ShotsDigestsMatchPinnedValues) {

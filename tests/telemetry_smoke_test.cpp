@@ -32,32 +32,15 @@
 #include <vector>
 
 #include "benchgen/ilt_synth.h"
+#include "drill_util.h"
 #include "io/poly_io.h"
 #include "support/telemetry.h"
 
 namespace {
 
-int g_failures = 0;
-
-void check(bool ok, const std::string& what) {
-  std::printf("%-56s %s\n", what.c_str(), ok ? "ok" : "FAIL");
-  if (!ok) ++g_failures;
-}
-
-std::string readBytes(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(is)),
-                     std::istreambuf_iterator<char>());
-}
-
-int runCli(const std::string& cli, const std::vector<std::string>& args) {
-  std::string cmd = "'" + cli + "'";
-  for (const std::string& a : args) cmd += " '" + a + "'";
-  cmd += " > /dev/null 2>&1";
-  const int raw = std::system(cmd.c_str());
-  if (raw == -1) return -1;
-  return WEXITSTATUS(raw);
-}
+using drill::check;
+using drill::readBytes;
+using drill::runCli;
 
 /// Non-comment non-empty lines of a .shots file == emitted shots.
 int countShotLines(const std::string& path) {
@@ -249,10 +232,5 @@ int main(int argc, char** argv) {
           "blocked worker span file: bytes of the clear run");
   }
 
-  if (g_failures > 0) {
-    std::fprintf(stderr, "%d telemetry smoke check(s) failed\n", g_failures);
-    return 1;
-  }
-  std::printf("all telemetry smoke checks passed\n");
-  return 0;
+  return drill::finish("telemetry smoke");
 }

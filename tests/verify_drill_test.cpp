@@ -34,49 +34,19 @@
 #include <vector>
 
 #include "benchgen/ilt_synth.h"
+#include "drill_util.h"
 #include "io/poly_io.h"
 
 namespace {
 
-int g_failures = 0;
-
-void check(bool ok, const std::string& what) {
-  std::printf("%-62s %s\n", what.c_str(), ok ? "ok" : "FAIL");
-  if (!ok) ++g_failures;
-}
-
-std::string readBytes(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(is)),
-                     std::istreambuf_iterator<char>());
-}
+using drill::check;
+using drill::readBytes;
+using drill::runCli;
 
 bool writeBytes(const std::string& path, const std::string& bytes) {
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   return static_cast<bool>(os);
-}
-
-/// Runs mbf_cli to completion; returns the exit code, -2 on signal death.
-/// `capture` (optional) receives the combined stdout+stderr.
-int runCli(const std::string& cli, const std::vector<std::string>& args,
-           std::string* capture = nullptr) {
-  std::string cmd = "'" + cli + "'";
-  for (const std::string& a : args) cmd += " '" + a + "'";
-  if (capture != nullptr) {
-    const std::string out = "verify_drill_tmp/cli_capture.txt";
-    cmd += " > " + out + " 2>&1";
-    const int raw = std::system(cmd.c_str());
-    *capture = readBytes(out);
-    if (raw == -1) return -1;
-    if (!WIFEXITED(raw)) return -2;
-    return WEXITSTATUS(raw);
-  }
-  cmd += " > /dev/null 2>&1";
-  const int raw = std::system(cmd.c_str());
-  if (raw == -1) return -1;
-  if (!WIFEXITED(raw)) return -2;
-  return WEXITSTATUS(raw);
 }
 
 /// Launches mbf_cli, SIGTERMs it after `delayMs`, waits, and returns the
@@ -286,10 +256,5 @@ int main(int argc, char** argv) {
   check(runCli(cli, {"--verify", drainJson}) == 0,
         "resumed-after-drain run passes --verify");
 
-  if (g_failures > 0) {
-    std::fprintf(stderr, "%d verify drill check(s) failed\n", g_failures);
-    return 1;
-  }
-  std::printf("all verify drills passed\n");
-  return 0;
+  return drill::finish("verify drill");
 }

@@ -145,7 +145,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include "analysis/shot_stats.h"
@@ -670,9 +669,8 @@ int main(int argc, char** argv) {
   std::vector<int> repairedShapes;
   bool selfcheckFailed = false;
   auto writeShotsFile = [&]() -> bool {
-    std::ostringstream shotsOs;
-    writeBatchShots(shotsOs, result.solutions);
-    const Status st = atomicWriteFile(outputPath, shotsOs.str(), &shotsSha256);
+    const Status st = atomicWriteFile(
+        outputPath, formatBatchShots(result.solutions), &shotsSha256);
     if (!st.ok()) {
       std::cerr << "cannot write " << outputPath << ": " << st.str() << "\n";
       return false;
