@@ -266,7 +266,7 @@ Status decodeCellRecord(std::string_view bytes, CellRecord& out) {
 
 std::string cellJournalMetaFor(const std::string& topStruct,
                                const std::vector<std::string>& cellKeys,
-                               int cellBegin, int cellEnd) {
+                               int rangeBegin, int rangeEnd) {
   std::uint64_t h = 0xCBF29CE484222325ULL;  // FNV offset basis
   h = fnv1a(h, topStruct.data(), topStruct.size());
   for (const std::string& key : cellKeys) {
@@ -275,8 +275,8 @@ std::string cellJournalMetaFor(const std::string& topStruct,
     h = fnv1a(h, &sep, 1);
   }
   return "mbf-cell-journal v1 cells=" + std::to_string(cellKeys.size()) +
-         " range=" + std::to_string(cellBegin) + ":" +
-         std::to_string(cellEnd) + " top=" + topStruct + " fp=" + hex(h);
+         " range=" + std::to_string(rangeBegin) + ":" +
+         std::to_string(rangeEnd) + " top=" + topStruct + " fp=" + hex(h);
 }
 
 std::string journalMetaFor(const std::vector<LayoutShape>& shapes,

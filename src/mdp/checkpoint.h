@@ -1,8 +1,8 @@
 // Cell records and run fingerprints (DESIGN.md sections 14, 17 and 19).
 // A CellRecord — every shape's shots, quality stats and causal Status
 // for one plan cell — is the only form a cell's result takes outside a
-// running fracture. A journaled run (mdp/hierarchy's executor and
-// supervised driver) appends one encoded CellRecord to a support/journal
+// running fracture. A journaled run (mdp/hierarchy's plan executor, in
+// process or supervised) appends one encoded CellRecord to a support/journal
 // file the moment a plan cell completes; `--resume` replays every intact
 // record, fractures only the missing cells, and instantiates both
 // populations in plan order, so an interrupted-then-resumed run produces
@@ -24,7 +24,9 @@
 namespace mbf {
 
 /// One shape's solution and report: the codec nested inside every
-/// CellRecord frame (with the cell-local index).
+/// CellRecord frame (with the cell-local index), and the outcome an
+/// --isolate worker streams for each distinct shape it fractures (with
+/// the shape's plan-shape ordinal; mdp/hierarchy).
 struct ShapeRecord {
   int shapeIndex = -1;
   Solution solution;
@@ -70,8 +72,8 @@ std::string encodeCellRecord(const CellRecord& record);
 Status decodeCellRecord(std::string_view bytes, CellRecord& out);
 
 /// Header meta for a cell journal: cell count, the [begin, end) cell
-/// range this journal covers (workers journal a shard; the parent
-/// journal covers 0:n), the top structure, and an FNV-1a hash over the
+/// range this journal covers (a run journal covers 0:n; other ranges
+/// are refused on resume), the top structure, and an FNV-1a hash over the
 /// top name and every cell's content key in plan order. The keys
 /// already commit to the cell geometry and the result-relevant
 /// FractureParams, so a parameter or layout change reshapes the
@@ -81,11 +83,12 @@ Status decodeCellRecord(std::string_view bytes, CellRecord& out);
 /// flat runs wrote) differs in its meta and is refused the same way.
 std::string cellJournalMetaFor(const std::string& topStruct,
                                const std::vector<std::string>& cellKeys,
-                               int cellBegin, int cellEnd);
+                               int rangeBegin, int rangeEnd);
 
 /// Crash-recovery bookkeeping surfaced in the mbf_cli degradation
-/// report. The plan drivers fill the journal and cell counts; the
-/// supervisor (mdp/supervisor) fills the worker counts.
+/// report. The plan executor fills the journal and cell counts; the
+/// supervisor (mdp/supervisor) fills the worker counts, whose "ranges"
+/// are ranges of fill units (distinct shapes).
 struct RunCounters {
   int resumedShapes = 0;   ///< replayed from the journal, not recomputed
   int freshShapes = 0;     ///< fractured by this run
@@ -96,12 +99,9 @@ struct RunCounters {
   int bisectedRanges = 0;  ///< failing ranges split to localize a culprit
   int crashedWorkers = 0;  ///< abnormal worker exits (signal / bad code)
   int hungWorkers = 0;     ///< workers SIGKILLed by the watchdog
-  int crashedShapes = 0;   ///< culprit plan cells isolated by bisection
-  /// Worker journals rejected (and re-run) because their bytes failed
-  /// the SHA-256 seal the worker wrote at clean completion.
-  int corruptJournals = 0;
+  int crashedShapes = 0;   ///< culprit distinct shapes isolated by bisection
   /// Orphaned `*.tmp.<pid>` files of dead writers removed by the
-  /// stale-temp sweep (--resume and supervisor harvest).
+  /// stale-temp sweep of --resume.
   int staleTempsRemoved = 0;
   /// A journal append (or close under kEachRecord) failed mid-batch and
   /// the run completed unjournaled: every shape's result is in the

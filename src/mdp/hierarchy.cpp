@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <mutex>
 #include <optional>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -305,7 +307,7 @@ Status validateCellRecord(const HierPlan& plan, const CellRecord& record) {
 
 /// Per-cell progress of one run over a plan: one CellRecord per plan
 /// cell, its index and key filled from the plan, its cell-local results
-/// filled by the journal, the cache, a fracture or a worker.
+/// filled by the journal, the cache or this run's fill.
 struct PlanProgress {
   std::vector<CellRecord> records;
   std::vector<char> done;
@@ -327,26 +329,25 @@ struct PlanProgress {
 };
 
 /// The cell journal of one run: the single open -> replay -> append
-/// (downgrade on failure) -> seal sequence of the executor, in process,
-/// supervised or as a worker shard. With an empty path every call is a
-/// no-op.
+/// (downgrade on failure) -> seal sequence of the executor, in process
+/// or supervised. With an empty path every call is a no-op.
 class PlanJournal {
  public:
-  /// Creates the journal covering plan cells [begin, end) or, resuming,
-  /// opens it and installs every replayed record into `progress`.
-  /// Records address cells by plan index; duplicates keep the first copy
-  /// — both are results of the same deterministic computation. CRC
-  /// framing already passed; a record that then fails decoding or plan
-  /// validation is not ours and fails the resume.
-  Status open(const HierPlan& plan, const HierOptions& options, int begin,
-              int end, PlanProgress& progress, RunCounters& counters) {
+  /// Creates the journal or, resuming, opens it and installs every
+  /// replayed record into `progress`. Records address cells by plan
+  /// index; duplicates keep the first copy — both are results of the
+  /// same deterministic computation. CRC framing already passed; a
+  /// record that then fails decoding or plan validation is not ours and
+  /// fails the resume.
+  Status open(const HierPlan& plan, const HierOptions& options,
+              PlanProgress& progress, RunCounters& counters) {
     path_ = options.journalPath;
     if (path_.empty()) return {};
     std::vector<std::string> keys;
     keys.reserve(plan.cells.size());
     for (const HierPlan::Cell& cell : plan.cells) keys.push_back(cell.key);
-    const std::string meta =
-        cellJournalMetaFor(plan.topStruct, keys, begin, end);
+    const std::string meta = cellJournalMetaFor(
+        plan.topStruct, keys, 0, static_cast<int>(plan.cells.size()));
     std::vector<std::string> replayed;
     Status status;
     if (options.resume) {
@@ -383,13 +384,13 @@ class PlanJournal {
   }
 
   /// Closes the journal. A complete, fully appended journal is sealed
-  /// with its SHA-256 sidecar so the supervisor (before merging a worker
-  /// range) and --verify can prove the bytes are the ones written; an
-  /// incomplete (drained) or downgraded one drops any stale seal so
-  /// nothing trusts it as a finished run. A failed ::close() under
-  /// kEachRecord can mean the last records never became durable, so it
-  /// downgrades like an append error. Returns the downgrade cause (with
-  /// counters.journalDowngraded set) or a sealing failure.
+  /// with its SHA-256 sidecar so --verify can prove the bytes are the
+  /// ones written; an incomplete (drained) or downgraded one drops any
+  /// stale seal so nothing trusts it as a finished run. A failed
+  /// ::close() under kEachRecord can mean the last records never became
+  /// durable, so it downgrades like an append error. Returns the
+  /// downgrade cause (with counters.journalDowngraded set) or a sealing
+  /// failure.
   Status seal(bool complete, RunCounters& counters) {
     if (path_.empty()) return {};
     const Status closed = writer_.closeChecked();
@@ -582,10 +583,8 @@ SupervisorResult superviseFracture(const SupervisorConfig& config) {
                                  &result.counters, &config);
   }
   if (!result.status.ok()) return result;
-  result.isolatedShapes = std::move(run.isolatedCells);
-  result.abortCause = std::move(run.abortCause);
+  result.isolatedShapes = std::move(run.isolatedShapes);
   result.interrupted = run.batch.interruptedShapes > 0;
-  result.workerSpans = std::move(run.workerSpans);
   // The instantiated plan is the layout, shape for shape.
   for (std::size_t i = 0; i < run.batch.solutions.size(); ++i) {
     const int index = static_cast<int>(i);
@@ -607,35 +606,20 @@ Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
   out.instancesExpanded = plan.instancesExpanded;
   RunCounters counters;
 
-  const int numCells = static_cast<int>(plan.cells.size());
-  const bool workerShard = options.cellBegin >= 0;
-  const int shardBegin = workerShard ? options.cellBegin : 0;
-  const int shardEnd = workerShard ? options.cellEnd : numCells;
-  if (workerShard && (shardBegin > shardEnd || shardEnd > numCells)) {
-    return Status(StatusCode::kInvalidArgument,
-                  "cell range " + std::to_string(shardBegin) + ":" +
-                      std::to_string(shardEnd) + " is outside the plan's " +
-                      std::to_string(numCells) + " unique cells");
-  }
-
   // Journal first, so a resumed run knows which cells are finished work.
   PlanProgress progress(plan);
   PlanJournal journal;
-  Status status = journal.open(plan, options, shardBegin, shardEnd, progress,
-                               counters);
+  Status status = journal.open(plan, options, progress, counters);
   if (!status.ok()) return status;
 
   // Persistent-cache lookups (hits fill their cell directly). A
   // journaled cache hit is appended like a fractured cell: the journal
-  // must be self-contained — a resume (or the supervisor harvesting a
-  // worker journal) replays it without consulting the cache. A
-  // fallback-only run skips the cache: its cells are always degraded,
-  // so it would never store one, and the cache holds primary results
-  // such a run must not return. A supervising run leaves the cache to
-  // its workers.
+  // must be self-contained — a resume replays it without consulting the
+  // cache. A fallback-only run skips the cache: its cells are always
+  // degraded, so it would never store one, and the cache holds primary
+  // results such a run must not return.
   CellFractureCache cache(options.cellCacheDir);
-  const bool useCache = supervisor == nullptr &&
-                        !options.cellCacheDir.empty() && !config.fallbackOnly;
+  const bool useCache = !options.cellCacheDir.empty() && !config.fallbackOnly;
   if (useCache) {
     // Degrade, don't die: an uncreatable cache directory (read-only
     // filer, quota) costs cross-run reuse, never the run itself. Every
@@ -645,173 +629,205 @@ Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
     cache.setQuotaBytes(options.cellCacheQuotaBytes);
   }
   std::vector<int> missCells;
-  for (int i = shardBegin; i < shardEnd; ++i) {
-    const auto c = static_cast<std::size_t>(i);
+  for (std::size_t c = 0; c < plan.cells.size(); ++c) {
     if (progress.done[c] != 0) continue;
     if (useCache &&
         cache.load(progress.records[c]) == CellFractureCache::Lookup::kHit) {
-      progress.done[c] = 1;
       journal.append(progress.records[c]);
       continue;
     }
-    missCells.push_back(i);
+    missCells.push_back(static_cast<int>(c));
   }
 
-  // Fill the missing cells. `fresh` lists the cells filled this run and
-  // `groups` their distinct shapes (distinctShapes), each fractured once.
-  std::vector<int> fresh;
-  std::vector<std::vector<ShapeSlot>> groups;
-  std::vector<RefinerStats> shapeStats;
+  // Fill the missing cells. The unit of work is a distinct shape of
+  // them (distinctShapes): its first slot is fractured once, under its
+  // plan-shape ordinal, and deliver() gives every slot of the group
+  // that outcome with its shots moved by the anchor difference — exactly
+  // what fracturing it in place gives, since fracture is covariant
+  // under integer translation. A cell's CellRecord is appended the
+  // moment its LAST slot fills; interrupted cells are never journaled —
+  // a later resume re-fractures them instead of replaying unfinished
+  // work. Only what runs a group differs: a pool thread, or a forked
+  // worker whose outcome deliver() installs as it arrives.
+  const std::vector<std::vector<ShapeSlot>> groups =
+      distinctShapes(plan, missCells, config);
+  std::vector<int> firstOrdinal(plan.cells.size(), 0);
+  for (std::size_t c = 1; c < plan.cells.size(); ++c) {
+    firstOrdinal[c] = firstOrdinal[c - 1] +
+                      static_cast<int>(plan.cells[c - 1].shapes.size());
+  }
+  auto ordinalOf = [&](const ShapeSlot& slot) {
+    return firstOrdinal[static_cast<std::size_t>(slot.cell)] + slot.shape;
+  };
+  auto shapeOf = [&](const ShapeSlot& slot) -> const LayoutShape& {
+    return plan.cells[static_cast<std::size_t>(slot.cell)]
+        .shapes[static_cast<std::size_t>(slot.shape)];
+  };
+  std::vector<std::atomic<int>> cellRemaining(plan.cells.size());
+  std::vector<std::atomic<bool>> cellInterrupted(plan.cells.size());
+  for (const int cellIdx : missCells) {
+    const auto c = static_cast<std::size_t>(cellIdx);
+    const std::size_t n = plan.cells[c].shapes.size();
+    progress.records[c].solutions.resize(n);
+    progress.records[c].reports.resize(n);
+    cellRemaining[c].store(static_cast<int>(n), std::memory_order_relaxed);
+    cellInterrupted[c].store(false, std::memory_order_relaxed);
+  }
+  std::vector<RefinerStats> shapeStats(groups.size());
+  std::vector<char> delivered(groups.size(), 0);
+  // Group k's outcome into every slot of the group. Groups write only
+  // their own slots, so any thread count or worker schedule computes
+  // identical records.
+  auto deliver = [&](std::size_t k, const Solution& solution,
+                     const ShapeReport& outcome, const RefinerStats& stats) {
+    const ShapeSlot& first = groups[k].front();
+    for (const ShapeSlot& slot : groups[k]) {
+      const auto c = static_cast<std::size_t>(slot.cell);
+      const auto local = static_cast<std::size_t>(slot.shape);
+      if (outcome.interrupted) {
+        cellInterrupted[c].store(true, std::memory_order_relaxed);
+      }
+      CellRecord& record = progress.records[c];
+      Solution& sol = record.solutions[local];
+      sol = solution;
+      const Point delta = slot.anchor - first.anchor;
+      for (Rect& shot : sol.shots) shot = shot.translated(delta);
+      ShapeReport& report = record.reports[local];
+      report = outcome;
+      // A stamped status names the slot it describes.
+      if (report.status.shapeIndex() >= 0) {
+        report.status.withShape(ordinalOf(slot));
+      }
+      // acq_rel: the thread filling the cell's last slot observes every
+      // sibling slot written before their decrements.
+      if (cellRemaining[c].fetch_sub(1, std::memory_order_acq_rel) == 1 &&
+          !cellInterrupted[c].load(std::memory_order_relaxed)) {
+        journal.append(record);
+      }
+    }
+    shapeStats[k] = stats;
+    delivered[k] = 1;
+  };
+
   bool interrupted = false;
   if (supervisor == nullptr) {
-    // In process, as ONE batch on the work-stealing pool. The first slot
-    // of each group runs under its plan-shape ordinal, and every repeat
-    // inherits that outcome with its shots moved by the anchor
-    // difference — exactly what fracturing it in place gives, since
-    // fracture is covariant under integer translation.
-    // Jobs write only their own slots, so any thread count computes
-    // identical results. A cell's CellRecord is appended the moment its
-    // LAST slot fills; interrupted cells are never journaled — a later
-    // resume re-fractures them instead of replaying unfinished work.
-    fresh = missCells;
-    groups = distinctShapes(plan, fresh, config);
-    std::vector<int> firstOrdinal(plan.cells.size(), 0);
-    for (std::size_t c = 1; c < plan.cells.size(); ++c) {
-      firstOrdinal[c] = firstOrdinal[c - 1] +
-                        static_cast<int>(plan.cells[c - 1].shapes.size());
-    }
-    std::vector<std::atomic<int>> cellRemaining(plan.cells.size());
-    std::vector<std::atomic<bool>> cellInterrupted(plan.cells.size());
-    for (const int cellIdx : fresh) {
-      const auto c = static_cast<std::size_t>(cellIdx);
-      const std::size_t n = plan.cells[c].shapes.size();
-      progress.records[c].solutions.resize(n);
-      progress.records[c].reports.resize(n);
-      cellRemaining[c].store(static_cast<int>(n), std::memory_order_relaxed);
-      cellInterrupted[c].store(false, std::memory_order_relaxed);
-    }
-    shapeStats.resize(groups.size());
+    // In process, as ONE batch on the work-stealing pool.
     parallelFor(0, static_cast<int>(groups.size()),
                 ThreadPool::resolveThreads(config.threads), 1, [&](int k) {
-      const std::vector<ShapeSlot>& slots = groups[static_cast<std::size_t>(k)];
-      const ShapeSlot& first = slots.front();
-      const auto firstCell = static_cast<std::size_t>(first.cell);
+      const ShapeSlot& first = groups[static_cast<std::size_t>(k)].front();
+      RefinerStats stats;
       ShapeOutcome outcome = fractureShapeGuarded(
-          plan.cells[firstCell].shapes[static_cast<std::size_t>(first.shape)],
-          config.params, config.method, firstOrdinal[firstCell] + first.shape,
-          config.allowDegradation, &shapeStats[static_cast<std::size_t>(k)],
-          config.fallbackOnly);
-      for (const ShapeSlot& slot : slots) {
-        const auto c = static_cast<std::size_t>(slot.cell);
-        const auto local = static_cast<std::size_t>(slot.shape);
-        if (outcome.interrupted) {
-          cellInterrupted[c].store(true, std::memory_order_relaxed);
-        }
-        CellRecord& record = progress.records[c];
-        Solution& sol = record.solutions[local];
-        sol = outcome.solution;
-        const Point delta = slot.anchor - first.anchor;
-        for (Rect& shot : sol.shots) shot = shot.translated(delta);
-        ShapeReport& report = record.reports[local];
-        report = {outcome.status, outcome.degraded, outcome.interrupted};
-        // A stamped status names the slot it describes.
-        if (report.status.shapeIndex() >= 0) {
-          report.status.withShape(firstOrdinal[c] + slot.shape);
-        }
-        // acq_rel: the thread filling the cell's last slot observes every
-        // sibling slot written before their decrements.
-        if (cellRemaining[c].fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-            !cellInterrupted[c].load(std::memory_order_relaxed)) {
-          journal.append(record);
-        }
-      }
+          shapeOf(first), config.params, config.method, ordinalOf(first),
+          config.allowDegradation, &stats, config.fallbackOnly);
+      deliver(static_cast<std::size_t>(k), outcome.solution,
+              {std::move(outcome.status), outcome.degraded,
+               outcome.interrupted},
+              stats);
     });
-    for (const int cellIdx : fresh) {
-      const auto c = static_cast<std::size_t>(cellIdx);
-      progress.done[c] = 1;
-      if (cellInterrupted[c].load(std::memory_order_relaxed)) {
-        interrupted = true;
-      }
-    }
-  } else if (!missCells.empty()) {
-    // Supervised: the contiguous runs of missing cells become the
-    // ranges superviseCells shards across forked worker processes, each
-    // running this executor serially on its range of this very plan.
-    // This process fractures nothing. Worker journals of an earlier run
-    // describe that run, not this one: a fresh run starts from an empty
-    // work directory (a resumed one reuses them to skip work a killed
-    // worker already journaled).
-    if (!options.resume) {
-      std::error_code ignored;
-      std::filesystem::remove_all(supervisor->workDir, ignored);
-    }
+  } else if (!groups.empty()) {
+    // Supervised: superviseCells shards the units across workers forked
+    // from this process. A worker fractures its units serially and
+    // streams each outcome as a ShapeRecord (stamped with the unit's
+    // ordinal) followed by the unit's RefinerStats bytes; this process
+    // delivers it as it arrives, single-threaded. The work directory
+    // holds only this fill's worker logs.
+    std::error_code ignored;
+    std::filesystem::remove_all(supervisor->workDir, ignored);
     // Lth before the first fork: every worker inherits the memo, so the
     // contour walk runs once per run.
     (void)config.params.resolvedLth(config.params.makeModel());
-    SupervisorConfig cells = *supervisor;
-    cells.numShapes = numCells;
-    cells.fill = [&](int begin, int end, bool fallbackOnly,
-                     const std::string& journalPath) {
-      BatchConfig serial = config;
-      serial.threads = 1;
-      serial.params.numThreads = 1;
-      serial.fallbackOnly = config.fallbackOnly || fallbackOnly;
-      HierOptions shard;
-      shard.cellCacheDir = options.cellCacheDir;
-      shard.cellCacheQuotaBytes = options.cellCacheQuotaBytes;
-      shard.journalPath = journalPath;
-      shard.resume = true;
-      shard.cellBegin = begin;
-      shard.cellEnd = end;
-      HierarchicalResult journaled;
-      return fracturePlan(plan, serial, shard, journaled);
+    FractureParams serial = config.params;
+    serial.numThreads = 1;
+    static_assert(std::is_trivially_copyable_v<RefinerStats>);
+    SupervisorConfig units = *supervisor;
+    units.numShapes = static_cast<int>(groups.size());
+    units.fill = [&](int unit, bool fallbackOnly) {
+      const ShapeSlot& first = groups[static_cast<std::size_t>(unit)].front();
+      RefinerStats stats;
+      ShapeOutcome outcome = fractureShapeGuarded(
+          shapeOf(first), serial, config.method, ordinalOf(first),
+          config.allowDegradation, &stats,
+          config.fallbackOnly || fallbackOnly);
+      std::string bytes;
+      if (outcome.interrupted) return bytes;
+      bytes = encodeShapeRecord(
+          {ordinalOf(first), std::move(outcome.solution),
+           {std::move(outcome.status), outcome.degraded, false}});
+      bytes.append(reinterpret_cast<const char*>(&stats), sizeof stats);
+      return bytes;
     };
-    for (const int c : missCells) {
-      if (!cells.initialRanges.empty() &&
-          cells.initialRanges.back().second == c) {
-        ++cells.initialRanges.back().second;
-      } else {
-        cells.initialRanges.emplace_back(c, c + 1);
+    units.deliver = [&](int unit, std::string_view bytes) {
+      const auto k = static_cast<std::size_t>(unit);
+      ShapeRecord record;
+      RefinerStats stats;
+      if (bytes.size() < sizeof stats ||
+          !decodeShapeRecord(bytes.substr(0, bytes.size() - sizeof stats),
+                             record)
+               .ok() ||
+          record.shapeIndex != ordinalOf(groups[k].front())) {
+        return false;
       }
-    }
-    SupervisorResult sres = superviseCells(cells);
+      std::memcpy(&stats, bytes.data() + bytes.size() - sizeof stats,
+                  sizeof stats);
+      deliver(k, record.solution, record.report, stats);
+      return true;
+    };
+    SupervisorResult sres = superviseCells(units);
     if (!sres.status.ok()) return sres.status;
     counters.retriedRanges = sres.counters.retriedRanges;
     counters.bisectedRanges = sres.counters.bisectedRanges;
     counters.crashedWorkers = sres.counters.crashedWorkers;
     counters.hungWorkers = sres.counters.hungWorkers;
     counters.crashedShapes = sres.counters.crashedShapes;
-    counters.corruptJournals = sres.counters.corruptJournals;
-    counters.staleTempsRemoved = sres.counters.staleTempsRemoved;
     interrupted = sres.interrupted;
-    out.abortCause = std::move(sres.abortCause);
-    out.isolatedCells = std::move(sres.isolatedShapes);
-    out.workerSpans = std::move(sres.workerSpans);
-    // Install every harvested record that provably matches the plan
-    // (its key, right shape count) as it is, appending it to this
-    // journal in plan order so a later resume needs only this one file;
-    // an invalid one is dropped and its cell hole-filled below.
-    for (auto& [index, record] : sres.cellRecords) {
-      if (progress.done[static_cast<std::size_t>(index)] != 0 ||
-          !validateCellRecord(plan, record).ok()) {
-        continue;
-      }
-      journal.append(record);
-      fresh.push_back(index);
-      progress.install(std::move(record));
+    for (const int unit : sres.isolatedShapes) {
+      out.isolatedShapes.push_back(
+          ordinalOf(groups[static_cast<std::size_t>(unit)].front()));
     }
-    groups = distinctShapes(plan, fresh, config);
   }
 
-  const bool complete = std::count(progress.done.begin() + shardBegin,
-                                   progress.done.begin() + shardEnd, 0) == 0;
-  status = journal.seal(complete && !interrupted && out.abortCause.empty(),
-                        counters);
+  // Hole-fill the slots of groups no worker delivered (a graceful drain,
+  // or a unit that crashed even fallback-only), so every INSTANCE still
+  // gets a record; their cells are never journaled.
+  bool complete = true;
+  for (std::size_t k = 0; k < groups.size(); ++k) {
+    if (delivered[k] != 0) continue;
+    complete = false;
+    for (const ShapeSlot& slot : groups[k]) {
+      const auto local = static_cast<std::size_t>(slot.shape);
+      CellRecord& record =
+          progress.records[static_cast<std::size_t>(slot.cell)];
+      Solution& sol = record.solutions[local];
+      ShapeReport& report = record.reports[local];
+      sol = Solution{};
+      sol.method = "empty";
+      if (interrupted) {
+        report = {Status(StatusCode::kBudgetExceeded,
+                         "interrupted before any worker fractured this "
+                         "shape (graceful drain); resume the run to finish "
+                         "it"),
+                  false, true};
+      } else {
+        sol.degraded = true;
+        report = {Status(StatusCode::kInternal,
+                         "no worker delivered this shape"),
+                  true, false};
+      }
+    }
+  }
+  for (const int cellIdx : missCells) {
+    if (cellInterrupted[static_cast<std::size_t>(cellIdx)].load(
+            std::memory_order_relaxed)) {
+      interrupted = true;
+    }
+  }
+
+  status = journal.seal(complete && !interrupted, counters);
   if (!status.ok() && !counters.journalDowngraded) return status;
 
   // What THIS run fractured, each distinct shape once: instances, replayed
-  // and cached cells add nothing. Workers keep their refiner profiles.
-  out.uniqueCellsFractured = static_cast<int>(fresh.size());
+  // and cached cells add nothing.
+  out.uniqueCellsFractured = static_cast<int>(missCells.size());
   out.uniqueShapesFractured = static_cast<int>(groups.size());
   counters.freshCells = out.uniqueCellsFractured;
   counters.freshShapes = out.uniqueShapesFractured;
@@ -824,7 +840,7 @@ Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
   // disables the cache (inside store()) and is NOT a run failure: the
   // results being stored are already in memory and ship below.
   if (useCache) {
-    for (const int cellIdx : fresh) {
+    for (const int cellIdx : missCells) {
       const CellRecord& record =
           progress.records[static_cast<std::size_t>(cellIdx)];
       bool clean = true;
@@ -848,49 +864,9 @@ Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
     if (cache.disabled()) {
       out.cellCacheDisableCause = cache.disableCause().str();
     }
-  } else if (supervisor == nullptr) {
-    // Uncached, every fractured cell is a miss. A supervising parent
-    // counts none: its workers own all cache I/O.
+  } else {
+    // Uncached, every fractured cell is a miss.
     out.cellCacheMisses = static_cast<int>(missCells.size());
-  }
-
-  // A worker shard ends at its journal: the supervising parent harvests
-  // it and instantiates.
-  if (workerShard) return status;
-
-  // Hole-fill cells no worker delivered so every INSTANCE still gets a
-  // record: the abort cause, a graceful drain, or a supervisor bug.
-  for (int i = 0; i < numCells; ++i) {
-    const auto c = static_cast<std::size_t>(i);
-    if (progress.done[c] != 0) continue;
-    const std::size_t n = plan.cells[c].shapes.size();
-    CellRecord& record = progress.records[c];
-    record.solutions.assign(n, Solution{});
-    record.reports.assign(n, ShapeReport{});
-    for (std::size_t j = 0; j < n; ++j) {
-      Solution& sol = record.solutions[j];
-      ShapeReport& report = record.reports[j];
-      sol.method = "empty";
-      if (!out.abortCause.empty()) {
-        sol.degraded = true;
-        report.degraded = true;
-        report.status = Status(
-            StatusCode::kResourceExhausted,
-            "run aborted before any worker fractured this cell (" +
-                out.abortCause + ")");
-      } else if (interrupted) {
-        report.interrupted = true;
-        report.status = Status(
-            StatusCode::kBudgetExceeded,
-            "interrupted before any worker fractured this cell (graceful "
-            "drain); resume the run to finish it");
-      } else {
-        sol.degraded = true;
-        report.degraded = true;
-        report.status = Status(StatusCode::kInternal,
-                               "cell was never journaled by any worker");
-      }
-    }
   }
 
   instantiatePlan(plan, progress.records, out);

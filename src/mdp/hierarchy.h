@@ -36,13 +36,12 @@
 namespace mbf {
 
 /// The deterministic skeleton of a run: unique cells — the PLAN CELL
-/// INDEX every journal record, worker shard and supervisor range refers
-/// to — plus every instance placement. Two processes planning the same
-/// input under the same config produce identical plans, which is what
-/// lets a resumed run trust journaled indices; a forked --isolate worker
-/// inherits its supervisor's plan outright. A flat layout is the
-/// degenerate case (planFlatLayout): one one-shape cell per distinct
-/// shape.
+/// INDEX every journal record and cache lookup refers to — plus every
+/// instance placement. Two processes planning the same input under the
+/// same config produce identical plans, which is what lets a resumed run
+/// trust journaled indices; a forked --isolate worker inherits its
+/// supervisor's plan outright. A flat layout is the degenerate case
+/// (planFlatLayout): one one-shape cell per distinct shape.
 ///
 /// The PLAN-SHAPE ORDINAL of a cell shape counts shapes over the cells
 /// in plan order, then within the cell; it is the index fracturing
@@ -118,9 +117,9 @@ struct HierOptions {
   /// findGdsTopStructure.
   std::string topStruct;
   /// Persistent cell-fracture cache directory; empty = no cache. A
-  /// fallback-only config (BatchConfig::fallbackOnly) never uses it, and
-  /// a supervising parent opens none: it hands the directory to its
-  /// workers, which own all cache I/O.
+  /// fallback-only config (BatchConfig::fallbackOnly) never uses it. The
+  /// executor's own process does every lookup and store, supervised or
+  /// not: --isolate workers only fracture.
   std::string cellCacheDir;
   /// Best-effort byte cap on the cache directory (0 = unlimited): after
   /// each store, least-recently-modified entries NOT touched by this
@@ -134,11 +133,6 @@ struct HierOptions {
   std::string journalPath;
   bool resume = false;
   JournalFsync fsync = JournalFsync::kNone;
-  /// Worker shard (a forked --isolate worker): fill only plan cells
-  /// [cellBegin, cellEnd) and end at the journal (the supervising parent
-  /// harvests and instantiates it). Both -1 = full run.
-  int cellBegin = -1;
-  int cellEnd = -1;
 };
 
 struct HierarchicalResult {
@@ -160,12 +154,10 @@ struct HierarchicalResult {
   /// rejected entries; 0 on a fully warm run).
   int uniqueCellsFractured = 0;
   /// Shapes fractured this run: the distinct shapes of the fractured
-  /// cells (a supervised parent counts the distinct shapes of the cells
-  /// its workers delivered).
+  /// cells, in process or supervised.
   int uniqueShapesFractured = 0;
   /// Persistent-cache outcome counts (without a cache dir every
-  /// fractured cell is a miss; all zero in a supervising parent, whose
-  /// workers own all cache I/O).
+  /// fractured cell is a miss).
   int cellCacheHits = 0;
   int cellCacheMisses = 0;
   int cellCacheRejected = 0;
@@ -182,13 +174,9 @@ struct HierarchicalResult {
   std::string cellCacheDisableCause;
   /// Cell placements materialised during expansion.
   std::int64_t instancesExpanded = 0;
-  /// Supervised runs only: trace spans harvested from worker span files
-  /// (SupervisorConfig::collectTraceSpans), merged into --trace-json.
-  std::vector<TraceSpan> workerSpans;
-  /// Supervised runs only: plan cells crash-isolated by bisection, and
-  /// the cause when the run was aborted (SupervisorResult::abortCause).
-  std::vector<int> isolatedCells;
-  std::string abortCause;
+  /// Supervised runs only: plan-shape ordinals of the distinct shapes
+  /// crash-isolated by bisection, sorted.
+  std::vector<int> isolatedShapes;
 
   std::int64_t instantiatedShapes() const {
     return static_cast<std::int64_t>(instanceShapes.size());
@@ -210,31 +198,29 @@ struct HierarchicalResult {
 /// The plan executor: replays the journal when resuming, serves cells
 /// from the persistent cache when options.cellCacheDir is set, fills the
 /// remaining cells, seals the journal, counts each fresh distinct shape
-/// once, hole-fills and instantiates the plan. Only the fill differs:
-/// - in process (no `supervisor`), each distinct shape of the remaining
-///   cells is fractured once, in one batch over the work-stealing pool
-///   (per-shape budgets and the degradation ladder apply; a shape runs
-///   under the plan-shape ordinal of its first slot, and each repeat
-///   gets that outcome translated to its own position), and each cell
-///   is journaled as it completes;
-/// - with a `supervisor`, this process resolves Lth, then
-///   superviseCells shards the remaining cells' contiguous ranges across
-///   forked worker processes, each running this executor serially on
-///   its range of the inherited plan, with `config` and
-///   options.cellCacheDir (a run that does not resume first empties
-///   SupervisorConfig::workDir). Every harvested CellRecord that matches
-///   the plan is journaled; cells no worker delivered are hole-filled.
-///   out.isolatedCells, out.abortCause and out.workerSpans carry the
-///   supervisor's verdicts, and a supervisor-fatal condition is the
-///   returned Status. `config`, the one the plan was built under, keys
-///   the distinct shapes of the delivered cells.
-/// A worker shard (options.cellBegin >= 0) fills only its range and ends
-/// at its journal: nothing is hole-filled or instantiated. Cache I/O
-/// failures never fail the run: the cache is disabled with a counted
-/// warning (degrade, don't die — section 18). A journal append failure
-/// downgrades the run to unjournaled completion: `out` is complete,
-/// countersOut->journalDowngraded is set and the append error is
-/// returned.
+/// once, hole-fills and instantiates the plan. The fill's UNIT is a
+/// distinct shape of the remaining cells: it is fractured once, under
+/// the plan-shape ordinal of its first slot (per-shape budgets and the
+/// degradation ladder apply), and one delivery gives each repeat that
+/// outcome translated to its own position and appends a cell to the
+/// journal the moment its last slot fills. Only what runs a unit
+/// differs:
+/// - in process (no `supervisor`), a thread of the work-stealing pool,
+///   in one batch over all units;
+/// - with a `supervisor`, this process resolves Lth, empties
+///   SupervisorConfig::workDir and superviseCells runs the units in
+///   forked worker processes, serially per worker, each streaming its
+///   outcomes to this process, which delivers them as they arrive.
+///   Units no worker delivered are hole-filled (interrupted under a
+///   drain, degraded otherwise) and their cells never journaled;
+///   out.isolatedShapes names the crash-isolated ones, and a
+///   supervisor-fatal condition is the returned Status.
+/// Either way this process does every journal append and cache lookup
+/// and store. Cache I/O failures never fail the run: the cache is
+/// disabled with a counted warning (degrade, don't die — section 18). A
+/// journal append failure downgrades the run to unjournaled completion:
+/// `out` is complete, countersOut->journalDowngraded is set and the
+/// append error is returned.
 Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
                     const HierOptions& options, HierarchicalResult& out,
                     RunCounters* countersOut = nullptr,

@@ -1,6 +1,7 @@
 #include "mdp/supervisor.h"
 
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/stat.h>
 #include <sys/types.h>
@@ -14,9 +15,7 @@
 #include <cstring>
 #include <deque>
 #include <iostream>
-#include <thread>
 
-#include "io/atomic_file.h"
 #include "support/interrupt.h"
 #include "support/journal.h"
 #include "support/sysio.h"
@@ -25,6 +24,10 @@ namespace mbf {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Payload tags of a worker's frames.
+constexpr char kUnitFrame = 'u';
+constexpr char kSpanFrame = 's';
 
 struct RangeTask {
   int begin = 0;
@@ -37,10 +40,12 @@ struct RangeTask {
 struct RunningWorker {
   RangeTask task;
   pid_t pid = -1;
+  int fd = -1;         ///< read end of its pipe; -1 once the stream ended
+  std::string stream;  ///< bytes read but not yet framed
+  int delivered = 0;   ///< units of the range delivered so far
+  bool badFrame = false;
   Clock::time_point deadline = Clock::time_point::max();
   bool killedByWatchdog = false;
-  std::string journalPath;
-  std::string logPath;
   std::int64_t spawnNs = 0;  ///< traceNowNs() at fork (tracing only)
 };
 
@@ -64,33 +69,36 @@ double backoffMs(const SupervisorConfig& config, int attempts) {
   return std::min(ms, kBackoffCapMs);
 }
 
-/// Last few lines of a worker log, for fatal-error diagnostics.
-std::string logTail(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return "(no worker log)";
-  std::string all;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) all.append(buf, n);
-  std::fclose(f);
-  if (all.size() > 500) all.erase(0, all.size() - 500);
-  for (char& c : all) {
-    if (c == '\n') c = ' ';
+/// Writes one tagged frame to the pipe with raw write(2); false when the
+/// parent is gone (EPIPE) or the pipe failed otherwise.
+bool sendFrame(int fd, char tag, std::string_view body) {
+  std::string payload;
+  payload.reserve(1 + body.size());
+  payload.push_back(tag);
+  payload.append(body);
+  std::string frame;
+  appendFrame(frame, payload);
+  for (std::size_t done = 0; done < frame.size();) {
+    const ssize_t n = ::write(fd, frame.data() + done, frame.size() - done);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      std::cerr << "supervisor pipe: " << std::strerror(errno) << "\n";
+      return false;
+    }
+    done += static_cast<std::size_t>(n);
   }
-  return all.empty() ? "(empty worker log)" : all;
+  return true;
 }
 
 /// A forked worker's whole life: fill its range with stdout/stderr in
-/// the range log, then leave through _exit, so none of the parent's
-/// atexit hooks or static destructors run twice. noexcept: an exception
-/// escaping the fill terminates the worker (SIGABRT), a crash the
-/// supervisor retries, bisects and isolates like any other, never the
-/// fatal exit 3.
+/// the range log, streaming one frame per unit, then leave through
+/// _exit, so none of the parent's atexit hooks or static destructors run
+/// twice. noexcept: an exception escaping the fill terminates the worker
+/// (SIGABRT), a crash the supervisor retries, bisects and isolates like
+/// any other.
 [[noreturn]] void runWorker(const SupervisorConfig& config,
-                            const RangeTask& task,
-                            const std::string& journalPath,
-                            const std::string& logPath,
-                            const std::string& spanPath) noexcept {
+                            const RangeTask& task, int pipeFd,
+                            const std::string& logPath) noexcept {
   const int logFd =
       ::open(logPath.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
   if (logFd >= 0) {
@@ -98,35 +106,41 @@ std::string logTail(const std::string& path) {
     ::dup2(logFd, 2);
     ::close(logFd);
   }
-  // Start as a fresh process would: sysio op indices of its own, and an
-  // empty trace stamped with its own pid.
-  sysio::restartCounting();
+  // A dead parent surfaces as EPIPE at the next frame.
+  ::signal(SIGPIPE, SIG_IGN);
+  // Start as a fresh process would: an empty trace stamped with its own
+  // pid.
   TraceRecorder& trace = TraceRecorder::instance();
   trace.clear();
   if (traceEnabled()) trace.enable();
 
-  int code = 0;
-  const Status filled =
-      config.fill(task.begin, task.end, task.degradeOnly, journalPath);
-  if (!filled.ok()) {
-    std::cerr << "fracture: " << filled.str() << "\n";
-    code = 3;
-  } else if (interruptRequested()) {
-    code = 5;
+  for (int unit = task.begin; unit < task.end; ++unit) {
+    const std::string outcome = config.fill(unit, task.degradeOnly);
+    if (outcome.empty()) break;  // drained before this unit started
+    if (!sendFrame(pipeFd, kUnitFrame, outcome)) {
+      std::fflush(nullptr);
+      ::_exit(1);
+    }
   }
-  if (!spanPath.empty()) {
-    // Best effort: the supervisor reads a missing span file as no spans.
-    const Status st = writeSpanFile(spanPath, trace.snapshot());
-    if (!st.ok()) std::cerr << "trace: " << st.str() << "\n";
+  if (traceEnabled()) {
+    (void)sendFrame(pipeFd, kSpanFrame, encodeTraceSpans(trace.snapshot()));
   }
   std::fflush(nullptr);
-  sysio::writeStatsLine();
-  ::_exit(code);
+  ::_exit(0);
 }
 
+/// Forks a worker for `task` with a fresh pipe; returns its pid (-1 on
+/// failure, with `error` set) and the pipe's read end in `readFd`.
 pid_t spawnWorker(const SupervisorConfig& config, const RangeTask& task,
-                  const std::string& journalPath, const std::string& logPath,
-                  const std::string& spanPath, Status& error) {
+                  const std::string& logPath,
+                  const std::vector<RunningWorker>& running, int& readFd,
+                  Status& error) {
+  int fds[2];
+  if (::pipe2(fds, O_CLOEXEC) != 0) {
+    error = Status(StatusCode::kResourceExhausted,
+                   std::string("pipe failed: ") + std::strerror(errno));
+    return -1;
+  }
   // Output the parent has buffered would otherwise be written again by
   // the worker, into its log.
   std::fflush(nullptr);
@@ -134,9 +148,19 @@ pid_t spawnWorker(const SupervisorConfig& config, const RangeTask& task,
   if (pid < 0) {
     error = Status(StatusCode::kResourceExhausted,
                    std::string("fork failed: ") + std::strerror(errno));
+    ::close(fds[0]);
+    ::close(fds[1]);
     return -1;
   }
-  if (pid == 0) runWorker(config, task, journalPath, logPath, spanPath);
+  if (pid == 0) {
+    ::close(fds[0]);
+    for (const RunningWorker& w : running) {
+      if (w.fd >= 0) ::close(w.fd);
+    }
+    runWorker(config, task, fds[1], logPath);
+  }
+  ::close(fds[1]);
+  readFd = fds[0];
   return pid;
 }
 
@@ -158,49 +182,69 @@ SupervisorResult superviseCells(const SupervisorConfig& config) {
   }
 
   const int jobs = std::max(1, config.jobs);
-  const std::vector<std::pair<int, int>>& ranges = config.initialRanges;
-  int work = 0;
-  for (const auto& r : ranges) work += std::max(0, r.second - r.first);
   // Several chunks per worker slot: small enough that a crash forfeits
   // little work and bisection starts close to the culprit, large enough
   // that process spawn cost stays amortized.
-  const int chunk = std::max(1, (work + jobs * 4 - 1) / (jobs * 4));
-
+  const int chunk = std::max(1, (n + jobs * 4 - 1) / (jobs * 4));
   std::deque<RangeTask> queue;
-  for (const auto& r : ranges) {
-    for (int b = r.first; b < r.second; b += chunk) {
-      queue.push_back(RangeTask{b, std::min(r.second, b + chunk)});
-    }
+  for (int b = 0; b < n; b += chunk) {
+    queue.push_back(RangeTask{b, std::min(n, b + chunk)});
   }
   std::vector<RunningWorker> running;
-  // Span files ever handed to a worker; retries of one tag overwrite the
-  // same file, so each path is read once, at the end.
-  std::vector<std::string> spanPaths;
 
   auto log = [&](const std::string& line) {
     if (config.verbose) std::cerr << "supervisor: " << line << "\n";
   };
 
-  // Harvest every intact record of a (possibly dead) worker's journal.
-  // Key validation against the plan is the caller's (it owns the plan),
-  // bounds are ours.
-  auto harvest = [&](const std::string& journalPath) {
-    std::string meta;
-    std::vector<std::string> payloads;
-    if (!recoverJournal(journalPath, meta, payloads).ok()) return;
-    for (const std::string& bytes : payloads) {
-      CellRecord record;
-      if (!decodeCellRecord(bytes, record).ok()) continue;
-      if (record.cellIndex < 0 || record.cellIndex >= n) continue;
-      result.cellRecords.emplace(record.cellIndex, std::move(record));
+  // One frame of `w`'s stream; false ends the stream.
+  auto acceptFrame = [&](RunningWorker& w, std::string_view payload) {
+    if (payload.empty()) return false;
+    const std::string_view body = payload.substr(1);
+    if (payload.front() == kUnitFrame) {
+      const int unit = w.task.begin + w.delivered;
+      if (unit >= w.task.end || !config.deliver(unit, body)) return false;
+      ++w.delivered;
+      return true;
     }
+    std::vector<TraceSpan> spans;
+    if (payload.front() != kSpanFrame || !decodeTraceSpans(body, spans)) {
+      return false;
+    }
+    for (TraceSpan& span : spans) {
+      TraceRecorder::instance().addForeign(std::move(span));
+    }
+    return true;
   };
 
-  auto firstMissing = [&](int begin, int end) {
-    for (int i = begin; i < end; ++i) {
-      if (result.cellRecords.find(i) == result.cellRecords.end()) return i;
+  // Reads what `w`'s pipe holds and delivers every whole frame. At EOF
+  // the stream ends (bytes of an unfinished frame are a torn tail); at a
+  // bad or undecodable frame too, and the worker is killed.
+  auto readStream = [&](RunningWorker& w) {
+    char buf[1 << 16];
+    const ssize_t got = ::read(w.fd, buf, sizeof buf);
+    if (got < 0 && (errno == EINTR || errno == EAGAIN)) return;
+    bool ended = got <= 0;
+    if (got > 0) {
+      w.stream.append(buf, static_cast<std::size_t>(got));
+      std::size_t at = 0;
+      std::string_view payload;
+      FrameRead frame = FrameRead::kShort;
+      while ((frame = readFrame(w.stream, at, payload)) == FrameRead::kFrame &&
+             acceptFrame(w, payload)) {
+      }
+      if (frame != FrameRead::kShort) {
+        w.badFrame = true;
+        ended = true;
+        ::kill(w.pid, SIGKILL);
+      } else {
+        w.stream.erase(0, at);
+      }
     }
-    return end;
+    if (ended) {
+      ::close(w.fd);
+      w.fd = -1;
+      w.stream.clear();
+    }
   };
 
   Status fatal;
@@ -210,8 +254,8 @@ SupervisorResult superviseCells(const SupervisorConfig& config) {
 
     if (!draining && interruptRequested()) {
       // Graceful drain: drop queued work, ask live workers to drain
-      // (they inherit the same handlers and journal what they finished),
-      // and keep reaping until everyone is gone. Nothing is requeued.
+      // (they inherit the same handlers and stream what they finished),
+      // and keep reading until everyone is gone. Nothing is requeued.
       draining = true;
       result.interrupted = true;
       log("interrupt received; draining " + std::to_string(running.size()) +
@@ -234,20 +278,11 @@ SupervisorResult superviseCells(const SupervisorConfig& config) {
       RunningWorker w;
       w.task = *it;
       queue.erase(it);
-      w.journalPath = config.workDir + "/w_" + rangeTag(w.task) + ".jrnl";
-      w.logPath = config.workDir + "/w_" + rangeTag(w.task) + ".log";
-      std::string spanPath;
-      if (config.collectTraceSpans) {
-        spanPath = config.workDir + "/w_" + rangeTag(w.task) + ".spans";
-        if (std::find(spanPaths.begin(), spanPaths.end(), spanPath) ==
-            spanPaths.end()) {
-          spanPaths.push_back(spanPath);
-        }
-        w.spawnNs = traceNowNs();
-      }
+      if (traceEnabled()) w.spawnNs = traceNowNs();
       Status spawnError;
-      w.pid = spawnWorker(config, w.task, w.journalPath, w.logPath,
-                          spanPath, spawnError);
+      w.pid = spawnWorker(config, w.task,
+                          config.workDir + "/w_" + rangeTag(w.task) + ".log",
+                          running, w.fd, spawnError);
       if (w.pid < 0) {
         fatal = spawnError;
         break;
@@ -257,7 +292,7 @@ SupervisorResult superviseCells(const SupervisorConfig& config) {
                                std::chrono::duration<double, std::milli>(
                                    config.workerTimeoutMs));
       }
-      log("launched pid " + std::to_string(w.pid) + " for cells [" +
+      log("launched pid " + std::to_string(w.pid) + " for units [" +
           std::to_string(w.task.begin) + ", " + std::to_string(w.task.end) +
           ")" + (w.task.degradeOnly ? " fallback-only" : ""));
       running.push_back(std::move(w));
@@ -278,17 +313,29 @@ SupervisorResult superviseCells(const SupervisorConfig& config) {
       }
     }
 
-    // Reap.
-    bool reaped = false;
+    // Read every live stream; the timeout paces the loop while none has
+    // data (backoff, reaping).
+    std::vector<pollfd> polled;
+    for (const RunningWorker& w : running) {
+      if (w.fd >= 0) polled.push_back({w.fd, POLLIN, 0});
+    }
+    if (::poll(polled.data(), polled.size(), 2) > 0) {
+      for (const pollfd& p : polled) {
+        if (p.revents == 0) continue;
+        for (RunningWorker& w : running) {
+          if (w.fd == p.fd) readStream(w);
+        }
+      }
+    }
+
+    // Reap workers whose stream ended.
     for (std::size_t i = 0; i < running.size();) {
       RunningWorker& w = running[i];
       int wstatus = 0;
-      const pid_t r = ::waitpid(w.pid, &wstatus, WNOHANG);
-      if (r == 0) {
+      if (w.fd >= 0 || ::waitpid(w.pid, &wstatus, WNOHANG) == 0) {
         ++i;
         continue;
       }
-      reaped = true;
       RunningWorker worker = std::move(w);
       running.erase(running.begin() + static_cast<std::ptrdiff_t>(i));
       const RangeTask& task = worker.task;
@@ -302,99 +349,28 @@ SupervisorResult superviseCells(const SupervisorConfig& config) {
 
       const bool exited = WIFEXITED(wstatus);
       const int exitCode = exited ? WEXITSTATUS(wstatus) : -1;
-      const bool cleanExit = exited && exitCode == 0;
+      const int missing = task.begin + worker.delivered;
 
-      // A cleanly-exited worker sealed its journal with a SHA-256
-      // sidecar (the plan executor writes it after the last append).
-      // Refuse to merge a range whose on-disk bytes do not match the
-      // seal — bit rot or a concurrent writer, either way not the
-      // worker's output — and re-run it from scratch instead.
-      bool journalTrusted = true;
-      if (cleanExit && !draining) {
-        const Status sealed = verifyHashSidecar(worker.journalPath);
-        if (!sealed.ok()) {
-          journalTrusted = false;
-          ++result.counters.corruptJournals;
-          log("pid " + std::to_string(worker.pid) + " range " +
-              rangeLabel(task) +
-              ": journal failed its integrity seal (" + sealed.message() +
-              "); discarding and re-running");
-          sysio::unlink(worker.journalPath.c_str());
-          sysio::unlink(sidecarPathFor(worker.journalPath).c_str());
-          if (traceEnabled()) {
-            TraceRecorder::instance().instant("journal-seal-reject " +
-                                              rangeLabel(task));
-          }
-        }
-      }
-
-      if (journalTrusted) harvest(worker.journalPath);
-      const int missing = firstMissing(task.begin, task.end);
-      const bool completed =
-          cleanExit && journalTrusted && missing == task.end;
-
-      if (completed) {
+      if (exited && exitCode == 0 && missing == task.end) {
         log("pid " + std::to_string(worker.pid) + " completed [" +
             std::to_string(task.begin) + ", " + std::to_string(task.end) +
-            ") with exit " + std::to_string(exitCode));
+            ")");
         continue;
       }
 
       if (draining) {
-        // Whatever this worker journaled before the SIGTERM is harvested
-        // above; the rest of its range stays unfinished by design.
+        // What this worker delivered before the SIGTERM is kept; the
+        // rest of its range stays unfinished by design.
         log("pid " + std::to_string(worker.pid) + " drained [" +
             std::to_string(task.begin) + ", " + std::to_string(task.end) +
-            ") up to cell " + std::to_string(missing));
+            ") up to unit " + std::to_string(missing));
         continue;
       }
 
-      // A fatal or journal error (exit 3) poisons every future worker
-      // identically; retrying or bisecting it would only spin. Within
-      // that class, ENOSPC gets its own treatment (section 18): a full
-      // filer fails every future worker AND every retry, so the run
-      // ABORTS — stop spawning, terminate the rest, keep everything
-      // already journaled, and name the cause so the manifest reports
-      // why the run is partial instead of grinding the backoff/bisect
-      // ladder against a disk that cannot take another byte.
-      if (exited && exitCode == 3) {
-        const std::string tail = logTail(worker.logPath);
-        const bool enospc =
-            tail.find("No space left on device") != std::string::npos ||
-            tail.find("ENOSPC") != std::string::npos ||
-            tail.find("Disk quota exceeded") != std::string::npos;
-        if (enospc) {
-          result.abortCause =
-              "worker for cells [" + std::to_string(task.begin) + ", " +
-              std::to_string(task.end) +
-              ") hit ENOSPC; aborting instead of retrying: " + tail;
-          log("ENOSPC abort: " + result.abortCause);
-          if (traceEnabled()) {
-            TraceRecorder::instance().instant("enospc-abort " +
-                                              rangeLabel(task));
-          }
-          queue.clear();
-          for (const RunningWorker& rw : running) ::kill(rw.pid, SIGTERM);
-          // Not `fatal`: the harvested records are good and ship as a
-          // partial result. The loop drains the remaining workers.
-          draining = true;
-          continue;
-        }
-        fatal = Status(StatusCode::kInternal,
-                       "worker for cells [" + std::to_string(task.begin) +
-                           ", " + std::to_string(task.end) +
-                           ") exited 3 (fatal or journal error): " + tail);
-        break;
-      }
-
       ++result.counters.crashedWorkers;
-      // A worker died abnormally somewhere in its range: its atomic
-      // writes may have left `.tmp.<pid>` debris in the work dir. The
-      // pid is reaped, so the sweep can prove the files orphaned.
-      result.counters.staleTempsRemoved += sweepStaleTempFiles(config.workDir);
       const std::string why =
-          !journalTrusted
-              ? "wrote a journal failing its integrity seal"
+          worker.badFrame
+              ? "sent a torn or undecodable frame"
               : worker.killedByWatchdog
                     ? "hung (watchdog SIGKILL)"
                     : exited
@@ -402,12 +378,19 @@ SupervisorResult superviseCells(const SupervisorConfig& config) {
                           : "killed by signal " +
                                 std::to_string(WTERMSIG(wstatus));
 
+      if (missing == task.end) {
+        // Every unit delivered despite the abnormal exit (e.g. a crash
+        // after the last frame): the work is intact, move on.
+        log("pid " + std::to_string(worker.pid) + " " + why +
+            " after delivering its whole range; keeping the outcomes");
+        continue;
+      }
+
       if (task.degradeOnly) {
         // Even the fallback-only worker died. After the last retry the
-        // cell stays unharvested: the caller hole-fills every instance
-        // of it (it owns the plan; we cannot count instances).
+        // unit stays undelivered: the caller fills its hole.
         if (task.attempts >= config.maxRetries) {
-          log("fallback-only worker for cell " + std::to_string(task.begin) +
+          log("fallback-only worker for unit " + std::to_string(task.begin) +
               " " + why + "; leaving the hole for the caller to fill");
           continue;
         }
@@ -421,18 +404,10 @@ SupervisorResult superviseCells(const SupervisorConfig& config) {
         continue;
       }
 
-      if (missing == task.end) {
-        // Every cell journaled despite the abnormal exit (e.g. crash
-        // after the last append): the work is intact, move on.
-        log("pid " + std::to_string(worker.pid) + " " + why +
-            " after journaling its whole range; keeping the records");
-        continue;
-      }
-
       if (missing > task.begin) {
         // Progress was made; only the remainder goes back. Attempts
         // reset — this is a different (smaller) range now.
-        log("pid " + std::to_string(worker.pid) + " " + why + " at cell " +
+        log("pid " + std::to_string(worker.pid) + " " + why + " at unit " +
             std::to_string(missing) + "; requeueing [" +
             std::to_string(missing) + ", " + std::to_string(task.end) + ")");
         ++result.counters.retriedRanges;
@@ -459,8 +434,8 @@ SupervisorResult superviseCells(const SupervisorConfig& config) {
       }
 
       if (task.end - task.begin > 1) {
-        // Retries exhausted on a multi-cell range: bisect toward the
-        // culprit instead of abandoning every cell in it.
+        // Retries exhausted on a multi-unit range: bisect toward the
+        // culprit instead of abandoning every unit in it.
         const int mid = task.begin + (task.end - task.begin) / 2;
         log("bisecting [" + std::to_string(task.begin) + ", " +
             std::to_string(task.end) + ") -> [" + std::to_string(task.begin) +
@@ -475,9 +450,9 @@ SupervisorResult superviseCells(const SupervisorConfig& config) {
         continue;
       }
 
-      // Single-cell culprit: degrade it via the fallback ladder in a
+      // Single-unit culprit: degrade it via the fallback ladder in a
       // fresh worker instead of poisoning the batch.
-      log("isolated culprit cell " + std::to_string(task.begin) + " (" +
+      log("isolated culprit unit " + std::to_string(task.begin) + " (" +
           why + "); degrading via fallback-only worker");
       ++result.counters.crashedShapes;
       result.isolatedShapes.push_back(task.begin);
@@ -487,32 +462,18 @@ SupervisorResult superviseCells(const SupervisorConfig& config) {
       }
       queue.push_back(RangeTask{task.begin, task.end, 0, true, Clock::now()});
     }
-
-    if (!reaped && fatal.ok()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
   }
 
   // Fatal path: reap whatever is still running so no zombies outlive us.
   for (RunningWorker& w : running) {
     ::kill(w.pid, SIGKILL);
+    if (w.fd >= 0) ::close(w.fd);
     int wstatus = 0;
     ::waitpid(w.pid, &wstatus, 0);
   }
 
-  // Final hygiene pass: every worker pid is reaped by now, so any
-  // `.tmp.<pid>` left by a killed or crashed worker is provably orphaned.
-  result.counters.staleTempsRemoved += sweepStaleTempFiles(config.workDir);
-
   if (fatal.ok()) {
     std::sort(result.isolatedShapes.begin(), result.isolatedShapes.end());
-  }
-  if (config.collectTraceSpans) {
-    // Best effort: a worker that crashed before flushing its span file
-    // contributes nothing; retries reuse one file, last writer wins.
-    for (const std::string& path : spanPaths) {
-      readSpanFile(path, result.workerSpans);
-    }
   }
   result.status = fatal;
   return result;

@@ -63,6 +63,29 @@ std::uint32_t crc32(std::string_view bytes) {
   return c ^ 0xFFFFFFFFu;
 }
 
+void appendFrame(std::string& out, std::string_view payload) {
+  out.reserve(out.size() + 8 + payload.size());
+  putU32(out, static_cast<std::uint32_t>(payload.size()));
+  putU32(out, crc32(payload));
+  out.append(payload);
+}
+
+FrameRead readFrame(std::string_view bytes, std::size_t& at,
+                    std::string_view& payload) {
+  std::uint32_t len = 0;
+  std::uint32_t crc = 0;
+  if (!getU32(bytes, at, len) || !getU32(bytes, at + 4, crc)) {
+    return FrameRead::kShort;
+  }
+  if (len > kMaxPayloadBytes) return FrameRead::kBad;
+  if (at + 8 + len > bytes.size()) return FrameRead::kShort;
+  const std::string_view body = bytes.substr(at + 8, len);
+  if (crc32(body) != crc) return FrameRead::kBad;
+  payload = body;
+  at += 8 + static_cast<std::size_t>(len);
+  return FrameRead::kFrame;
+}
+
 Status recoverJournal(const std::string& path, std::string& metaOut,
                       std::vector<std::string>& recordsOut,
                       JournalRecoveryStats* statsOut) {
@@ -110,16 +133,10 @@ Status recoverJournal(const std::string& path, std::string& metaOut,
 
   // Records until EOF or the first bad frame. Everything recovered is
   // CRC-verified; everything after the first bad frame is a torn tail.
-  while (true) {
-    std::uint32_t len = 0;
-    std::uint32_t crc = 0;
-    if (!getU32(bytes, at, len) || !getU32(bytes, at + 4, crc)) break;
-    if (len > kMaxPayloadBytes || at + 8 + len > bytes.size()) break;
-    const std::string_view payload(bytes.data() + at + 8, len);
-    if (crc32(payload) != crc) break;
+  std::string_view payload;
+  while (readFrame(bytes, at, payload) == FrameRead::kFrame) {
     recordsOut.emplace_back(payload);
     ++stats.records;
-    at += 8 + static_cast<std::size_t>(len);
   }
   stats.validBytes = static_cast<std::int64_t>(at);
   stats.tornTail = stats.validBytes < stats.fileBytes;
@@ -246,10 +263,7 @@ Status JournalWriter::append(std::string_view payload) {
                       " bytes exceeds the frame cap");
   }
   std::string frame;
-  frame.reserve(8 + payload.size());
-  putU32(frame, static_cast<std::uint32_t>(payload.size()));
-  putU32(frame, crc32(payload));
-  frame.append(payload);
+  appendFrame(frame, payload);
   std::lock_guard<std::mutex> lock(mutex_);
   if (fd_ < 0) {
     return Status(StatusCode::kInternal, "append on a closed journal");

@@ -42,6 +42,22 @@ namespace mbf {
 /// Exposed for tests; the journal uses it to frame every record.
 std::uint32_t crc32(std::string_view bytes);
 
+/// Appends one `u32 payloadLen | u32 crc32(payload) | payload` frame to
+/// `out`: a journal record, or one message of an --isolate worker's
+/// stream to its supervisor (mdp/supervisor).
+void appendFrame(std::string& out, std::string_view payload);
+
+enum class FrameRead : std::uint8_t {
+  kFrame,  ///< an intact frame: `payload` set, `at` advanced past it
+  kShort,  ///< the bytes end inside a frame (a torn tail, or more to come)
+  kBad,    ///< CRC mismatch or an absurd length: the stream is corrupt
+};
+
+/// Reads the frame starting at `bytes[at]`. On kFrame `payload` views
+/// into `bytes`; otherwise neither `at` nor `payload` changes.
+FrameRead readFrame(std::string_view bytes, std::size_t& at,
+                    std::string_view& payload);
+
 enum class JournalFsync : std::uint8_t {
   kNone,        ///< page-cache durability: survives process death
   kEachRecord,  ///< fsync per append: survives power loss

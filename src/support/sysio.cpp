@@ -31,10 +31,41 @@ FaultSpec gSpec;
 bool gStatsAtexitRegistered = false;
 std::string gStatsPath;
 
+/// Appends this process's op counts to MBF_SYSIO_STATS at exit, using
+/// raw syscalls only — the stats channel must keep working while the
+/// shim itself is busy failing everything.
+void writeStatsLine() {
+  if (gStatsPath.empty()) return;
+  char line[256];
+  const int n = std::snprintf(
+      line, sizeof line,
+      "pid %ld total %llu open %llu read %llu write %llu fsync %llu "
+      "close %llu rename %llu unlink %llu mkdir %llu\n",
+      static_cast<long>(::getpid()),
+      static_cast<unsigned long long>(gOpCount.load()),
+      static_cast<unsigned long long>(gPerOp[1].load()),
+      static_cast<unsigned long long>(gPerOp[2].load()),
+      static_cast<unsigned long long>(gPerOp[3].load()),
+      static_cast<unsigned long long>(gPerOp[4].load()),
+      static_cast<unsigned long long>(gPerOp[5].load()),
+      static_cast<unsigned long long>(gPerOp[6].load()),
+      static_cast<unsigned long long>(gPerOp[7].load()),
+      static_cast<unsigned long long>(gPerOp[8].load()));
+  if (n <= 0) return;
+  const int fd = ::open(gStatsPath.c_str(),
+                        O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
+  if (fd < 0) return;
+  // O_APPEND + one write: lines from concurrent processes interleave
+  // whole, never torn (short writes are vanishingly unlikely at this
+  // size; a torn line is skipped by the reader).
+  ssize_t ignored = ::write(fd, line, static_cast<std::size_t>(n));
+  (void)ignored;
+  ::close(fd);
+}
+
 /// One-time env arming. Runs before main() (static init of this
 /// translation unit) so every process — the CLI, the test binaries —
-/// observes the schedule from its very first op; forked workers inherit
-/// it.
+/// observes the schedule from its very first op.
 struct EnvInit {
   EnvInit() {
     const char* fault = std::getenv("MBF_SYSIO_FAULT");
@@ -218,43 +249,6 @@ bool armed() {
 }
 
 std::uint64_t opCount() { return gOpCount.load(std::memory_order_relaxed); }
-
-void restartCounting() {
-  std::lock_guard<std::mutex> lock(gSpecMutex);
-  resetCountsLocked();
-}
-
-/// Appends this process's op counts to MBF_SYSIO_STATS using raw
-/// syscalls only — the stats channel must keep working while the shim
-/// itself is busy failing everything.
-void writeStatsLine() {
-  if (gStatsPath.empty()) return;
-  char line[256];
-  const int n = std::snprintf(
-      line, sizeof line,
-      "pid %ld total %llu open %llu read %llu write %llu fsync %llu "
-      "close %llu rename %llu unlink %llu mkdir %llu\n",
-      static_cast<long>(::getpid()),
-      static_cast<unsigned long long>(gOpCount.load()),
-      static_cast<unsigned long long>(gPerOp[1].load()),
-      static_cast<unsigned long long>(gPerOp[2].load()),
-      static_cast<unsigned long long>(gPerOp[3].load()),
-      static_cast<unsigned long long>(gPerOp[4].load()),
-      static_cast<unsigned long long>(gPerOp[5].load()),
-      static_cast<unsigned long long>(gPerOp[6].load()),
-      static_cast<unsigned long long>(gPerOp[7].load()),
-      static_cast<unsigned long long>(gPerOp[8].load()));
-  if (n <= 0) return;
-  const int fd = ::open(gStatsPath.c_str(),
-                        O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
-  if (fd < 0) return;
-  // O_APPEND + one write: lines from concurrent processes interleave
-  // whole, never torn (short writes are vanishingly unlikely at this
-  // size; a torn line is skipped by the reader).
-  ssize_t ignored = ::write(fd, line, static_cast<std::size_t>(n));
-  (void)ignored;
-  ::close(fd);
-}
 
 int open(const char* path, int flags, ::mode_t mode) {
   if (gActive.load(std::memory_order_relaxed)) {

@@ -2,18 +2,18 @@
 // (DESIGN.md section 18). Every open/read/write/fsync/close/rename/
 // unlink/mkdir that touches a durable artifact — atomic writes and hash
 // sidecars (io/atomic_file), the result journal (support/journal), the
-// persistent cell cache (mdp/cell_cache), supervisor scratch files
-// (mdp/supervisor) — goes through these wrappers instead of the raw
+// persistent cell cache (mdp/cell_cache), the supervisor's work
+// directory (mdp/supervisor) — goes through these wrappers instead of the raw
 // syscall, so a test can make any single I/O operation of a real run
 // fail with a chosen errno and prove the process degrades or dies with
-// a documented exit code instead of shipping a corrupt artifact.
+// a documented exit code instead of shipping a corrupt artifact. A
+// forked --isolate worker makes no such op (it streams its results to
+// the supervising parent over a pipe), so under --isolate every fault
+// lands in the parent.
 //
 // Fault schedule: deterministic, armed either programmatically (arm())
-// or from the MBF_SYSIO_FAULT environment variable, which every process
-// of a run — mbf_cli and its forked --isolate workers — observes: a
-// forked worker inherits the armed schedule and restartCounting() makes
-// its op indices its own. One spec names an op kind, a 1-based index
-// among matching ops, and a fault:
+// or from the MBF_SYSIO_FAULT environment variable. One spec names an
+// op kind, a 1-based index among matching ops, and a fault:
 //
 //   MBF_SYSIO_FAULT=<op>@<n>:<fault>[!]
 //
@@ -28,8 +28,8 @@
 //           stays full); without it the fault is one-shot
 //
 // Op counting: MBF_SYSIO_STATS=<path> appends one line of per-op counts
-// at process exit, or at writeStatsLine() for a process that leaves
-// through _exit (raw syscalls, so the stats write cannot fault itself).
+// at process exit (raw syscalls, so the stats write cannot fault
+// itself); a forked worker leaves through _exit and writes none.
 // The first-failure sweep drill runs a clean reference run to learn N,
 // then replays the run once per op index 1..N with a fault injected
 // there.
@@ -95,17 +95,6 @@ bool armed();
 /// Ops observed since arming (or since counting started). The sweep
 /// drill sizes its fault schedule from this via MBF_SYSIO_STATS.
 std::uint64_t opCount();
-
-/// Restarts op counting in a forked child: zeroes the op index and the
-/// per-op counts and re-arms a consumed one-shot fault (or a storm in
-/// flight), so the schedule and the stats line count this process's own
-/// ops, as they do in a freshly started process. The schedule is kept.
-void restartCounting();
-
-/// Appends this process's MBF_SYSIO_STATS line now; a no-op without the
-/// variable. For a process that leaves through _exit, which skips the
-/// atexit hook that writes it otherwise.
-void writeStatsLine();
 
 /// Syscall wrappers. Exact raw-syscall semantics when disarmed; when a
 /// fault fires they return the syscall's failure value with errno set

@@ -9,8 +9,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
+#include <iterator>
 
 #include "analysis/shot_stats.h"
 #include "io/atomic_file.h"
@@ -589,43 +588,66 @@ Status writeTraceJson(const std::string& path,
   return atomicWriteFile(path, traceEventsJson(std::move(spans)));
 }
 
-Status writeSpanFile(const std::string& path,
-                     const std::vector<TraceSpan>& spans) {
-  std::ostringstream os;
-  for (const TraceSpan& span : spans) {
-    // Name last: it is the only field that may contain spaces.
-    os << (span.instant ? 'i' : 'X') << ' ' << span.pid << ' ' << span.tid
-       << ' ' << span.startNs << ' ' << span.endNs << ' ' << span.name
-       << '\n';
-  }
-  return atomicWriteFile(path, os.str());
+namespace {
+
+template <typename T>
+void putRaw(std::string& out, T v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof v);
 }
 
-Status readSpanFile(const std::string& path, std::vector<TraceSpan>& out) {
-  std::ifstream is(path);
-  if (!is) {
-    return Status(StatusCode::kIoError,
-                  "cannot read span file '" + path + "'");
+template <typename T>
+bool takeRaw(std::string_view bytes, std::size_t& at, T& v) {
+  if (bytes.size() - at < sizeof v) return false;
+  std::memcpy(&v, bytes.data() + at, sizeof v);
+  at += sizeof v;
+  return true;
+}
+
+}  // namespace
+
+std::string encodeTraceSpans(const std::vector<TraceSpan>& spans) {
+  std::string out;
+  putRaw(out, static_cast<std::uint32_t>(spans.size()));
+  for (const TraceSpan& span : spans) {
+    putRaw(out, span.startNs);
+    putRaw(out, span.endNs);
+    putRaw(out, static_cast<std::int32_t>(span.pid));
+    putRaw(out, static_cast<std::int32_t>(span.tid));
+    putRaw(out, static_cast<std::uint8_t>(span.instant ? 1 : 0));
+    putRaw(out, static_cast<std::uint32_t>(span.name.size()));
+    out.append(span.name);
   }
-  std::string line;
-  while (std::getline(is, line)) {
-    std::istringstream ls(line);
-    char kind = 0;
+  return out;
+}
+
+bool decodeTraceSpans(std::string_view payload, std::vector<TraceSpan>& out) {
+  std::size_t at = 0;
+  std::uint32_t count = 0;
+  if (!takeRaw(payload, at, count)) return false;
+  std::vector<TraceSpan> spans;
+  for (std::uint32_t i = 0; i < count; ++i) {
     TraceSpan span;
-    if (!(ls >> kind >> span.pid >> span.tid >> span.startNs >>
-          span.endNs) ||
-        (kind != 'X' && kind != 'i')) {
-      continue;  // torn or foreign line; spans are best-effort
+    std::int32_t pid = 0;
+    std::int32_t tid = 0;
+    std::uint8_t instant = 0;
+    std::uint32_t nameLen = 0;
+    if (!takeRaw(payload, at, span.startNs) ||
+        !takeRaw(payload, at, span.endNs) || !takeRaw(payload, at, pid) ||
+        !takeRaw(payload, at, tid) || !takeRaw(payload, at, instant) ||
+        !takeRaw(payload, at, nameLen) || payload.size() - at < nameLen) {
+      return false;
     }
-    span.instant = kind == 'i';
-    std::getline(ls, span.name);
-    if (!span.name.empty() && span.name.front() == ' ') {
-      span.name.erase(0, 1);
-    }
-    if (span.name.empty()) continue;
-    out.push_back(std::move(span));
+    span.pid = pid;
+    span.tid = tid;
+    span.instant = instant != 0;
+    span.name.assign(payload.substr(at, nameLen));
+    at += nameLen;
+    spans.push_back(std::move(span));
   }
-  return {};
+  if (at != payload.size()) return false;
+  out.insert(out.end(), std::make_move_iterator(spans.begin()),
+             std::make_move_iterator(spans.end()));
+  return true;
 }
 
 // ---------------------------------------------------------------------
@@ -673,12 +695,8 @@ std::string buildRunManifest(const RunManifestInfo& info,
   w.key("version").value(1);
   // "interrupted" = a SIGTERM/SIGINT drain ended the run early; every
   // record present is still valid, shapes never started are reported
-  // with a BUDGET_EXCEEDED interruption status. "aborted" = the
-  // supervisor stopped the run on a condition retries cannot fix
-  // (ENOSPC); the cause is in recovery.abort_cause.
-  w.key("status").value(!info.abortCause.empty()
-                            ? "aborted"
-                            : info.interrupted ? "interrupted" : "completed");
+  // with a BUDGET_EXCEEDED interruption status.
+  w.key("status").value(info.interrupted ? "interrupted" : "completed");
 
   w.key("input").beginObject();
   w.key("path").value(info.inputPath);
@@ -816,7 +834,6 @@ std::string buildRunManifest(const RunManifestInfo& info,
   w.key("crashed_workers").value(counters.crashedWorkers);
   w.key("hung_workers").value(counters.hungWorkers);
   w.key("crashed_shapes").value(counters.crashedShapes);
-  w.key("corrupt_journals").value(counters.corruptJournals);
   // Degradation fields (section 18) are emitted only when set: a clean
   // run's manifest stays byte-identical across binary versions, which
   // the disarmed-vs-pre-PR identity check depends on.
@@ -825,9 +842,6 @@ std::string buildRunManifest(const RunManifestInfo& info,
   }
   if (counters.staleTempsRemoved > 0) {
     w.key("stale_temps_removed").value(counters.staleTempsRemoved);
-  }
-  if (!info.abortCause.empty()) {
-    w.key("abort_cause").value(info.abortCause);
   }
   w.key("isolated_shapes").beginArray();
   for (const int s : info.isolatedShapes) w.value(s);

@@ -14,11 +14,12 @@
 //      never influence what is computed, only when it happened, so
 //      fracturing results are byte-identical with tracing on or off.
 //      Serialized as chrome://tracing / Perfetto "traceEvents" JSON
-//      (mbf_cli --trace-json). Worker subprocesses of a supervised run
-//      write raw span files (writeSpanFile) that the supervisor merges
-//      into the parent's timeline — steady_clock is CLOCK_MONOTONIC on
-//      the only platform we target, so timestamps from every process of
-//      one boot share a timebase.
+//      (mbf_cli --trace-json). Each forked worker of a supervised run
+//      sends its spans to the supervisor as its last frame
+//      (encodeTraceSpans), which merges them into the parent's
+//      timeline — steady_clock is CLOCK_MONOTONIC on the only platform
+//      we target, so timestamps from every process of one boot share a
+//      timebase.
 //
 //   2. The run manifest — one JSON document per mbf_cli run
 //      (--metrics-json) aggregating the batch totals, RefinerStats stage
@@ -152,7 +153,7 @@ inline bool traceEnabled() {
 
 /// Monotonic nanoseconds (steady_clock). Shared timebase across all
 /// processes of one boot, which is what lets the supervisor merge worker
-/// span files into a single timeline.
+/// spans into a single timeline.
 std::int64_t traceNowNs();
 
 /// Process-wide span registry. Threads record into thread-local buffers
@@ -177,8 +178,8 @@ class TraceRecorder {
   /// Records a zero-duration marker event at now.
   void instant(std::string name);
 
-  /// Adopts a span recorded by another process (supervisor merging
-  /// worker span files; the span keeps its own pid/tid).
+  /// Adopts a span recorded by another process (the supervisor merging
+  /// a worker's spans; the span keeps its own pid/tid).
   void addForeign(TraceSpan span);
 
   /// Every span recorded so far, sorted by (startNs, pid, tid). Call
@@ -245,15 +246,13 @@ std::string traceEventsJson(std::vector<TraceSpan> spans);
 /// Writes traceEventsJson(spans) to `path` (kIoError on failure).
 Status writeTraceJson(const std::string& path, std::vector<TraceSpan> spans);
 
-/// Raw span file: one line per span, the format worker subprocesses hand
-/// their spans to the supervisor in (line-based so a torn tail loses one
-/// span, not the file).
-Status writeSpanFile(const std::string& path,
-                     const std::vector<TraceSpan>& spans);
-/// Appends every well-formed line of `path` to `out`; malformed lines
-/// are skipped (a killed worker may leave a torn tail), a missing file
-/// is kIoError.
-Status readSpanFile(const std::string& path, std::vector<TraceSpan>& out);
+/// Binary encoding of `spans`, each with its pid and tid: the payload of
+/// the last frame an --isolate worker streams to its supervisor.
+std::string encodeTraceSpans(const std::vector<TraceSpan>& spans);
+/// Appends the spans of an encodeTraceSpans payload to `out`. False,
+/// appending nothing, when the payload is truncated or has trailing
+/// bytes.
+bool decodeTraceSpans(std::string_view payload, std::vector<TraceSpan>& out);
 
 // ---------------------------------------------------------------------
 // Run manifest
@@ -285,20 +284,13 @@ struct RunManifestInfo {
   /// True when the run was journaled or supervised and `counters` is
   /// meaningful.
   bool haveRecovery = false;
-  /// Plan indices of crash-isolated cells (supervised runs; a flat
-  /// layout's cells are its distinct shapes).
+  /// Plan-shape ordinals of crash-isolated shapes (supervised runs).
   std::vector<int> isolatedShapes;
   /// Checksummed artifacts for `mbf_cli --verify` (DESIGN.md sec. 16).
   std::vector<ArtifactEntry> artifacts;
   /// SIGTERM/SIGINT graceful drain: the run is partial by design and the
   /// manifest is stamped "interrupted".
   bool interrupted = false;
-  /// Non-empty when a supervised run ABORTED (e.g. worker ENOSPC — see
-  /// SupervisorResult::abortCause): the manifest is stamped "aborted"
-  /// and carries the cause in recovery.abort_cause. Both are emitted
-  /// only when set, so a clean run's manifest is byte-identical to one
-  /// built before this field existed.
-  std::string abortCause;
   /// Indices of shapes re-fractured by the --selfcheck repair ladder
   /// after failing the inline audit.
   std::vector<int> repairedShapes;

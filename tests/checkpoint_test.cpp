@@ -4,10 +4,12 @@
 // run exactly, while resuming from a partial journal at any thread
 // count reproduces the uninterrupted output byte for byte. The
 // process-level half of the contract (SIGKILL mid-run, supervisor
-// isolation) lives in tests/crash_drill_test.cpp.
+// isolation) lives in tests/crash_drill_test.cpp, and the supervisor's
+// own stream and ladder in tests/supervisor_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -509,11 +511,10 @@ TEST(JournaledRunTest, FirstDuplicateRecordWins) {
 // Fracturing a layout in shards must report every failure against the
 // shape's index in the whole layout. A shard starting at shape 4 once
 // reported its faults as shapes 0..3 — the operator then re-ran (or
-// excluded) the wrong shapes. Worker shards are plan cell ranges; every
-// shape runs under its plan-shape ordinal, both when consulting the
-// injector and when stamping reports, and instantiation re-stamps a
-// report with the layout index. A shard ends at its journal, so the
-// cell results are read back from there, as the supervisor does.
+// excluded) the wrong shapes. Supervised workers run ranges of distinct
+// shapes; every shape runs under its plan-shape ordinal, both when
+// consulting the injector and when stamping reports, and instantiation
+// re-stamps a report with the layout index.
 TEST(ShardedBatchTest, ReportsCarryOriginalLayoutIndices) {
   const std::vector<LayoutShape> shapes = testLayout(6);
   FaultInjector injector;
@@ -524,62 +525,31 @@ TEST(ShardedBatchTest, ReportsCarryOriginalLayoutIndices) {
   const HierPlan plan = flatPlan(shapes, config);
   ASSERT_EQ(plan.cells.size(), 5u);
   ASSERT_EQ(plan.instances[4].cell, 3);
-  injector.armShape(3, FaultKind::kThrow);  // inside the second shard
+  injector.armShape(3, FaultKind::kThrow);
 
   const BatchResult plain = fractureLayout(shapes, config);
   ASSERT_TRUE(plain.reports[4].degraded);
   ASSERT_EQ(plain.reports[4].status.shapeIndex(), 4);
 
-  // Two shards of plan cells, like two supervisor worker ranges. A shard
-  // journals its cells' cell-local results and instantiates nothing.
-  BatchResult cellResults;
-  cellResults.solutions.resize(plan.cells.size());
-  cellResults.reports.resize(plan.cells.size());
-  std::size_t journaledCells = 0;
-  for (const auto& [begin, end] : {std::pair{0, 3}, std::pair{3, 5}}) {
-    const TempFile journal("shard_" + std::to_string(begin));
-    HierOptions shard;
-    shard.journalPath = journal.path();
-    shard.cellBegin = begin;
-    shard.cellEnd = end;
-    HierarchicalResult part;
-    ASSERT_TRUE(fracturePlan(plan, config, shard, part).ok());
-    EXPECT_TRUE(part.batch.solutions.empty());
-    std::string meta;
-    std::vector<std::string> payloads;
-    ASSERT_TRUE(recoverJournal(journal.path(), meta, payloads).ok());
-    for (const std::string& bytes : payloads) {
-      CellRecord record;
-      ASSERT_TRUE(decodeCellRecord(bytes, record).ok());
-      ASSERT_GE(record.cellIndex, begin);
-      ASSERT_LT(record.cellIndex, end);
-      ASSERT_EQ(record.solutions.size(), 1u);
-      const auto c = static_cast<std::size_t>(record.cellIndex);
-      cellResults.solutions[c] = record.solutions.front();
-      cellResults.reports[c] = record.reports.front();
-      ++journaledCells;
-    }
-    std::remove(sidecarPathFor(journal.path()).c_str());
-  }
-  ASSERT_EQ(journaledCells, plan.cells.size());
-  // The regression: the degraded report names ordinal 3, not shard-local
-  // 0.
-  EXPECT_TRUE(cellResults.reports[3].degraded);
-  EXPECT_EQ(cellResults.reports[3].status.shapeIndex(), 3);
-
-  // Instantiated at the plan's offsets, the shards give the plain run.
-  BatchResult merged;
-  for (const HierPlan::Instance& inst : plan.instances) {
-    const auto c = static_cast<std::size_t>(inst.cell);
-    Solution sol = cellResults.solutions[c];
-    for (Rect& shot : sol.shots) shot = shot.translated(inst.offset);
-    merged.solutions.push_back(std::move(sol));
-    merged.reports.push_back(cellResults.reports[c]);
-  }
-  mergeBatchAggregates(merged, {});
-  expectSameBatch(plain, merged);
+  // Two workers over five one-unit ranges: the degraded shape is
+  // fractured in a worker whose range starts at unit 3, and its outcome
+  // streams back to this process.
+  SupervisorConfig sup;
+  sup.workDir = "checkpoint_test_shards.workers";
+  sup.jobs = 2;
+  HierarchicalResult run;
+  RunCounters counters;
+  ASSERT_TRUE(
+      fracturePlan(plan, config, HierOptions{}, run, &counters, &sup).ok());
+  std::filesystem::remove_all(sup.workDir);
+  EXPECT_EQ(counters.crashedWorkers, 0);
+  EXPECT_TRUE(run.isolatedShapes.empty());
+  // The regression: the degraded report names layout shape 4, not a
+  // shard-local index.
+  EXPECT_EQ(run.batch.reports[4].status.shapeIndex(), 4);
+  expectSameBatch(plain, run.batch);
   for (std::size_t i = 0; i < shapes.size(); ++i) {
-    EXPECT_EQ(plain.reports[i].degraded, i == 4) << "shape " << i;
+    EXPECT_EQ(run.batch.reports[i].degraded, i == 4) << "shape " << i;
   }
 }
 

@@ -19,9 +19,9 @@
 //   5. Old journals: --resume over a per-shape journal of the format
 //      flat runs wrote before they ran as plans exits 3 with the
 //      journal's meta-mismatch diagnostic.
-//   6. Fresh supervised runs: a second --isolate run with different
-//      flags into the same output path ignores the first run's worker
-//      journals and matches a run in a fresh directory byte for byte.
+//   6. Reused output paths: a second --isolate run with different
+//      flags into the same output path (and work directory) matches a
+//      run in a fresh directory byte for byte.
 //
 // Standalone driver (no gtest) because it exercises the CLI process
 // boundary — fork/exec, signals, exit codes — not library internals.
@@ -310,10 +310,10 @@ int main(int argc, char** argv) {
           "old-format journal: --resume exits 3, meta mismatch");
   }
 
-  // --- Drill 6: a fresh supervised run ignores old worker journals ------
+  // --- Drill 6: a supervised run into a reused output path -------------
   {
     // cleanShots' work directory still holds the clean run's worker
-    // journals, which describe other parameters.
+    // logs, from other parameters.
     std::vector<std::string> args = {input, cleanShots, "--isolate",
                                      "--jobs=3", "--gamma=1.5"};
     args.insert(args.end(), baseFlags.begin(), baseFlags.end());

@@ -33,9 +33,9 @@
 //   9. A genuine SIGKILL mid-run (best-effort timing) resumes to
 //      byte-identical output.
 //  10. Clean --hier --isolate --jobs=4 output is byte-identical to
-//      serial --hier and passes --verify; the workers end at their
-//      journals, so the work directory holds journals, seals and logs
-//      but no .shots.
+//      serial --hier and passes --verify; the workers stream their
+//      outcomes to the parent, so the work directory holds only their
+//      logs.
 //  11. totals.shape_seconds_sum counts each fractured shape once: at
 //      most threads x wall on the cold run, 0 on the warm one.
 //  12. Flat --cell-cache: a flat run plans one cell per distinct shape
@@ -43,28 +43,42 @@
 //      did not fracture; a warm flat run over the same .gds hits one
 //      entry per distinct shape, fractures none and writes the flat
 //      run's bytes.
-//  13. --hier --isolate --inject=crash@i crash-isolates exactly the plan
-//      cell holding plan-shape ordinal i, and its output matches the
-//      in-process --hier --inject=throw@i degradation.
+//  13. --hier --isolate --inject=crash@i crash-isolates exactly
+//      plan-shape ordinal i, and its output matches the in-process
+//      --hier --inject=throw@i degradation.
 //  14. Translation: on a chip of curvilinear ILT cells with one copy
 //      placed near -2^31, a flat run and a --hier run write
 //      byte-identical .shots; a flat --isolate --jobs=4 run of the
 //      repeat-heavy drill layout equals the serial flat run, and its
-//      workers leave no .shots either.
+//      workers leave only logs too.
 //  15. A shape shared by two cells is counted once by a --hier --isolate
-//      run, as in process: 3 fractured shapes of 4 cell shapes.
+//      run, as in process: 3 fractured shapes of 4 cell shapes, and 3
+//      `refine` spans in its trace.
 //  16. Piped input: `cat layout.poly | mbf_cli /dev/stdin ... --isolate
 //      --jobs=2` exits like the file-input run and writes its bytes —
 //      the forked workers inherit the plan and never re-read the input.
+//  17. In a cell of three distinct shapes, --hier --isolate --jobs=2
+//      --inject=crash@i degrades only shape i: the bytes and
+//      totals.degraded_shapes of the in-process --inject=throw@i run.
+//  18. A cold then a warm --hier --isolate --cell-cache run: the warm
+//      one is all cache hits, fractures no cell and forks no worker.
+//  19. The supervising parent SIGKILLed once its journal holds a frame
+//      (its own process group): its workers are still running then —
+//      the parent journals each cell as its outcomes stream in — and
+//      within 30 s no process of the group remains, each worker dying
+//      at its next frame; --resume --isolate writes the reference bytes
+//      and passes --verify.
 //
 // Standalone driver (no gtest), same pattern as mbf_verify_drill: it
 // exercises the CLI process boundary, not library internals.
 #include <fcntl.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -132,6 +146,25 @@ double manifestNumber(const std::string& path, const std::string& section,
              : std::nan("");
 }
 
+/// Trace events of `path` whose name starts with `prefix` (the whole
+/// name when `exact`); -1 when the trace does not parse.
+int spanCount(const std::string& path, const std::string& prefix,
+              bool exact = true) {
+  mbf::JsonValue doc;
+  if (!mbf::parseJson(readBytes(path), doc).ok()) return -1;
+  const mbf::JsonValue* events = doc.find("traceEvents");
+  if (events == nullptr || !events->isArray()) return -1;
+  int n = 0;
+  for (const mbf::JsonValue& e : events->items) {
+    const mbf::JsonValue* name = e.find("name");
+    if (name == nullptr) continue;
+    if (exact ? name->string == prefix : name->string.rfind(prefix, 0) == 0) {
+      ++n;
+    }
+  }
+  return n;
+}
+
 /// The kinds of file in `dir`, by extension (".jrnl", ".log", ...).
 std::set<std::string> fileKinds(const std::string& dir) {
   std::set<std::string> kinds;
@@ -142,9 +175,9 @@ std::set<std::string> fileKinds(const std::string& dir) {
   return kinds;
 }
 
-/// What a clean supervised run leaves in its work directory: per-range
-/// journals, their seals and the worker logs.
-const std::set<std::string> kWorkerFileKinds = {".jrnl", ".log", ".sha256"};
+/// What a clean supervised run leaves in its work directory: the worker
+/// logs.
+const std::set<std::string> kWorkerFileKinds = {".log"};
 
 bool writeGdsFile(const std::string& path, const mbf::GdsLibrary& lib) {
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
@@ -614,7 +647,7 @@ int main(int argc, char** argv) {
     check(runCli(cli, {"--verify", json}) == 0,
           "isolate run passes --verify");
     check(fileKinds(shots + ".workers") == kWorkerFileKinds,
-          "--hier --isolate workers: journals, seals, logs, no .shots");
+          "--hier --isolate workers: logs only");
   }
 
   // --- Drill 11: shape_seconds_sum counts fractured shapes once --------
@@ -684,9 +717,10 @@ int main(int argc, char** argv) {
                   "--metrics-json=" + crashJson},
                  &log) == 5,
           "--hier --isolate --inject=crash@2 exits 5");
-    check(log.find("crash-isolated plan cell(s): 2\n") != std::string::npos &&
+    check(log.find("crash-isolated plan-shape ordinal(s): 2\n") !=
+                  std::string::npos &&
               manifestNumber(crashJson, "recovery", "crashed_shapes") == 1.0,
-          "exactly plan cell 2 is crash-isolated");
+          "exactly plan-shape ordinal 2 is crash-isolated");
     check(!readBytes(throwShots).empty() &&
               readBytes(crashShots) == readBytes(throwShots),
           "crash-isolated output == in-process throw@2 output");
@@ -751,7 +785,7 @@ int main(int argc, char** argv) {
     check(runCli(cli, {"--verify", isoJson}) == 0,
           "flat --isolate run passes --verify");
     check(fileKinds(isoFlat + ".workers") == kWorkerFileKinds,
-          "flat --isolate workers: journals, seals, logs, no .shots");
+          "flat --isolate workers: logs only");
   }
 
   // --- Drill 15: supervised runs count a shared shape once -------------
@@ -773,13 +807,17 @@ int main(int argc, char** argv) {
     lib.structures = {top, a, b};
     const std::string path = dir + "/shared_shape.gds";
     const std::string json = dir + "/shared_shape.json";
+    const std::string trace = dir + "/shared_shape.trace.json";
     check(writeGdsFile(path, lib), "shared shape: .gds written");
     check(runCli(cli, {path, dir + "/shared_shape.shots", "--hier",
-                       "--isolate", "--jobs=2", "--metrics-json=" + json}) == 0,
+                       "--isolate", "--jobs=2", "--metrics-json=" + json,
+                       "--trace-json=" + trace}) == 0,
           "shared shape: --hier --isolate --jobs=2 exits 0");
     check(manifestNumber(json, "hier", "unique_shapes_fractured") == 3.0 &&
               manifestNumber(json, "recovery", "fresh_shapes") == 3.0,
           "shared shape: supervised manifest counts 3 shapes of 4");
+    check(spanCount(trace, "refine") == 3,
+          "shared shape: the workers refine 3 shapes, not 4");
   }
 
   // --- Drill 16: a supervised run reads its input once -----------------
@@ -805,6 +843,173 @@ int main(int argc, char** argv) {
     check(!readBytes(fileShots).empty() &&
               readBytes(pipeShots) == readBytes(fileShots),
           "piped input: --isolate writes the file-input run's bytes");
+  }
+
+  // --- Drill 17: a crash costs one distinct shape, not its cell --------
+  {
+    // TRIO holds three distinct shapes (ordinals 0, 1, 2), placed three
+    // times; a crash on ordinal 1 must degrade its three instances only.
+    const mbf::GdsStructure trio{
+        "TRIO",
+        {poly({{0, 0}, {60, 0}, {60, 60}, {0, 60}}),
+         poly({{200, 0}, {280, 0}, {280, 30}, {230, 30}, {230, 80},
+               {200, 80}}),
+         poly({{0, 200}, {140, 200}, {140, 240}, {0, 240}})},
+        {}, {}};
+    const mbf::GdsStructure top{
+        "TOP", {}, {{"TRIO", {0, 0}}, {"TRIO", {5000, 0}}, {"TRIO", {0, 5000}}},
+        {}};
+    mbf::GdsLibrary lib;
+    lib.structures = {top, trio};
+    const std::string path = dir + "/trio.gds";
+    check(writeGdsFile(path, lib), "trio: .gds written");
+    const std::string throwShots = dir + "/trio_throw.shots";
+    const std::string throwJson = dir + "/trio_throw.json";
+    check(runCli(cli, {path, throwShots, "--hier", "--inject=throw@1",
+                       "--metrics-json=" + throwJson}) == 1,
+          "trio: --hier --inject=throw@1 degrades and exits 1");
+    const std::string crashShots = dir + "/trio_crash.shots";
+    const std::string crashJson = dir + "/trio_crash.json";
+    std::string log;
+    check(runCli(cli,
+                 {path, crashShots, "--hier", "--isolate", "--jobs=2",
+                  "--inject=crash@1", "--metrics-json=" + crashJson},
+                 &log) == 5,
+          "trio: --hier --isolate --inject=crash@1 exits 5");
+    check(log.find("crash-isolated plan-shape ordinal(s): 1\n") !=
+              std::string::npos,
+          "trio: exactly plan-shape ordinal 1 is crash-isolated");
+    check(!readBytes(throwShots).empty() &&
+              readBytes(crashShots) == readBytes(throwShots),
+          "trio: crash-isolated output == in-process throw@1 output");
+    check(manifestNumber(throwJson, "totals", "degraded_shapes") == 3.0 &&
+              manifestNumber(crashJson, "totals", "degraded_shapes") == 3.0,
+          "trio: both runs degrade the 3 instances of ordinal 1 only");
+  }
+
+  // --- Drill 18: a warm supervised run forks nothing ------------------
+  {
+    const std::string isoCache = dir + "/iso_cache";
+    const std::string coldShots = dir + "/iso_cold.shots";
+    const std::string coldIsoJson = dir + "/iso_cold.json";
+    check(runCli(cli, {input, coldShots, "--hier", "--top-cell=TOP",
+                       "--isolate", "--jobs=4", "--cell-cache=" + isoCache,
+                       "--metrics-json=" + coldIsoJson}) == 0,
+          "cold --hier --isolate --cell-cache run exits 0");
+    check(manifestNumber(coldIsoJson, "hier", "cache_misses") == 5.0 &&
+              manifestNumber(coldIsoJson, "hier", "cache_hits") == 0.0,
+          "cold supervised run: one miss per unique cell");
+    const std::string warmShots = dir + "/iso_warm.shots";
+    const std::string warmIsoJson = dir + "/iso_warm.json";
+    const std::string warmTrace = dir + "/iso_warm.trace.json";
+    check(runCli(cli, {input, warmShots, "--hier", "--top-cell=TOP",
+                       "--isolate", "--jobs=4", "--cell-cache=" + isoCache,
+                       "--metrics-json=" + warmIsoJson,
+                       "--trace-json=" + warmTrace}) == 0,
+          "warm --hier --isolate --cell-cache run exits 0");
+    check(manifestNumber(warmIsoJson, "hier", "cache_hits") == 5.0 &&
+              manifestNumber(warmIsoJson, "hier", "unique_cells_fractured") ==
+                  0.0,
+          "warm supervised run: 5 cache hits, 0 cells fractured");
+    check(spanCount(warmTrace, "worker", false) == 0,
+          "warm supervised run forks no worker");
+    check(readBytes(coldShots) == readBytes(hierShots) &&
+              readBytes(warmShots) == readBytes(hierShots),
+          "cold and warm supervised output byte-identical to serial hier");
+  }
+
+  // --- Drill 19: SIGKILL the supervising parent -------------------------
+  {
+    // Twelve ILT cells over two workers take long enough that the
+    // parent's journal holds a frame while workers still run. The
+    // parent runs in its own process group; this process becomes the
+    // subreaper of the orphaned workers, so it can reap them and tell
+    // when the group is gone.
+    mbf::GdsLibrary lib;
+    mbf::GdsStructure top{"TOP", {}, {}, {}};
+    for (int i = 0; i < 12; ++i) {
+      mbf::IltSynthConfig cfg;
+      cfg.seed = 7000 + static_cast<unsigned>(i);
+      mbf::GdsPolygon p;
+      p.polygon = mbf::makeIltShape(cfg);
+      const std::string name = "ILT" + std::to_string(i);
+      lib.structures.push_back({name, {p}, {}, {}});
+      top.srefs.push_back({name, {i * 4000, 0}});
+    }
+    lib.structures.push_back(top);
+    const std::string path = dir + "/ilt_cells.gds";
+    check(writeGdsFile(path, lib), "parent SIGKILL: .gds written");
+    const std::string refShots = dir + "/pkill_ref.shots";
+    check(runCli(cli, {path, refShots, "--hier", "--nmax=3000"}) == 0,
+          "parent SIGKILL: reference --hier run exits 0");
+
+    ::prctl(PR_SET_CHILD_SUBREAPER, 1);
+    const std::string journal = dir + "/pkill.jrnl";
+    const std::string shots = dir + "/pkill.shots";
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+      ::setpgid(0, 0);
+      const int fd = ::open("/dev/null", O_WRONLY);
+      if (fd >= 0) {
+        ::dup2(fd, 1);
+        ::dup2(fd, 2);
+        ::close(fd);
+      }
+      ::execl(cli.c_str(), cli.c_str(), path.c_str(), shots.c_str(),
+              "--hier", "--isolate", "--jobs=2", "--nmax=3000",
+              ("--journal=" + journal).c_str(), static_cast<char*>(nullptr));
+      std::_Exit(127);
+    }
+    ::setpgid(pid, pid);
+    bool parentExited = false;
+    for (int tries = 0; tries < 20000; ++tries) {
+      std::string meta;
+      std::vector<std::string> records;
+      if (mbf::recoverJournal(journal, meta, records).ok() &&
+          !records.empty()) {
+        break;
+      }
+      int status = 0;
+      if (::waitpid(pid, &status, WNOHANG) == pid) {
+        parentExited = true;
+        break;
+      }
+      ::usleep(1000);
+    }
+    check(!parentExited,
+          "parent SIGKILL: the journal holds a frame while the run is live");
+    if (!parentExited) {
+      ::kill(pid, SIGKILL);
+      int status = 0;
+      ::waitpid(pid, &status, 0);
+    }
+    // The parent is reaped: whoever is left in its group is a worker
+    // that was still fracturing when the parent journaled its frame.
+    check(::kill(-pid, 0) == 0,
+          "parent SIGKILL: workers were still running at the kill");
+    bool groupGone = false;
+    for (int tries = 0; tries < 3000 && !groupGone; ++tries) {
+      int status = 0;
+      while (::waitpid(-pid, &status, WNOHANG) > 0) {
+      }
+      groupGone = ::kill(-pid, 0) != 0 && errno == ESRCH;
+      if (!groupGone) ::usleep(10000);
+    }
+    check(groupGone,
+          "parent SIGKILL: no process of its group remains within 30 s");
+    if (!groupGone) ::kill(-pid, SIGKILL);
+    ::prctl(PR_SET_CHILD_SUBREAPER, 0);
+
+    const std::string json = dir + "/pkill.json";
+    check(runCli(cli, {path, shots, "--hier", "--isolate", "--jobs=2",
+                       "--nmax=3000", "--journal=" + journal, "--resume",
+                       "--metrics-json=" + json}) == 0,
+          "parent SIGKILL: --resume --isolate exits 0");
+    check(!readBytes(refShots).empty() &&
+              readBytes(shots) == readBytes(refShots),
+          "parent SIGKILL: resumed .shots byte-identical");
+    check(runCli(cli, {"--verify", json}) == 0,
+          "parent SIGKILL: resumed run passes --verify");
   }
 
   return drill::finish("hier drill");

@@ -1,22 +1,23 @@
 // Telemetry subsystem (DESIGN.md section 15): JSON writer/parser round
-// trips, trace recorder ownership and thread behaviour, span file
+// trips, trace recorder ownership and thread behaviour, span frame
 // round trips, run-manifest schema and its thread-count stability, and
 // the perfCompact/perfRate formatting edges.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <limits>
 #include <random>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "analysis/shot_stats.h"
 #include "mdp/checkpoint.h"
 #include "mdp/layout.h"
+#include "support/journal.h"
 #include "support/perf_counters.h"
 #include "support/telemetry.h"
 
@@ -192,16 +193,21 @@ TEST_F(TraceRecorderTest, ForeignSpansKeepTheirPid) {
   EXPECT_EQ(spans[0].tid, 3);
 }
 
-TEST_F(TraceRecorderTest, SpanFileRoundTrip) {
+TEST_F(TraceRecorderTest, SpanFrameRoundTrip) {
   std::vector<TraceSpan> spans;
   spans.push_back({"journal-append", 100, 250, 42, 0, false});
   spans.push_back({"shape 3", 120, 480, 42, 1, false});
   spans.push_back({"isolate shape 5", 500, 500, 42, 0, true});
 
-  const std::string path = "telemetry_span_roundtrip.tmp";
-  ASSERT_TRUE(writeSpanFile(path, spans).ok());
+  // The span frame a worker streams to its supervisor.
+  std::string stream;
+  appendFrame(stream, encodeTraceSpans(spans));
+  std::size_t at = 0;
+  std::string_view payload;
+  ASSERT_EQ(readFrame(stream, at, payload), FrameRead::kFrame);
+  EXPECT_EQ(at, stream.size());
   std::vector<TraceSpan> read;
-  ASSERT_TRUE(readSpanFile(path, read).ok());
+  ASSERT_TRUE(decodeTraceSpans(payload, read));
   ASSERT_EQ(read.size(), spans.size());
   for (std::size_t i = 0; i < spans.size(); ++i) {
     EXPECT_EQ(read[i].name, spans[i].name);
@@ -211,26 +217,34 @@ TEST_F(TraceRecorderTest, SpanFileRoundTrip) {
     EXPECT_EQ(read[i].tid, spans[i].tid);
     EXPECT_EQ(read[i].instant, spans[i].instant);
   }
-  std::remove(path.c_str());
 
-  std::vector<TraceSpan> missing;
-  EXPECT_FALSE(readSpanFile("no_such_span_file.tmp", missing).ok());
+  // A payload cut short or carrying trailing bytes decodes to nothing.
+  const std::string whole = encodeTraceSpans(spans);
+  std::vector<TraceSpan> none;
+  EXPECT_FALSE(decodeTraceSpans(
+      std::string_view(whole).substr(0, whole.size() - 1), none));
+  EXPECT_FALSE(decodeTraceSpans(whole + "x", none));
+  EXPECT_TRUE(none.empty());
 }
 
-TEST_F(TraceRecorderTest, SpanFileSkipsTornTail) {
-  const std::string path = "telemetry_span_torn.tmp";
-  {
-    std::vector<TraceSpan> spans;
-    spans.push_back({"whole", 1, 2, 7, 0, false});
-    ASSERT_TRUE(writeSpanFile(path, spans).ok());
-    std::ofstream os(path, std::ios::app);
-    os << "X 7 0 3";  // torn mid-record: no end/name
-  }
+TEST_F(TraceRecorderTest, SpanFrameSkipsTornTail) {
+  // A worker killed mid-write leaves a whole frame and a torn one: the
+  // whole frame's spans are read, the torn tail is not a frame.
+  std::string stream;
+  appendFrame(stream, encodeTraceSpans({{"whole", 1, 2, 7, 0, false}}));
+  const std::size_t wholeBytes = stream.size();
+  appendFrame(stream, encodeTraceSpans({{"torn", 3, 4, 7, 0, false}}));
+  stream.resize(stream.size() - 3);
+
+  std::size_t at = 0;
+  std::string_view payload;
   std::vector<TraceSpan> read;
-  ASSERT_TRUE(readSpanFile(path, read).ok());
+  ASSERT_EQ(readFrame(stream, at, payload), FrameRead::kFrame);
+  ASSERT_TRUE(decodeTraceSpans(payload, read));
+  EXPECT_EQ(readFrame(stream, at, payload), FrameRead::kShort);
+  EXPECT_EQ(at, wholeBytes);
   ASSERT_EQ(read.size(), 1u);
   EXPECT_EQ(read[0].name, "whole");
-  std::remove(path.c_str());
 }
 
 TEST_F(TraceRecorderTest, TraceEventsJsonIsWellFormed) {

@@ -32,8 +32,9 @@
 //                                parallelFor chunks, journal writes,
 //                                worker lifecycles) and write a
 //                                chrome://tracing / Perfetto JSON
-//                                timeline; under --isolate the worker
-//                                subprocesses' spans are merged in
+//                                timeline; under --isolate each worker
+//                                streams its spans to the parent, which
+//                                merges them in
 //
 // Every run plans its input (a flat layout is a one-level plan with one
 // anchored cell per distinct shape; --hier plans the GDS hierarchy),
@@ -50,10 +51,13 @@
 //   --fsync=none|each            journal durability (default none:
 //                                survives process death; each: survives
 //                                power loss)
-//   --isolate                    supervised multi-process mode: plan
-//                                cells are sharded across forked worker
-//                                processes; crashes/hangs cost one
-//                                degraded cell, never the run
+//   --isolate                    supervised multi-process mode: the
+//                                distinct shapes to fracture are
+//                                sharded across forked worker processes,
+//                                which stream their outcomes to this
+//                                process (it alone journals, caches and
+//                                writes); crashes/hangs cost one
+//                                degraded distinct shape, never the run
 //   --jobs=<n>                   worker processes for --isolate
 //   --worker-timeout-ms=<ms>     watchdog: SIGKILL workers that exceed
 //                                this wall clock (0 = none)
@@ -130,12 +134,10 @@
 //      journal/supervisor error
 //   4  completed without degradation but with failing pixels — or, with
 //      --strict, any per-shape failure
-//   5  partial success: completed, but one or more plan cells crashed
-//      their worker and were crash-isolated (bisected to the culprit and
-//      degraded via the fallback ladder) — or the run was interrupted
-//      (SIGTERM/SIGINT) and drained gracefully — or a supervised run
-//      aborted early (a worker hit ENOSPC every future worker would hit
-//      too; the manifest names the cause in recovery.abort_cause)
+//   5  partial success: completed, but one or more distinct shapes
+//      crashed their worker and were crash-isolated (bisected to the
+//      culprit and degraded via the fallback ladder) — or the run was
+//      interrupted (SIGTERM/SIGINT) and drained gracefully
 //   6  integrity failure: --verify found a hash/claim discrepancy, or a
 //      --selfcheck shape still failed its audit after repair
 #include <sys/stat.h>
@@ -534,8 +536,8 @@ int main(int argc, char** argv) {
   // checks on entry, so started shapes finish (and are journaled) while
   // unstarted ones stay untouched for a later --resume; the supervisor
   // additionally forwards the signal to its workers, which inherit these
-  // handlers. The run then exits 5 with the manifest stamped
-  // "interrupted".
+  // handlers and stream what they finished. The run then exits 5 with
+  // the manifest stamped "interrupted".
   installInterruptHandlers();
 
   // Tracing on before any traced work starts. Spans never change what is
@@ -575,16 +577,14 @@ int main(int argc, char** argv) {
       static_cast<std::int64_t>(cellCacheQuotaMb) * 1024 * 1024;
   SupervisorConfig sup;
   if (isolate) {
-    // This process never fractures; it shards, watches, retries,
-    // bisects, and merges worker journals. The workers, not this
-    // process, open the cell cache.
+    // This process never fractures; it shards, watches, retries and
+    // bisects, and journals and caches what the workers stream back.
     sup.workDir = outputPath + ".workers";
     sup.jobs = jobs;
     sup.workerTimeoutMs = workerTimeoutMs;
     sup.maxRetries = retries;
     sup.backoffBaseMs = backoffMs;
     sup.verbose = report;
-    sup.collectTraceSpans = !traceJsonPath.empty();
   }
   HierarchicalResult run;
   RunCounters counters;
@@ -603,19 +603,10 @@ int main(int argc, char** argv) {
   }
   const bool haveCounters = !journalPath.empty() || isolate;
   counters.staleTempsRemoved += sweptTemps;
-  if (!run.abortCause.empty()) {
-    // ENOSPC-style abort: every unjournaled cell carries a degraded
-    // record naming the cause; the harvested part still ships, the run
-    // exits 5 and the manifest is stamped "aborted".
-    std::cerr << "supervisor: run aborted: " << run.abortCause << "\n";
-  }
-  if (!run.isolatedCells.empty()) {
-    std::cerr << "supervisor: crash-isolated plan cell(s):";
-    for (const int c : run.isolatedCells) std::cerr << " " << c;
+  if (!run.isolatedShapes.empty()) {
+    std::cerr << "supervisor: crash-isolated plan-shape ordinal(s):";
+    for (const int ordinal : run.isolatedShapes) std::cerr << " " << ordinal;
     std::cerr << "\n";
-  }
-  for (TraceSpan& span : run.workerSpans) {
-    TraceRecorder::instance().addForeign(std::move(span));
   }
   if (run.cellCacheDisabled) {
     // Degrade-don't-die: the cache is an accelerator, never a
@@ -895,10 +886,9 @@ int main(int argc, char** argv) {
     info.outputPath = outputPath;
     info.fingerprint = journalMetaFor(shapes, config);
     info.haveRecovery = haveCounters;
-    info.isolatedShapes = run.isolatedCells;
+    info.isolatedShapes = run.isolatedShapes;
     info.artifacts = artifacts;
     info.interrupted = interrupted;
-    info.abortCause = run.abortCause;
     info.repairedShapes = repairedShapes;
     info.ordered = orderForWriter;
     info.hier = hierInfo;
@@ -961,9 +951,6 @@ int main(int argc, char** argv) {
   // Graceful drain: the run is partial by design; the manifest says
   // "interrupted" and a --resume finishes it.
   if (interrupted) return 5;
-  // Supervised abort (e.g. ENOSPC): partial by design, like an
-  // interrupt, with the cause named in the manifest.
-  if (!run.abortCause.empty()) return 5;
 
   if (!config.allowDegradation) {
     // Strict mode: a shape that would have degraded is a failure.
