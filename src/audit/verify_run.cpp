@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "io/atomic_file.h"
-#include "mdp/checkpoint.h"
 #include "mdp/hierarchy.h"
 #include "support/telemetry.h"
 
@@ -255,13 +254,12 @@ Status verifyRun(const VerifyOptions& options, VerifyReport& out) {
   // The run's layout is its plan's instance expansion: planned the way
   // the run planned it, so the audit compares section-for-shape against
   // the same shape list (for a --hier run, not the flat ring soup).
-  std::vector<LayoutShape> shapes;
+  HierPlan plan;
   {
-    HierPlan plan;
     const Status st = planLayoutFile(inputPath, batch, hier, topCell, plan);
     if (!st.ok()) return st;
-    shapes = planInstanceShapes(plan);
   }
+  const std::vector<LayoutShape> shapes = planInstanceShapes(plan);
   if (shapes.empty()) {
     return Status(StatusCode::kInvalidArgument,
                   "no instantiated shapes in input '" + inputPath + "'");
@@ -280,13 +278,13 @@ Status verifyRun(const VerifyOptions& options, VerifyReport& out) {
         " — the input layout has changed since the run");
   }
 
-  // 6. Parameter/geometry fingerprint: recomputed over the re-read
-  //    layout and the reconstructed config; a mismatch means the audit
+  // 6. Parameter/geometry fingerprint: recomputed over the re-derived
+  //    plan and the reconstructed config; a mismatch means the audit
   //    below would compare against the wrong oracle.
   const std::string fingerprint =
       stringOr(config->find("fingerprint"), "");
   if (!fingerprint.empty() && claimedShapes == shapes.size()) {
-    const std::string recomputed = journalMetaFor(shapes, batch);
+    const std::string recomputed = planFingerprint(plan, batch);
     if (recomputed != fingerprint) {
       out.fileIssues.push_back(
           "config/geometry fingerprint mismatch: manifest records '" +
@@ -324,28 +322,81 @@ Status verifyRun(const VerifyOptions& options, VerifyReport& out) {
     manifestShotTotal = integerOr<std::int64_t>(
         totals->find("shots"), -1, "totals.shots", out.fileIssues);
   }
-  if (const JsonValue* shapeList = doc.find("shapes");
-      shapeList != nullptr && shapeList->isArray()) {
-    for (const JsonValue& s : shapeList->items) {
-      const std::string at =
-          "shapes[" + std::to_string(expectations.size()) + "].";
-      ShapeExpectation e;
-      e.method = stringOr(s.find("method"), "");
-      e.failOn = integerOr<std::int64_t>(s.find("fail_on"), 0,
-                                         at + "fail_on", out.fileIssues);
-      e.failOff = integerOr<std::int64_t>(s.find("fail_off"), 0,
-                                          at + "fail_off", out.fileIssues);
-      e.cost = numberOr(s.find("cost"), 0.0);
-      e.degraded = boolOr(s.find("degraded"), false);
-      const JsonValue* status = s.find("status");
-      const std::string code = stringOr(
-          status != nullptr ? status->find("code") : nullptr, "OK");
-      e.completed = code == "OK" || e.degraded;
-      e.exactCost = !ordered;
-      expectations.push_back(std::move(e));
+  // The claims are listed once per plan cell (schema version 2); every
+  // instance of a cell carries them, so they expand over the re-derived
+  // plan's instances in plan order, and findings stay per instance.
+  if (const JsonValue* cellList = doc.find("cells");
+      cellList != nullptr && cellList->isArray()) {
+    const std::vector<RunManifestInfo::CellGroup> groups =
+        planCellGroups(plan);
+    std::vector<std::vector<ShapeExpectation>> claims(groups.size());
+    bool matchesPlan = cellList->items.size() == groups.size();
+    if (!matchesPlan) {
+      out.fileIssues.push_back(
+          "manifest lists " + std::to_string(cellList->items.size()) +
+          " plan cell(s) but the input plans " +
+          std::to_string(groups.size()) +
+          " — the input layout has changed since the run");
+    }
+    for (std::size_t c = 0; matchesPlan && c < groups.size(); ++c) {
+      const JsonValue& cell = cellList->items[c];
+      const std::string at = "cells[" + std::to_string(c) + "]";
+      const auto instances = integerOr<std::int64_t>(
+          cell.find("instances"), -1, at + ".instances", out.fileIssues);
+      if (instances != groups[c].instances) {
+        out.fileIssues.push_back(
+            "manifest " + at + ".instances = " + std::to_string(instances) +
+            " but the plan places cell " + std::to_string(c) + " " +
+            std::to_string(groups[c].instances) + " time(s)");
+        matchesPlan = false;
+      }
+      const JsonValue* shapeList = cell.find("shapes");
+      if (shapeList == nullptr || !shapeList->isArray() ||
+          shapeList->items.size() !=
+              static_cast<std::size_t>(groups[c].shapes)) {
+        out.fileIssues.push_back(
+            "manifest " + at + ".shapes does not hold the " +
+            std::to_string(groups[c].shapes) + " claim(s) of plan cell " +
+            std::to_string(c));
+        matchesPlan = false;
+        continue;
+      }
+      for (const JsonValue& s : shapeList->items) {
+        const std::string field =
+            at + ".shapes[" + std::to_string(claims[c].size()) + "].";
+        ShapeExpectation e;
+        e.method = stringOr(s.find("method"), "");
+        e.failOn = integerOr<std::int64_t>(s.find("fail_on"), 0,
+                                           field + "fail_on", out.fileIssues);
+        e.failOff = integerOr<std::int64_t>(
+            s.find("fail_off"), 0, field + "fail_off", out.fileIssues);
+        e.cost = numberOr(s.find("cost"), 0.0);
+        e.degraded = boolOr(s.find("degraded"), false);
+        const JsonValue* status = s.find("status");
+        const std::string code = stringOr(
+            status != nullptr ? status->find("code") : nullptr, "OK");
+        e.completed = code == "OK" || e.degraded;
+        e.exactCost = !ordered;
+        claims[c].push_back(std::move(e));
+      }
+    }
+    if (matchesPlan) {
+      expectations.reserve(shapes.size());
+      for (const HierPlan::Instance& inst : plan.instances) {
+        const std::vector<ShapeExpectation>& cell =
+            claims[static_cast<std::size_t>(inst.cell)];
+        expectations.insert(expectations.end(), cell.begin(), cell.end());
+      }
     }
   } else {
-    out.fileIssues.push_back("manifest has no per-shape claims array");
+    // A version-1 manifest listed its claims per instance (shapes[]);
+    // no reader of that schema is kept.
+    out.fileIssues.push_back(
+        "manifest has no per-cell claims array (cells[], schema version "
+        "2); it says version " +
+        std::to_string(integerOr<std::int64_t>(doc.find("version"), 0,
+                                               "version", out.fileIssues)) +
+        ", whose claims --verify does not read");
   }
 
   out.audit = auditShotSections(shapes, p, sections, expectations,

@@ -41,11 +41,11 @@ struct ShapeRecord {
 std::string encodeShapeRecord(const ShapeRecord& record);
 Status decodeShapeRecord(std::string_view bytes, ShapeRecord& out);
 
-/// The run manifest's config fingerprint (config.fingerprint), which
-/// `mbf_cli --verify` recomputes over the re-derived layout: shape count
-/// and an FNV-1a hash over every ring vertex and the result-relevant
-/// FractureParams. A mismatch means the input or the parameters changed
-/// since the run, so the audit would check against the wrong oracle.
+/// A per-instance layout fingerprint: shape count and an FNV-1a hash
+/// over every ring vertex and the result-relevant FractureParams. Its
+/// cost grows with instances; run manifests carry planFingerprint
+/// (mdp/hierarchy) instead, and this one is left only for the
+/// benchmark's traced run (ROADMAP item 3(b) deletes it).
 std::string journalMetaFor(const std::vector<LayoutShape>& shapes,
                            const BatchConfig& config);
 

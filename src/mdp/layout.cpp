@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <stdexcept>
@@ -20,22 +21,139 @@
 
 namespace mbf {
 
+namespace {
+
+/// The active boxes of an x sweep whose y range covers a point: a
+/// segment tree over the distinct y coordinates, in which each box sits
+/// in the O(log n) nodes that tile its range. A stab visits the nodes on
+/// one root-to-leaf path. Erased boxes leave their nodes lazily: a node
+/// is compacted once its dead entries outnumber its live ones, so a stab
+/// costs O(log n) plus the live boxes covering the point.
+class YStabbingTree {
+ public:
+  explicit YStabbingTree(std::vector<std::int32_t> ys) : ys_(std::move(ys)) {
+    while (leaves_ < ys_.size()) leaves_ *= 2;
+    nodes_.resize(2 * leaves_);
+    dead_.resize(2 * leaves_, 0);
+  }
+
+  void insert(int id, const Rect& box) {
+    forEachNode(box, [&](std::size_t node) { nodes_[node].push_back(id); });
+  }
+
+  /// `alive` must already say false for `id`.
+  void erase(const Rect& box, const std::vector<char>& alive) {
+    forEachNode(box, [&](std::size_t node) {
+      std::vector<int>& list = nodes_[node];
+      if (2 * ++dead_[node] > list.size()) {
+        std::erase_if(list, [&](int id) {
+          return alive[static_cast<std::size_t>(id)] == 0;
+        });
+        dead_[node] = 0;
+      }
+    });
+  }
+
+  /// Calls visit(id) for every box inserted and not erased whose y range
+  /// holds `y` (a coordinate of some inserted box), and possibly for
+  /// erased ones, which `alive` tells apart.
+  template <typename Visit>
+  void stab(std::int32_t y, Visit&& visit) const {
+    for (std::size_t node = leaves_ + leaf(y); node >= 1; node /= 2) {
+      for (const int id : nodes_[node]) visit(id);
+    }
+  }
+
+ private:
+  std::size_t leaf(std::int32_t y) const {
+    return static_cast<std::size_t>(
+        std::lower_bound(ys_.begin(), ys_.end(), y) - ys_.begin());
+  }
+
+  /// The canonical nodes of [leaf(y0), leaf(y1)].
+  template <typename Fn>
+  void forEachNode(const Rect& box, Fn&& fn) {
+    std::size_t lo = leaves_ + leaf(box.y0);
+    std::size_t hi = leaves_ + leaf(box.y1) + 1;
+    for (; lo < hi; lo /= 2, hi /= 2) {
+      if (lo & 1) fn(lo++);
+      if (hi & 1) fn(--hi);
+    }
+  }
+
+  std::vector<std::int32_t> ys_;  ///< sorted, distinct
+  std::size_t leaves_ = 1;
+  std::vector<std::vector<int>> nodes_;
+  std::vector<std::size_t> dead_;
+};
+
+}  // namespace
+
 std::vector<LayoutShape> groupRings(std::vector<Polygon> rings) {
   const std::size_t n = rings.size();
   std::vector<Rect> boxes;
   boxes.reserve(n);
   for (const Polygon& ring : rings) boxes.push_back(ring.bbox());
-  // parent[i] = index of the ring containing ring i, or -1.
+  // parent[i] = the lowest index j != i whose bbox contains ring i's and
+  // whose ring contains ring i's representative point, or -1. Mask rings
+  // never intersect, so one interior vertex decides. Only the rings whose
+  // bbox contains ring i's are tested: a sweep in x keeps the boxes whose
+  // x range holds the sweep position, and a y stabbing query at ring i's
+  // lower edge narrows them to those covering its corner.
   std::vector<int> parent(n, -1);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      // Containment test: bbox plus a representative vertex. Mask rings
-      // never intersect, so one interior vertex decides.
-      if (!boxes[j].contains(boxes[i])) continue;
-      if (rings[j].contains(toVec2(rings[i][0]) + Vec2{0.25, 0.25})) {
-        parent[i] = static_cast<int>(j);
-        break;
+  std::vector<std::int32_t> ys;
+  ys.reserve(2 * n);
+  for (const Rect& box : boxes) {
+    ys.push_back(box.y0);
+    ys.push_back(box.y1);
+  }
+  std::sort(ys.begin(), ys.end());
+  ys.erase(std::unique(ys.begin(), ys.end()), ys.end());
+  YStabbingTree active(std::move(ys));
+  std::vector<int> byX0(n);
+  std::vector<int> byX1(n);
+  for (std::size_t i = 0; i < n; ++i) byX0[i] = byX1[i] = static_cast<int>(i);
+  auto at = [&](int i) -> const Rect& {
+    return boxes[static_cast<std::size_t>(i)];
+  };
+  std::sort(byX0.begin(), byX0.end(),
+            [&](int a, int b) { return at(a).x0 < at(b).x0; });
+  std::sort(byX1.begin(), byX1.end(),
+            [&](int a, int b) { return at(a).x1 < at(b).x1; });
+  std::vector<char> alive(n, 0);
+  std::vector<int> containers;
+  std::size_t gone = 0;
+  for (std::size_t first = 0; first < n;) {
+    // Every box starting at this x: a container of one of them starts no
+    // later and ends no earlier, so it is active once the boxes ending
+    // before x are gone and these are in.
+    const std::int32_t x = at(byX0[first]).x0;
+    for (; gone < n && at(byX1[gone]).x1 < x; ++gone) {
+      alive[static_cast<std::size_t>(byX1[gone])] = 0;
+      active.erase(at(byX1[gone]), alive);
+    }
+    std::size_t last = first;
+    for (; last < n && at(byX0[last]).x0 == x; ++last) {
+      alive[static_cast<std::size_t>(byX0[last])] = 1;
+      active.insert(byX0[last], at(byX0[last]));
+    }
+    for (; first < last; ++first) {
+      const auto i = static_cast<std::size_t>(byX0[first]);
+      containers.clear();
+      active.stab(boxes[i].y0, [&](int j) {
+        const auto u = static_cast<std::size_t>(j);
+        if (u != i && alive[u] != 0 && boxes[u].contains(boxes[i])) {
+          containers.push_back(j);
+        }
+      });
+      if (containers.empty()) continue;
+      std::sort(containers.begin(), containers.end());
+      const Vec2 probe = toVec2(rings[i][0]) + Vec2{0.25, 0.25};
+      for (const int j : containers) {
+        if (rings[static_cast<std::size_t>(j)].contains(probe)) {
+          parent[i] = j;
+          break;
+        }
       }
     }
   }

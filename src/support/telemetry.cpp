@@ -692,7 +692,7 @@ std::string buildRunManifest(const RunManifestInfo& info,
   JsonWriter w;
   w.beginObject();
   w.key("schema").value("mbf-run-manifest");
-  w.key("version").value(1);
+  w.key("version").value(2);
   // "interrupted" = a SIGTERM/SIGINT drain ended the run early; every
   // record present is still valid, shapes never started are reported
   // with a BUDGET_EXCEEDED interruption status.
@@ -848,29 +848,49 @@ std::string buildRunManifest(const RunManifestInfo& info,
   w.endArray();
   w.endObject();
 
-  w.key("shapes").beginArray();
-  for (std::size_t i = 0; i < result.solutions.size(); ++i) {
-    const Solution& sol = result.solutions[i];
+  // The claims, once per plan cell: read from the cell's first instance,
+  // which every other instance repeats (the stamped shape index is not
+  // part of a status message). --verify expands them over the plan it
+  // re-derives.
+  std::vector<int> repaired = info.repairedShapes;
+  std::sort(repaired.begin(), repaired.end());
+  const auto results = static_cast<std::int64_t>(result.solutions.size());
+  auto writeCell = [&](std::int64_t first, int shapes,
+                       std::int64_t instances) {
     w.beginObject();
-    w.key("index").value(static_cast<int>(i));
-    w.key("method").value(sol.method);
-    w.key("shots").value(sol.shotCount());
-    w.key("fail_on").value(sol.failOn);
-    w.key("fail_off").value(sol.failOff);
-    w.key("cost").value(sol.cost);
-    w.key("runtime_seconds").value(sol.runtimeSeconds);
-    w.key("degraded").value(sol.degraded);
-    w.key("repaired").value(
-        std::find(info.repairedShapes.begin(), info.repairedShapes.end(),
-                  static_cast<int>(i)) != info.repairedShapes.end());
-    if (i < result.reports.size()) {
-      const ShapeReport& rep = result.reports[i];
-      w.key("status").beginObject();
-      w.key("code").value(toString(rep.status.code()));
-      w.key("message").value(rep.status.message());
+    w.key("instances").value(instances);
+    w.key("shapes").beginArray();
+    for (std::int64_t i = first; i < std::min(first + shapes, results); ++i) {
+      const auto at = static_cast<std::size_t>(i);
+      const Solution& sol = result.solutions[at];
+      w.beginObject();
+      w.key("method").value(sol.method);
+      w.key("shots").value(sol.shotCount());
+      w.key("fail_on").value(sol.failOn);
+      w.key("fail_off").value(sol.failOff);
+      w.key("cost").value(sol.cost);
+      w.key("runtime_seconds").value(sol.runtimeSeconds);
+      w.key("degraded").value(sol.degraded);
+      w.key("repaired").value(std::binary_search(
+          repaired.begin(), repaired.end(), static_cast<int>(i)));
+      if (at < result.reports.size()) {
+        const ShapeReport& rep = result.reports[at];
+        w.key("status").beginObject();
+        w.key("code").value(toString(rep.status.code()));
+        w.key("message").value(rep.status.message());
+        w.endObject();
+      }
       w.endObject();
     }
+    w.endArray();
     w.endObject();
+  };
+  w.key("cells").beginArray();
+  if (info.cells.empty()) {
+    for (std::int64_t i = 0; i < results; ++i) writeCell(i, 1, 1);
+  }
+  for (const RunManifestInfo::CellGroup& cell : info.cells) {
+    writeCell(cell.firstResult, cell.shapes, cell.instances);
   }
   w.endArray();
 

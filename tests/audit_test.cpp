@@ -554,8 +554,9 @@ TEST(VerifyRunTest, NonIntegralManifestNumbersAreNamedIssues) {
       " \"input\": {\"path\": \"" + dir + "/in.poly\", \"shapes\": 1e300},\n"
       " \"output\": {\"path\": \"" + dir + "/out.shots\"},\n"
       " \"totals\": {\"shots\": -1e300},\n"
-      " \"shapes\": [{\"method\": \"ours\", \"fail_on\": 1e300,\n"
-      "              \"fail_off\": 0.5, \"cost\": 0}]}\n";
+      " \"cells\": [{\"instances\": 1,\n"
+      "             \"shapes\": [{\"method\": \"ours\", \"fail_on\": 1e300,\n"
+      "                         \"fail_off\": 0.5, \"cost\": 0}]}]}\n";
   {
     std::ofstream out(dir + "/manifest.json");
     out << manifest;
@@ -567,7 +568,7 @@ TEST(VerifyRunTest, NonIntegralManifestNumbersAreNamedIssues) {
   EXPECT_FALSE(report.clean());
   for (const char* field :
        {"config.lmin", "config.nmax", "input.shapes", "totals.shots",
-        "shapes[0].fail_on", "shapes[0].fail_off"}) {
+        "cells[0].shapes[0].fail_on", "cells[0].shapes[0].fail_off"}) {
     const bool named = std::any_of(
         report.fileIssues.begin(), report.fileIssues.end(),
         [&](const std::string& issue) {
@@ -576,6 +577,49 @@ TEST(VerifyRunTest, NonIntegralManifestNumbersAreNamedIssues) {
         });
     EXPECT_TRUE(named) << field << " not named in:\n" << report.str();
   }
+}
+
+TEST(VerifyRunTest, VersionOneManifestIsANamedIssue) {
+  // Schema version 1 listed the claims per instance in shapes[]; no
+  // reader of it is kept, so such a manifest fails with one issue that
+  // says why, even when its claims and artifacts are true.
+  const std::string dir = tmpPath("verify_v1");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::vector<Polygon> rings = {
+      Polygon({{0, 0}, {60, 0}, {60, 60}, {0, 60}})};
+  {
+    std::ofstream poly(dir + "/in.poly");
+    writePolygons(poly, rings);
+  }
+  FractureParams params;
+  params.nmax = 200;
+  const Solution sol = fractureShape({rings}, params, Method::kOurs);
+  ASSERT_TRUE(atomicWriteFile(dir + "/out.shots",
+                              formatBatchShots(std::vector<Solution>{sol}))
+                  .ok());
+  const std::string manifest =
+      "{\"schema\": \"mbf-run-manifest\", \"version\": 1,\n"
+      " \"config\": {\"nmax\": 200},\n"
+      " \"input\": {\"path\": \"" + dir + "/in.poly\", \"shapes\": 1},\n"
+      " \"output\": {\"path\": \"" + dir + "/out.shots\"},\n"
+      " \"artifacts\": [],\n"
+      " \"shapes\": [{\"index\": 0, \"method\": \"" + sol.method +
+      "\", \"shots\": " + std::to_string(sol.shotCount()) +
+      ", \"fail_on\": " + std::to_string(sol.failOn) +
+      ", \"fail_off\": " + std::to_string(sol.failOff) + "}]}\n";
+  ASSERT_TRUE(atomicWriteFile(dir + "/manifest.json", manifest).ok());
+  ASSERT_TRUE(
+      writeHashSidecar(dir + "/manifest.json", sha256Hex(manifest)).ok());
+  VerifyOptions options;
+  options.target = dir + "/manifest.json";
+  VerifyReport report;
+  ASSERT_TRUE(verifyRun(options, report).ok());
+  EXPECT_FALSE(report.clean());
+  ASSERT_EQ(report.fileIssues.size(), 1u) << report.str();
+  EXPECT_NE(report.fileIssues[0].find("it says version 1"),
+            std::string::npos)
+      << report.fileIssues[0];
 }
 
 }  // namespace

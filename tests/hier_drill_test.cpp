@@ -68,6 +68,13 @@
 //      within 30 s no process of the group remains, each worker dying
 //      at its next frame; --resume --isolate writes the reference bytes
 //      and passes --verify.
+//  20. Doubling an AREF's columns changes the manifest only in its
+//      count digits: claims are listed once per plan cell, with an
+//      instance count, and both runs pass --verify.
+//  21. --budget-ms (in process and --isolate) and --inject=throw@i runs
+//      pass --verify: the plan fingerprint leaves execution knobs out.
+//  22. Raising one cell claim's fail_on (sidecar re-sealed) makes
+//      --verify exit 6 with one finding per instance of that cell.
 //
 // Standalone driver (no gtest), same pattern as mbf_verify_drill: it
 // exercises the CLI process boundary, not library internals.
@@ -78,6 +85,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -1010,6 +1018,131 @@ int main(int argc, char** argv) {
           "parent SIGKILL: resumed .shots byte-identical");
     check(runCli(cli, {"--verify", json}) == 0,
           "parent SIGKILL: resumed run passes --verify");
+  }
+
+  // --- Drill 20: the manifest grows with plan cells, not instances ------
+  {
+    mbf::GdsLibrary doubled = drillLib();
+    doubled.structures.back().arefs[0].columns *= 2;  // C0: 12 -> 24
+    const std::string arefCache = dir + "/aref_cache";
+    std::string manifests[2];
+    for (int k = 1; k <= 2; ++k) {
+      const std::string stem = dir + "/aref" + std::to_string(k);
+      check(writeGdsFile(stem + ".gds", k == 1 ? drillLib() : doubled),
+            "aref doubling: layout " + std::to_string(k) + " written");
+      if (k == 1) {
+        // Fill the cache, so both measured runs read every claim from it.
+        check(runCli(cli, {stem + ".gds", stem + "_cold.shots", "--hier",
+                           "--top-cell=TOP", "--cell-cache=" + arefCache}) ==
+                  0,
+              "aref doubling: cache filled");
+      }
+      check(runCli(cli, {stem + ".gds", stem + ".shots", "--hier",
+                         "--top-cell=TOP", "--cell-cache=" + arefCache,
+                         "--metrics-json=" + stem + ".json"}) == 0,
+            "aref doubling: warm run " + std::to_string(k) + " exits 0");
+      manifests[k - 1] = readBytes(stem + ".json");
+      check(runCli(cli, {"--verify", stem + ".json"}) == 0,
+            "aref doubling: run " + std::to_string(k) + " passes --verify");
+    }
+    check(manifestNumber(dir + "/aref1.json", "input", "shapes") == 51.0 &&
+              manifestNumber(dir + "/aref2.json", "input", "shapes") == 63.0,
+          "aref doubling: 51 -> 63 instantiated shapes");
+    // Line by line, the two manifests differ only in digits (counts,
+    // totals, hashes, the wall clock, C0's instance count): no line is
+    // added per instance.
+    auto lines = [](const std::string& text) {
+      std::vector<std::string> out;
+      std::istringstream is(text);
+      for (std::string line; std::getline(is, line);) {
+        std::erase_if(line, [](char c) {
+          return std::isdigit(static_cast<unsigned char>(c)) ||
+                 (c >= 'a' && c <= 'f') || c == '.' || c == '-' || c == '+';
+        });
+        out.push_back(line);
+      }
+      return out;
+    };
+    check(!manifests[0].empty() && lines(manifests[0]) == lines(manifests[1]),
+          "aref doubling: manifests differ only in count digits");
+    check(manifests[1].find("\"instances\": 24") != std::string::npos &&
+              manifests[0].find("\"instances\": 12") != std::string::npos,
+          "aref doubling: C0 lists 12, then 24 instances");
+  }
+
+  // --- Drill 21: budgets and injected faults verify --------------------
+  // The plan fingerprint leaves out the execution knobs cell cache keys
+  // commit to (budgets, the fault injector), which --verify cannot
+  // reconstruct.
+  {
+    const struct {
+      const char* tag;
+      std::vector<std::string> flags;
+      int exit;
+    } runs[] = {
+        {"budget", {"--hier", "--top-cell=TOP", "--budget-ms=100000"}, 0},
+        {"budget_iso",
+         {"--top-cell=TOP", "--isolate", "--jobs=2", "--budget-ms=100000"},
+         0},
+        {"throw1", {"--hier", "--top-cell=TOP", "--inject=throw@1"}, 1},
+    };
+    for (const auto& run : runs) {
+      const std::string stem = dir + "/knob_" + run.tag;
+      std::vector<std::string> args = {input, stem + ".shots",
+                                       "--metrics-json=" + stem + ".json"};
+      args.insert(args.end(), run.flags.begin(), run.flags.end());
+      check(runCli(cli, args) == run.exit,
+            std::string(run.tag) + ": run exits " + std::to_string(run.exit));
+      check(runCli(cli, {"--verify", stem + ".json"}) == 0,
+            std::string(run.tag) + ": run passes --verify");
+    }
+  }
+
+  // --- Drill 22: a cell claim speaks for every instance -----------------
+  {
+    const std::string json = dir + "/lie.json";
+    check(runCli(cli, {input, dir + "/lie.shots", "--hier", "--top-cell=TOP",
+                       "--metrics-json=" + json}) == 0,
+          "cell claim lie: run exits 0");
+    std::string text = readBytes(json);
+    const std::string key = "\"fail_on\": ";
+    const std::size_t at = text.find(key, text.find("\"cells\": ["));
+    const std::size_t begin = at == std::string::npos ? 0 : at + key.size();
+    const std::size_t end = text.find_first_of(",\n", begin);
+    check(at != std::string::npos && end != std::string::npos,
+          "cell claim lie: cells[0].shapes[0].fail_on found");
+    if (at != std::string::npos && end != std::string::npos) {
+      const long value = std::stol(text.substr(begin, end - begin));
+      text.replace(begin, end - begin, std::to_string(value + 7));
+      check(writeBytes(json, text) &&
+                mbf::writeHashSidecar(json, mbf::sha256Hex(text)).ok(),
+            "cell claim lie: applied and the sidecar re-sealed");
+    }
+    check(manifestNumber(json, "input", "shapes") == 51.0,
+          "cell claim lie: manifest still parses");
+    std::string log;
+    check(runCli(cli, {"--verify", json}, &log) == 6,
+          "cell claim lie: --verify exits 6");
+    // Plan cell 0 is C4, whose ten SREFs TOP expands first: instances
+    // 0-9.
+    mbf::JsonValue doc;
+    const mbf::JsonValue* cells =
+        mbf::parseJson(text, doc).ok() ? doc.find("cells") : nullptr;
+    check(cells != nullptr && cells->isArray() && !cells->items.empty() &&
+              cells->items[0].find("instances")->number == 10.0,
+          "cell claim lie: plan cell 0 has 10 instances");
+    std::set<int> named;
+    int findings = 0;
+    std::istringstream is(log);
+    for (std::string line; std::getline(is, line);) {
+      if (line.rfind("shape ", 0) != 0) continue;
+      ++findings;
+      named.insert(std::atoi(line.c_str() + 6));
+    }
+    check(findings == 10 && named.size() == 10 && *named.begin() == 0 &&
+              *named.rbegin() == 9,
+          "cell claim lie: one finding per instance of the cell (" +
+              std::to_string(findings) + ")");
   }
 
   return drill::finish("hier drill");

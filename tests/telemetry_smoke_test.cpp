@@ -6,8 +6,10 @@
 //
 // Checks:
 //   1. A plain run with both flags exits clean, the manifest parses and
-//      its totals match the .shots output, the trace parses and carries
-//      the fracture-stage spans.
+//      its totals match the .shots output, its per-cell claims expanded
+//      over the re-derived plan describe the .shots sections one by one
+//      (the repeated clip's cell lists its three instances once), and
+//      the trace parses and carries the fracture-stage and layer spans.
 //   2. Telemetry does not perturb results: the .shots output is
 //      byte-identical with and without the flags, serial and parallel.
 //   3. A supervised crash drill (--isolate with an injected worker
@@ -30,8 +32,10 @@
 #include <vector>
 
 #include "benchgen/ilt_synth.h"
+#include "audit/independent_checker.h"
 #include "drill_util.h"
 #include "io/poly_io.h"
+#include "mdp/hierarchy.h"
 #include "support/telemetry.h"
 
 namespace {
@@ -67,11 +71,13 @@ int main(int argc, char** argv) {
   const std::string dir = "telemetry_smoke_tmp";
   std::system(("rm -rf '" + dir + "' && mkdir -p '" + dir + "'").c_str());
 
-  const int numShapes = 6;
+  // Six distinct clips, then two more copies of the first: a flat plan
+  // of six cells and eight instances.
+  const int numShapes = 8;
   std::vector<mbf::Polygon> rings;
   for (int i = 0; i < numShapes; ++i) {
     mbf::IltSynthConfig cfg;
-    cfg.seed = 7000 + static_cast<unsigned>(i);
+    cfg.seed = 7000 + static_cast<unsigned>(i < 6 ? i : 0);
     mbf::Polygon ring = mbf::makeIltShape(cfg);
     ring.translate({i * 4000, 0});
     rings.push_back(std::move(ring));
@@ -116,10 +122,38 @@ int main(int argc, char** argv) {
     check(totals != nullptr &&
               totals->find("shots")->number == countShotLines(telShots),
           "manifest totals.shots == .shots line count");
-    const mbf::JsonValue* shapes = manifest.find("shapes");
-    check(shapes != nullptr && shapes->isArray() &&
-              static_cast<int>(shapes->items.size()) == numShapes,
-          "manifest has one entry per shape");
+    // The claims are listed once per plan cell. Expanded over the plan
+    // --verify re-derives, they describe the .shots sections one by one.
+    mbf::BatchConfig config;
+    config.params.nmax = 300;
+    mbf::HierPlan plan;
+    std::vector<mbf::ShotSection> sections;
+    const mbf::JsonValue* cells = manifest.find("cells");
+    bool truthful =
+        mbf::planLayoutFile(input, config, false, "", plan).ok() &&
+        mbf::parseShotSections(readBytes(telShots), sections).ok() &&
+        cells != nullptr && cells->isArray() &&
+        cells->items.size() == plan.cells.size();
+    std::size_t at = 0;
+    for (const mbf::HierPlan::Instance& inst : plan.instances) {
+      if (!truthful) break;
+      const mbf::JsonValue& cell =
+          cells->items[static_cast<std::size_t>(inst.cell)];
+      for (const mbf::JsonValue& claim : cell.find("shapes")->items) {
+        truthful = at < sections.size() &&
+                   claim.find("shots")->number ==
+                       static_cast<double>(sections[at].shots.size()) &&
+                   claim.find("degraded")->boolean ==
+                       sections[at].claimedDegraded;
+        ++at;
+      }
+    }
+    check(truthful && at == sections.size() &&
+              static_cast<int>(at) == numShapes,
+          "cell claims expanded over the plan match every .shots section");
+    check(cells != nullptr && cells->isArray() && cells->items.size() == 6 &&
+              cells->items[0].find("instances")->number == 3.0,
+          "the repeated clip's cell lists its 3 instances once");
   }
 
   mbf::JsonValue trace;
@@ -137,6 +171,13 @@ int main(int argc, char** argv) {
     check(names.count("refine") == 1 && names.count("simplify") == 1 &&
               names.count("corner-extraction") == 1,
           "trace covers the fracture stages");
+    bool layers = true;
+    for (const char* layer :
+         {"io.parse", "io.plan", "driver", "io.shots_write",
+          "analysis.shot_stats", "manifest.build", "manifest.write"}) {
+      layers = layers && names.count(layer) == 1;
+    }
+    check(layers, "trace covers the run's layers, the manifest's too");
   }
 
   // --- 2. Parallel byte-identity ------------------------------------
