@@ -362,6 +362,9 @@ AuditReport auditShotSections(const std::vector<LayoutShape>& shapes,
                               std::span<const ShapeExpectation> expectations,
                               int threads) {
   AuditReport report;
+  for (const ShotSection& section : sections) {
+    report.shots += static_cast<std::int64_t>(section.shots.size());
+  }
   if (sections.size() != shapes.size()) {
     report.findings.push_back(
         {-1, "artifact holds " + std::to_string(sections.size()) +

@@ -100,6 +100,8 @@ struct AuditReport {
   /// shots) content among the audited shapes, so translated repeats —
   /// hierarchical instances, flat copies — cost one evaluation.
   int denseEvaluations = 0;
+  /// Shots the audited sections hold.
+  std::int64_t shots = 0;
   std::vector<AuditFinding> findings;
 
   bool clean() const { return findings.empty(); }

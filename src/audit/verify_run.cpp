@@ -17,18 +17,6 @@
 namespace mbf {
 namespace {
 
-std::string dirnameOf(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  if (slash == std::string::npos) return ".";
-  if (slash == 0) return "/";
-  return path.substr(0, slash);
-}
-
-std::string basenameOf(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
 bool isDirectory(const std::string& path) {
   struct stat st{};
   return ::stat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode);
@@ -140,6 +128,24 @@ bool boolOr(const JsonValue* v, bool fallback) {
 }
 
 }  // namespace
+
+Status auditShotsFile(const std::string& path,
+                      const std::vector<LayoutShape>& shapes,
+                      const FractureParams& params,
+                      std::span<const ShapeExpectation> expectations,
+                      int threads, AuditReport& out) {
+  out = {};
+  std::string bytes;
+  Status st = readFileToString(path, bytes);
+  if (!st.ok()) return st;
+  std::vector<ShotSection> sections;
+  st = parseShotSections(bytes, sections);
+  if (!st.ok()) {
+    return Status(st.code(), "shots artifact '" + path + "': " + st.message());
+  }
+  out = auditShotSections(shapes, params, sections, expectations, threads);
+  return Status();
+}
 
 std::string VerifyReport::str() const {
   std::string out;
@@ -293,78 +299,30 @@ Status verifyRun(const VerifyOptions& options, VerifyReport& out) {
     }
   }
 
-  // 7. Parse the .shots artifact and audit it against the claims.
-  const JsonValue* output = doc.find("output");
-  const std::string shotsPath = resolveArtifactPath(
-      manifestDir,
-      stringOr(output != nullptr ? output->find("path") : nullptr, ""));
-  std::string shotsBytes;
-  {
-    const Status st = readFileToString(shotsPath, shotsBytes);
-    if (!st.ok()) {
-      out.fileIssues.push_back(st.message());
-      return Status();
-    }
-  }
-  std::vector<ShotSection> sections;
-  {
-    const Status st = parseShotSections(shotsBytes, sections);
-    if (!st.ok()) {
-      out.fileIssues.push_back("shots artifact '" + shotsPath +
-                               "': " + st.message());
-      return Status();
-    }
-  }
-
-  std::vector<ShapeExpectation> expectations;
+  // 7. The claims, listed once per plan cell (schema version 2): every
+  //    instance of a cell carries them, so they expand over the
+  //    re-derived plan's instances in plan order, and findings stay per
+  //    instance.
   std::int64_t manifestShotTotal = -1;
   if (const JsonValue* totals = doc.find("totals"); totals != nullptr) {
     manifestShotTotal = integerOr<std::int64_t>(
         totals->find("shots"), -1, "totals.shots", out.fileIssues);
   }
-  // The claims are listed once per plan cell (schema version 2); every
-  // instance of a cell carries them, so they expand over the re-derived
-  // plan's instances in plan order, and findings stay per instance.
+  std::vector<ShapeExpectation> expectations;
   if (const JsonValue* cellList = doc.find("cells");
       cellList != nullptr && cellList->isArray()) {
-    const std::vector<RunManifestInfo::CellGroup> groups =
-        planCellGroups(plan);
-    std::vector<std::vector<ShapeExpectation>> claims(groups.size());
-    bool matchesPlan = cellList->items.size() == groups.size();
-    if (!matchesPlan) {
-      out.fileIssues.push_back(
-          "manifest lists " + std::to_string(cellList->items.size()) +
-          " plan cell(s) but the input plans " +
-          std::to_string(groups.size()) +
-          " — the input layout has changed since the run");
-    }
-    for (std::size_t c = 0; matchesPlan && c < groups.size(); ++c) {
+    std::vector<CellClaims<ShapeExpectation>> cells(cellList->items.size());
+    for (std::size_t c = 0; c < cells.size(); ++c) {
       const JsonValue& cell = cellList->items[c];
       const std::string at = "cells[" + std::to_string(c) + "]";
-      const auto instances = integerOr<std::int64_t>(
+      cells[c].instances = integerOr<std::int64_t>(
           cell.find("instances"), -1, at + ".instances", out.fileIssues);
-      if (instances != groups[c].instances) {
-        out.fileIssues.push_back(
-            "manifest " + at + ".instances = " + std::to_string(instances) +
-            " but the plan places cell " + std::to_string(c) + " " +
-            std::to_string(groups[c].instances) + " time(s)");
-        matchesPlan = false;
-      }
       const JsonValue* shapeList = cell.find("shapes");
-      if (shapeList == nullptr || !shapeList->isArray() ||
-          shapeList->items.size() !=
-              static_cast<std::size_t>(groups[c].shapes)) {
-        out.fileIssues.push_back(
-            "manifest " + at + ".shapes does not hold the " +
-            std::to_string(groups[c].shapes) + " claim(s) of plan cell " +
-            std::to_string(c));
-        matchesPlan = false;
-        continue;
-      }
+      if (shapeList == nullptr || !shapeList->isArray()) continue;
       for (const JsonValue& s : shapeList->items) {
         const std::string field =
-            at + ".shapes[" + std::to_string(claims[c].size()) + "].";
-        ShapeExpectation e;
+            at + ".shapes[" + std::to_string(cells[c].shapes.size()) + "].";
+        ShapeExpectation& e = cells[c].shapes.emplace_back();
         e.method = stringOr(s.find("method"), "");
         e.failOn = integerOr<std::int64_t>(s.find("fail_on"), 0,
                                            field + "fail_on", out.fileIssues);
@@ -377,17 +335,9 @@ Status verifyRun(const VerifyOptions& options, VerifyReport& out) {
             status != nullptr ? status->find("code") : nullptr, "OK");
         e.completed = code == "OK" || e.degraded;
         e.exactCost = !ordered;
-        claims[c].push_back(std::move(e));
       }
     }
-    if (matchesPlan) {
-      expectations.reserve(shapes.size());
-      for (const HierPlan::Instance& inst : plan.instances) {
-        const std::vector<ShapeExpectation>& cell =
-            claims[static_cast<std::size_t>(inst.cell)];
-        expectations.insert(expectations.end(), cell.begin(), cell.end());
-      }
-    }
+    expectations = expandCellClaims(plan, cells, out.fileIssues);
   } else {
     // A version-1 manifest listed its claims per instance (shapes[]);
     // no reader of that schema is kept.
@@ -399,17 +349,21 @@ Status verifyRun(const VerifyOptions& options, VerifyReport& out) {
         ", whose claims --verify does not read");
   }
 
-  out.audit = auditShotSections(shapes, p, sections, expectations,
-                                options.threads);
-
-  std::int64_t sectionShots = 0;
-  for (const ShotSection& s : sections) {
-    sectionShots += static_cast<std::int64_t>(s.shots.size());
+  // 8. Read the .shots artifact back and audit it against the claims.
+  const JsonValue* output = doc.find("output");
+  const std::string shotsPath = resolveArtifactPath(
+      manifestDir,
+      stringOr(output != nullptr ? output->find("path") : nullptr, ""));
+  const Status audited = auditShotsFile(shotsPath, shapes, p, expectations,
+                                        options.threads, out.audit);
+  if (!audited.ok()) {
+    out.fileIssues.push_back(audited.message());
+    return Status();
   }
-  if (manifestShotTotal >= 0 && manifestShotTotal != sectionShots) {
+  if (manifestShotTotal >= 0 && manifestShotTotal != out.audit.shots) {
     out.fileIssues.push_back(
         "manifest totals.shots = " + std::to_string(manifestShotTotal) +
-        " but the artifact contains " + std::to_string(sectionShots));
+        " but the artifact contains " + std::to_string(out.audit.shots));
   }
   return Status();
 }

@@ -38,18 +38,6 @@ void eintrBackoff(int attempt) {
   nanosleep(&ts, nullptr);  // EINTR here is fine; we retry anyway
 }
 
-std::string dirnameOf(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  if (slash == std::string::npos) return ".";
-  if (slash == 0) return "/";
-  return path.substr(0, slash);
-}
-
-std::string basenameOf(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
 int openRetry(const char* path, int flags, mode_t mode = 0) {
   int fd = -1;
   int attempt = 0;
@@ -213,6 +201,18 @@ Sha256::BlockFn bestKernel() {
 }
 
 }  // namespace
+
+std::string dirnameOf(const std::string& path) {
+  const std::size_t slash = path.find_last_of('/');
+  if (slash == std::string::npos) return ".";
+  if (slash == 0) return "/";
+  return path.substr(0, slash);
+}
+
+std::string basenameOf(const std::string& path) {
+  const std::size_t slash = path.find_last_of('/');
+  return slash == std::string::npos ? path : path.substr(slash + 1);
+}
 
 Sha256::Sha256(Kernel kernel)
     : compress_(kernel == Kernel::kBest ? bestKernel() : &compressPortable) {

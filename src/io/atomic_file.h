@@ -14,8 +14,8 @@
 // layer is built on: a dependency-free SHA-256 (the x86 SHA extensions
 // when CPUID reports them, else a portable loop; the digests are the
 // same) and the `<path>.sha256` sidecar convention used for the run
-// manifest (which cannot embed its own digest) and for supervisor
-// worker-range journals.
+// manifest (which cannot embed its own digest) and for the sealed run
+// journal.
 #pragma once
 
 #include <array>
@@ -165,6 +165,11 @@ int sweepStaleLivenessLocks(const std::string& dir);
 /// enumeration or unlink errors are best-effort-skipped (the sweep is
 /// hygiene, not correctness: an unremoved temp is invisible to readers).
 int sweepStaleTempFiles(const std::string& dir);
+
+/// The directory part of `path` ("." when it has none) and its last
+/// component.
+std::string dirnameOf(const std::string& path);
+std::string basenameOf(const std::string& path);
 
 /// Sidecar convention: `<artifact>.sha256` holds "<hex>  <basename>\n"
 /// (the sha256sum(1) format). Written atomically.

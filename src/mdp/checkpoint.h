@@ -96,10 +96,9 @@ struct RunCounters {
   int freshCells = 0;      ///< plan cells fractured this run
   bool tornTail = false;   ///< recovery truncated a partial record
   int retriedRanges = 0;   ///< worker ranges relaunched after a failure
-  int bisectedRanges = 0;  ///< failing ranges split to localize a culprit
   int crashedWorkers = 0;  ///< abnormal worker exits (signal / bad code)
   int hungWorkers = 0;     ///< workers SIGKILLed by the watchdog
-  int crashedShapes = 0;   ///< culprit distinct shapes isolated by bisection
+  int crashedShapes = 0;   ///< culprit distinct shapes crash-isolated
   /// Orphaned `*.tmp.<pid>` files of dead writers removed by the
   /// stale-temp sweep of --resume.
   int staleTempsRemoved = 0;

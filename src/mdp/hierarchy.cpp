@@ -689,7 +689,7 @@ PlanRepair repairPlanShapes(const HierPlan& plan, const BatchConfig& config,
                                  .shapes[static_cast<std::size_t>(local)],
                              config.params, config.method, index,
                              /*allowDegradation=*/true, nullptr,
-                             /*fallbackOnly=*/true));
+                             kAuditRepair));
   }
 
   PlanRepair repair;
@@ -877,7 +877,8 @@ Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
       RefinerStats stats;
       ShapeOutcome outcome = fractureShapeGuarded(
           shapeOf(first), shapeParams, config.method, ordinalOf(first),
-          config.allowDegradation, &stats, config.fallbackOnly);
+          config.allowDegradation, &stats,
+          config.fallbackOnly ? kCrashIsolated : nullptr);
       deliver(static_cast<std::size_t>(k), outcome.solution,
               {std::move(outcome.status), outcome.degraded,
                outcome.interrupted},
@@ -906,7 +907,7 @@ Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
       ShapeOutcome outcome = fractureShapeGuarded(
           shapeOf(first), serial, config.method, ordinalOf(first),
           config.allowDegradation, &stats,
-          config.fallbackOnly || fallbackOnly);
+          config.fallbackOnly || fallbackOnly ? kCrashIsolated : nullptr);
       std::string bytes;
       if (outcome.interrupted) return bytes;
       bytes = encodeShapeRecord(
@@ -934,7 +935,6 @@ Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
     SupervisorResult sres = superviseCells(units);
     if (!sres.status.ok()) return sres.status;
     counters.retriedRanges = sres.counters.retriedRanges;
-    counters.bisectedRanges = sres.counters.bisectedRanges;
     counters.crashedWorkers = sres.counters.crashedWorkers;
     counters.hungWorkers = sres.counters.hungWorkers;
     counters.crashedShapes = sres.counters.crashedShapes;

@@ -156,8 +156,8 @@ PlanRepair repairPlanShapes(const HierPlan& plan, const BatchConfig& config,
                             BatchResult& batch);
 
 struct HierOptions {
-  /// Top structure for fractureGdsHierarchical; empty auto-detects via
-  /// findGdsTopStructure.
+  /// Top structure for fractureGdsHierarchical, and a run's --top-cell;
+  /// empty auto-detects via findGdsTopStructure.
   std::string topStruct;
   /// Persistent cell-fracture cache directory; empty = no cache. A
   /// fallback-only config (BatchConfig::fallbackOnly) never uses it. The
@@ -220,7 +220,7 @@ struct HierarchicalResult {
   /// Cell placements materialised during expansion.
   std::int64_t instancesExpanded = 0;
   /// Supervised runs only: plan-shape ordinals of the distinct shapes
-  /// crash-isolated by bisection, sorted.
+  /// crash-isolated by the supervisor, sorted.
   std::vector<int> isolatedShapes;
 
   std::int64_t instantiatedShapes() const {

@@ -339,7 +339,8 @@ namespace {
 ShapeOutcome fractureShapeGuarded(const LayoutShape& shape,
                                   const FractureParams& params, Method method,
                                   int shapeIndex, bool allowDegradation,
-                                  RefinerStats* statsOut, bool fallbackOnly) {
+                                  RefinerStats* statsOut,
+                                  const char* fallbackOnly) {
   TraceScope traceShape("shape", shapeIndex);
   ShapeOutcome out;
 
@@ -373,18 +374,18 @@ ShapeOutcome fractureShapeGuarded(const LayoutShape& shape,
   // fallbackOnly skips the primary path AND the injector: the injected
   // crash already killed a worker once, re-arming it here would poison
   // the recovery attempt the mode exists for.
-  const FaultKind fault = params.faultInjector != nullptr && !fallbackOnly
-                              ? params.faultInjector->faultFor(shapeIndex)
-                              : FaultKind::kNone;
+  const FaultKind fault =
+      params.faultInjector != nullptr && fallbackOnly == nullptr
+          ? params.faultInjector->faultFor(shapeIndex)
+          : FaultKind::kNone;
   if (fault == FaultKind::kCrash) std::abort();
   if (fault == FaultKind::kHang) hangForever();
 
   Status failure;
   bool failed = false;
-  if (fallbackOnly) {
+  if (fallbackOnly != nullptr) {
     failure = Status(StatusCode::kExecFault,
-                     "primary path skipped: shape isolated after repeated "
-                     "worker crashes")
+                     std::string("primary path skipped: ") + fallbackOnly)
                   .withShape(shapeIndex);
     failed = true;
   } else if (clean.forceFallback) {

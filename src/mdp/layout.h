@@ -74,15 +74,22 @@ struct ShapeOutcome {
 /// mdp/hierarchy's HierPlan), the same in every process whatever shard
 /// it runs in; it is stamped on every Status and selects the fault
 /// injector's armed faults.
-/// `fallbackOnly` skips the primary method (and fault injection)
-/// entirely and goes straight to the fallback ladder — the supervisor
+/// A non-null `fallbackOnly` skips the primary method (and fault
+/// injection) entirely and goes straight to the fallback ladder; the
+/// status says "primary path skipped: " and that reason. The supervisor
 /// uses it to re-fracture a crash-isolated culprit shape without
-/// re-entering the code path that killed its worker.
+/// re-entering the code path that killed its worker (kCrashIsolated),
+/// the --selfcheck repair ladder for a shape that failed its audit
+/// (kAuditRepair).
 ShapeOutcome fractureShapeGuarded(const LayoutShape& shape,
                                   const FractureParams& params, Method method,
                                   int shapeIndex, bool allowDegradation,
                                   RefinerStats* statsOut = nullptr,
-                                  bool fallbackOnly = false);
+                                  const char* fallbackOnly = nullptr);
+inline constexpr char kCrashIsolated[] =
+    "shape isolated after repeated worker crashes";
+inline constexpr char kAuditRepair[] =
+    "shape re-fractured after it failed the --selfcheck audit";
 
 /// Per-shape entry of BatchResult::reports.
 struct ShapeReport {

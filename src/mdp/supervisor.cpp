@@ -32,7 +32,6 @@ constexpr char kSpanFrame = 's';
 struct RangeTask {
   int begin = 0;
   int end = 0;  ///< exclusive
-  int attempts = 0;
   bool degradeOnly = false;
   Clock::time_point eligible = Clock::time_point::min();
 };
@@ -94,8 +93,8 @@ bool sendFrame(int fd, char tag, std::string_view body) {
 /// the range log, streaming one frame per unit, then leave through
 /// _exit, so none of the parent's atexit hooks or static destructors run
 /// twice. noexcept: an exception escaping the fill terminates the worker
-/// (SIGABRT), a crash the supervisor retries, bisects and isolates like
-/// any other.
+/// (SIGABRT), a crash the supervisor retries and isolates like any
+/// other.
 [[noreturn]] void runWorker(const SupervisorConfig& config,
                             const RangeTask& task, int pipeFd,
                             const std::string& logPath) noexcept {
@@ -183,14 +182,16 @@ SupervisorResult superviseCells(const SupervisorConfig& config) {
 
   const int jobs = std::max(1, config.jobs);
   // Several chunks per worker slot: small enough that a crash forfeits
-  // little work and bisection starts close to the culprit, large enough
-  // that process spawn cost stays amortized.
+  // little work, large enough that process spawn cost stays amortized.
   const int chunk = std::max(1, (n + jobs * 4 - 1) / (jobs * 4));
   std::deque<RangeTask> queue;
   for (int b = 0; b < n; b += chunk) {
     queue.push_back(RangeTask{b, std::min(n, b + chunk)});
   }
   std::vector<RunningWorker> running;
+  // Abnormal exits per unit while it was its worker's first undelivered
+  // one.
+  std::vector<int> crashesAt(static_cast<std::size_t>(n), 0);
 
   auto log = [&](const std::string& line) {
     if (config.verbose) std::cerr << "supervisor: " << line << "\n";
@@ -386,81 +387,50 @@ SupervisorResult superviseCells(const SupervisorConfig& config) {
         continue;
       }
 
-      if (task.degradeOnly) {
-        // Even the fallback-only worker died. After the last retry the
-        // unit stays undelivered: the caller fills its hole.
-        if (task.attempts >= config.maxRetries) {
-          log("fallback-only worker for unit " + std::to_string(task.begin) +
-              " " + why + "; leaving the hole for the caller to fill");
-          continue;
-        }
-        RangeTask retry = task;
-        ++retry.attempts;
-        ++result.counters.retriedRanges;
-        retry.eligible = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                            std::chrono::duration<double, std::milli>(
-                                                backoffMs(config, retry.attempts)));
-        queue.push_back(retry);
-        continue;
-      }
-
-      if (missing > task.begin) {
-        // Progress was made; only the remainder goes back. Attempts
-        // reset — this is a different (smaller) range now.
+      // A worker streams each outcome as it finishes the unit, so it
+      // died in `missing`, its first undelivered unit: retry the range
+      // from there after the backoff. Once that unit has been the first
+      // undelivered one in maxRetries + 1 abnormal exits it is the
+      // culprit: re-run it fallback-only and requeue the rest. A unit
+      // still dying fallback-only is left undelivered for the caller to
+      // fill.
+      const int crashes = ++crashesAt[static_cast<std::size_t>(missing)];
+      if (crashes <= config.maxRetries) {
+        const double delay = backoffMs(config, crashes);
         log("pid " + std::to_string(worker.pid) + " " + why + " at unit " +
-            std::to_string(missing) + "; requeueing [" +
-            std::to_string(missing) + ", " + std::to_string(task.end) + ")");
+            std::to_string(missing) + "; retry " + std::to_string(crashes) +
+            "/" + std::to_string(config.maxRetries) + " of [" +
+            std::to_string(missing) + ", " + std::to_string(task.end) +
+            ") in " + std::to_string(static_cast<int>(delay)) + " ms");
         ++result.counters.retriedRanges;
-        queue.push_back(RangeTask{missing, task.end, 0, false, Clock::now()});
-        continue;
-      }
-
-      if (task.attempts < config.maxRetries) {
-        RangeTask retry = task;
-        ++retry.attempts;
-        ++result.counters.retriedRanges;
-        const double delay = backoffMs(config, retry.attempts);
-        retry.eligible = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                            std::chrono::duration<double, std::milli>(delay));
-        log("pid " + std::to_string(worker.pid) + " " + why +
-            " with no progress; retry " + std::to_string(retry.attempts) +
-            "/" + std::to_string(config.maxRetries) + " in " +
-            std::to_string(static_cast<int>(delay)) + " ms");
         if (traceEnabled()) {
           TraceRecorder::instance().instant("retry " + rangeLabel(task));
         }
-        queue.push_back(retry);
+        queue.push_back(RangeTask{
+            missing, task.end, task.degradeOnly,
+            Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                               std::chrono::duration<double, std::milli>(
+                                   delay))});
         continue;
       }
-
-      if (task.end - task.begin > 1) {
-        // Retries exhausted on a multi-unit range: bisect toward the
-        // culprit instead of abandoning every unit in it.
-        const int mid = task.begin + (task.end - task.begin) / 2;
-        log("bisecting [" + std::to_string(task.begin) + ", " +
-            std::to_string(task.end) + ") -> [" + std::to_string(task.begin) +
-            ", " + std::to_string(mid) + ") + [" + std::to_string(mid) +
-            ", " + std::to_string(task.end) + ")");
-        ++result.counters.bisectedRanges;
-        if (traceEnabled()) {
-          TraceRecorder::instance().instant("bisect " + rangeLabel(task));
-        }
-        queue.push_back(RangeTask{task.begin, mid, 0, false, Clock::now()});
-        queue.push_back(RangeTask{mid, task.end, 0, false, Clock::now()});
+      crashesAt[static_cast<std::size_t>(missing)] = 0;
+      if (task.degradeOnly) {
+        log("fallback-only worker for unit " + std::to_string(missing) +
+            " " + why + "; leaving the hole for the caller to fill");
         continue;
       }
-
-      // Single-unit culprit: degrade it via the fallback ladder in a
-      // fresh worker instead of poisoning the batch.
-      log("isolated culprit unit " + std::to_string(task.begin) + " (" +
-          why + "); degrading via fallback-only worker");
+      log("isolated culprit unit " + std::to_string(missing) + " (" + why +
+          "); degrading via fallback-only worker");
       ++result.counters.crashedShapes;
-      result.isolatedShapes.push_back(task.begin);
+      result.isolatedShapes.push_back(missing);
       if (traceEnabled()) {
         TraceRecorder::instance().instant("isolate shape " +
-                                          std::to_string(task.begin));
+                                          std::to_string(missing));
       }
-      queue.push_back(RangeTask{task.begin, task.end, 0, true, Clock::now()});
+      queue.push_back(RangeTask{missing, missing + 1, true, Clock::now()});
+      if (missing + 1 < task.end) {
+        queue.push_back(RangeTask{missing + 1, task.end, false, Clock::now()});
+      }
     }
   }
 

@@ -12,21 +12,20 @@
 // State machine per range task:
 //
 //   queued -> running -> completed          (every unit delivered)
-//                     -> progressed         (worker died mid-range; the
-//                                            delivered prefix is kept
-//                                            and the remainder is
-//                                            requeued)
-//                     -> retried            (no progress; relaunch after
+//                     -> retried            (the worker died: the range
+//                                            is requeued from its first
+//                                            undelivered unit, the one
+//                                            the worker died in, after
 //                                            capped exponential backoff)
-//                     -> bisected           (retries exhausted on a
-//                                            multi-unit range: split in
-//                                            half, recurse)
-//                     -> isolated           (retries exhausted on a
-//                                            single unit: the culprit is
-//                                            re-run fallback-only,
-//                                            degrading one distinct
-//                                            shape instead of poisoning
-//                                            the batch)
+//                     -> isolated           (that unit was the first
+//                                            undelivered one in
+//                                            maxRetries + 1 abnormal
+//                                            exits: it is re-run
+//                                            fallback-only, degrading
+//                                            one distinct shape instead
+//                                            of poisoning the batch, and
+//                                            the rest of the range is
+//                                            requeued)
 //
 // A wall-clock watchdog SIGKILLs workers that exceed workerTimeoutMs
 // (hard hangs never reach a cooperative checkpoint). Progress is frames
@@ -95,7 +94,8 @@ struct SupervisorConfig {
   int numShapes = 0;
   int jobs = 2;            ///< concurrent worker processes
   double workerTimeoutMs = 0.0;  ///< watchdog; 0 = no timeout
-  int maxRetries = 2;      ///< relaunches of one range before bisection
+  int maxRetries = 2;      ///< retries of a unit its worker died in
+                           ///< before the unit is isolated
   /// First retry delay; each retry doubles it, up to 2 s.
   double backoffBaseMs = 50.0;
   bool verbose = false;    ///< supervisor event log on stderr

@@ -830,7 +830,6 @@ std::string buildRunManifest(const RunManifestInfo& info,
   }
   w.key("torn_tail").value(counters.tornTail);
   w.key("retried_ranges").value(counters.retriedRanges);
-  w.key("bisected_ranges").value(counters.bisectedRanges);
   w.key("crashed_workers").value(counters.crashedWorkers);
   w.key("hung_workers").value(counters.hungWorkers);
   w.key("crashed_shapes").value(counters.crashedShapes);

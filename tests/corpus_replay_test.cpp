@@ -124,6 +124,12 @@ int main(int argc, char** argv) {
   cases.push_back({"trace_raw", dir + "/valid.poly",
                    "--trace-raw=" + dir + "/spans", 2});
 
+  // --inject is the only fault flag: the injector's seeded and
+  // every-nth rules are library-only.
+  cases.push_back({"inject_seed", dir + "/valid.poly", "--inject-seed=1", 2});
+  cases.push_back(
+      {"inject_every", dir + "/valid.poly", "--inject-every=throw@1", 2});
+
   // And the happy path, to prove the harness itself works.
   cases.push_back({"valid", dir + "/valid.poly", "", 0});
 

@@ -8,8 +8,8 @@
 //      points; `--resume` completes it and the final .shots output is
 //      byte-identical to an uninterrupted run, at 1, 4 and 8 threads.
 //   2. Supervised crash isolation: `--isolate` with an injected kCrash
-//      survives the dying workers, bisects to the culprit shape,
-//      degrades only it (output identical to an in-process degradation
+//      survives the dying workers, retries and isolates the culprit
+//      shape, degrades only it (output identical to an in-process degradation
 //      of the same shape), and exits with the partial-success code 5.
 //   3. Watchdog: `--isolate` with an injected kHang is SIGKILLed by the
 //      wall-clock watchdog and converges exactly like the crash case.

@@ -31,8 +31,8 @@
 #include <string>
 #include <vector>
 
+#include "audit/verify_run.h"
 #include "benchgen/ilt_synth.h"
-#include "audit/independent_checker.h"
 #include "drill_util.h"
 #include "io/poly_io.h"
 #include "mdp/hierarchy.h"
@@ -129,27 +129,31 @@ int main(int argc, char** argv) {
     mbf::HierPlan plan;
     std::vector<mbf::ShotSection> sections;
     const mbf::JsonValue* cells = manifest.find("cells");
-    bool truthful =
-        mbf::planLayoutFile(input, config, false, "", plan).ok() &&
-        mbf::parseShotSections(readBytes(telShots), sections).ok() &&
-        cells != nullptr && cells->isArray() &&
-        cells->items.size() == plan.cells.size();
-    std::size_t at = 0;
-    for (const mbf::HierPlan::Instance& inst : plan.instances) {
-      if (!truthful) break;
-      const mbf::JsonValue& cell =
-          cells->items[static_cast<std::size_t>(inst.cell)];
-      for (const mbf::JsonValue& claim : cell.find("shapes")->items) {
-        truthful = at < sections.size() &&
-                   claim.find("shots")->number ==
-                       static_cast<double>(sections[at].shots.size()) &&
-                   claim.find("degraded")->boolean ==
-                       sections[at].claimedDegraded;
-        ++at;
+    std::vector<mbf::CellClaims<const mbf::JsonValue*>> cellClaims;
+    if (cells != nullptr && cells->isArray()) {
+      for (const mbf::JsonValue& cell : cells->items) {
+        auto& claims = cellClaims.emplace_back();
+        claims.instances =
+            static_cast<std::int64_t>(cell.find("instances")->number);
+        for (const mbf::JsonValue& claim : cell.find("shapes")->items) {
+          claims.shapes.push_back(&claim);
+        }
       }
     }
-    check(truthful && at == sections.size() &&
-              static_cast<int>(at) == numShapes,
+    std::vector<std::string> issues;
+    std::vector<const mbf::JsonValue*> claims;
+    bool truthful =
+        mbf::planLayoutFile(input, config, false, "", plan).ok() &&
+        mbf::parseShotSections(readBytes(telShots), sections).ok();
+    if (truthful) claims = mbf::expandCellClaims(plan, cellClaims, issues);
+    truthful = truthful && issues.empty() && claims.size() == sections.size();
+    for (std::size_t at = 0; truthful && at < claims.size(); ++at) {
+      truthful = claims[at]->find("shots")->number ==
+                     static_cast<double>(sections[at].shots.size()) &&
+                 claims[at]->find("degraded")->boolean ==
+                     sections[at].claimedDegraded;
+    }
+    check(truthful && static_cast<int>(claims.size()) == numShapes,
           "cell claims expanded over the plan match every .shots section");
     check(cells != nullptr && cells->isArray() && cells->items.size() == 6 &&
               cells->items[0].find("instances")->number == 3.0,

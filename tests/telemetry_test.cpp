@@ -1,13 +1,15 @@
 // Telemetry subsystem (DESIGN.md section 15): JSON writer/parser round
 // trips, trace recorder ownership and thread behaviour, span frame
-// round trips, the run manifest's per-cell schema, its claims expanded
-// over the plan, its thread-count stability, and the perfCompact/perfRate
-// formatting edges.
+// round trips, the per-cell schema of the manifest a real run
+// (runLayout) writes, its claims expanded over the plan by the library
+// expansion --verify uses, its thread-count stability, and the
+// perfCompact/perfRate formatting edges.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <limits>
 #include <random>
 #include <set>
@@ -17,9 +19,13 @@
 #include <vector>
 
 #include "analysis/shot_stats.h"
+#include "audit/verify_run.h"
+#include "io/atomic_file.h"
+#include "io/poly_io.h"
 #include "mdp/checkpoint.h"
 #include "mdp/hierarchy.h"
 #include "mdp/layout.h"
+#include "mdp/run.h"
 #include "support/journal.h"
 #include "support/perf_counters.h"
 #include "support/telemetry.h"
@@ -297,9 +303,10 @@ std::vector<LayoutShape> manifestShapes() {
   return shapes;
 }
 
-/// A run of manifestShapes() at `threads`, as mbf_cli runs it: planned,
-/// fractured by the plan executor, and its manifest grouped by plan cell
-/// — plus the manifest of the same result without a grouping, which
+/// A run of manifestShapes() at `threads`: the manifest mbf_cli's run
+/// (runLayout) writes for it from a .poly in a directory of this test's
+/// own, and the plan and result of the same input through the plan
+/// executor, with the manifest of that result without a grouping, which
 /// lists one single-instance cell per result.
 struct ManifestRun {
   HierPlan plan;
@@ -309,29 +316,40 @@ struct ManifestRun {
 };
 
 ManifestRun manifestRun(int threads) {
-  BatchConfig config;
-  config.threads = threads;
-  config.params.nmax = 200;
+  const std::string dir =
+      testing::TempDir() + "manifest_run_" +
+      testing::UnitTest::GetInstance()->current_test_info()->name();
+  std::filesystem::create_directories(dir);
+  RunConfig config;
+  config.inputPath = dir + "/in.poly";
+  config.outputPath = dir + "/out.shots";
+  config.metricsJsonPath = dir + "/run.json";
+  config.batch.threads = threads;
+  config.batch.params.nmax = 200;
+  std::vector<Polygon> rings;
+  for (const LayoutShape& shape : manifestShapes()) {
+    rings.push_back(shape.rings.front());
+  }
+  EXPECT_TRUE(savePolygons(config.inputPath, rings));
+  EXPECT_EQ(runLayout(config), 0);
   ManifestRun run;
-  EXPECT_TRUE(planFlatLayout(manifestShapes(), config, run.plan).ok());
-  HierarchicalResult fractured;
-  EXPECT_TRUE(fracturePlan(run.plan, config, {}, fractured).ok());
-  run.result = std::move(fractured.batch);
+  EXPECT_TRUE(readFileToString(config.metricsJsonPath, run.manifest).ok());
 
+  EXPECT_TRUE(
+      planLayoutFile(config.inputPath, config.batch, false, "", run.plan)
+          .ok());
+  HierarchicalResult fractured;
+  EXPECT_TRUE(fracturePlan(run.plan, config.batch, {}, fractured).ok());
+  run.result = std::move(fractured.batch);
   std::vector<Rect> allShots;
   for (const Solution& sol : run.result.solutions) {
     allShots.insert(allShots.end(), sol.shots.begin(), sol.shots.end());
   }
   RunManifestInfo info;
-  info.inputPath = "in.poly";
-  info.outputPath = "out.shots";
-  info.fingerprint = planFingerprint(run.plan, config);
-  const ShotStats stats = computeShotStats(allShots);
-  run.ungrouped =
-      buildRunManifest(info, config, run.result, RunCounters{}, stats);
-  info.cells = planCellGroups(run.plan);
-  run.manifest =
-      buildRunManifest(info, config, run.result, RunCounters{}, stats);
+  info.inputPath = config.inputPath;
+  info.outputPath = config.outputPath;
+  run.ungrouped = buildRunManifest(info, config.batch, run.result,
+                                   RunCounters{}, computeShotStats(allShots));
   return run;
 }
 
@@ -339,29 +357,46 @@ std::string manifestForThreads(int threads) {
   return manifestRun(threads).manifest;
 }
 
-/// The cells[] claims of `doc` expanded over `plan`'s instances in plan
-/// order, the way --verify reads them; each cell listed `instances`
-/// times when `plan` is null (an ungrouped manifest).
+/// The cells[] claims of `doc` expanded over `plan`'s instances by
+/// expandCellClaims, as --verify expands them; every cell once, as
+/// listed, when `plan` is null (an ungrouped manifest, whose cells are
+/// single-instance).
 std::vector<const JsonValue*> expandClaims(const JsonValue& doc,
                                            const HierPlan* plan) {
-  std::vector<const JsonValue*> claims;
-  const JsonValue* cells = doc.find("cells");
-  if (cells == nullptr || !cells->isArray()) return claims;
-  auto append = [&](const JsonValue& cell) {
+  std::vector<CellClaims<const JsonValue*>> cells;
+  std::vector<const JsonValue*> listed;
+  for (const JsonValue& cell : doc.find("cells")->items) {
+    CellClaims<const JsonValue*>& claims = cells.emplace_back();
+    claims.instances =
+        static_cast<std::int64_t>(cell.find("instances")->number);
     for (const JsonValue& claim : cell.find("shapes")->items) {
-      claims.push_back(&claim);
-    }
-  };
-  if (plan == nullptr) {
-    for (const JsonValue& cell : cells->items) {
-      for (int k = 0; k < cell.find("instances")->number; ++k) append(cell);
-    }
-  } else {
-    for (const HierPlan::Instance& inst : plan->instances) {
-      append(cells->items[static_cast<std::size_t>(inst.cell)]);
+      claims.shapes.push_back(&claim);
+      listed.push_back(&claim);
     }
   }
+  if (plan == nullptr) return listed;
+  std::vector<std::string> issues;
+  std::vector<const JsonValue*> claims =
+      expandCellClaims(*plan, cells, issues);
+  EXPECT_EQ(issues, std::vector<std::string>{});
   return claims;
+}
+
+/// Recursively drops the wall-clock-dependent members so manifests from
+/// different runs compare equal on everything deterministic.
+void stripTimingFields(JsonValue& v) {
+  if (v.kind == JsonValue::Kind::kObject) {
+    std::erase_if(v.members, [](const auto& member) {
+      return member.first == "wall_seconds" ||
+             member.first == "shape_seconds_sum" ||
+             member.first == "runtime_seconds" ||
+             member.first == "stage_seconds" || member.first == "nanos" ||
+             member.first == "threads";
+    });
+    for (auto& [name, value] : v.members) stripTimingFields(value);
+  } else if (v.kind == JsonValue::Kind::kArray) {
+    for (JsonValue& item : v.items) stripTimingFields(item);
+  }
 }
 
 TEST(RunManifestTest, SchemaAndTotals) {
@@ -428,14 +463,17 @@ TEST(RunManifestTest, SchemaAndTotals) {
 
 TEST(RunManifestTest, CellClaimsExpandToTheInstanceClaims) {
   // Expanded over the plan, the per-cell claims are the claims of every
-  // instance — at any thread count, and equal to what the ungrouped
-  // builder lists one result at a time.
+  // instance — at any thread count, and equal, but for the runtimes of
+  // the two executions, to what the ungrouped builder lists one result
+  // at a time.
   for (const int threads : {1, 4, 8}) {
     const ManifestRun run = manifestRun(threads);
     JsonValue doc;
     JsonValue flatDoc;
     ASSERT_TRUE(parseJson(run.manifest, doc).ok());
     ASSERT_TRUE(parseJson(run.ungrouped, flatDoc).ok());
+    stripTimingFields(doc);
+    stripTimingFields(flatDoc);
     EXPECT_EQ(flatDoc.find("cells")->items.size(), 5u);
 
     const std::vector<const JsonValue*> claims = expandClaims(doc, &run.plan);
@@ -523,9 +561,12 @@ TEST(RunManifestTest, RepairReachesEveryInstanceOfItsCellShape) {
 
   const ShapeOutcome fallback = fractureShapeGuarded(
       plan.cells[static_cast<std::size_t>(cellA)].shapes[1], config.params,
-      config.method, 0, /*allowDegradation=*/true, nullptr,
-      /*fallbackOnly=*/true);
+      config.method, 0, /*allowDegradation=*/true, nullptr, kAuditRepair);
   ASSERT_FALSE(fallback.solution.shots.empty());
+  // The status names the failed audit, not a worker crash.
+  EXPECT_EQ(fallback.status.message(),
+            "primary path skipped: shape re-fractured after it failed the "
+            "--selfcheck audit");
   ASSERT_NE(fallback.solution.method,
             original.solutions[static_cast<std::size_t>(targets[0])].method)
       << "the fallback must be told apart from the primary result";
@@ -581,23 +622,6 @@ TEST(RunManifestTest, RepairReachesEveryInstanceOfItsCellShape) {
     EXPECT_EQ(claims[i]->find("method")->string,
               result.solutions[i].method) << i;
     EXPECT_TRUE(*claims[i] == *flatClaims[i]) << "instance shape " << i;
-  }
-}
-
-/// Recursively drops the wall-clock-dependent members so manifests from
-/// different thread counts compare equal on everything deterministic.
-void stripTimingFields(JsonValue& v) {
-  if (v.kind == JsonValue::Kind::kObject) {
-    std::erase_if(v.members, [](const auto& member) {
-      return member.first == "wall_seconds" ||
-             member.first == "shape_seconds_sum" ||
-             member.first == "runtime_seconds" ||
-             member.first == "stage_seconds" || member.first == "nanos" ||
-             member.first == "threads";
-    });
-    for (auto& [name, value] : v.members) stripTimingFields(value);
-  } else if (v.kind == JsonValue::Kind::kArray) {
-    for (JsonValue& item : v.items) stripTimingFields(item);
   }
 }
 
