@@ -18,6 +18,7 @@
 #include "io/gdsii.h"
 #include "io/poly_io.h"
 #include "io/table.h"
+#include "mdp/hierarchy.h"
 #include "mdp/ordering.h"
 
 int main(int argc, char** argv) {

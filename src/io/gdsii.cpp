@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <unordered_set>
 
@@ -181,128 +180,30 @@ Status badPayload(std::uint16_t type, std::size_t payload,
       .withOffset(recordStart);
 }
 
-/// 64-bit placement offset: SREF/AREF chains compose translations whose
-/// intermediate sums (origin + c*columnPitch + r*rowPitch, accumulated
-/// down the tree) overflow int32 long before the final placement does.
-struct Offset64 {
-  std::int64_t x = 0;
-  std::int64_t y = 0;
-};
-
-std::string chainString(const std::vector<const GdsStructure*>& path,
-                        const std::string& repeat = {}) {
-  std::string s;
-  for (const GdsStructure* node : path) {
-    if (!s.empty()) s += " -> ";
-    s += node->name;
+/// An AREF's step along one axis from its XY corner point, which GDSII
+/// defines as origin + count * pitch. In int64: two int32 points can be
+/// more than 2^31 apart.
+Status arefPitch(Point origin, Point corner, int count, const char* axis,
+                 Point& pitch) {
+  const std::int64_t dx = std::int64_t{corner.x} - origin.x;
+  const std::int64_t dy = std::int64_t{corner.y} - origin.y;
+  const std::int64_t px = dx / count;
+  const std::int64_t py = dy / count;
+  if (dx % count != 0 || dy % count != 0 ||
+      px != static_cast<std::int32_t>(px) ||
+      py != static_cast<std::int32_t>(py)) {
+    return Status(StatusCode::kParseError,
+                  std::string("AREF ") + axis + " corner (" +
+                      std::to_string(corner.x) + ", " +
+                      std::to_string(corner.y) + ") is not its origin plus " +
+                      std::to_string(count) + " whole int32 " + axis +
+                      " pitches");
   }
-  if (!repeat.empty()) {
-    if (!s.empty()) s += " -> ";
-    s += repeat;
-  }
-  return s;
-}
-
-Status flattenCheckedInto(const GdsLibrary& lib, const GdsStructure& s,
-                          Offset64 offset,
-                          std::vector<const GdsStructure*>& path,
-                          std::vector<GdsPolygon>& out) {
-  for (const GdsStructure* onPath : path) {
-    if (onPath == &s) {
-      return Status(StatusCode::kInvalidArgument,
-                    "reference cycle in GDS hierarchy: " +
-                        chainString(path, s.name));
-    }
-  }
-  if (static_cast<int>(path.size()) >= kGdsMaxDepth) {
-    return Status(StatusCode::kInvalidArgument,
-                  "GDS hierarchy deeper than " +
-                      std::to_string(kGdsMaxDepth) + " levels at cell chain " +
-                      chainString(path, s.name));
-  }
-  path.push_back(&s);
-
-  for (const GdsPolygon& gp : s.polygons) {
-    // The placement is only legal if every translated vertex stays in
-    // the int32 coordinate space; checking the bbox corners covers all
-    // vertices.
-    const Rect box = gp.polygon.bbox();
-    const std::int64_t x0 = offset.x + box.x0;
-    const std::int64_t y0 = offset.y + box.y0;
-    const std::int64_t x1 = offset.x + box.x1;
-    const std::int64_t y1 = offset.y + box.y1;
-    constexpr std::int64_t kMin = std::numeric_limits<std::int32_t>::min();
-    constexpr std::int64_t kMax = std::numeric_limits<std::int32_t>::max();
-    if (x0 < kMin || y0 < kMin || x1 > kMax || y1 > kMax) {
-      Status status(StatusCode::kInvalidArgument,
-                    "placement of cell '" + s.name + "' at offset (" +
-                        std::to_string(offset.x) + ", " +
-                        std::to_string(offset.y) +
-                        ") leaves the 32-bit coordinate space (chain " +
-                        chainString(path) + ")");
-      path.pop_back();
-      return status;
-    }
-    GdsPolygon copy = gp;
-    copy.polygon.translate({static_cast<std::int32_t>(offset.x),
-                            static_cast<std::int32_t>(offset.y)});
-    out.push_back(std::move(copy));
-  }
-  for (const GdsSref& ref : s.srefs) {
-    const GdsStructure* child = lib.findStructure(ref.structName);
-    if (!child) continue;  // subset extraction: missing cells are skipped
-    const Offset64 at{offset.x + ref.offset.x, offset.y + ref.offset.y};
-    Status status = flattenCheckedInto(lib, *child, at, path, out);
-    if (!status.ok()) {
-      path.pop_back();
-      return status;
-    }
-  }
-  for (const GdsAref& ref : s.arefs) {
-    const GdsStructure* child = lib.findStructure(ref.structName);
-    if (!child) continue;
-    // A malformed COLROW can declare up to 65535 x 65535 instances;
-    // refuse to materialise absurd arrays instead of exhausting memory.
-    if (static_cast<std::int64_t>(ref.rows) * ref.columns > (1 << 22)) {
-      Status status(StatusCode::kInvalidArgument,
-                    "AREF of cell '" + ref.structName + "' declares " +
-                        std::to_string(ref.columns) + " x " +
-                        std::to_string(ref.rows) +
-                        " instances (cap 2^22) in cell '" + s.name + "'");
-      path.pop_back();
-      return status;
-    }
-    for (int r = 0; r < ref.rows; ++r) {
-      for (int c = 0; c < ref.columns; ++c) {
-        // int64 throughout: c,r reach 65534 and the pitches are int32,
-        // so the products alone can exceed int32 by a factor of 2^16.
-        const Offset64 at{
-            offset.x + ref.origin.x +
-                static_cast<std::int64_t>(c) * ref.columnPitch.x +
-                static_cast<std::int64_t>(r) * ref.rowPitch.x,
-            offset.y + ref.origin.y +
-                static_cast<std::int64_t>(c) * ref.columnPitch.y +
-                static_cast<std::int64_t>(r) * ref.rowPitch.y};
-        Status status = flattenCheckedInto(lib, *child, at, path, out);
-        if (!status.ok()) {
-          path.pop_back();
-          return status;
-        }
-      }
-    }
-  }
-  path.pop_back();
+  pitch = {static_cast<std::int32_t>(px), static_cast<std::int32_t>(py)};
   return {};
 }
 
 }  // namespace
-
-GdsStructure* GdsLibrary::findStructure(const std::string& name) {
-  for (GdsStructure& s : structures) {
-    if (s.name == name) return &s;
-  }
-  return nullptr;
-}
 
 const GdsStructure* GdsLibrary::findStructure(const std::string& name) const {
   for (const GdsStructure& s : structures) {
@@ -385,14 +286,18 @@ void writeGds(std::ostream& os, const GdsLibrary& lib) {
       }
       {
         // GDSII AREF XY: origin, origin + columns*colPitch,
-        // origin + rows*rowPitch.
+        // origin + rows*rowPitch, each sum in int64.
         std::string p;
+        const auto corner = [&](int count, std::int32_t o, std::int32_t d) {
+          putI32(p, static_cast<std::int32_t>(std::int64_t{o} +
+                                              std::int64_t{count} * d));
+        };
         putI32(p, ref.origin.x);
         putI32(p, ref.origin.y);
-        putI32(p, ref.origin.x + ref.columns * ref.columnPitch.x);
-        putI32(p, ref.origin.y + ref.columns * ref.columnPitch.y);
-        putI32(p, ref.origin.x + ref.rows * ref.rowPitch.x);
-        putI32(p, ref.origin.y + ref.rows * ref.rowPitch.y);
+        corner(ref.columns, ref.origin.x, ref.columnPitch.x);
+        corner(ref.columns, ref.origin.y, ref.columnPitch.y);
+        corner(ref.rows, ref.origin.x, ref.rowPitch.x);
+        corner(ref.rows, ref.origin.y, ref.rowPitch.y);
         emitRecord(os, kXy, p);
       }
       emitRecord(os, kEndEl, {});
@@ -415,6 +320,7 @@ Status parseGds(std::istream& is, GdsLibrary& out) {
   Reader r{is};
   bool sawHeader = false;
   GdsStructure* cur = nullptr;
+  std::unordered_set<std::string> names;  ///< STRNAMEs read so far
 
   // Remaining stream length, when the stream is seekable: the cheap
   // up-front defence against records whose declared payload runs past
@@ -492,6 +398,12 @@ Status parseGds(std::istream& is, GdsLibrary& out) {
         break;
       case kStrName: {
         const std::string name = r.str(payload);
+        if (cur && !names.insert(name).second) {
+          return Status(StatusCode::kParseError,
+                        "STRNAME '" + name +
+                            "' repeats an earlier structure's name")
+              .withOffset(recordStart);
+        }
         if (cur) cur->name = name;
         break;
       }
@@ -547,21 +459,20 @@ Status parseGds(std::istream& is, GdsLibrary& out) {
         }
         if (element == Element::kAref) {
           if (n >= 3) {
-            curAref.origin.x = r.i32();
-            curAref.origin.y = r.i32();
-            const std::int32_t cx = r.i32();
-            const std::int32_t cy = r.i32();
-            const std::int32_t rx = r.i32();
-            const std::int32_t ry = r.i32();
-            if (curAref.columns > 0) {
-              curAref.columnPitch = {(cx - curAref.origin.x) / curAref.columns,
-                                     (cy - curAref.origin.y) / curAref.columns};
-            }
-            if (curAref.rows > 0) {
-              curAref.rowPitch = {(rx - curAref.origin.x) / curAref.rows,
-                                  (ry - curAref.origin.y) / curAref.rows};
-            }
+            curAref.origin = {r.i32(), r.i32()};
+            const Point columnCorner{r.i32(), r.i32()};
+            const Point rowCorner{r.i32(), r.i32()};
             r.skip(payload - 24);
+            Status st;
+            if (r.ok && curAref.columns > 0) {
+              st = arefPitch(curAref.origin, columnCorner, curAref.columns,
+                             "column", curAref.columnPitch);
+            }
+            if (st.ok() && r.ok && curAref.rows > 0) {
+              st = arefPitch(curAref.origin, rowCorner, curAref.rows, "row",
+                             curAref.rowPitch);
+            }
+            if (!st.ok()) return st.withOffset(recordStart);
           }
           break;
         }
@@ -661,23 +572,6 @@ Status findGdsTopStructure(const GdsLibrary& lib, std::string& out) {
   }
   out = roots.front()->name;
   return {};
-}
-
-Status flattenGdsChecked(const GdsLibrary& lib, const std::string& topStruct,
-                         std::vector<GdsPolygon>& out) {
-  out.clear();
-  std::string topName = topStruct;
-  if (topName.empty()) {
-    Status status = findGdsTopStructure(lib, topName);
-    if (!status.ok()) return status;
-  }
-  const GdsStructure* top = lib.findStructure(topName);
-  if (!top) {
-    return Status(StatusCode::kInvalidArgument,
-                  "top structure '" + topName + "' not found in library");
-  }
-  std::vector<const GdsStructure*> path;
-  return flattenCheckedInto(lib, *top, {0, 0}, path, out);
 }
 
 }  // namespace mbf

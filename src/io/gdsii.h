@@ -1,10 +1,11 @@
-// Minimal GDSII stream-format subset: BOUNDARY elements and SREF cell
-// references across multiple structures -- what a mask-layer fracturing
-// flow needs (the paper's flow reads mask shapes through OpenAccess;
-// GDSII is the interchange format every layout tool emits, and cell
-// references are how layouts with billions of polygons stay tractable).
-// Big-endian binary records, 4-byte signed coordinates, 8-byte excess-64
-// floating point for UNITS.
+// Minimal GDSII stream-format subset: BOUNDARY elements and SREF/AREF
+// cell references across multiple structures -- what a mask-layer
+// fracturing flow needs (the paper's flow reads mask shapes through
+// OpenAccess; GDSII is the interchange format every layout tool emits,
+// and cell references are how layouts with billions of polygons stay
+// tractable). Record I/O and top-structure resolution only: the one
+// structure walk is mdp/hierarchy's expansion. Big-endian binary
+// records, 4-byte signed coordinates, 8-byte excess-64 floating point.
 //
 // Supported records: HEADER, BGNLIB, LIBNAME, UNITS, BGNSTR, STRNAME,
 // BOUNDARY, SREF, AREF, SNAME, COLROW, LAYER, DATATYPE, XY, ENDEL,
@@ -61,11 +62,12 @@ struct GdsLibrary {
   double metersPerDbUnit = 1e-9;
   std::vector<GdsStructure> structures;
 
-  GdsStructure* findStructure(const std::string& name);
   const GdsStructure* findStructure(const std::string& name) const;
 };
 
-/// Serializes the library (structures in order, BOUNDARY + SREF records).
+/// Serializes the library (structures in order, BOUNDARY, SREF and AREF
+/// records). An AREF's XY corner points, origin + count * pitch, are
+/// computed in int64 and must fit int32: GDSII stores them in 4 bytes.
 void writeGds(std::ostream& os, const GdsLibrary& lib);
 bool saveGds(const std::string& path, const GdsLibrary& lib);
 
@@ -73,13 +75,16 @@ bool saveGds(const std::string& path, const GdsLibrary& lib);
 /// malformed input the Status names the offending record type and
 /// carries the byte offset of its record header (Status::byteOffset());
 /// a record whose declared payload exceeds the remaining stream is
-/// rejected as kTruncated before any of it is consumed.
+/// rejected as kTruncated before any of it is consumed. A repeated
+/// STRNAME, and an AREF whose XY corner points are not the origin plus
+/// a whole number of int32 pitches, are kParseError.
 Status parseGds(std::istream& is, GdsLibrary& out);
 Status parseGdsFile(const std::string& path, GdsLibrary& out);
 
-/// Deepest reference chain the checked traversals follow before calling
-/// the hierarchy malformed. Real masks nest a handful of levels; 64 is
-/// far past any legitimate design while still bounding recursion.
+/// Deepest reference chain the structure walk (mdp/hierarchy) follows
+/// before calling the hierarchy malformed. Real masks nest a handful of
+/// levels; 64 is far past any legitimate design while still bounding
+/// recursion.
 inline constexpr int kGdsMaxDepth = 64;
 
 /// Resolves the top structure: the unique structure not referenced by
@@ -89,18 +94,5 @@ inline constexpr int kGdsMaxDepth = 64;
 /// referenced (a reference cycle with no root), or when multiple roots
 /// exist (the diagnostic lists their names — pass one explicitly).
 Status findGdsTopStructure(const GdsLibrary& lib, std::string& out);
-
-/// Checked flatten: resolves SREF/AREF recursively from `topStruct`
-/// (empty = auto-detected via findGdsTopStructure) with on-path cycle
-/// detection and 64-bit placement arithmetic. Reference cycles and
-/// chains deeper than kGdsMaxDepth are kInvalidArgument errors naming
-/// the cell chain; placements that land outside the int32 coordinate
-/// space and AREFs declaring more than 2^22 instances are
-/// kInvalidArgument instead of silently dropped geometry. References to
-/// structures absent from the library are skipped (a subset extraction
-/// convention shared with planGdsHierarchy). On error `out` holds whatever
-/// geometry was gathered before the failure (partial, do not ship).
-Status flattenGdsChecked(const GdsLibrary& lib, const std::string& topStruct,
-                         std::vector<GdsPolygon>& out);
 
 }  // namespace mbf

@@ -24,8 +24,8 @@
 namespace mbf {
 namespace {
 
-/// 64-bit composed placement offset (see io/gdsii.cpp: intermediate
-/// SREF/AREF sums overflow int32 long before the final placement does).
+/// 64-bit composed placement offset: intermediate SREF/AREF sums
+/// overflow int32 long before the final placement does.
 struct Offset64 {
   std::int64_t x = 0;
   std::int64_t y = 0;
@@ -72,8 +72,10 @@ Rect ownBbox(const GdsStructure& s) {
   return box;
 }
 
-/// `pad` is Problem::gridPad: every instantiated shape's grid, not just
-/// its geometry, must fit in int32.
+/// The GDS structure walk: own polygons, then SREFs, then AREFs
+/// row-major. `pad` is Problem::gridPad for a plan, where every
+/// instantiated shape's grid, not just its geometry, must fit in int32,
+/// and 0 for flattenGdsChecked.
 Status expandInto(const GdsLibrary& lib, const GdsStructure& s,
                   Offset64 offset, int pad,
                   std::vector<const GdsStructure*>& path,
@@ -106,9 +108,11 @@ Status expandInto(const GdsLibrary& lib, const GdsStructure& s,
                     "placement of cell '" + s.name + "' at offset (" +
                         std::to_string(offset.x) + ", " +
                         std::to_string(offset.y) +
-                        ") leaves the 32-bit coordinate space with its " +
-                        std::to_string(pad) + " nm grid halo (chain " +
-                        chainString(path) + ")");
+                        ") leaves the 32-bit coordinate space" +
+                        (pad > 0 ? " with its " + std::to_string(pad) +
+                                       " nm grid halo"
+                                 : std::string()) +
+                        " (chain " + chainString(path) + ")");
       path.pop_back();
       return status;
     }
@@ -455,6 +459,21 @@ double secondsSince(std::chrono::steady_clock::time_point start) {
 }
 
 }  // namespace
+
+Status flattenGdsChecked(const GdsLibrary& lib, const std::string& topStruct,
+                         std::vector<GdsPolygon>& out) {
+  out.clear();
+  Expansion expansion;
+  Status status = expandGds(lib, topStruct, 0, expansion);
+  if (!status.ok()) return status;
+  for (const CellInstance& inst : expansion.instances) {
+    for (const GdsPolygon& gp : inst.cell->polygons) {
+      out.push_back(gp);
+      out.back().polygon.translate(inst.offset);
+    }
+  }
+  return {};
+}
 
 Status planFlatLayout(std::vector<LayoutShape> shapes,
                       const BatchConfig& config, HierPlan& out) {

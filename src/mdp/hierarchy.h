@@ -17,10 +17,11 @@
 // union bbox min corner is (0, 0)) and a cell's cell-local solution
 // translated to an instance offset is bitwise the solution a flat run
 // would have produced there (DESIGN.md section 17).
-// The instance expansion mirrors flattenGdsChecked's traversal order
-// (own polygons, then SREFs, then AREFs, row-major), so the hierarchical
-// shape list lines up one-to-one with the flattened one whenever
-// instances don't interleave ring containment.
+// One structure walk reads a GDS library: the instance expansion (own
+// polygons, then SREFs, then AREFs, row-major) that plans --hier runs
+// also flattens (flattenGdsChecked), so the hierarchical shape list
+// lines up one-to-one with the flattened one whenever instances don't
+// interleave ring containment.
 #pragma once
 
 #include <cstdint>
@@ -89,6 +90,15 @@ struct HierPlan {
 /// fracture grid could not be addressed.
 Status planFlatLayout(std::vector<LayoutShape> shapes,
                       const BatchConfig& config, HierPlan& out);
+
+/// The flat reading of a GDS library: planGdsHierarchy's expansion from
+/// `topStruct` (empty = findGdsTopStructure) without the grid halo, each
+/// placement's polygons copied, translated, in expansion order. Errors
+/// are the expansion's, naming the same cell chains; references to
+/// absent structures are skipped (subset extraction). On error `out` is
+/// empty.
+Status flattenGdsChecked(const GdsLibrary& lib, const std::string& topStruct,
+                         std::vector<GdsPolygon>& out);
 
 /// Expands and dedupes the hierarchy without fracturing anything.
 /// Errors: unresolvable top, cycles, depth, placements whose geometry

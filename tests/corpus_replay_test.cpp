@@ -33,16 +33,17 @@ bool writeFile(const std::string& path, const std::string& bytes) {
   return static_cast<bool>(os);
 }
 
-std::string validGdsBytes() {
-  mbf::GdsLibrary lib;
-  mbf::GdsStructure top;
-  mbf::GdsPolygon gp;
-  gp.polygon = mbf::Polygon({{0, 0}, {100, 0}, {100, 60}, {0, 60}});
-  top.polygons.push_back(std::move(gp));
-  lib.structures.push_back(std::move(top));
+std::string gdsBytes(const mbf::GdsLibrary& lib) {
   std::stringstream ss;
   mbf::writeGds(ss, lib);
   return ss.str();
+}
+
+mbf::GdsPolygon rect(int x0, int width, int height) {
+  mbf::GdsPolygon gp;
+  gp.polygon = mbf::Polygon(
+      {{x0, 0}, {x0 + width, 0}, {x0 + width, height}, {x0, height}});
+  return gp;
 }
 
 /// Runs one case; a signal death (a crash) reads as exit -2.
@@ -64,7 +65,9 @@ int main(int argc, char** argv) {
   const std::string dir = "corpus_replay_tmp";
   std::system(("mkdir -p '" + dir + "'").c_str());
 
-  const std::string gds = validGdsBytes();
+  mbf::GdsLibrary valid;
+  valid.structures = {mbf::GdsStructure{"TOP", {rect(0, 100, 60)}, {}, {}}};
+  const std::string gds = gdsBytes(valid);
   std::vector<Case> cases;
 
   // --- .poly corpus -----------------------------------------------------
@@ -105,6 +108,38 @@ int main(int argc, char** argv) {
                 std::string("\x40\x00\x10\x03", 4) +
                 std::string(8, '\x00'));
   cases.push_back({"overrun", dir + "/overrun.gds", "", 3});
+
+  // A legal 2-column AREF whose pitch spans more than half the int32
+  // range (placements at x = -2147482648 and 0): read exactly, never
+  // wrapped to a pitch of -1000.
+  {
+    mbf::GdsAref aref;
+    aref.structName = "CELL";
+    aref.origin = {-2147482648, 0};
+    aref.columns = 2;
+    aref.columnPitch = {2147482648, 0};
+    mbf::GdsLibrary lib;
+    lib.structures = {mbf::GdsStructure{"TOP", {}, {}, {aref}},
+                      mbf::GdsStructure{"CELL", {rect(0, 60, 60)}, {}, {}}};
+    writeFile(dir + "/wide_aref.gds", gdsBytes(lib));
+    cases.push_back({"wide_aref", dir + "/wide_aref.gds", "", 0});
+    cases.push_back({"wide_aref_hier", dir + "/wide_aref.gds", "--hier", 0});
+  }
+
+  // Two structures named CELL: GDSII names are unique, and the second
+  // one's two squares must not vanish without a word.
+  {
+    mbf::GdsLibrary lib;
+    lib.structures = {
+        mbf::GdsStructure{"TOP", {}, {{"CELL", {0, 0}}}, {}},
+        mbf::GdsStructure{"CELL", {rect(0, 60, 60)}, {}, {}},
+        mbf::GdsStructure{
+            "CELL", {rect(0, 60, 60), rect(200, 60, 60)}, {}, {}}};
+    writeFile(dir + "/duplicate_name.gds", gdsBytes(lib));
+    cases.push_back({"duplicate_name", dir + "/duplicate_name.gds", "", 3});
+    cases.push_back(
+        {"duplicate_name_hier", dir + "/duplicate_name.gds", "--hier", 3});
+  }
 
   // --- bad arguments on a valid file ------------------------------------
   writeFile(dir + "/valid.poly", "0 0\n80 0\n80 50\n0 50\n");

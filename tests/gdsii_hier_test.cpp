@@ -1,8 +1,11 @@
-// Tests for GDSII hierarchy: multiple structures, SREF round trips,
-// flattening with translation, cycle safety.
+// Tests for GDSII hierarchy: multiple structures, SREF/AREF round
+// trips, flattening with translation, and the defective hierarchies the
+// one structure walk refuses alike for the flat reading and the plan.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <tuple>
+#include <utility>
 
 #include "io/gdsii.h"
 #include "mdp/hierarchy.h"
@@ -163,6 +166,168 @@ TEST(GdsiiHierTest, ArefRoundTripAndFlatten) {
     if (p.polygon.bbox() == Rect(180, 250, 190, 260)) corner = true;
   }
   EXPECT_TRUE(corner);  // last column, last row
+}
+
+/// TOP placing CELL (a 60 nm square) through one 2-column AREF whose
+/// pitch is more than half the int32 range: the placements sit at
+/// x = -2147482648 and x = 0, and the XY column corner at 2147482648.
+GdsLibrary wideArefLib() {
+  GdsAref aref;
+  aref.structName = "CELL";
+  aref.origin = {-2147482648, 0};
+  aref.columns = 2;
+  aref.columnPitch = {2147482648, 0};
+  GdsLibrary lib;
+  lib.structures = {GdsStructure{"TOP", {}, {}, {aref}},
+                    GdsStructure{"CELL", {squarePoly(60)}, {}, {}}};
+  return lib;
+}
+
+// Regression (int32 overflow): the parser took corner - origin in int32,
+// which wrapped this legal pitch to -1000 and placed the second square
+// near -2^31.
+TEST(GdsiiHierTest, WideArefRoundTripsExactly) {
+  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
+  writeGds(ss, wideArefLib());
+  GdsLibrary back;
+  const Status parsed = parseGds(ss, back);
+  ASSERT_TRUE(parsed.ok()) << parsed.str();
+  const GdsAref& aref = back.findStructure("TOP")->arefs.at(0);
+  EXPECT_EQ(aref.origin, Point(-2147482648, 0));
+  EXPECT_EQ(aref.columnPitch, Point(2147482648, 0));
+  EXPECT_EQ(aref.rowPitch, Point(0, 0));
+  const std::vector<GdsPolygon> flat = flatten(back);
+  ASSERT_EQ(flat.size(), 2u);
+  EXPECT_EQ(flat[0].polygon.bbox(), Rect(-2147482648, 0, -2147482588, 60));
+  EXPECT_EQ(flat[1].polygon.bbox(), Rect(0, 0, 60, 60));
+}
+
+// GDSII defines an AREF's XY corner points as origin + count * pitch. A
+// corner off that lattice, or one whose pitch leaves int32, is a parse
+// error naming AREF at the XY record, never a truncated pitch.
+TEST(GdsiiHierTest, ArefCornerOffItsPitchLatticeIsParseError) {
+  std::stringstream ok(std::ios::in | std::ios::out | std::ios::binary);
+  writeGds(ok, wideArefLib());
+  // The AREF's XY record: length 28 (three points), type 0x1003.
+  const std::string bytes = ok.str();
+  const std::size_t xy = bytes.find(std::string("\x00\x1c\x10\x03", 4));
+  ASSERT_NE(xy, std::string::npos);
+  auto putI32 = [](std::string& b, std::size_t at, std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      b[at + static_cast<std::size_t>(i)] =
+          static_cast<char>(v >> (24 - 8 * i));
+    }
+  };
+  // {origin x, column corner x, columns}: an odd displacement over 2
+  // columns, and a 1-column AREF whose one pitch spans 2^32 - 1.
+  for (const auto& [origin, corner, columns] :
+       {std::tuple{0u, 121u, 2}, std::tuple{0x80000000u, 0x7fffffffu, 1}}) {
+    std::string patched = bytes;
+    putI32(patched, xy + 4, origin);
+    putI32(patched, xy + 12, corner);
+    // COLROW sits just before the XY record: 4-byte header, 2-byte counts.
+    patched[xy - 3] = static_cast<char>(columns);
+    std::stringstream is(patched, std::ios::in | std::ios::binary);
+    GdsLibrary back;
+    const Status st = parseGds(is, back);
+    EXPECT_EQ(st.code(), StatusCode::kParseError) << st.str();
+    EXPECT_NE(st.message().find("AREF column corner"), std::string::npos)
+        << st.message();
+    EXPECT_EQ(st.byteOffset(), static_cast<std::int64_t>(xy));
+  }
+}
+
+// The flat reading (flattenGdsChecked) and the plan (planGdsHierarchy)
+// share one structure walk: every defective hierarchy gives one
+// StatusCode and one diagnostic through both, up to the plan's grid-halo
+// clause, and every sound one places the same geometry.
+TEST(GdsiiHierTest, DefectiveHierarchiesReadAlikeFlatAndPlanned) {
+  auto chainLib = [](int depth) {
+    GdsLibrary lib;
+    for (int i = 0; i < depth; ++i) {
+      GdsStructure s{"LEVEL" + std::to_string(i), {}, {}, {}};
+      if (i + 1 < depth) {
+        s.srefs.push_back({"LEVEL" + std::to_string(i + 1), {10, 0}});
+      } else {
+        s.polygons.push_back(squarePoly(40));
+      }
+      lib.structures.push_back(std::move(s));
+    }
+    return lib;
+  };
+  auto arrayLib = [](Point origin, int columns, int rows, Point pitch) {
+    GdsAref aref;
+    aref.structName = "CELL";
+    aref.origin = origin;
+    aref.columns = columns;
+    aref.rows = rows;
+    aref.columnPitch = pitch;
+    aref.rowPitch = {0, 50};
+    GdsLibrary lib;
+    lib.structures = {GdsStructure{"TOP", {}, {}, {aref}},
+                      GdsStructure{"CELL", {squarePoly(40)}, {}, {}}};
+    return lib;
+  };
+  GdsLibrary cycle;
+  cycle.structures = {GdsStructure{"A", {squarePoly(5)}, {{"B", {10, 0}}}, {}},
+                      GdsStructure{"B", {squarePoly(5)}, {{"A", {10, 0}}}, {}}};
+  GdsLibrary range;
+  range.structures = {GdsStructure{"TOP", {}, {{"CELL", {2147483600, 0}}}, {}},
+                      GdsStructure{"CELL", {squarePoly(80)}, {}, {}}};
+  GdsAref ghosts;
+  ghosts.structName = "GHOST";
+  GdsLibrary missing;
+  missing.structures = {GdsStructure{
+      "TOP", {squarePoly(5)}, {{"GHOST", {10, 10}}}, {ghosts}}};
+  struct Case {
+    const char* name;
+    GdsLibrary lib;
+    std::string top;
+    StatusCode code;
+    std::string text;  ///< in the diagnostic (the cell chain if any)
+  };
+  const Case cases[] = {
+      {"cycle", cycle, "A", StatusCode::kInvalidArgument,
+       "reference cycle in GDS hierarchy: A -> B -> A"},
+      {"over-deep chain", chainLib(kGdsMaxDepth + 2), "",
+       StatusCode::kInvalidArgument,
+       "deeper than " + std::to_string(kGdsMaxDepth) +
+           " levels at cell chain LEVEL0 -> LEVEL1 -> "},
+      {"out-of-range placement", range, "", StatusCode::kInvalidArgument,
+       "placement of cell 'CELL' at offset (2147483600, 0) leaves the "
+       "32-bit coordinate space"},
+      {"AREF over the 2^22 cap", arrayLib({0, 0}, 2049, 2048, {50, 0}), "",
+       StatusCode::kInvalidArgument,
+       "AREF of cell 'CELL' declares 2049 x 2048 instances (cap 2^22) in "
+       "cell 'TOP'"},
+      {"int64 AREF arithmetic",
+       arrayLib({-2000000000, 0}, 3, 1, {1200000000, 0}), "",
+       StatusCode::kOk, ""},
+      {"missing reference", missing, "", StatusCode::kOk, ""},
+  };
+  for (const Case& c : cases) {
+    std::vector<GdsPolygon> flat;
+    const Status flatSt = flattenGdsChecked(c.lib, c.top, flat);
+    HierPlan plan;
+    const Status planSt = planGdsHierarchy(c.lib, BatchConfig{}, c.top, plan);
+    EXPECT_EQ(flatSt.code(), c.code) << c.name << ": " << flatSt.str();
+    EXPECT_EQ(planSt.code(), c.code) << c.name << ": " << planSt.str();
+    EXPECT_NE(flatSt.message().find(c.text), std::string::npos)
+        << c.name << ": " << flatSt.message();
+    std::string planned = planSt.message();
+    const std::size_t halo = planned.find(" with its ");
+    if (halo != std::string::npos) {
+      planned.erase(halo, planned.find(" (chain ") - halo);
+    }
+    EXPECT_EQ(flatSt.message(), planned) << c.name;
+    if (c.code != StatusCode::kOk) continue;
+    const std::vector<LayoutShape> placed = planInstanceShapes(plan);
+    ASSERT_EQ(placed.size(), flat.size()) << c.name;
+    for (std::size_t i = 0; i < flat.size(); ++i) {
+      EXPECT_EQ(placed[i].rings.at(0).vertices(), flat[i].polygon.vertices())
+          << c.name << ", polygon " << i;
+    }
+  }
 }
 
 TEST(GdsiiHierTest, ArefHierarchicalFracture) {

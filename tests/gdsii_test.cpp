@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "io/gdsii.h"
+#include "mdp/hierarchy.h"
 
 namespace mbf {
 namespace {
@@ -115,6 +116,31 @@ TEST(GdsiiTest, FileRoundTrip) {
   ASSERT_TRUE(flattenGdsChecked(back, "", flat).ok());
   EXPECT_EQ(flat.size(), 2u);
   std::remove(path.c_str());
+}
+
+// GDSII structure names are unique. A second CELL used to be parsed
+// and never placed: findStructure returned the first, and the second
+// one's geometry was dropped without a word.
+TEST(GdsiiTest, DuplicateStructureNameIsParseError) {
+  const GdsLibrary sample = sampleLib();
+  const std::vector<GdsPolygon>& polys = sample.structures[0].polygons;
+  GdsLibrary lib;
+  lib.structures = {GdsStructure{"TOP", {}, {{"CELL", {0, 0}}}, {}},
+                    GdsStructure{"CELL", {polys[0]}, {}, {}},
+                    GdsStructure{"CELL", polys, {}, {}}};
+  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
+  writeGds(ss, lib);
+  // The second STRNAME record naming CELL (length 8, type 0x0606).
+  const std::string strname("\x00\x08\x06\x06" "CELL", 8);
+  const std::size_t first = ss.str().find(strname);
+  const std::size_t second = ss.str().find(strname, first + 1);
+  ASSERT_NE(second, std::string::npos);
+  GdsLibrary back;
+  const Status st = parseGds(ss, back);
+  EXPECT_EQ(st.code(), StatusCode::kParseError) << st.str();
+  EXPECT_NE(st.message().find("STRNAME 'CELL'"), std::string::npos)
+      << st.message();
+  EXPECT_EQ(st.byteOffset(), static_cast<std::int64_t>(second));
 }
 
 TEST(GdsiiTest, OddLengthNamesPadded) {

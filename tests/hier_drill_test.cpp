@@ -20,10 +20,11 @@
 //      byte-identical.
 //   5. Invalidation: changing one fracture parameter (--gamma) misses
 //      every cell; the repeat under the new key hits every cell.
-//   6. Corpus: cyclic, over-deep and coordinate-overflowing GDS inputs,
-//      and shapes whose fracture grid would leave int32 (.poly and
-//      --hier), exit 3 with diagnostics naming the defect; an
-//      ambiguous root without --top-cell names the candidates.
+//   6. Corpus: cyclic, over-deep and coordinate-overflowing GDS inputs
+//      (flat and --hier), and shapes whose fracture grid would leave
+//      int32 (.poly and --hier), exit 3 with diagnostics naming the
+//      defect; an ambiguous root without --top-cell names the
+//      candidates.
 //   7. --selfcheck audits hierarchically produced shots clean.
 //   8. Crash-at-every-frame: for every prefix k of the cell journal
 //      (the exact state a SIGKILL between frames k and k+1 leaves,
@@ -431,7 +432,10 @@ int main(int argc, char** argv) {
     std::string log;
     check(runCli(cli, {path, dir + "/deep.shots", "--hier"}, &log) == 3 &&
               log.find("deeper than") != std::string::npos,
-          "over-deep hierarchy: exits 3 naming the depth");
+          "over-deep hierarchy: --hier exits 3 naming the depth");
+    check(runCli(cli, {path, dir + "/deep.shots"}, &log) == 3 &&
+              log.find("deeper than") != std::string::npos,
+          "over-deep hierarchy: flat run exits 3 naming the depth");
   }
   {
     mbf::GdsLibrary far;
@@ -444,7 +448,10 @@ int main(int argc, char** argv) {
     std::string log;
     check(runCli(cli, {path, dir + "/range.shots", "--hier"}, &log) == 3 &&
               log.find("32-bit") != std::string::npos,
-          "out-of-range placement: exits 3 naming the overflow");
+          "out-of-range placement: --hier exits 3 naming the overflow");
+    check(runCli(cli, {path, dir + "/range.shots"}, &log) == 3 &&
+              log.find("32-bit") != std::string::npos,
+          "out-of-range placement: flat run exits 3 naming the overflow");
   }
   {
     // A shape whose fracture grid (bbox plus Problem::gridPad) would
