@@ -385,11 +385,8 @@ AuditReport auditShotSections(const std::vector<LayoutShape>& shapes,
   // The audit must never trip the pipeline's execution budgets or fault
   // hooks — it re-derives grids with the result-relevant model
   // parameters only.
-  FractureParams auditParams = params;
+  FractureParams auditParams = params.withoutLimits();
   auditParams.numThreads = 1;
-  auditParams.shapeTimeBudgetMs = 0.0;
-  auditParams.maxGridBytes = 0;
-  auditParams.faultInjector = nullptr;
 
   // Pass 1, per shape: the checks that read the section and the claims
   // alone, then the audit key of every shape the dense check applies to.

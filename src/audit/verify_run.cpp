@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "io/atomic_file.h"
@@ -231,17 +232,19 @@ Status verifyRun(const VerifyOptions& options, VerifyReport& out) {
                   "manifest '" + manifestPath + "' has no config block");
   }
   BatchConfig batch;
-  FractureParams& p = batch.params;
-  p.gamma = numberOr(config->find("gamma"), p.gamma);
-  p.sigma = numberOr(config->find("sigma"), p.sigma);
-  p.rho = numberOr(config->find("rho"), p.rho);
-  p.lmin = integerOr(config->find("lmin"), p.lmin, "config.lmin",
-                     out.fileIssues);
-  p.backscatterEta = numberOr(config->find("eta"), p.backscatterEta);
-  p.backscatterSigma =
-      numberOr(config->find("sigma_back"), p.backscatterSigma);
-  p.nmax = integerOr(config->find("nmax"), p.nmax, "config.nmax",
-                     out.fileIssues);
+  forEachResultField(batch.params, [&](const char* name, auto& field) {
+    using Field = std::remove_reference_t<decltype(field)>;
+    const JsonValue* v = config->find(name);
+    if constexpr (std::is_same_v<Field, double>) {
+      field = numberOr(v, field);
+    } else if constexpr (std::is_same_v<Field, bool>) {
+      field = boolOr(v, field);
+    } else {  // an int, or an enum recorded as its integer
+      field = static_cast<Field>(integerOr(v, static_cast<int>(field),
+                                           std::string("config.") + name,
+                                           out.fileIssues));
+    }
+  });
   if (!parseMethod(stringOr(config->find("method"), "ours"), batch.method)) {
     out.fileIssues.push_back("manifest config.method '" +
                              stringOr(config->find("method"), "") +
@@ -354,7 +357,8 @@ Status verifyRun(const VerifyOptions& options, VerifyReport& out) {
   const std::string shotsPath = resolveArtifactPath(
       manifestDir,
       stringOr(output != nullptr ? output->find("path") : nullptr, ""));
-  const Status audited = auditShotsFile(shotsPath, shapes, p, expectations,
+  const Status audited = auditShotsFile(shotsPath, shapes, batch.params,
+                                        expectations,
                                         options.threads, out.audit);
   if (!audited.ok()) {
     out.fileIssues.push_back(audited.message());

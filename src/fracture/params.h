@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 
 #include "ebeam/proximity_model.h"
 #include "graph/coloring.h"
@@ -80,6 +81,44 @@ struct FractureParams {
   double resolvedLth(const ProximityModel& model) const {
     return lth > 0.0 ? lth : model.computeLth(gamma);
   }
+
+  /// These parameters without the execution limits: no time budget, no
+  /// grid cap, no fault injector (the fallback ladder, the audit).
+  FractureParams withoutLimits() const {
+    FractureParams p = *this;
+    p.shapeTimeBudgetMs = 0.0;
+    p.maxGridBytes = 0;
+    p.faultInjector = nullptr;
+    return p;
+  }
 };
+
+/// The one list of what a fracture's result depends on, read by cell
+/// keys, the plan fingerprint, the run manifest and --verify: calls
+/// `visit(name, field)` on each such field of `p` in declaration order,
+/// `name` being its manifest key. The rest are execution knobs:
+/// numThreads and the limits withoutLimits() clears. A const `p` is
+/// recorded or hashed, a mutable one read back.
+template <typename Params, typename Visit>
+  requires std::is_same_v<std::remove_const_t<Params>, FractureParams>
+void forEachResultField(Params& p, Visit&& visit) {
+  visit("gamma", p.gamma);
+  visit("sigma", p.sigma);
+  visit("rho", p.rho);
+  visit("lmin", p.lmin);
+  visit("eta", p.backscatterEta);
+  visit("sigma_back", p.backscatterSigma);
+  visit("lth", p.lth);
+  visit("overlap_fraction", p.overlapFraction);
+  visit("coloring_order", p.coloringOrder);
+  visit("nmax", p.nmax);
+  visit("nh", p.nh);
+  visit("stagnation_eps", p.stagnationEps);
+  visit("blocking_sigmas", p.blockingSigmas);
+  visit("merge_inside_fraction", p.mergeInsideFraction);
+  visit("enable_bias", p.enableBias);
+  visit("enable_add_remove", p.enableAddRemove);
+  visit("enable_merge", p.enableMerge);
+}
 
 }  // namespace mbf

@@ -180,6 +180,9 @@ Status badPayload(std::uint16_t type, std::size_t payload,
       .withOffset(recordStart);
 }
 
+/// GDSII stores an AREF's column and row counts as positive int16s.
+bool validArefCount(int count) { return count >= 1 && count <= 32767; }
+
 /// An AREF's step along one axis from its XY corner point, which GDSII
 /// defines as origin + count * pitch. In int64: two int32 points can be
 /// more than 2^31 apart.
@@ -276,30 +279,33 @@ void writeGds(std::ostream& os, const GdsLibrary& lib) {
       emitRecord(os, kEndEl, {});
     }
     for (const GdsAref& ref : s.arefs) {
+      // COLROW, then XY: origin, origin + columns*colPitch,
+      // origin + rows*rowPitch, each sum in int64. An AREF whose counts
+      // or corners GDSII cannot store fails the stream instead.
+      std::string colrow;
+      putU16(colrow, static_cast<std::uint16_t>(ref.columns));
+      putU16(colrow, static_cast<std::uint16_t>(ref.rows));
+      std::string xy;
+      bool fits = validArefCount(ref.columns) && validArefCount(ref.rows);
+      const auto corner = [&](int count, std::int32_t o, std::int32_t d) {
+        const std::int64_t v = std::int64_t{o} + std::int64_t{count} * d;
+        fits = fits && v == static_cast<std::int32_t>(v);
+        putI32(xy, static_cast<std::int32_t>(v));
+      };
+      putI32(xy, ref.origin.x);
+      putI32(xy, ref.origin.y);
+      corner(ref.columns, ref.origin.x, ref.columnPitch.x);
+      corner(ref.columns, ref.origin.y, ref.columnPitch.y);
+      corner(ref.rows, ref.origin.x, ref.rowPitch.x);
+      corner(ref.rows, ref.origin.y, ref.rowPitch.y);
+      if (!fits) {
+        os.setstate(std::ios::failbit);
+        return;
+      }
       emitRecord(os, kAref, {});
       emitString(os, kSname, ref.structName);
-      {
-        std::string p;
-        putU16(p, static_cast<std::uint16_t>(ref.columns));
-        putU16(p, static_cast<std::uint16_t>(ref.rows));
-        emitRecord(os, kColrow, p);
-      }
-      {
-        // GDSII AREF XY: origin, origin + columns*colPitch,
-        // origin + rows*rowPitch, each sum in int64.
-        std::string p;
-        const auto corner = [&](int count, std::int32_t o, std::int32_t d) {
-          putI32(p, static_cast<std::int32_t>(std::int64_t{o} +
-                                              std::int64_t{count} * d));
-        };
-        putI32(p, ref.origin.x);
-        putI32(p, ref.origin.y);
-        corner(ref.columns, ref.origin.x, ref.columnPitch.x);
-        corner(ref.columns, ref.origin.y, ref.columnPitch.y);
-        corner(ref.rows, ref.origin.x, ref.rowPitch.x);
-        corner(ref.rows, ref.origin.y, ref.rowPitch.y);
-        emitRecord(os, kXy, p);
-      }
+      emitRecord(os, kColrow, colrow);
+      emitRecord(os, kXy, xy);
       emitRecord(os, kEndEl, {});
     }
     emitRecord(os, kEndStr, {});
@@ -428,6 +434,14 @@ Status parseGds(std::istream& is, GdsLibrary& out) {
         if (payload != 4) return badPayload(type, payload, "4", recordStart);
         curAref.columns = r.u16();
         curAref.rows = r.u16();
+        if (r.ok && (!validArefCount(curAref.columns) ||
+                     !validArefCount(curAref.rows))) {
+          return Status(StatusCode::kParseError,
+                        "COLROW " + std::to_string(curAref.columns) + " x " +
+                            std::to_string(curAref.rows) +
+                            " is outside GDSII's 1..32767 per axis")
+              .withOffset(recordStart);
+        }
         break;
       case kSname:
         if (element == Element::kAref) {
@@ -463,16 +477,15 @@ Status parseGds(std::istream& is, GdsLibrary& out) {
             const Point columnCorner{r.i32(), r.i32()};
             const Point rowCorner{r.i32(), r.i32()};
             r.skip(payload - 24);
-            Status st;
-            if (r.ok && curAref.columns > 0) {
-              st = arefPitch(curAref.origin, columnCorner, curAref.columns,
-                             "column", curAref.columnPitch);
-            }
-            if (st.ok() && r.ok && curAref.rows > 0) {
+            // COLROW kept both counts in 1..32767.
+            Status st = arefPitch(curAref.origin, columnCorner,
+                                  curAref.columns, "column",
+                                  curAref.columnPitch);
+            if (st.ok()) {
               st = arefPitch(curAref.origin, rowCorner, curAref.rows, "row",
                              curAref.rowPitch);
             }
-            if (!st.ok()) return st.withOffset(recordStart);
+            if (r.ok && !st.ok()) return st.withOffset(recordStart);
           }
           break;
         }

@@ -67,7 +67,9 @@ struct GdsLibrary {
 
 /// Serializes the library (structures in order, BOUNDARY, SREF and AREF
 /// records). An AREF's XY corner points, origin + count * pitch, are
-/// computed in int64 and must fit int32: GDSII stores them in 4 bytes.
+/// computed in int64 and its counts must lie in 1..32767: GDSII stores
+/// the corners in 4 bytes and the counts in 2. An AREF outside either
+/// range sets the stream's failbit and ends the write.
 void writeGds(std::ostream& os, const GdsLibrary& lib);
 bool saveGds(const std::string& path, const GdsLibrary& lib);
 
@@ -76,8 +78,9 @@ bool saveGds(const std::string& path, const GdsLibrary& lib);
 /// carries the byte offset of its record header (Status::byteOffset());
 /// a record whose declared payload exceeds the remaining stream is
 /// rejected as kTruncated before any of it is consumed. A repeated
-/// STRNAME, and an AREF whose XY corner points are not the origin plus
-/// a whole number of int32 pitches, are kParseError.
+/// STRNAME, a COLROW count outside 1..32767, and an AREF whose XY
+/// corner points are not the origin plus a whole number of int32
+/// pitches, are kParseError.
 Status parseGds(std::istream& is, GdsLibrary& out);
 Status parseGdsFile(const std::string& path, GdsLibrary& out);
 

@@ -16,18 +16,9 @@ namespace mbf {
 namespace {
 
 // Key tag and entry header tag: bumping it re-addresses every entry, so
-// entries of an older format are never read. v3: stage 1 runs in the
-// grid frame and cells are anchored, so v2 results may differ.
-constexpr char kMagic[] = "mbf-cell-cache v3";
-
-void putBytes(Sha256& h, const void* data, std::size_t size) {
-  h.update(data, size);
-}
-
-void putI32(Sha256& h, std::int32_t v) { putBytes(h, &v, sizeof v); }
-void putI64(Sha256& h, std::int64_t v) { putBytes(h, &v, sizeof v); }
-void putF64(Sha256& h, double v) { putBytes(h, &v, sizeof v); }
-void putU8(Sha256& h, std::uint8_t v) { putBytes(h, &v, sizeof v); }
+// entries of an older format are never read. v4: the key hashes
+// resultConfigBytes, so v3 keys of the same content differ.
+constexpr char kMagic[] = "mbf-cell-cache v4";
 
 /// The entry's first line: the tag and the payload digest.
 std::string entryHeader(std::string_view payload) {
@@ -56,56 +47,36 @@ Status makeDirs(const std::string& dir) {
 
 }  // namespace
 
+void hashShapes(Sha256& h, const std::vector<LayoutShape>& shapes) {
+  static_assert(sizeof(Point) == 2 * sizeof(std::int32_t));
+  auto putCount = [&](std::size_t n) {
+    const auto v = static_cast<std::int64_t>(n);
+    h.update(&v, sizeof v);
+  };
+  putCount(shapes.size());
+  for (const LayoutShape& shape : shapes) {
+    putCount(shape.rings.size());
+    for (const Polygon& ring : shape.rings) {
+      putCount(ring.size());
+      h.update(ring.vertices().data(), ring.size() * sizeof(Point));
+    }
+  }
+}
+
 std::string cellFractureKey(const std::vector<LayoutShape>& shapes,
                             const BatchConfig& config) {
   Sha256 h;
-  putBytes(h, kMagic, sizeof kMagic - 1);
-
-  // Result-relevant configuration. Thread counts are excluded on
-  // purpose: results are byte-identical at any thread count (a tested
-  // engine contract), so a cache populated at --threads=8 serves a
-  // --threads=1 run. So is fallbackOnly: such a run never reads or
-  // writes the cache, and its journal records must carry the key the
-  // supervising parent planned. Everything else — model, refiner knobs,
-  // budgets, toggles, method, strictness — participates, so changing any
-  // of them addresses a different entry.
+  h.update(kMagic, sizeof kMagic - 1);
+  const std::string bytes = resultConfigBytes(config);
+  h.update(bytes.data(), bytes.size());
+  // The limits, and a flag for an armed injector; never the thread
+  // counts, so a cache filled at --threads=8 serves a --threads=1 run.
   const FractureParams& p = config.params;
-  putF64(h, p.gamma);
-  putF64(h, p.sigma);
-  putF64(h, p.rho);
-  putI32(h, p.lmin);
-  putF64(h, p.backscatterEta);
-  putF64(h, p.backscatterSigma);
-  putF64(h, p.lth);
-  putF64(h, p.overlapFraction);
-  putI32(h, static_cast<std::int32_t>(p.coloringOrder));
-  putI32(h, p.nmax);
-  putI32(h, p.nh);
-  putF64(h, p.stagnationEps);
-  putF64(h, p.blockingSigmas);
-  putF64(h, p.mergeInsideFraction);
-  putU8(h, p.enableBias ? 1 : 0);
-  putU8(h, p.enableAddRemove ? 1 : 0);
-  putU8(h, p.enableMerge ? 1 : 0);
-  putF64(h, p.shapeTimeBudgetMs);
-  putI64(h, p.maxGridBytes);
-  putU8(h, p.faultInjector != nullptr ? 1 : 0);
-  putI32(h, static_cast<std::int32_t>(config.method));
-  putU8(h, config.allowDegradation ? 1 : 0);
-
-  // Cell-local geometry: counts delimit, raw int32 coordinates carry
-  // the content.
-  putI64(h, static_cast<std::int64_t>(shapes.size()));
-  for (const LayoutShape& shape : shapes) {
-    putI64(h, static_cast<std::int64_t>(shape.rings.size()));
-    for (const Polygon& ring : shape.rings) {
-      putI64(h, static_cast<std::int64_t>(ring.size()));
-      for (const Point& v : ring.vertices()) {
-        putI32(h, v.x);
-        putI32(h, v.y);
-      }
-    }
-  }
+  h.update(&p.shapeTimeBudgetMs, sizeof p.shapeTimeBudgetMs);
+  h.update(&p.maxGridBytes, sizeof p.maxGridBytes);
+  const std::uint8_t injected = p.faultInjector != nullptr ? 1 : 0;
+  h.update(&injected, 1);
+  hashShapes(h, shapes);
   return h.hexDigest();
 }
 

@@ -8,7 +8,7 @@
 //
 // Format: an entry is ONE self-verifying file, `<dir>/<key>.cell`,
 // published by a single atomicWriteFile (io/atomic_file): the line
-// `mbf-cell-cache v3 <SHA-256 of the payload>`, then the journal's
+// `mbf-cell-cache v4 <SHA-256 of the payload>`, then the journal's
 // encodeCellRecord frame (mdp/checkpoint) of the cell's CellRecord. A
 // lookup reads the file once, checks the digest, decodes the frame and
 // checks the embedded key; any mismatch — bit rot, a tampered byte, a
@@ -26,13 +26,12 @@
 // an entry's bytes are a pure function of its key. A replayed runtime
 // would be a lie anyway (no fracture happened this run). The key
 // deliberately EXCLUDES the thread counts (results are byte-identical
-// at any thread count, a tested contract) and BatchConfig::fallbackOnly
-// (a fallback-only run never touches the cache, see fracturePlan), and
-// INCLUDES every other FractureParams field plus method / strictness,
-// so changing any result-relevant knob invalidates the entry. Cells
-// whose fracture degraded, was interrupted, or carries a non-ok report
-// are never stored — a time-budget degradation is wall-clock dependent
-// and must not be replayed as if it were the shape's true result.
+// at any thread count, a tested contract) and INCLUDES every other
+// FractureParams field plus method / strictness, so changing any
+// result-relevant knob invalidates the entry. Cells whose fracture
+// degraded, was interrupted, or carries a non-ok report are never
+// stored — a time-budget degradation is wall-clock dependent and must
+// not be replayed as if it were the shape's true result.
 //
 // Concurrency (DESIGN.md section 19): the cache directory is safe to
 // SHARE between simultaneously running processes. A rename publishes a
@@ -59,12 +58,15 @@
 
 namespace mbf {
 
-/// Content address of a cell fracture: SHA-256 over a version tag, the
-/// result-relevant BatchConfig fingerprint (every FractureParams field
-/// except the thread counts and the fault-injector pointer — an armed
-/// injector contributes a flag so injection runs never alias clean
-/// keys), and the cell's shapes (ring and vertex counts plus raw int32
-/// vertex coordinates). 64-char lowercase hex.
+/// The one geometry encoding, hashed by cell keys and the plan
+/// fingerprint: counts delimit, raw int32 vertex coordinates carry the
+/// content.
+void hashShapes(Sha256& h, const std::vector<LayoutShape>& shapes);
+
+/// Content address of a cell fracture: SHA-256 over the version tag,
+/// resultConfigBytes(config) (mdp/layout), the limits
+/// FractureParams::withoutLimits() clears (an armed injector as a flag)
+/// and hashShapes(shapes). 64-char lowercase hex.
 std::string cellFractureKey(const std::vector<LayoutShape>& shapes,
                             const BatchConfig& config);
 

@@ -95,12 +95,6 @@ std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
   return h;
 }
 
-std::uint64_t fnv1aF64(std::uint64_t h, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, 8);
-  return fnv1a(h, &bits, 8);
-}
-
 std::string hex(std::uint64_t v) {
   static const char* kDigits = "0123456789abcdef";
   std::string s(16, '0');
@@ -292,32 +286,10 @@ std::string journalMetaFor(const std::vector<LayoutShape>& shapes,
       }
     }
   }
-  // Every parameter that changes the computed result belongs in the
-  // fingerprint; execution knobs (threads, budgets, fsync) do not — a
-  // run verifies the same at any thread count.
-  const FractureParams& p = config.params;
-  h = fnv1aF64(h, p.gamma);
-  h = fnv1aF64(h, p.sigma);
-  h = fnv1aF64(h, p.rho);
-  const std::int32_t lmin = p.lmin;
-  h = fnv1a(h, &lmin, 4);
-  h = fnv1aF64(h, p.backscatterEta);
-  h = fnv1aF64(h, p.backscatterSigma);
-  h = fnv1aF64(h, p.lth);
-  h = fnv1aF64(h, p.overlapFraction);
-  const std::int32_t nmax = p.nmax;
-  h = fnv1a(h, &nmax, 4);
-  const std::int32_t nh = p.nh;
-  h = fnv1a(h, &nh, 4);
-  const std::uint8_t flags =
-      static_cast<std::uint8_t>((config.allowDegradation ? 1 : 0) |
-                                (config.fallbackOnly ? 2 : 0) |
-                                (p.enableBias ? 4 : 0) |
-                                (p.enableAddRemove ? 8 : 0) |
-                                (p.enableMerge ? 16 : 0));
-  h = fnv1a(h, &flags, 1);
-  const std::int32_t method = static_cast<std::int32_t>(config.method);
-  h = fnv1a(h, &method, 4);
+  // What the result depends on; execution knobs (threads, budgets,
+  // fsync) stay out — a run verifies the same at any thread count.
+  const std::string bytes = resultConfigBytes(config);
+  h = fnv1a(h, bytes.data(), bytes.size());
   return "mbf-layout v1 shapes=" + std::to_string(shapes.size()) +
          " fp=" + hex(h);
 }

@@ -42,7 +42,7 @@ std::string encodeShapeRecord(const ShapeRecord& record);
 Status decodeShapeRecord(std::string_view bytes, ShapeRecord& out);
 
 /// A per-instance layout fingerprint: shape count and an FNV-1a hash
-/// over every ring vertex and the result-relevant FractureParams. Its
+/// over every ring vertex and resultConfigBytes (mdp/layout). Its
 /// cost grows with instances; run manifests carry planFingerprint
 /// (mdp/hierarchy) instead, and this one is left only for the
 /// benchmark's traced run (ROADMAP item 3(b) deletes it).

@@ -601,26 +601,14 @@ std::vector<LayoutShape> planInstanceShapes(const HierPlan& plan) {
 }
 
 std::string planFingerprint(const HierPlan& plan, const BatchConfig& config) {
-  static_assert(sizeof(Point) == 2 * sizeof(std::int32_t));
   Sha256 h;
-  auto putI64 = [&](std::int64_t v) { h.update(&v, sizeof v); };
-  auto putF64 = [&](double v) { h.update(&v, sizeof v); };
-  auto putI32 = [&](std::int32_t v) { h.update(&v, sizeof v); };
-  // Each cell's anchored geometry once: counts delimit, raw int32
-  // coordinates carry the content.
-  putI64(static_cast<std::int64_t>(plan.cells.size()));
-  for (const HierPlan::Cell& cell : plan.cells) {
-    putI64(static_cast<std::int64_t>(cell.shapes.size()));
-    for (const LayoutShape& shape : cell.shapes) {
-      putI64(static_cast<std::int64_t>(shape.rings.size()));
-      for (const Polygon& ring : shape.rings) {
-        putI64(static_cast<std::int64_t>(ring.size()));
-        h.update(ring.vertices().data(), ring.size() * sizeof(Point));
-      }
-    }
-  }
-  // The instance table, in order, serialized a block at a time.
-  putI64(static_cast<std::int64_t>(plan.instances.size()));
+  // Each cell's anchored geometry once, then the instance table, in
+  // order, serialized a block at a time.
+  const auto cells = static_cast<std::int64_t>(plan.cells.size());
+  h.update(&cells, sizeof cells);
+  for (const HierPlan::Cell& cell : plan.cells) hashShapes(h, cell.shapes);
+  const auto instances = static_cast<std::int64_t>(plan.instances.size());
+  h.update(&instances, sizeof instances);
   std::int64_t shapes = 0;
   std::array<std::int32_t, 3 * 1024> block;
   std::size_t used = 0;
@@ -636,29 +624,11 @@ std::string planFingerprint(const HierPlan& plan, const BatchConfig& config) {
     }
   }
   h.update(block.data(), used * sizeof(std::int32_t));
-  // Every parameter that changes the computed result; execution knobs
-  // (threads, budgets, fsync) do not belong here — a run verifies the
-  // same at any thread count.
-  const FractureParams& p = config.params;
-  putF64(p.gamma);
-  putF64(p.sigma);
-  putF64(p.rho);
-  putI32(p.lmin);
-  putF64(p.backscatterEta);
-  putF64(p.backscatterSigma);
-  putF64(p.lth);
-  putF64(p.overlapFraction);
-  putI32(p.nmax);
-  putI32(p.nh);
-  const std::uint8_t flags =
-      static_cast<std::uint8_t>((config.allowDegradation ? 1 : 0) |
-                                (config.fallbackOnly ? 2 : 0) |
-                                (p.enableBias ? 4 : 0) |
-                                (p.enableAddRemove ? 8 : 0) |
-                                (p.enableMerge ? 16 : 0));
-  h.update(&flags, 1);
-  putI32(static_cast<std::int32_t>(config.method));
-  return "mbf-plan v1 cells=" + std::to_string(plan.cells.size()) +
+  // What the result depends on; the limits and thread counts stay out —
+  // a run verifies the same at any thread count.
+  const std::string bytes = resultConfigBytes(config);
+  h.update(bytes.data(), bytes.size());
+  return "mbf-plan v2 cells=" + std::to_string(plan.cells.size()) +
          " instances=" + std::to_string(plan.instances.size()) +
          " shapes=" + std::to_string(shapes) + " fp=" + h.hexDigest();
 }
@@ -733,9 +703,16 @@ PlanRepair repairPlanShapes(const HierPlan& plan, const BatchConfig& config,
       repair.instanceShapes.push_back(static_cast<int>(s));
     }
   }
+  // The totals follow the repaired solutions; the refiner counters keep
+  // the run's, and so do the fracture seconds, plus each repair once.
   const RefinerStats savedStats = batch.refinerStats;
+  double seconds = batch.shapeSecondsSum;
+  for (const auto& [slot, outcome] : repairs) {
+    seconds += outcome.solution.runtimeSeconds;
+  }
   mergeBatchAggregates(batch, {});
   batch.refinerStats = savedStats;
+  batch.shapeSecondsSum = seconds;
   return repair;
 }
 
@@ -782,11 +759,9 @@ Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
   // Persistent-cache lookups (hits fill their cell directly). A
   // journaled cache hit is appended like a fractured cell: the journal
   // must be self-contained — a resume replays it without consulting the
-  // cache. A fallback-only run skips the cache: its cells are always
-  // degraded, so it would never store one, and the cache holds primary
-  // results such a run must not return.
+  // cache.
   CellFractureCache cache(options.cellCacheDir);
-  const bool useCache = !options.cellCacheDir.empty() && !config.fallbackOnly;
+  const bool useCache = !options.cellCacheDir.empty();
   if (useCache) {
     // Degrade, don't die: an uncreatable cache directory (read-only
     // filer, quota) costs cross-run reuse, never the run itself. Every
@@ -896,8 +871,7 @@ Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
       RefinerStats stats;
       ShapeOutcome outcome = fractureShapeGuarded(
           shapeOf(first), shapeParams, config.method, ordinalOf(first),
-          config.allowDegradation, &stats,
-          config.fallbackOnly ? kCrashIsolated : nullptr);
+          config.allowDegradation, &stats);
       deliver(static_cast<std::size_t>(k), outcome.solution,
               {std::move(outcome.status), outcome.degraded,
                outcome.interrupted},
@@ -926,7 +900,7 @@ Status fracturePlan(const HierPlan& plan, const BatchConfig& config,
       ShapeOutcome outcome = fractureShapeGuarded(
           shapeOf(first), serial, config.method, ordinalOf(first),
           config.allowDegradation, &stats,
-          config.fallbackOnly || fallbackOnly ? kCrashIsolated : nullptr);
+          fallbackOnly ? kCrashIsolated : nullptr);
       std::string bytes;
       if (outcome.interrupted) return bytes;
       bytes = encodeShapeRecord(

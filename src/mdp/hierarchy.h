@@ -125,14 +125,14 @@ std::vector<LayoutShape> planInstanceShapes(const HierPlan& plan);
 
 /// The run manifest's config fingerprint (config.fingerprint), which
 /// `mbf_cli --verify` recomputes from the plan it re-derives:
-/// "mbf-plan v1 cells=C instances=I shapes=N fp=<sha256 hex>". The
-/// digest covers each plan cell's anchored rings once, in plan order,
-/// then the instance table (cell index and offset) in order, then the
-/// result-relevant FractureParams, method and degradation flags —
-/// never the cells' cache keys, which commit to execution knobs
-/// (budgets, grid caps, the fault injector) a verifier does not know.
-/// Its cost grows with unique-cell vertices plus instances. A mismatch
-/// means the input or the parameters changed since the run.
+/// "mbf-plan v2 cells=C instances=I shapes=N fp=<sha256 hex>". The
+/// digest covers each plan cell's hashShapes (mdp/cell_cache) once, in
+/// plan order, then the instance table (cell index and offset) in
+/// order, then resultConfigBytes (mdp/layout), all of which the
+/// manifest records — never the cells' cache keys, which commit to
+/// limits a verifier does not know. Its cost grows with unique-cell
+/// vertices plus instances. A mismatch means the input or the
+/// parameters changed since the run.
 std::string planFingerprint(const HierPlan& plan, const BatchConfig& config);
 
 /// One entry per plan cell, in plan order: where the cell's first
@@ -159,7 +159,8 @@ struct PlanRepair {
 /// with its own index: all instances of a cell keep one set of claims,
 /// which is what lets the run manifest list them once per cell. Batch
 /// totals follow the repaired solutions; the refiner stage counters
-/// describe the original attempts and stay as recorded. Flagged indices
+/// describe the original attempts and stay as recorded, and
+/// shapeSecondsSum adds each repair's runtime once. Flagged indices
 /// outside `batch` are ignored.
 PlanRepair repairPlanShapes(const HierPlan& plan, const BatchConfig& config,
                             const std::vector<int>& flagged,
@@ -169,8 +170,7 @@ struct HierOptions {
   /// Top structure for fractureGdsHierarchical, and a run's --top-cell;
   /// empty auto-detects via findGdsTopStructure.
   std::string topStruct;
-  /// Persistent cell-fracture cache directory; empty = no cache. A
-  /// fallback-only config (BatchConfig::fallbackOnly) never uses it. The
+  /// Persistent cell-fracture cache directory; empty = no cache. The
   /// executor's own process does every lookup and store, supervised or
   /// not: --isolate workers only fracture.
   std::string cellCacheDir;

@@ -451,11 +451,7 @@ ShapeOutcome fractureShapeGuarded(const LayoutShape& shape,
   // problem (the fallback is bounded by construction, and a fallback
   // that re-times-out would leave the shape with nothing at all).
   try {
-    FractureParams fallbackParams = params;
-    fallbackParams.shapeTimeBudgetMs = 0.0;
-    fallbackParams.maxGridBytes = 0;
-    fallbackParams.faultInjector = nullptr;
-    const Problem problem(clean.shape.rings, fallbackParams);
+    const Problem problem(clean.shape.rings, params.withoutLimits());
     out.solution = fallbackFracture(problem);
   } catch (const std::exception& e) {
     // Rung 3: even the fallback failed (true OOM, degenerate beyond
@@ -470,6 +466,17 @@ ShapeOutcome fractureShapeGuarded(const LayoutShape& shape,
   out.solution.degraded = true;
   out.degraded = true;
   return out;
+}
+
+std::string resultConfigBytes(const BatchConfig& config) {
+  std::string bytes;
+  auto put = [&](const char*, const auto& field) {
+    bytes.append(reinterpret_cast<const char*>(&field), sizeof field);
+  };
+  forEachResultField(config.params, put);
+  put("method", config.method);
+  put("allow_degradation", config.allowDegradation);
+  return bytes;
 }
 
 void mergeBatchAggregates(BatchResult& result,

@@ -135,11 +135,13 @@ struct BatchConfig {
   /// when false (--strict), such a shape keeps an empty solution and its
   /// error status, and the batch still completes.
   bool allowDegradation = true;
-  /// Skip the primary method and fracture every shape with the fallback
-  /// ladder directly (supervisor crash-isolation; see
-  /// fractureShapeGuarded).
-  bool fallbackOnly = false;
 };
+
+/// The bytes of everything in `config` a fracture's result depends on,
+/// hashed by cell keys and the plan fingerprint: each forEachResultField
+/// field's object bytes in declaration order, then the method and the
+/// degradation mode.
+std::string resultConfigBytes(const BatchConfig& config);
 
 /// Recomputes BatchResult's aggregate fields (totalShots,
 /// totalFailingPixels, shapeSecondsSum, degradedShapes, refinerStats)

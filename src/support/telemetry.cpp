@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 #include <iterator>
+#include <type_traits>
 
 #include "analysis/shot_stats.h"
 #include "io/atomic_file.h"
@@ -709,13 +710,14 @@ std::string buildRunManifest(const RunManifestInfo& info,
 
   w.key("config").beginObject();
   w.key("method").value(toString(config.method));
-  w.key("gamma").value(p.gamma);
-  w.key("sigma").value(p.sigma);
-  w.key("rho").value(p.rho);
-  w.key("lmin").value(p.lmin);
-  w.key("eta").value(p.backscatterEta);
-  w.key("sigma_back").value(p.backscatterSigma);
-  w.key("nmax").value(p.nmax);
+  // Every result field, so --verify can recompute the fingerprint.
+  forEachResultField(p, [&](const char* name, const auto& field) {
+    if constexpr (std::is_enum_v<std::decay_t<decltype(field)>>) {
+      w.key(name).value(static_cast<int>(field));
+    } else {
+      w.key(name).value(field);
+    }
+  });
   w.key("threads").value(config.threads);
   w.key("budget_ms").value(p.shapeTimeBudgetMs);
   w.key("strict").value(!config.allowDegradation);

@@ -126,6 +126,29 @@ int main(int argc, char** argv) {
     cases.push_back({"wide_aref_hier", dir + "/wide_aref.gds", "--hier", 0});
   }
 
+  // An AREF at COLROW 0 x 1 beside a square of TOP's own: GDSII counts
+  // lie in 1..32767, and a zero must not parse into a layout whose array
+  // places nothing while the square still fractures.
+  {
+    mbf::GdsAref aref;
+    aref.structName = "CELL";
+    aref.columnPitch = {100, 0};
+    aref.rowPitch = {0, 100};
+    mbf::GdsLibrary lib;
+    lib.structures = {
+        mbf::GdsStructure{"TOP", {rect(500, 60, 60)}, {}, {aref}},
+        mbf::GdsStructure{"CELL", {rect(0, 60, 60)}, {}, {}}};
+    std::string bytes = gdsBytes(lib);
+    // The COLROW record: length 8, type 0x1302, then columns and rows.
+    const std::size_t colrow =
+        bytes.find(std::string("\x00\x08\x13\x02", 4));
+    bytes[colrow + 5] = '\0';  // columns 1 -> 0
+    writeFile(dir + "/colrow_zero.gds", bytes);
+    cases.push_back({"colrow_zero", dir + "/colrow_zero.gds", "", 3});
+    cases.push_back(
+        {"colrow_zero_hier", dir + "/colrow_zero.gds", "--hier", 3});
+  }
+
   // Two structures named CELL: GDSII names are unique, and the second
   // one's two squares must not vanish without a word.
   {

@@ -1,8 +1,12 @@
 // Tests for GDSII hierarchy: multiple structures, SREF/AREF round
-// trips, flattening with translation, and the defective hierarchies the
-// one structure walk refuses alike for the flat reading and the plan.
+// trips, AREF counts and corners GDSII cannot store (refused on read and
+// on write), flattening with translation, and the defective hierarchies
+// the one structure walk refuses alike for the flat reading and the
+// plan.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <tuple>
 #include <utility>
@@ -235,6 +239,76 @@ TEST(GdsiiHierTest, ArefCornerOffItsPitchLatticeIsParseError) {
         << st.message();
     EXPECT_EQ(st.byteOffset(), static_cast<std::int64_t>(xy));
   }
+}
+
+/// TOP placing CELL (a 60 nm square) through one 1 x 1 AREF.
+GdsLibrary singleArefLib() {
+  GdsAref aref;
+  aref.structName = "CELL";
+  aref.columnPitch = {100, 0};
+  aref.rowPitch = {0, 100};
+  GdsLibrary lib;
+  lib.structures = {GdsStructure{"TOP", {}, {}, {aref}},
+                    GdsStructure{"CELL", {squarePoly(60)}, {}, {}}};
+  return lib;
+}
+
+// GDSII counts an AREF's columns and rows in 1..32767 (2-byte signed).
+// A COLROW outside that range, which used to place nothing without a
+// word, is a parse error naming COLROW at its record.
+TEST(GdsiiHierTest, ColrowOutsideItsRangeIsParseError) {
+  std::stringstream ok(std::ios::in | std::ios::out | std::ios::binary);
+  writeGds(ok, singleArefLib());
+  // The COLROW record: length 8, type 0x1302.
+  const std::string bytes = ok.str();
+  const std::size_t colrow = bytes.find(std::string("\x00\x08\x13\x02", 4));
+  ASSERT_NE(colrow, std::string::npos);
+  for (const auto& [columns, rows] :
+       {std::pair{0, 1}, std::pair{1, 0}, std::pair{0x8000, 1},
+        std::pair{1, 0xffff}}) {
+    std::string patched = bytes;
+    patched[colrow + 4] = static_cast<char>(columns >> 8);
+    patched[colrow + 5] = static_cast<char>(columns);
+    patched[colrow + 6] = static_cast<char>(rows >> 8);
+    patched[colrow + 7] = static_cast<char>(rows);
+    std::stringstream is(patched, std::ios::in | std::ios::binary);
+    GdsLibrary back;
+    const Status st = parseGds(is, back);
+    EXPECT_EQ(st.code(), StatusCode::kParseError) << st.str();
+    EXPECT_NE(st.message().find("COLROW"), std::string::npos)
+        << st.message();
+    EXPECT_EQ(st.byteOffset(), static_cast<std::int64_t>(colrow));
+  }
+}
+
+// An AREF GDSII cannot store — a count outside 1..32767, or a corner
+// origin + count * pitch outside int32 — fails the write instead of
+// wrapping into a different placement.
+TEST(GdsiiHierTest, ArefGdsiiCannotStoreFailsTheWrite) {
+  const std::string path = testing::TempDir() + "unstorable_aref.gds";
+  std::remove(path.c_str());
+  auto unstorable = [](auto&& mutate) {
+    GdsLibrary lib = singleArefLib();
+    mutate(lib.structures[0].arefs[0]);
+    return lib;
+  };
+  for (const GdsLibrary& lib :
+       {unstorable([](GdsAref& a) {
+          a.columns = 2;
+          a.columnPitch = {1500000000, 0};  // corner x = 3e9
+        }),
+        unstorable([](GdsAref& a) { a.columns = 0; }),
+        unstorable([](GdsAref& a) { a.rows = 32768; })}) {
+    std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
+    writeGds(ss, lib);
+    EXPECT_TRUE(ss.fail());
+    EXPECT_FALSE(saveGds(path, lib));
+    EXPECT_FALSE(std::ifstream(path).good()) << "nothing is published";
+  }
+  // The widest storable AREF still writes.
+  std::stringstream wide(std::ios::in | std::ios::out | std::ios::binary);
+  writeGds(wide, wideArefLib());
+  EXPECT_TRUE(wide.good());
 }
 
 // The flat reading (flattenGdsChecked) and the plan (planGdsHierarchy)

@@ -512,6 +512,9 @@ TEST(CellCacheTest, KeyInvalidatesOnEveryResultRelevantField) {
   add("sigma_back", [](BatchConfig& c) { c.params.backscatterSigma = 30.0; });
   add("lth", [](BatchConfig& c) { c.params.lth = 25.0; });
   add("overlap", [](BatchConfig& c) { c.params.overlapFraction = 0.7; });
+  add("coloring_order", [](BatchConfig& c) {
+    c.params.coloringOrder = ColoringOrder::kDsatur;
+  });
   add("nmax", [](BatchConfig& c) { c.params.nmax = 99; });
   add("nh", [](BatchConfig& c) { c.params.nh = 5; });
   add("stagnation", [](BatchConfig& c) { c.params.stagnationEps = 1e-5; });
@@ -536,12 +539,6 @@ TEST(CellCacheTest, KeyInvalidatesOnEveryResultRelevantField) {
   threaded.threads = 8;
   threaded.params.numThreads = 8;
   EXPECT_EQ(cellFractureKey(shapes, threaded), baseKey);
-
-  // A fallback-only run never touches the cache, and its journal
-  // records must carry the key the supervising parent planned.
-  BatchConfig fallbackOnly = base;
-  fallbackOnly.fallbackOnly = true;
-  EXPECT_EQ(cellFractureKey(shapes, fallbackOnly), baseKey);
 
   // Geometry participates.
   std::vector<LayoutShape> moved = shapes;
@@ -626,7 +623,7 @@ TEST(CellCacheTest, EntryIsDigestLinePlusCanonicalCellRecord) {
   std::string bytes;
   ASSERT_TRUE(readFileToString(cache.pathFor(cell.key), bytes).ok());
   const std::string payload = encodeCellRecord(canonical(cell));
-  EXPECT_EQ(bytes, "mbf-cell-cache v3 " + sha256Hex(payload) + "\n" + payload);
+  EXPECT_EQ(bytes, "mbf-cell-cache v4 " + sha256Hex(payload) + "\n" + payload);
 
   // One file per entry: besides this process's liveness lock, the
   // directory holds the entry alone.
@@ -769,53 +766,6 @@ TEST(CellCacheTest, QuotaEvictionSkipsKeysNotedByLiveProcess) {
   EXPECT_NE(::stat(k1Path.c_str(), &st), 0)
       << "entry of a dead process must become evictable";
   EXPECT_GE(b.stats().evicted, 1);
-}
-
-/// Every file in `dir` with its bytes, sorted by name.
-std::vector<std::pair<std::string, std::string>> dirSnapshot(
-    const std::string& dir) {
-  std::vector<std::pair<std::string, std::string>> files;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    std::string bytes;
-    (void)readFileToString(entry.path().string(), bytes);
-    files.emplace_back(entry.path().filename().string(), std::move(bytes));
-  }
-  std::sort(files.begin(), files.end());
-  return files;
-}
-
-TEST(CellCacheTest, FallbackOnlyPlanNeitherLoadsNorStores) {
-  TempCacheDir dir("fallbackonly");
-  const GdsLibrary lib = arrayLib(3);
-  HierOptions options;
-  options.topStruct = "TOP";
-  options.cellCacheDir = dir.path;
-
-  // A normal run stores the cell's primary result under the key a
-  // fallback-only run of the same cell plans.
-  HierarchicalResult cold;
-  ASSERT_TRUE(fractureGdsHierarchical(lib, BatchConfig{}, options, cold).ok());
-  ASSERT_EQ(cold.cellCacheMisses, 1);
-  const auto before = dirSnapshot(dir.path);
-  ASSERT_EQ(before.size(), 1u);
-
-  BatchConfig fallback;
-  fallback.fallbackOnly = true;
-  HierarchicalResult degraded;
-  ASSERT_TRUE(
-      fractureGdsHierarchical(lib, fallback, options, degraded).ok());
-  EXPECT_EQ(degraded.cellCacheHits, 0);
-  EXPECT_EQ(degraded.cellCacheRejected, 0);
-  EXPECT_EQ(degraded.uniqueCellsFractured, 1);
-  EXPECT_EQ(degraded.batch.degradedShapes, 3);  // not the cached result
-  EXPECT_EQ(dirSnapshot(dir.path), before);
-
-  // On an absent cache directory nothing is created, let alone stored.
-  TempCacheDir absent("fallbackonly_absent");
-  options.cellCacheDir = absent.path;
-  ASSERT_TRUE(
-      fractureGdsHierarchical(lib, fallback, options, degraded).ok());
-  EXPECT_FALSE(std::filesystem::exists(absent.path));
 }
 
 TEST(CellCacheTest, WarmHierRunIsBitIdenticalWithZeroFractures) {
@@ -1060,7 +1010,7 @@ TEST(PlanFingerprintTest, CoversGeometryInstancesAndResultParameters) {
   HierPlan plan;
   ASSERT_TRUE(planGdsHierarchy(arrayLib(4), config, "", plan).ok());
   const std::string base = planFingerprint(plan, config);
-  EXPECT_EQ(base.rfind("mbf-plan v1 cells=1 instances=4 shapes=4 fp=", 0),
+  EXPECT_EQ(base.rfind("mbf-plan v2 cells=1 instances=4 shapes=4 fp=", 0),
             0u)
       << base;
 

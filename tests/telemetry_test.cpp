@@ -2,20 +2,25 @@
 // trips, trace recorder ownership and thread behaviour, span frame
 // round trips, the per-cell schema of the manifest a real run
 // (runLayout) writes, its claims expanded over the plan by the library
-// expansion --verify uses, its thread-count stability, and the
-// perfCompact/perfRate formatting edges.
+// expansion --verify uses, its thread-count stability, every result
+// field (forEachResultField) recorded by the manifest and read back into
+// the fingerprint by --verify, and the perfCompact/perfRate formatting
+// edges.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <limits>
+#include <map>
 #include <random>
 #include <set>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analysis/shot_stats.h"
@@ -429,7 +434,7 @@ TEST(RunManifestTest, SchemaAndTotals) {
   ASSERT_NE(config, nullptr);
   EXPECT_EQ(config->find("method")->string, "ours");
   EXPECT_EQ(config->find("fingerprint")->string.rfind(
-                "mbf-plan v1 cells=3 instances=5 shapes=5 fp=", 0),
+                "mbf-plan v2 cells=3 instances=5 shapes=5 fp=", 0),
             0u)
       << config->find("fingerprint")->string;
 
@@ -592,6 +597,12 @@ TEST(RunManifestTest, RepairReachesEveryInstanceOfItsCellShape) {
     }
   }
   EXPECT_EQ(result.totalShots, shots);
+  // The fracture seconds count each shape once: the run's, plus the one
+  // repair (every instance carries a copy of its runtime).
+  EXPECT_EQ(result.shapeSecondsSum,
+            original.shapeSecondsSum +
+                result.solutions[static_cast<std::size_t>(targets[0])]
+                    .runtimeSeconds);
 
   // The grouped manifest lists the repair once, and its claims expanded
   // over the plan equal the ungrouped builder's, result by result.
@@ -635,6 +646,136 @@ TEST(RunManifestTest, StableAcrossThreadCounts) {
     stripTimingFields(other);
     EXPECT_TRUE(reference == other)
         << "manifest differs at " << threads << " threads";
+  }
+}
+
+// --------------------------------------------------------------------
+// The one list of result fields (forEachResultField)
+// --------------------------------------------------------------------
+
+/// Where the value of the config block's `name` member sits in manifest
+/// `text`: its offset and length, or npos when the block lacks it.
+std::pair<std::size_t, std::size_t> configValueSpan(std::string_view text,
+                                                    const std::string& name) {
+  constexpr auto npos = std::string_view::npos;
+  const std::size_t config = text.find("\"config\": {");
+  if (config == npos) return {npos, 0};
+  const std::string key = "\"" + name + "\": ";
+  const std::size_t at = text.find(key, config);
+  if (at == npos || at > text.find('}', config)) return {npos, 0};
+  const std::size_t begin = at + key.size();
+  return {begin, text.find_first_of(",\n", begin) - begin};
+}
+
+std::string configValue(std::string_view text, const std::string& name) {
+  const auto [at, size] = configValueSpan(text, name);
+  if (at == std::string_view::npos) return "";
+  return std::string(text.substr(at, size));
+}
+
+bool hasFingerprintIssue(const VerifyReport& report) {
+  return std::any_of(report.fileIssues.begin(), report.fileIssues.end(),
+                     [](const std::string& issue) {
+                       return issue.rfind(
+                                  "config/geometry fingerprint mismatch",
+                                  0) == 0;
+                     });
+}
+
+TEST(ResultFieldsTest, EveryFieldReachesTheManifestAndTheFingerprint) {
+  // On LP64. A field a fracture's result depends on belongs in
+  // forEachResultField; an execution limit is cleared by withoutLimits().
+  EXPECT_EQ(sizeof(FractureParams), 136u)
+      << "a new FractureParams field must be listed in forEachResultField "
+         "or cleared by FractureParams::withoutLimits()";
+
+  // One change per result field, each cheap to run on the L below.
+  const std::map<std::string, std::function<void(FractureParams&)>>
+      changes = {
+          {"gamma", [](FractureParams& p) { p.gamma = 2.5; }},
+          {"sigma", [](FractureParams& p) { p.sigma = 7.0; }},
+          {"rho", [](FractureParams& p) { p.rho = 0.45; }},
+          {"lmin", [](FractureParams& p) { p.lmin = 14; }},
+          {"eta", [](FractureParams& p) { p.backscatterEta = 0.1; }},
+          {"sigma_back", [](FractureParams& p) { p.backscatterSigma = 30.0; }},
+          {"lth", [](FractureParams& p) { p.lth = 25.0; }},
+          {"overlap_fraction",
+           [](FractureParams& p) { p.overlapFraction = 0.7; }},
+          {"coloring_order",
+           [](FractureParams& p) {
+             p.coloringOrder = ColoringOrder::kDsatur;
+           }},
+          {"nmax", [](FractureParams& p) { p.nmax = 80; }},
+          {"nh", [](FractureParams& p) { p.nh = 4; }},
+          {"stagnation_eps",
+           [](FractureParams& p) { p.stagnationEps = 1e-5; }},
+          {"blocking_sigmas",
+           [](FractureParams& p) { p.blockingSigmas = 1.5; }},
+          {"merge_inside_fraction",
+           [](FractureParams& p) { p.mergeInsideFraction = 0.8; }},
+          {"enable_bias", [](FractureParams& p) { p.enableBias = false; }},
+          {"enable_add_remove",
+           [](FractureParams& p) { p.enableAddRemove = false; }},
+          {"enable_merge", [](FractureParams& p) { p.enableMerge = false; }},
+      };
+  FractureParams base;
+  base.nmax = 60;
+  std::vector<std::string> names;
+  forEachResultField(std::as_const(base), [&](const char* name, const auto&) {
+    names.emplace_back(name);
+  });
+  ASSERT_EQ(names.size(), changes.size());
+
+  const std::string dir = testing::TempDir() + "result_fields/";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string input = dir + "in.poly";
+  const std::vector<Polygon> l = {
+      Polygon({{0, 0}, {160, 0}, {160, 60}, {60, 60}, {60, 160}, {0, 160}})};
+  ASSERT_TRUE(savePolygons(input, l));
+  // runLayout's manifest for `params`, at `dir`/`name`.json. Exit 4 is
+  // a completed run with failing pixels (a toggle off may leave some),
+  // which its manifest claims like any other.
+  auto run = [&](const std::string& name, const FractureParams& params) {
+    RunConfig config;
+    config.inputPath = input;
+    config.outputPath = dir + name + ".shots";
+    config.metricsJsonPath = dir + name + ".json";
+    config.batch.params = params;
+    const int exit = runLayout(config);
+    EXPECT_TRUE(exit == 0 || exit == 4) << name << ": exit " << exit;
+    return config.metricsJsonPath;
+  };
+  std::string baseText;
+  ASSERT_TRUE(readFileToString(run("base", base), baseText).ok());
+
+  for (const std::string& name : names) {
+    SCOPED_TRACE(name);
+    FractureParams params = base;
+    changes.at(name)(params);
+    const std::string path = run(name, params);
+    VerifyReport report;
+    ASSERT_TRUE(verifyRun({path, 1}, report).ok());
+    EXPECT_TRUE(report.clean()) << report.str();
+
+    // The field edited back to the base run's value, the sidecar
+    // re-sealed: the recomputed fingerprint no longer matches.
+    std::string text;
+    ASSERT_TRUE(readFileToString(path, text).ok());
+    const std::string baseValue = configValue(baseText, name);
+    const auto [at, size] = configValueSpan(text, name);
+    if (baseValue.empty() || at == std::string::npos) {
+      ADD_FAILURE() << "the manifest does not record it";
+      continue;
+    }
+    ASSERT_NE(text.substr(at, size), baseValue);
+    text.replace(at, size, baseValue);
+    std::string hex;
+    ASSERT_TRUE(atomicWriteFile(path, text, &hex).ok());
+    ASSERT_TRUE(writeHashSidecar(path, hex).ok());
+    VerifyReport edited;
+    ASSERT_TRUE(verifyRun({path, 1}, edited).ok());
+    EXPECT_TRUE(hasFingerprintIssue(edited)) << edited.str();
   }
 }
 
